@@ -37,9 +37,6 @@ import (
 // BenchmarkQuery* family (training the 52k-triple model once).
 type queryBenchState struct {
 	handler http.Handler
-	// handlerNoObs serves the same data with Config.DisableInstrumentation:
-	// the per-request delta against handler is the observability overhead.
-	handlerNoObs http.Handler
 	// handlerAdmission serves the same data with the full admission chain
 	// enabled at thresholds the benchmark can never trip: the delta
 	// against handler is the per-request admission overhead.
@@ -80,10 +77,6 @@ func queryBench(b *testing.B) *queryBenchState {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srvNoObs, err := serve.New(st, serve.Config{Options: opts, PenalizeSilence: true, DisableInstrumentation: true})
-	if err != nil {
-		b.Fatal(err)
-	}
 	srvAdmission, err := serve.New(st, serve.Config{
 		Options: opts, PenalizeSilence: true,
 		// Generous enough that no benchmark request is ever refused: the
@@ -108,7 +101,6 @@ func queryBench(b *testing.B) *queryBenchState {
 
 	qs := &queryBenchState{
 		handler:          srv.Handler(),
-		handlerNoObs:     srvNoObs.Handler(),
 		handlerAdmission: srvAdmission.Handler(),
 		baseline:         baseline,
 		st:               st,
@@ -188,21 +180,6 @@ func BenchmarkQueryBulk64Indexed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		postScore(b, qs.handler, bodies[i%len(bodies)])
-	}
-	reportTriplesPerSec(b, 64)
-}
-
-// BenchmarkQueryBulk64IndexedNoObs re-runs the acceptance benchmark with
-// instrumentation disabled (no tracing, no latency histograms, no status
-// accounting): the delta against BenchmarkQueryBulk64Indexed is the
-// end-to-end observability overhead on the read path — budgeted at ≤ 5%.
-// CI records both in BENCH_obs.json.
-func BenchmarkQueryBulk64IndexedNoObs(b *testing.B) {
-	qs := queryBench(b)
-	bodies := scoreBodies(b, qs, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		postScore(b, qs.handlerNoObs, bodies[i%len(bodies)])
 	}
 	reportTriplesPerSec(b, 64)
 }

@@ -1,5 +1,7 @@
-// Command fuse runs truth discovery over a JSONL dataset (as written by
-// datagen or by dataset.Write) and emits the scored triples.
+// Command fuse runs truth discovery over a JSONL dataset (the store file
+// schema, as written by datagen or a fused persist) and emits the scored
+// triples in the same schema, so its output feeds fused -store or another
+// fuse run.
 //
 // Usage:
 //
@@ -8,8 +10,8 @@
 //	     [-smoothing 0] [-out fused.jsonl] [-accepted-only]
 //
 // The input's gold labels (where present) are used as training data for the
-// supervised methods; output rows carry the computed probability and the
-// accept decision.
+// supervised methods; output rows carry the input's sources and label plus
+// the computed probability and the accept decision.
 package main
 
 import (
@@ -60,45 +62,18 @@ func run(in, out, method string, alpha float64, unionK, level int, scopeName str
 		ElasticLevel: level,
 		Smoothing:    smoothing,
 	}
-	switch method {
-	case "precrec":
-		opts.Method = corrfuse.PrecRec
-	case "corr":
-		opts.Method = corrfuse.PrecRecCorr
-	case "aggressive":
-		opts.Method = corrfuse.PrecRecCorrAggressive
-	case "elastic":
-		opts.Method = corrfuse.PrecRecCorrElastic
-	case "union":
-		opts.Method = corrfuse.UnionK
-	case "3est":
-		opts.Method = corrfuse.ThreeEstimates
-	case "ltm":
-		opts.Method = corrfuse.LTM
-	default:
-		return fmt.Errorf("unknown method %q", method)
+	if opts.Method, err = corrfuse.ParseMethod(method); err != nil {
+		return err
 	}
 	switch scopeName {
 	case "global", "":
-		opts.Scope = corrfuse.ScopeGlobal{}
 	case "subject":
 		opts.Scope = corrfuse.NewScopeSubject(d)
 	default:
 		return fmt.Errorf("unknown scope %q", scopeName)
 	}
-	if alpha == 0 {
-		nt, nf := d.CountLabels()
-		if nt+nf > 0 {
-			opts.Alpha = float64(nt) / float64(nt+nf)
-			if opts.Alpha < 0.05 {
-				opts.Alpha = 0.05
-			}
-			if opts.Alpha > 0.95 {
-				opts.Alpha = 0.95
-			}
-		}
-	} else {
-		opts.Alpha = alpha
+	if opts.Alpha = alpha; alpha == 0 {
+		opts.Alpha = corrfuse.DeriveAlpha(d)
 	}
 
 	fuser, err := corrfuse.New(d, opts)
@@ -122,6 +97,7 @@ func run(in, out, method string, alpha float64, unionK, level int, scopeName str
 	for _, r := range rows {
 		entry := store.Entry{
 			Triple:      r.Triple,
+			Label:       d.Label(r.ID).Gold(),
 			Probability: r.Probability,
 			Accepted:    acceptedSet[r.ID],
 		}

@@ -3,9 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"corrfuse"
 	"corrfuse/internal/dataset"
+	"corrfuse/internal/serve"
 	"corrfuse/internal/store"
 )
 
@@ -74,5 +77,76 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(in, "", "corr", 0, 50, 3, "sideways", 0, false); err == nil {
 		t.Error("unknown scope should fail")
+	}
+}
+
+// readRecords indexes a store-schema file by triple key.
+func readRecords(t *testing.T, path string) map[string]store.Record {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out := make(map[string]store.Record)
+	err = store.ReadRecords(f, func(rec *store.Record) {
+		out[rec.Subject+"\x00"+rec.Predicate+"\x00"+rec.Object] = *rec
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return out
+}
+
+// TestOutputFeedsFused is the datagen → fuse -out → fused round trip: the
+// output keeps the input's sources and gold labels (it used to drop the
+// labels, so fused could not train on it), a datagen line, a fuse -out line
+// and a store.Save line of the same triple decode to the same record, and a
+// server trains on the file.
+func TestOutputFeedsFused(t *testing.T) {
+	in := writeInput(t)
+	out := filepath.Join(t.TempDir(), "fused.jsonl")
+	if err := run(in, out, "corr", 0, 50, 3, "global", 0.1, false); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Load(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(t.TempDir(), "saved.jsonl")
+	if err := st.Save(saved); err != nil {
+		t.Fatal(err)
+	}
+
+	input, fused, resaved := readRecords(t, in), readRecords(t, out), readRecords(t, saved)
+	if len(fused) == 0 || len(fused) != len(resaved) {
+		t.Fatalf("fuse wrote %d records, store.Save %d", len(fused), len(resaved))
+	}
+	labeled := 0
+	for key, f := range fused {
+		if !reflect.DeepEqual(f, resaved[key]) {
+			t.Fatalf("fuse -out line and store.Save line differ:\n  %+v\n  %+v", f, resaved[key])
+		}
+		if f.Label != "" {
+			labeled++
+		}
+		f.Probability, f.Accepted = 0, false
+		if !reflect.DeepEqual(f, input[key]) {
+			t.Fatalf("fuse -out changed the input record:\n  in  %+v\n  out %+v", input[key], f)
+		}
+	}
+	if labeled == 0 {
+		t.Fatal("fuse output carries no gold labels")
+	}
+
+	srv, err := serve.New(st, serve.Config{
+		Options:         corrfuse.Options{Method: corrfuse.PrecRecCorr, Smoothing: 0.1},
+		PenalizeSilence: true,
+	})
+	if err != nil {
+		t.Fatalf("fused cannot train on fuse output: %v", err)
+	}
+	if seq, _, _ := srv.Snapshot(); seq != 1 {
+		t.Fatalf("snapshot seq = %d, want 1", seq)
 	}
 }

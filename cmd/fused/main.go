@@ -1,7 +1,9 @@
-// Command fused serves truth discovery over HTTP: it loads a JSONL store,
-// trains a fusion model, and answers queries while ingesting new claims,
-// periodically re-fusing the accumulated data with the correlation-aware
-// batch model.
+// Command fused serves truth discovery over HTTP: it loads a JSONL store
+// (the one store file schema datagen, fuse and every persist write; see the
+// README's "Store file schema"), trains a fusion model, and answers queries
+// while ingesting new claims, periodically re-fusing the accumulated data
+// with the correlation-aware batch model. A -store line that does not match
+// the schema is refused at load with a "line N:" error naming the key.
 //
 // Usage:
 //
@@ -16,7 +18,7 @@
 //	      [-wal-retain-segments 0] [-follow http://leader:6060]
 //	      [-log-format text|json] [-log-level info] [-slow-request 1s]
 //	      [-trace-buffer 256] [-trace-threshold 0]
-//	      [-debug-addr localhost:6060] [-no-instrumentation]
+//	      [-debug-addr localhost:6060]
 //	      [-rate-limit 0] [-rate-burst 0] [-request-timeout 0]
 //	      [-max-inflight 0] [-http-read-header-timeout 10s]
 //	      [-http-read-timeout 2m] [-http-write-timeout 10m]
@@ -127,7 +129,6 @@ type options struct {
 	method    string
 	scope     string
 	persist   string
-	snapshot  string
 
 	alpha     float64
 	smoothing float64
@@ -154,7 +155,6 @@ type options struct {
 	traceBuffer    int
 	traceThreshold time.Duration
 	debugAddr      string
-	noInstrument   bool
 
 	rateLimit      float64
 	rateBurst      int
@@ -191,8 +191,7 @@ func main() {
 	flag.StringVar(&o.scope, "scope", "global", "accountability scope: global or subject")
 	flag.Float64Var(&o.smoothing, "smoothing", 0, "add-k smoothing for quality estimation")
 	flag.DurationVar(&o.refresh, "refresh", 30*time.Second, "background re-fusion period (0 disables)")
-	flag.StringVar(&o.persist, "persist", "", "save the store to this path after re-fusions and on shutdown (default: -store path; \"-\" disables)")
-	flag.StringVar(&o.snapshot, "snapshot-format", serve.SnapshotBinary, "cold-start snapshot format maintained next to the JSONL store: binary (mmap-able .cfsn, millisecond restarts) or jsonl (JSONL only)")
+	flag.StringVar(&o.persist, "persist", "", "save the store (JSONL plus the binary cold-start snapshot next to it) to this path after re-fusions and on shutdown (default: -store path; \"-\" disables)")
 	flag.IntVar(&o.parallelism, "parallelism", 0, "scoring goroutines per batch (0 = GOMAXPROCS)")
 	flag.IntVar(&o.shards, "shards", 1, "subject-hash shards for the batch model (1 = monolithic)")
 	flag.IntVar(&o.rebuildWorkers, "rebuild-workers", 0, "goroutines rebuilding shard models concurrently (0 = GOMAXPROCS)")
@@ -211,7 +210,6 @@ func main() {
 	flag.IntVar(&o.traceBuffer, "trace-buffer", 256, "recent traces retained for /debug/traces")
 	flag.DurationVar(&o.traceThreshold, "trace-threshold", 0, "retain only traces at least this slow (0 retains all)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof, /debug/traces and /metrics on this separate address (empty disables; bind to localhost)")
-	flag.BoolVar(&o.noInstrument, "no-instrumentation", false, "disable per-request tracing/histograms (overhead benchmarking only)")
 	flag.Float64Var(&o.rateLimit, "rate-limit", 0, "sustained /v1 requests per second per API key (X-Api-Key header; keyless requests share one bucket; 0 disables)")
 	flag.IntVar(&o.rateBurst, "rate-burst", 0, "token-bucket burst on top of -rate-limit (0 = twice the rate)")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 0, "per-request deadline budget for /v1 endpoints, propagated into WAL commits and rebuilds; /v1/refuse gets 10x (0 disables)")
@@ -262,50 +260,40 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	// store; a missing one quietly parses JSONL, a corrupt one falls back
 	// loudly (the reason lands in the log, /healthz and the
 	// corrfused_snapshot_load_fallback metric).
-	loadStart := time.Now()
 	st, loadInfo, err := store.LoadPreferred(o.storePath)
 	if err != nil {
 		return err
 	}
-	loadDur := time.Since(loadStart)
 	if loadInfo.FallbackReason != "" {
 		logger.Warn(ctx, "binary snapshot rejected, loaded JSONL store",
 			"store", o.storePath, "reason", loadInfo.FallbackReason)
 	}
 	logger.Info(ctx, "store loaded", "store", o.storePath, "format", loadInfo.Format,
-		"bytes", loadInfo.Bytes, "triples", st.Len(), "duration", loadDur.String())
+		"bytes", loadInfo.Bytes, "triples", st.Len(), "duration", loadInfo.Duration.String())
 	if st.Len() == 0 {
 		return fmt.Errorf("store %s is empty", o.storePath)
 	}
 
 	cfg := serve.Config{
-		SnapshotFormat: o.snapshot,
-		SnapshotLoad: &serve.SnapshotLoad{
-			Format:         loadInfo.Format,
-			Bytes:          loadInfo.Bytes,
-			Mapped:         loadInfo.Mapped,
-			Duration:       loadDur,
-			FallbackReason: loadInfo.FallbackReason,
-		},
-		RefreshInterval:        o.refresh,
-		MaxScoreTriples:        o.maxScoreTriples,
-		MaxBodyBytes:           o.maxBodyBytes,
-		WALDir:                 o.walDir,
-		WALSync:                o.walSync,
-		WALSyncInterval:        o.walSyncInterval,
-		WALSegmentBytes:        o.walSegmentBytes,
-		WALRetainSegments:      o.walRetain,
-		ReadOnly:               o.follow != "",
-		LeaderURL:              o.follow,
-		Logger:                 logger,
-		SlowRequestThreshold:   o.slowRequest,
-		TraceBufferSize:        o.traceBuffer,
-		TraceThreshold:         o.traceThreshold,
-		DisableInstrumentation: o.noInstrument,
-		RateLimit:              o.rateLimit,
-		RateBurst:              o.rateBurst,
-		RequestTimeout:         o.requestTimeout,
-		MaxInFlight:            o.maxInFlight,
+		SnapshotLoad:         &loadInfo,
+		RefreshInterval:      o.refresh,
+		MaxScoreTriples:      o.maxScoreTriples,
+		MaxBodyBytes:         o.maxBodyBytes,
+		WALDir:               o.walDir,
+		WALSync:              o.walSync,
+		WALSyncInterval:      o.walSyncInterval,
+		WALSegmentBytes:      o.walSegmentBytes,
+		WALRetainSegments:    o.walRetain,
+		ReadOnly:             o.follow != "",
+		LeaderURL:            o.follow,
+		Logger:               logger,
+		SlowRequestThreshold: o.slowRequest,
+		TraceBufferSize:      o.traceBuffer,
+		TraceThreshold:       o.traceThreshold,
+		RateLimit:            o.rateLimit,
+		RateBurst:            o.rateBurst,
+		RequestTimeout:       o.requestTimeout,
+		MaxInFlight:          o.maxInFlight,
 	}
 	switch o.persist {
 	case "":
@@ -325,23 +313,8 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	if o.walDir != "" && cfg.PersistPath == "" {
 		return fmt.Errorf("-wal requires a persist path (WAL truncation rides the snapshot save): drop -persist - or point -persist somewhere")
 	}
-	switch o.method {
-	case "precrec":
-		cfg.Options.Method = corrfuse.PrecRec
-	case "corr":
-		cfg.Options.Method = corrfuse.PrecRecCorr
-	case "aggressive":
-		cfg.Options.Method = corrfuse.PrecRecCorrAggressive
-	case "elastic":
-		cfg.Options.Method = corrfuse.PrecRecCorrElastic
-	case "union":
-		cfg.Options.Method = corrfuse.UnionK
-	case "3est":
-		cfg.Options.Method = corrfuse.ThreeEstimates
-	case "ltm":
-		cfg.Options.Method = corrfuse.LTM
-	default:
-		return fmt.Errorf("unknown method %q", o.method)
+	if cfg.Options.Method, err = corrfuse.ParseMethod(o.method); err != nil {
+		return err
 	}
 	switch o.scope {
 	case "global", "":
@@ -351,10 +324,8 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	default:
 		return fmt.Errorf("unknown scope %q", o.scope)
 	}
-	if o.alpha != 0 {
-		cfg.Options.Alpha = o.alpha
-	} else if nt, nf := deriveAlpha(st); nt+nf > 0 {
-		cfg.Options.Alpha = clampAlpha(float64(nt) / float64(nt+nf))
+	if cfg.Options.Alpha = o.alpha; o.alpha == 0 {
+		cfg.Options.Alpha = corrfuse.DeriveAlpha(st.Dataset())
 	}
 
 	srv, err := serve.New(st, cfg)
@@ -436,18 +407,4 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		return err
 	}
 	return srv.Close(shutCtx)
-}
-
-func deriveAlpha(st *store.Store) (nt, nf int) {
-	return st.Dataset().CountLabels()
-}
-
-func clampAlpha(a float64) float64 {
-	if a < 0.05 {
-		return 0.05
-	}
-	if a > 0.95 {
-		return 0.95
-	}
-	return a
 }

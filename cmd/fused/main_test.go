@@ -8,10 +8,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"corrfuse/internal/dataset"
 	"corrfuse/internal/store"
 	"corrfuse/internal/triple"
 )
@@ -130,6 +133,80 @@ func testServeLifecycle(t *testing.T, shards, rebuildWorkers int) {
 	}
 }
 
+// TestDatagenFileServesEveryTriple is the README's documented flow, datagen
+// -out d.jsonl && fused -store d.jsonl: the file datagen writes
+// (dataset.Write) loads as exactly its N triples and serves from the first
+// snapshot. It used to load as one empty triple.
+func TestDatagenFileServesEveryTriple(t *testing.T) {
+	const n = 2000
+	d, err := dataset.Generate(dataset.UniformSpec(5, n, 0.5, 0.7, 0.5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "d.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.Write(f, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, options{
+			storePath: path, addr: "127.0.0.1:0", method: "corr", scope: "global",
+			refresh: time.Hour, shards: 1, persist: "-",
+		}, ready)
+	}()
+	var base string
+	select {
+	case addr := <-ready:
+		base = "http://" + addr
+	case err := <-errc:
+		t.Fatalf("server exited early: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("server never became ready")
+	}
+	defer func() {
+		cancel()
+		if err := <-errc; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("\ncorrfused_store_triples %d\n", n); !bytes.Contains(metrics, []byte(want)) {
+		t.Fatalf("/metrics lacks %q", want)
+	}
+	id := triple.TripleID(0)
+	for len(d.Providers(id)) == 0 {
+		id++ // the first triple some source provides
+	}
+	probe := d.Triple(id)
+	body, _ := json.Marshal(map[string]any{"triples": []map[string]string{
+		{"subject": probe.Subject, "predicate": probe.Predicate, "object": probe.Object}}})
+	resp, err = http.Post(base+"/v1/score", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	score, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(score, []byte(`"basis":"snapshot"`)) {
+		t.Fatalf("/v1/score did not answer from the snapshot: %s", score)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	ctx := context.Background()
 	base := func(path string) options {
@@ -163,6 +240,26 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(ctx, base(empty), nil); err == nil {
 		t.Error("empty store should fail")
+	}
+	// A store line outside the one file schema is refused at load, with the
+	// line number and the offending key — never loaded as an empty triple
+	// that fails later at training.
+	good := `{"subject":"s","predicate":"p","object":"o","sources":["a"],"label":"true"}`
+	for name, tc := range map[string]struct{ body, line, key string }{
+		"old nested dialect": {`{"triple":{"Subject":"s","Predicate":"p","Object":"o"},"sources":["a"],"label":"true"}` + "\n", "line 1:", `"triple"`},
+		"unknown field":      {good + "\n" + `{"subject":"s2","predicate":"p","object":"o","extra":1}` + "\n", "line 2:", `"extra"`},
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.jsonl")
+		if err := os.WriteFile(bad, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Bounded: a loader that accepted the file would serve forever.
+		loadCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		err := run(loadCtx, base(bad), nil)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), tc.line) || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s: error %v, want %s and %s", name, err, tc.line, tc.key)
+		}
 	}
 	o = base(path)
 	o.logLevel = "loud"

@@ -8,7 +8,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -47,10 +46,11 @@ func mountLeader(ctx context.Context, dmux *http.ServeMux, srv *serve.Server, lo
 }
 
 // bootstrapFollower, when the follower's WAL directory holds no history,
-// downloads the leader's store snapshot, writes it to storePath (tmp +
-// rename, fsynced) and pins the WAL to the first uncovered sequence. With
-// existing local history it does nothing: the normal WAL replay resumes
-// from it. It reports whether a bootstrap happened.
+// downloads the leader's store snapshot, installs it as storePath
+// (store.Install: atomic, and no older snapshot can shadow it) and pins the
+// WAL to the first uncovered sequence. With existing local history it does
+// nothing: the normal WAL replay resumes from it. It reports whether a
+// bootstrap happened.
 func bootstrapFollower(ctx context.Context, o options, logger *obs.Logger) (bool, error) {
 	has, err := wal.HasSegments(o.walDir)
 	if err != nil || has {
@@ -65,35 +65,8 @@ func bootstrapFollower(ctx context.Context, o options, logger *obs.Logger) (bool
 	if err := os.MkdirAll(filepath.Dir(o.storePath), 0o755); err != nil {
 		return false, err
 	}
-	tmp := o.storePath + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return false, err
-	}
-	if _, err := io.Copy(f, body); err != nil {
-		//lint:ignore errswallow error path already reports the copy failure; close is best-effort cleanup
-		f.Close()
-		os.Remove(tmp)
+	if err := store.Install(o.storePath, body); err != nil {
 		return false, fmt.Errorf("follower bootstrap: store download: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		//lint:ignore errswallow error path already reports the sync failure; close is best-effort cleanup
-		f.Close()
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := os.Rename(tmp, o.storePath); err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	// A binary snapshot left next to the store by a previous run would
-	// shadow the freshly bootstrapped JSONL on load; remove it.
-	if err := os.Remove(store.BinaryPath(o.storePath)); err != nil && !os.IsNotExist(err) {
-		return false, fmt.Errorf("follower bootstrap: removing stale binary snapshot: %w", err)
 	}
 	if err := wal.WriteBootstrapSegment(o.walDir, covered+1); err != nil {
 		return false, fmt.Errorf("follower bootstrap: %w", err)

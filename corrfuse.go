@@ -111,6 +111,40 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod maps a -method flag value (precrec, corr, aggressive, elastic,
+// union, 3est, ltm) to its Method.
+func ParseMethod(name string) (Method, error) {
+	switch name {
+	case "precrec":
+		return PrecRec, nil
+	case "corr":
+		return PrecRecCorr, nil
+	case "aggressive":
+		return PrecRecCorrAggressive, nil
+	case "elastic":
+		return PrecRecCorrElastic, nil
+	case "union":
+		return UnionK, nil
+	case "3est":
+		return ThreeEstimates, nil
+	case "ltm":
+		return LTM, nil
+	}
+	return 0, fmt.Errorf("unknown method %q", name)
+}
+
+// DeriveAlpha returns the a-priori truth probability d's gold labels imply:
+// the true share of the labeled triples, kept within [0.05, 0.95] so a
+// lopsided training set cannot pin the prior. Without labels it returns 0,
+// the Options.Alpha value that selects the default.
+func DeriveAlpha(d *Dataset) float64 {
+	nt, nf := d.CountLabels()
+	if nt+nf == 0 {
+		return 0
+	}
+	return min(max(float64(nt)/float64(nt+nf), 0.05), 0.95)
+}
+
 // Options configures a Fuser.
 type Options struct {
 	// Method selects the algorithm. Default PrecRecCorr.

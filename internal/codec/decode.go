@@ -3,6 +3,7 @@ package codec
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -36,15 +37,15 @@ const maxNestingDepth = 10000
 // untouched. Data after the document returns an error wrapping
 // ErrTrailing.
 func DecodeScoreRequest(data []byte, req *ScoreRequest) error {
-	d := &decodeState{data: data}
+	d := &Decoder{data: data}
 	d.skipSpace()
 	if d.eat('n') {
 		if err := d.literal("null"); err != nil {
 			return err
 		}
-		return d.trailing()
+		return d.End()
 	}
-	if err := d.object(func(key []byte) error {
+	if err := d.Object(func(key []byte) error {
 		if keyIs(key, "triples") {
 			return d.tripleArray(&req.Triples)
 		}
@@ -52,7 +53,7 @@ func DecodeScoreRequest(data []byte, req *ScoreRequest) error {
 	}); err != nil {
 		return err
 	}
-	return d.trailing()
+	return d.End()
 }
 
 // DecodeObserveRequest parses a /v1/observe body into req (either a
@@ -60,15 +61,15 @@ func DecodeScoreRequest(data []byte, req *ScoreRequest) error {
 // — both; the serving layer rejects the ambiguity). Semantics match
 // DecodeScoreRequest.
 func DecodeObserveRequest(data []byte, req *ObserveRequest) error {
-	d := &decodeState{data: data}
+	d := &Decoder{data: data}
 	d.skipSpace()
 	if d.eat('n') {
 		if err := d.literal("null"); err != nil {
 			return err
 		}
-		return d.trailing()
+		return d.End()
 	}
-	if err := d.object(func(key []byte) error {
+	if err := d.Object(func(key []byte) error {
 		switch {
 		case keyIs(key, "source"):
 			return d.stringField(&req.Source)
@@ -87,19 +88,60 @@ func DecodeObserveRequest(data []byte, req *ObserveRequest) error {
 	}); err != nil {
 		return err
 	}
-	return d.trailing()
+	return d.End()
 }
 
-type decodeState struct {
+// Decoder is a cursor over one JSON document. The request decoders above
+// layer encoding/json's lenient field semantics on it; internal/store's
+// strict line codec uses the exported methods, which decode exactly the
+// value asked for — no coercion, and null only where documented — so the
+// repo has one string unescaper and one number grammar.
+type Decoder struct {
 	data []byte
 	pos  int
 }
 
-func (d *decodeState) errf(format string, args ...any) error {
+// NewDecoder returns a Decoder at the start of data.
+func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
+
+// Strings parses an array of strings; null or an empty array yields nil.
+func (d *Decoder) Strings() ([]string, error) {
+	if isNull, err := d.nullOr(); err != nil || isNull {
+		return nil, err
+	}
+	var out []string
+	err := d.array(func() error {
+		s, err := d.String()
+		out = append(out, s)
+		return err
+	})
+	return out, err
+}
+
+// Number parses a JSON number; out-of-range values are an error.
+func (d *Decoder) Number() (float64, error) {
+	d.skipSpace()
+	start := d.pos
+	if err := d.skipNumber(); err != nil {
+		return 0, err
+	}
+	return strconv.ParseFloat(string(d.data[start:d.pos]), 64)
+}
+
+// Bool parses true or false.
+func (d *Decoder) Bool() (bool, error) {
+	d.skipSpace()
+	if d.eat('t') {
+		return true, d.literal("true")
+	}
+	return false, d.literal("false")
+}
+
+func (d *Decoder) errf(format string, args ...any) error {
 	return &SyntaxError{Offset: d.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (d *decodeState) skipSpace() {
+func (d *Decoder) skipSpace() {
 	for d.pos < len(d.data) {
 		switch d.data[d.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -111,12 +153,12 @@ func (d *decodeState) skipSpace() {
 }
 
 // eat reports whether the next byte is c without consuming it.
-func (d *decodeState) eat(c byte) bool {
+func (d *Decoder) eat(c byte) bool {
 	return d.pos < len(d.data) && d.data[d.pos] == c
 }
 
 // advance consumes one expected byte.
-func (d *decodeState) advance(c byte) error {
+func (d *Decoder) advance(c byte) error {
 	if !d.eat(c) {
 		return d.errf("expected %q", string(rune(c)))
 	}
@@ -124,8 +166,8 @@ func (d *decodeState) advance(c byte) error {
 	return nil
 }
 
-// trailing errors unless only whitespace remains.
-func (d *decodeState) trailing() error {
+// End errors (wrapping ErrTrailing) unless only whitespace remains.
+func (d *Decoder) End() error {
 	d.skipSpace()
 	if d.pos != len(d.data) {
 		return fmt.Errorf("%w (at byte %d)", ErrTrailing, d.pos)
@@ -134,7 +176,7 @@ func (d *decodeState) trailing() error {
 }
 
 // literal consumes an exact keyword (true, false, null).
-func (d *decodeState) literal(want string) error {
+func (d *Decoder) literal(want string) error {
 	if len(d.data)-d.pos < len(want) || string(d.data[d.pos:d.pos+len(want)]) != want {
 		return d.errf("invalid literal")
 	}
@@ -142,9 +184,10 @@ func (d *decodeState) literal(want string) error {
 	return nil
 }
 
-// object parses {"key": value, ...}, dispatching each value to field,
-// which must consume it (keys are raw unquoted bytes).
-func (d *decodeState) object(field func(key []byte) error) error {
+// Object parses {"key": value, ...}, dispatching each value to field,
+// which must consume it (keys are raw unquoted bytes; repeats are the
+// callback's to judge).
+func (d *Decoder) Object(field func(key []byte) error) error {
 	d.skipSpace()
 	if err := d.advance('{'); err != nil {
 		return err
@@ -177,7 +220,7 @@ func (d *decodeState) object(field func(key []byte) error) error {
 }
 
 // array parses [value, ...], dispatching each element to elem.
-func (d *decodeState) array(elem func() error) error {
+func (d *Decoder) array(elem func() error) error {
 	d.skipSpace()
 	if err := d.advance('['); err != nil {
 		return err
@@ -203,7 +246,7 @@ func (d *decodeState) array(elem func() error) error {
 
 // nullOr consumes a null (returning true) or leaves the position for a
 // real value.
-func (d *decodeState) nullOr() (bool, error) {
+func (d *Decoder) nullOr() (bool, error) {
 	d.skipSpace()
 	if d.eat('n') {
 		if err := d.literal("null"); err != nil {
@@ -215,12 +258,12 @@ func (d *decodeState) nullOr() (bool, error) {
 }
 
 // stringField decodes a string value into dst; null leaves dst unchanged.
-func (d *decodeState) stringField(dst *string) error {
+func (d *Decoder) stringField(dst *string) error {
 	isNull, err := d.nullOr()
 	if err != nil || isNull {
 		return err
 	}
-	s, err := d.string()
+	s, err := d.String()
 	if err != nil {
 		return err
 	}
@@ -230,7 +273,7 @@ func (d *decodeState) stringField(dst *string) error {
 
 // tripleArray decodes [{"subject":...}, ...] into dst (replacing it, as
 // encoding/json does for slices); null leaves dst unchanged.
-func (d *decodeState) tripleArray(dst *[]triple.Triple) error {
+func (d *Decoder) tripleArray(dst *[]triple.Triple) error {
 	isNull, err := d.nullOr()
 	if err != nil || isNull {
 		return err
@@ -259,12 +302,12 @@ func (d *decodeState) tripleArray(dst *[]triple.Triple) error {
 	return err
 }
 
-func (d *decodeState) tripleValue(t *triple.Triple) error {
+func (d *Decoder) tripleValue(t *triple.Triple) error {
 	isNull, err := d.nullOr()
 	if err != nil || isNull {
 		return err
 	}
-	return d.object(func(key []byte) error {
+	return d.Object(func(key []byte) error {
 		switch {
 		case keyIs(key, "subject"):
 			return d.stringField(&t.Subject)
@@ -279,7 +322,7 @@ func (d *decodeState) tripleValue(t *triple.Triple) error {
 
 // observationArray decodes [{"source":...}, ...] into dst; null leaves
 // dst unchanged.
-func (d *decodeState) observationArray(dst *[]Observation) error {
+func (d *Decoder) observationArray(dst *[]Observation) error {
 	isNull, err := d.nullOr()
 	if err != nil || isNull {
 		return err
@@ -297,7 +340,7 @@ func (d *decodeState) observationArray(dst *[]Observation) error {
 			return err
 		}
 		if !isNull {
-			err = d.object(func(key []byte) error {
+			err = d.Object(func(key []byte) error {
 				switch {
 				case keyIs(key, "source"):
 					return d.stringField(&o.Source)
@@ -330,7 +373,7 @@ func (d *decodeState) observationArray(dst *[]Observation) error {
 // key parses an object key, returning its unescaped raw bytes. Keys
 // without escapes alias the input buffer (no allocation); escaped keys
 // are unquoted into a fresh slice so folding sees the real characters.
-func (d *decodeState) key() ([]byte, error) {
+func (d *Decoder) key() ([]byte, error) {
 	if err := d.advance('"'); err != nil {
 		return nil, err
 	}
@@ -343,7 +386,7 @@ func (d *decodeState) key() ([]byte, error) {
 			return raw, nil
 		case c == '\\':
 			d.pos = start - 1 // rewind to the opening quote
-			s, err := d.string()
+			s, err := d.String()
 			if err != nil {
 				return nil, err
 			}
@@ -357,10 +400,11 @@ func (d *decodeState) key() ([]byte, error) {
 	return nil, d.errf("unterminated string")
 }
 
-// string parses a JSON string value with encoding/json's semantics:
+// String parses a JSON string value with encoding/json's semantics:
 // strict escape validation, surrogate pairs combined, unpaired surrogates
 // and invalid UTF-8 coerced to U+FFFD.
-func (d *decodeState) string() (string, error) {
+func (d *Decoder) String() (string, error) {
+	d.skipSpace()
 	if err := d.advance('"'); err != nil {
 		return "", err
 	}
@@ -414,7 +458,7 @@ func (d *decodeState) string() (string, error) {
 
 // escape parses one backslash escape (the backslash already consumed),
 // returning the rune it denotes.
-func (d *decodeState) escape() (rune, error) {
+func (d *Decoder) escape() (rune, error) {
 	if d.pos >= len(d.data) {
 		return 0, d.errf("unterminated escape")
 	}
@@ -460,7 +504,7 @@ func (d *decodeState) escape() (rune, error) {
 	return 0, d.errf("invalid escape character")
 }
 
-func (d *decodeState) hex4() (rune, error) {
+func (d *Decoder) hex4() (rune, error) {
 	if d.pos+4 > len(d.data) {
 		return 0, d.errf("truncated \\u escape")
 	}
@@ -484,7 +528,7 @@ func (d *decodeState) hex4() (rune, error) {
 }
 
 // skipValue consumes any well-formed JSON value without decoding it.
-func (d *decodeState) skipValue(depth int) error {
+func (d *Decoder) skipValue(depth int) error {
 	if depth > maxNestingDepth {
 		return d.errf("exceeded max nesting depth")
 	}
@@ -494,7 +538,7 @@ func (d *decodeState) skipValue(depth int) error {
 	}
 	switch c := d.data[d.pos]; {
 	case c == '{':
-		return d.object(func([]byte) error { return d.skipValue(depth + 1) })
+		return d.Object(func([]byte) error { return d.skipValue(depth + 1) })
 	case c == '[':
 		return d.array(func() error { return d.skipValue(depth + 1) })
 	case c == '"':
@@ -512,7 +556,7 @@ func (d *decodeState) skipValue(depth int) error {
 }
 
 // skipString validates a string without building it.
-func (d *decodeState) skipString() error {
+func (d *Decoder) skipString() error {
 	if err := d.advance('"'); err != nil {
 		return err
 	}
@@ -537,7 +581,7 @@ func (d *decodeState) skipString() error {
 
 // skipNumber validates a number against the JSON grammar:
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *decodeState) skipNumber() error {
+func (d *Decoder) skipNumber() error {
 	digits := func() bool {
 		n := 0
 		for d.pos < len(d.data) && d.data[d.pos] >= '0' && d.data[d.pos] <= '9' {

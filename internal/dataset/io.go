@@ -1,88 +1,50 @@
 package dataset
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 
+	"corrfuse/internal/store"
 	"corrfuse/internal/triple"
 )
 
-// Record is the JSONL wire format for one triple: its components, the names
-// of the sources providing it, and an optional gold label ("true"/"false").
-type Record struct {
-	Subject   string   `json:"subject"`
-	Predicate string   `json:"predicate"`
-	Object    string   `json:"object"`
-	Sources   []string `json:"sources"`
-	Label     string   `json:"label,omitempty"`
-}
-
-// Write serializes d as JSON Lines: one Record per triple, in TripleID
-// order.
+// Write serializes d as JSON Lines in the store file schema: one
+// store.Record per triple, in TripleID order.
 func Write(w io.Writer, d *triple.Dataset) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := 0; i < d.NumTriples(); i++ {
+	err := store.WriteRecords(w, d.NumTriples(), func(i int, rec *store.Record) {
 		id := triple.TripleID(i)
 		t := d.Triple(id)
-		rec := Record{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object}
+		rec.Subject, rec.Predicate, rec.Object = t.Subject, t.Predicate, t.Object
 		for _, s := range d.Providers(id) {
 			rec.Sources = append(rec.Sources, d.SourceName(s))
 		}
 		sort.Strings(rec.Sources)
-		switch d.Label(id) {
-		case triple.True:
-			rec.Label = "true"
-		case triple.False:
-			rec.Label = "false"
-		}
-		if err := enc.Encode(&rec); err != nil {
-			return fmt.Errorf("dataset: encode triple %d: %w", i, err)
-		}
+		rec.Label = d.Label(id).Gold()
+	})
+	if err != nil {
+		return fmt.Errorf("dataset: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
-// Read parses a JSONL stream written by Write (or produced externally) into
-// a Dataset. Unknown labels are left as triple.Unknown.
+// Read parses a store-schema JSONL stream (as written by Write, fuse or
+// store.Save; fusion results are ignored) into a Dataset.
 func Read(r io.Reader) (*triple.Dataset, error) {
 	d := triple.NewDataset()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
+	err := store.ReadRecords(r, func(rec *store.Record) {
 		t := triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object}
 		for _, name := range rec.Sources {
 			d.Observe(d.AddSource(name), t)
 		}
-		switch rec.Label {
-		case "true":
-			d.SetLabel(t, triple.True)
-		case "false":
-			d.SetLabel(t, triple.False)
-		case "":
-			// leave Unknown; intern so unprovided gold rows round-trip
-			if len(rec.Sources) == 0 {
-				d.SetLabel(t, triple.Unknown)
-			}
-		default:
-			return nil, fmt.Errorf("dataset: line %d: unknown label %q", line, rec.Label)
+		// An unlabeled row keeps whatever label an earlier row set; with no
+		// sources either, SetLabel interns it so unprovided rows round-trip.
+		if l, _ := triple.ParseGold(rec.Label); l != triple.Unknown || len(rec.Sources) == 0 {
+			d.SetLabel(t, l)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scan: %w", err)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	return d, nil
 }

@@ -103,12 +103,7 @@ func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, versio
 			}
 			sort.Strings(e.Sources)
 		}
-		switch d.Label(id) {
-		case triple.True:
-			e.Label = "true"
-		case triple.False:
-			e.Label = "false"
-		}
+		e.Label = d.Label(id).Gold()
 		idx.entries = append(idx.entries, e)
 	}
 	// One global ranking with a total, data-only tie-break: identical data

@@ -88,17 +88,3 @@ func BenchmarkIngestWALGroupCommit(b *testing.B) {
 	cfg.PersistPath = filepath.Join(dir, "store.jsonl")
 	benchmarkIngest(b, cfg)
 }
-
-// BenchmarkIngestWALGroupCommitNoObs re-runs the group-commit benchmark with
-// instrumentation disabled (no commit-wait timing hook): the delta against
-// BenchmarkIngestWALGroupCommit is the observability overhead on the durable
-// ingest path — budgeted at ≤ 5%. CI records both in BENCH_obs.json.
-func BenchmarkIngestWALGroupCommitNoObs(b *testing.B) {
-	dir := b.TempDir()
-	cfg := corrConfig()
-	cfg.WALDir = filepath.Join(dir, "wal")
-	cfg.WALSync = wal.SyncAlways
-	cfg.PersistPath = filepath.Join(dir, "store.jsonl")
-	cfg.DisableInstrumentation = true
-	benchmarkIngest(b, cfg)
-}

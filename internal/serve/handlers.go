@@ -560,30 +560,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// snapshotStatus summarizes the cold-start snapshot state for /healthz:
-// which format persist maintains, and how (and how fast) this process's
-// store was loaded. Nil when there is nothing to report (persistence
-// disabled and no load info recorded).
+// snapshotStatus summarizes for /healthz how (and how fast) this process's
+// store was loaded. Nil when no load info was recorded.
 func (s *Server) snapshotStatus() map[string]any {
-	out := map[string]any{}
-	if s.cfg.PersistPath != "" {
-		format := SnapshotJSONL
-		if s.binarySnapshots() {
-			format = SnapshotBinary
-		}
-		out["persistFormat"] = format
-	}
-	if li := s.cfg.SnapshotLoad; li != nil {
-		out["loadFormat"] = li.Format
-		out["loadBytes"] = li.Bytes
-		out["loadSeconds"] = li.Duration.Seconds()
-		out["mapped"] = li.Mapped
-		if li.FallbackReason != "" {
-			out["loadFallbackReason"] = li.FallbackReason
-		}
-	}
-	if len(out) == 0 {
+	li := s.cfg.SnapshotLoad
+	if li == nil {
 		return nil
+	}
+	out := map[string]any{
+		"loadFormat":  li.Format,
+		"loadBytes":   li.Bytes,
+		"loadSeconds": li.Duration.Seconds(),
+		"mapped":      li.Mapped,
+	}
+	if li.FallbackReason != "" {
+		out["loadFallbackReason"] = li.FallbackReason
 	}
 	return out
 }

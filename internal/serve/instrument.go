@@ -68,12 +68,7 @@ func (sr *statusRecorder) status() int {
 // spans downstream, and on completion feeds the per-endpoint latency
 // histogram, the per-status response counter, the 4xx counter, the trace
 // ring buffer, and — past the threshold — the slow-request log.
-//
-// With Config.DisableInstrumentation the mux is returned bare.
 func (s *Server) instrument(h http.Handler) http.Handler {
-	if !s.obsOn {
-		return h
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(obs.TraceHeader)
 		if !obs.SanitizeTraceID(id) {
@@ -137,12 +132,8 @@ func (s *Server) route(endpoint string, h http.Handler) http.Handler {
 
 // span times one named stage of a request: it records a span on the
 // request's trace and feeds the per-stage latency histogram. Call the
-// returned closer when the stage completes. With instrumentation disabled it
-// is a no-op.
+// returned closer when the stage completes.
 func (s *Server) span(ctx context.Context, stage string) func() {
-	if !s.obsOn {
-		return func() {}
-	}
 	tr := obs.TraceFrom(ctx)
 	begin := time.Now()
 	return func() {

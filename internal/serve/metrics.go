@@ -8,6 +8,7 @@ import (
 
 	"corrfuse"
 	"corrfuse/internal/obs"
+	"corrfuse/internal/store"
 	"corrfuse/internal/wal"
 )
 
@@ -84,7 +85,6 @@ var shedEndpoints = []string{
 // Families are registered in presentation order; HELP/TYPE headers are
 // emitted by Registry.WriteTo, declared exactly once here.
 func (s *Server) initObs() {
-	s.obsOn = !s.cfg.DisableInstrumentation
 	s.slowThreshold = s.cfg.SlowRequestThreshold
 	s.traces = obs.NewTraceRecorder(s.cfg.TraceBufferSize, s.cfg.TraceThreshold)
 	s.logger = s.cfg.Logger
@@ -200,19 +200,11 @@ func (s *Server) initObs() {
 	r.GaugeFunc("corrfused_last_rebuild_seconds", "Duration of the last batch re-fusion.",
 		func() float64 { return time.Duration(s.m.lastRebuildNanos.Load()).Seconds() })
 	s.rebuildStage = r.HistogramVec("corrfused_rebuild_stage_seconds", "Re-fusion stage wall time (capture, train, freeze, writeback, index_build, online_seed, swap, shard_route, shard_build, snapshot_save_binary, snapshot_save_jsonl).", "stage", obs.DefBuckets)
-	s.m.persistFailures = r.Counter("corrfused_persist_failures_total", "Store saves that failed (either format; a binary-snapshot failure demotes the persist to JSONL-only, it never loses data).")
+	s.m.persistFailures = r.Counter("corrfused_persist_failures_total", "Persists in which a store save failed (either format; a binary-snapshot failure never loses data, the JSONL store still saves).")
 
-	// Snapshot formats: how the store was loaded at startup (suppressed
-	// unless cmd/fused recorded it via Config.SnapshotLoad) and which
-	// cold-start format persist maintains.
-	r.GaugeFunc("corrfused_snapshot_binary_persist", "1 while persist maintains the mmap-able CFSN binary snapshot next to the JSONL store, 0 in JSONL-only mode (or with persistence disabled).",
-		func() float64 {
-			if s.cfg.PersistPath != "" && s.binarySnapshots() {
-				return 1
-			}
-			return 0
-		})
-	loadSample := func(name, help string, f func(li SnapshotLoad) float64) {
+	// How the store was loaded at startup (suppressed unless cmd/fused
+	// recorded it via Config.SnapshotLoad).
+	loadSample := func(name, help string, f func(li store.LoadInfo) float64) {
 		r.SampleFunc(name, help, "gauge", func() []obs.Sample {
 			li := s.cfg.SnapshotLoad
 			if li == nil {
@@ -222,18 +214,18 @@ func (s *Server) initObs() {
 		})
 	}
 	loadSample("corrfused_snapshot_load_seconds", "Wall time the startup store load took (the cold-start cost this process paid).",
-		func(li SnapshotLoad) float64 { return li.Duration.Seconds() })
+		func(li store.LoadInfo) float64 { return li.Duration.Seconds() })
 	loadSample("corrfused_snapshot_load_bytes", "Size of the file the store was loaded from at startup.",
-		func(li SnapshotLoad) float64 { return float64(li.Bytes) })
+		func(li store.LoadInfo) float64 { return float64(li.Bytes) })
 	loadSample("corrfused_snapshot_load_binary", "1 when startup loaded the CFSN binary snapshot, 0 when it parsed the JSONL store.",
-		func(li SnapshotLoad) float64 {
-			if li.Format == SnapshotBinary {
+		func(li store.LoadInfo) float64 {
+			if li.Format == store.FormatBinary {
 				return 1
 			}
 			return 0
 		})
 	loadSample("corrfused_snapshot_load_fallback", "1 when a binary snapshot existed but failed validation and startup fell back to the JSONL store (the reason is in /healthz).",
-		func(li SnapshotLoad) float64 {
+		func(li store.LoadInfo) float64 {
 			if li.FallbackReason != "" {
 				return 1
 			}

@@ -190,37 +190,6 @@ func TestMetricsExpositionLint(t *testing.T) {
 	}
 }
 
-// TestDisableInstrumentation: with Config.DisableInstrumentation no trace is
-// created or echoed, but the endpoint request counters and the rest of
-// /metrics keep working.
-func TestDisableInstrumentation(t *testing.T) {
-	cfg := corrConfig()
-	cfg.DisableInstrumentation = true
-	srv := newServer(t, seedStore(t), cfg)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
-	req.Header.Set(obs.TraceHeader, "should-not-echo")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get(obs.TraceHeader); got != "" {
-		t.Errorf("instrumentation disabled but trace ID echoed: %q", got)
-	}
-
-	text := getMetrics(t, ts.URL)
-	if !strings.Contains(text, `corrfused_requests_total{endpoint="healthz"} 1`) {
-		t.Error("endpoint request counter stopped working under DisableInstrumentation")
-	}
-	if strings.Contains(text, "corrfused_responses_total{") {
-		t.Error("response-status accounting should be off under DisableInstrumentation")
-	}
-}
-
 // TestConcurrentScrapeAndIngest hammers /metrics, /debug/traces, ingestion
 // and forced rebuilds concurrently; every scraped document must still pass
 // the exposition linter. Run with -race (CI does) this also proves the

@@ -25,9 +25,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,25 +95,17 @@ type Config struct {
 	MaxBodyBytes int64
 
 	// PersistPath, when non-empty, is the JSONL file the store is saved
-	// to after every rebuild and on Close. With SnapshotFormat "binary"
-	// (the default) every persist also maintains the mmap-able CFSN
-	// binary snapshot next to it (store.BinaryPath), the format a restart
-	// prefers for millisecond cold starts.
+	// to (store.Persist) after every rebuild and on Close, together with
+	// the mmap-able binary snapshot next to it that a restart prefers for
+	// millisecond cold starts.
 	PersistPath string
 
-	// SnapshotFormat selects the cold-start snapshot persist maintains:
-	// SnapshotBinary (default, also the zero value) writes the CFSN
-	// binary snapshot next to the JSONL store; SnapshotJSONL writes only
-	// the JSONL file and removes any stale binary snapshot so it can
-	// never shadow newer data on the next startup.
-	SnapshotFormat string
-
 	// SnapshotLoad, when non-nil, records how the store handed to New was
-	// loaded (format, size, wall time, fallback reason) — cmd/fused fills
-	// it from store.LoadPreferred. /healthz and the
+	// loaded (format, size, wall time, fallback reason) — cmd/fused passes
+	// what store.LoadPreferred reported. /healthz and the
 	// corrfused_snapshot_load_* metric families expose it; nil suppresses
 	// both.
-	SnapshotLoad *SnapshotLoad
+	SnapshotLoad *store.LoadInfo
 
 	// WALDir, when non-empty, enables the durable write-ahead log: every
 	// observation is appended (and, per WALSync, fsynced) BEFORE it is
@@ -182,13 +174,6 @@ type Config struct {
 	// raise it to keep only the slow ones.
 	TraceThreshold time.Duration
 
-	// DisableInstrumentation turns off the per-request observability path:
-	// no traces, no latency histograms, no response-status accounting and
-	// no WAL commit-wait timing. /metrics still serves (counters that
-	// pre-date the instrumentation layer keep counting). Intended for the
-	// overhead benchmarks; production deployments leave it off.
-	DisableInstrumentation bool
-
 	// RateLimit, when positive, rate-limits the /v1 endpoints: each API
 	// key (the X-Api-Key request header) sustains RateLimit requests per
 	// second from its own token bucket, and every keyless request draws
@@ -220,28 +205,6 @@ type Config struct {
 	// rebuild in progress) — recomputable load sheds first, acknowledged
 	// durability last. Zero disables shedding.
 	MaxInFlight int
-}
-
-// Config.SnapshotFormat values.
-const (
-	SnapshotBinary = "binary"
-	SnapshotJSONL  = "jsonl"
-)
-
-// SnapshotLoad describes how the store a Server was built over was
-// loaded at startup; see Config.SnapshotLoad.
-type SnapshotLoad struct {
-	// Format is "binary" (CFSN snapshot) or "jsonl".
-	Format string
-	// Bytes is the size of the file the store was loaded from.
-	Bytes int64
-	// Mapped reports a binary load served zero-copy from an mmap.
-	Mapped bool
-	// Duration is the wall time of the load (the cold-start cost).
-	Duration time.Duration
-	// FallbackReason is non-empty when a binary snapshot existed but
-	// failed validation and the JSONL store was loaded instead.
-	FallbackReason string
 }
 
 // refuseTimeoutFactor scales Config.RequestTimeout into the /v1/refuse
@@ -392,7 +355,6 @@ type Server struct {
 	// Observability (built by initObs before the WAL opens and the initial
 	// rebuild runs, so every instrument exists for the server's whole life).
 	reg           *obs.Registry
-	obsOn         bool // per-request instrumentation enabled
 	logger        *obs.Logger
 	traces        *obs.TraceRecorder
 	slowThreshold time.Duration
@@ -449,11 +411,6 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		s.maxBodyBytes = DefaultMaxBodyBytes
 	}
 	s.live.unknown = make(map[string]bool)
-	switch cfg.SnapshotFormat {
-	case "", SnapshotBinary, SnapshotJSONL:
-	default:
-		return nil, fmt.Errorf("serve: unknown SnapshotFormat %q (want %q or %q)", cfg.SnapshotFormat, SnapshotBinary, SnapshotJSONL)
-	}
 	s.initObs()
 	if cfg.WALDir != "" && cfg.PersistPath == "" {
 		return nil, fmt.Errorf("serve: WALDir requires PersistPath: WAL truncation rides the persist, so the log would grow and replay without bound")
@@ -470,9 +427,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 			SegmentBytes:   cfg.WALSegmentBytes,
 			RetainSegments: cfg.WALRetainSegments,
 			Logf:           s.logf,
-			// Always hooked (not only when instrumented): commit waits are
-			// one of the load shedder's pressure signals.
-			OnCommitWait: s.onCommitWait,
+			OnCommitWait:   s.onCommitWait,
 		}
 		w, recs, err := wal.Open(cfg.WALDir, walOpts)
 		if err != nil {
@@ -519,13 +474,11 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 }
 
 // onCommitWait receives every WAL commit's durability wait: it feeds the
-// commit-wait histogram (when instrumented) and stamps the pressure signal
-// when the wait crosses pressureCommitWait — fsync stalls are the moment to
-// start shedding recomputable reads in favor of acknowledged writes.
+// commit-wait histogram and stamps the pressure signal when the wait crosses
+// pressureCommitWait — fsync stalls are the moment to start shedding
+// recomputable reads in favor of acknowledged writes.
 func (s *Server) onCommitWait(d time.Duration) {
-	if s.obsOn {
-		s.walWait.Observe(d)
-	}
+	s.walWait.Observe(d)
 	if d >= pressureCommitWait {
 		s.slowCommitAt.Store(time.Now().UnixNano())
 	}
@@ -546,7 +499,7 @@ func (s *Server) underPressure() bool {
 
 // Handler returns the HTTP handler serving the v1 API, wrapped in the
 // instrumentation middleware (tracing, latency histograms, response-status
-// accounting) unless Config.DisableInstrumentation is set.
+// accounting).
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // TracesHandler returns the /debug/traces handler (the ring buffer of recent
@@ -619,31 +572,16 @@ func (s *Server) logf(format string, args ...any) {
 	s.logger.Logf(format, args...)
 }
 
-// binarySnapshots reports whether persist maintains the CFSN binary
-// snapshot next to the JSONL store (Config.SnapshotFormat).
-func (s *Server) binarySnapshots() bool {
-	return s.cfg.SnapshotFormat != SnapshotJSONL
-}
-
-// persist saves the store and, on success, truncates the WAL segments the
-// snapshot now covers. The WAL sequence is captured BEFORE the save: every
-// record at or below the capture finished its Append, and ingest writes the
-// store before appending, so the saved snapshot is guaranteed to contain
-// all of them — truncating through the capture can never drop an
-// acknowledged observation the snapshot missed. Failures are counted
-// (corrfused_persist_failures_total) and the latest error is surfaced in
-// /v1/refuse so operators can alert on a service that can no longer save.
-//
-// Under SnapshotFormat "binary" the CFSN snapshot is written before the
-// JSONL save, and both before the WAL truncation. The ordering is what
-// keeps truncation safe: the next startup PREFERS the .cfsn file, so a
-// stale one surviving past a truncation could resurrect a pre-truncation
-// store state and lose acknowledged writes. Truncation therefore only
-// proceeds once the binary snapshot next to the store is verifiably
-// fresh or gone — a binary save failure demotes this persist to
-// JSONL-only by deleting the stale .cfsn (and skips truncation if even
-// the delete fails). A binary-stage failure never fails the persist:
-// the JSONL save is the source of truth for durability.
+// persist saves the store (store.Persist owns the file formats, their
+// ordering and what makes truncation safe) and then truncates the WAL
+// segments the saved state covers. The WAL sequence is captured BEFORE the
+// save: every record at or below the capture finished its Append, and ingest
+// writes the store before appending, so the saved state is guaranteed to
+// contain all of them — truncating through the capture can never drop an
+// acknowledged observation the save missed. A failure of either save is
+// counted (corrfused_persist_failures_total, at most once per call) and the
+// latest error is surfaced in /v1/refuse so operators can alert on a service
+// that can no longer save.
 func (s *Server) persist() error {
 	if s.cfg.PersistPath == "" {
 		return nil
@@ -654,38 +592,23 @@ func (s *Server) persist() error {
 	if s.wal != nil {
 		capSeq = s.wal.Seq()
 	}
-	truncateOK := true
-	var binErr error
-	binPath := store.BinaryPath(s.cfg.PersistPath)
-	if s.binarySnapshots() {
-		start := time.Now()
-		if binErr = s.store.SaveBinary(binPath); binErr != nil {
-			// Counted below: persistFailures advances at most once per
-			// persist call, whichever stages failed.
-			s.m.lastPersistErr.Store(binErr.Error())
-			s.logf("serve: persist: binary snapshot: %v", binErr)
-			truncateOK = s.removeStaleBinary(binPath)
-		} else {
-			s.rebuildStage.With("snapshot_save_binary").Observe(time.Since(start))
-		}
+	res, err := s.store.Persist(s.cfg.PersistPath)
+	if res.SnapshotErr != nil {
+		s.logf("serve: persist: binary snapshot: %v", res.SnapshotErr)
 	} else {
-		// JSONL-only mode: a .cfsn left over from a binary-mode run would
-		// shadow every future JSONL save on restart; remove it.
-		truncateOK = s.removeStaleBinary(binPath)
+		s.rebuildStage.With("snapshot_save_binary").Observe(res.SnapshotTime)
 	}
-	start := time.Now()
-	if err := s.store.Save(s.cfg.PersistPath); err != nil {
+	if failed := errors.Join(err, res.SnapshotErr); failed != nil {
 		s.m.persistFailures.Add(1)
-		s.m.lastPersistErr.Store(err.Error())
+		s.m.lastPersistErr.Store(failed.Error())
+	} else {
+		s.m.lastPersistErr.Store("")
+	}
+	if err != nil {
 		return fmt.Errorf("serve: persist: %w", err)
 	}
-	s.rebuildStage.With("snapshot_save_jsonl").Observe(time.Since(start))
-	if binErr == nil {
-		s.m.lastPersistErr.Store("")
-	} else {
-		s.m.persistFailures.Add(1)
-	}
-	if s.wal != nil && truncateOK {
+	s.rebuildStage.With("snapshot_save_jsonl").Observe(res.JSONLTime)
+	if s.wal != nil {
 		if err := s.wal.TruncateThrough(capSeq); err != nil {
 			// Non-fatal: an untruncated segment only costs replay time on
 			// the next startup, never correctness (replay is idempotent).
@@ -693,19 +616,6 @@ func (s *Server) persist() error {
 		}
 	}
 	return nil
-}
-
-// removeStaleBinary deletes the binary snapshot next to the store so it
-// cannot shadow a newer JSONL save on the next startup. It reports
-// whether WAL truncation is safe — true only when the file is verifiably
-// gone.
-func (s *Server) removeStaleBinary(path string) bool {
-	err := os.Remove(path)
-	if err == nil || os.IsNotExist(err) {
-		return true
-	}
-	s.logf("serve: persist: removing stale binary snapshot: %v", err)
-	return false
 }
 
 // lastPersistError returns the most recent persist failure, "" after a

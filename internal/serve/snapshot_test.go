@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -95,63 +94,13 @@ func TestPersistDualFormatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistJSONLOnlyRemovesBinary: switching to -snapshot-format jsonl
-// deletes the stale .cfsn so it can never shadow newer JSONL saves.
-func TestPersistJSONLOnlyRemovesBinary(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.jsonl")
-
-	binCfg := corrConfig()
-	binCfg.PersistPath = path
-	srv, err := New(seedStore(t), binCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(store.BinaryPath(path)); err != nil {
-		t.Fatalf("binary snapshot not written: %v", err)
-	}
-
-	jsonlCfg := corrConfig()
-	jsonlCfg.PersistPath = path
-	jsonlCfg.SnapshotFormat = SnapshotJSONL
-	st, _, err := store.LoadPreferred(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := New(st, jsonlCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := srv2.Close(ctx2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(store.BinaryPath(path)); !os.IsNotExist(err) {
-		t.Fatalf("stale binary snapshot not removed under SnapshotFormat jsonl: %v", err)
-	}
-}
-
-func TestNewRejectsUnknownSnapshotFormat(t *testing.T) {
-	cfg := corrConfig()
-	cfg.SnapshotFormat = "msgpack"
-	if _, err := New(seedStore(t), cfg); err == nil {
-		t.Fatal("New accepted an unknown SnapshotFormat")
-	}
-}
-
-// TestHealthzSnapshotSection: /healthz reports the persist format and the
-// recorded startup load, including a loud fallback reason.
+// TestHealthzSnapshotSection: /healthz reports the recorded startup load,
+// including a loud fallback reason.
 func TestHealthzSnapshotSection(t *testing.T) {
 	cfg := corrConfig()
 	cfg.PersistPath = filepath.Join(t.TempDir(), "store.jsonl")
-	cfg.SnapshotLoad = &SnapshotLoad{
-		Format:         SnapshotJSONL,
+	cfg.SnapshotLoad = &store.LoadInfo{
+		Format:         store.FormatJSONL,
 		Bytes:          12345,
 		Duration:       42 * time.Millisecond,
 		FallbackReason: "invalid binary snapshot: CRC mismatch",
@@ -168,8 +117,8 @@ func TestHealthzSnapshotSection(t *testing.T) {
 	if !ok {
 		t.Fatalf("healthz missing snapshot section: %v", body)
 	}
-	if snap["persistFormat"] != "binary" || snap["loadFormat"] != "jsonl" {
-		t.Errorf("snapshot formats: %v", snap)
+	if snap["loadFormat"] != "jsonl" {
+		t.Errorf("load format: %v", snap)
 	}
 	if b, _ := snap["loadBytes"].(float64); b != 12345 {
 		t.Errorf("loadBytes = %v", snap["loadBytes"])
@@ -181,7 +130,6 @@ func TestHealthzSnapshotSection(t *testing.T) {
 	// The load metrics are published when SnapshotLoad is recorded.
 	metrics := getMetrics(t, ts.URL)
 	for _, want := range []string{
-		"corrfused_snapshot_binary_persist 1",
 		"corrfused_snapshot_load_binary 0",
 		"corrfused_snapshot_load_bytes 12345",
 		"corrfused_snapshot_load_fallback 1",
@@ -201,9 +149,6 @@ func TestSnapshotLoadMetricsSuppressed(t *testing.T) {
 	metrics := getMetrics(t, ts.URL)
 	if strings.Contains(metrics, "corrfused_snapshot_load_seconds") {
 		t.Error("snapshot-load metrics published without load info")
-	}
-	if !strings.Contains(metrics, "corrfused_snapshot_binary_persist 0") {
-		t.Error("missing corrfused_snapshot_binary_persist 0 (persistence disabled)")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -33,6 +34,43 @@ func TestWALRequiresPersistPath(t *testing.T) {
 	cfg.WALDir = filepath.Join(t.TempDir(), "wal")
 	if _, err := New(seedStore(t), cfg); err == nil {
 		t.Fatal("New accepted WALDir without PersistPath")
+	}
+}
+
+// TestPersistUnremovableSnapshotKeepsWAL: when the binary snapshot can be
+// neither rewritten nor removed, the next start could prefer it over the
+// fresh JSONL, so persist must fail and leave the WAL untruncated — the
+// acknowledged write then still reaches the restart through replay.
+func TestPersistUnremovableSnapshotKeepsWAL(t *testing.T) {
+	cfg := walConfig(t.TempDir())
+	if err := os.MkdirAll(filepath.Join(store.BinaryPath(cfg.PersistPath), "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(seedStore(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	if _, code := postObserve(t, ts.URL, Observation{Source: "good1", Subject: "stuck", Predicate: "p", Object: "v"}); code != http.StatusOK {
+		t.Fatalf("observe: %d", code)
+	}
+	ts.Close()
+	if err := srv.persist(); err == nil {
+		t.Fatal("persist succeeded with a stale snapshot it could not remove")
+	}
+	if srv.lastPersistError() == "" {
+		t.Fatal("persist failure not surfaced")
+	}
+	if _, err := store.Load(cfg.PersistPath); err != nil {
+		t.Fatalf("JSONL store not written: %v", err)
+	}
+	// srv is abandoned like a crashed process; the restart replays the WAL.
+	srv2, err := New(seedStore(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv2.walRecovered != 1 {
+		t.Fatalf("recovered %d WAL records, want the 1 the failed persist must not truncate", srv2.walRecovered)
 	}
 }
 

@@ -46,6 +46,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"time"
 	"unsafe"
 
 	"corrfuse/internal/triple"
@@ -298,36 +299,25 @@ func (s *Store) SaveBinary(path string) error {
 	return writeFileAtomic(path, ".store-*.cfsn", s.WriteBinary)
 }
 
-// BinaryInfo describes a loaded binary snapshot.
-type BinaryInfo struct {
-	// Bytes is the snapshot file size.
-	Bytes int64
-	// Entries is the number of stored triples.
-	Entries int
-	// Mapped reports whether the snapshot is served from an mmap (the
-	// mapping stays alive for the life of the process; string data
-	// references it directly) rather than a heap copy.
-	Mapped bool
-}
-
 // LoadBinary loads a CFSN binary snapshot, memory-mapping it where the
 // platform supports it. String data is served zero-copy out of the
 // mapping, which therefore intentionally stays mapped for the life of
 // the process (the Store has no close; a validation failure unmaps).
 // Errors from a structurally invalid file wrap ErrBadSnapshot.
-func LoadBinary(path string) (*Store, *BinaryInfo, error) {
+func LoadBinary(path string) (*Store, LoadInfo, error) {
+	start := time.Now()
 	data, mapped, err := mapFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, LoadInfo{}, err
 	}
 	st, err := loadBinary(data)
 	if err != nil {
 		if mapped {
 			unmapFile(data)
 		}
-		return nil, nil, fmt.Errorf("store: %s: %w", path, err)
+		return nil, LoadInfo{}, fmt.Errorf("store: %s: %w", path, err)
 	}
-	return st, &BinaryInfo{Bytes: int64(len(data)), Entries: len(st.entries), Mapped: mapped}, nil
+	return st, LoadInfo{Format: FormatBinary, Bytes: int64(len(data)), Mapped: mapped, Duration: time.Since(start)}, nil
 }
 
 // loadBinary reconstructs a Store from the raw snapshot image. data is
@@ -494,31 +484,42 @@ func loadBinary(data []byte) (*Store, error) {
 	return st, nil
 }
 
-// LoadInfo describes how a store was loaded.
+// LoadInfo describes how a store was loaded. serve exposes it on /healthz
+// and as the corrfused_snapshot_load_* metric families.
 type LoadInfo struct {
-	// Format is "binary" or "jsonl".
+	// Format is FormatBinary (the CFSN snapshot) or FormatJSONL.
 	Format string
 	// Bytes is the size of the file the store was loaded from.
 	Bytes int64
-	// Mapped reports an mmap-backed binary load.
+	// Mapped reports a binary load served zero-copy from an mmap (the
+	// mapping stays alive for the life of the process) rather than a heap
+	// copy.
 	Mapped bool
+	// Duration is the wall time of the load (the cold-start cost).
+	Duration time.Duration
 	// FallbackReason is non-empty when a binary snapshot existed but was
 	// rejected (CRC/validation failure) and the JSONL store was loaded
 	// instead — loud enough to alert on, harmless to serve through.
 	FallbackReason string
 }
 
+// LoadInfo.Format values.
+const (
+	FormatBinary = "binary"
+	FormatJSONL  = "jsonl"
+)
+
 // LoadPreferred loads the store for a JSONL path, preferring the binary
 // snapshot next to it (BinaryPath) and falling back to the JSONL file
 // when the snapshot is missing or fails validation. A corrupt snapshot
 // never serves: it is reported in LoadInfo.FallbackReason and skipped.
 func LoadPreferred(path string) (*Store, LoadInfo, error) {
-	binPath := BinaryPath(path)
-	st, bi, err := LoadBinary(binPath)
+	start := time.Now()
+	st, info, err := LoadBinary(BinaryPath(path))
 	if err == nil {
-		return st, LoadInfo{Format: "binary", Bytes: bi.Bytes, Mapped: bi.Mapped}, nil
+		return st, info, nil
 	}
-	info := LoadInfo{Format: "jsonl"}
+	info = LoadInfo{Format: FormatJSONL}
 	if !os.IsNotExist(err) {
 		info.FallbackReason = err.Error()
 	}
@@ -529,5 +530,6 @@ func LoadPreferred(path string) (*Store, LoadInfo, error) {
 	if fi, statErr := os.Stat(path); statErr == nil {
 		info.Bytes = fi.Size()
 	}
+	info.Duration = time.Since(start)
 	return st, info, nil
 }

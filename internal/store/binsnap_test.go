@@ -43,7 +43,7 @@ func snapStore() *Store {
 	s.SetFusion(triple.Triple{Subject: "subject-0", Predicate: "pred-0", Object: "object-0"}, 0.25, true)
 	s.SetFusion(triple.Triple{Subject: "subject-0", Predicate: "pred-0", Object: "object-8"}, 0.25, true)
 	s.Put(Entry{Triple: triple.Triple{Subject: "uni \u00e9", Predicate: "p\tq", Object: "emoji \U0001f600"},
-		Sources: []string{""}, Label: "weird"})
+		Sources: []string{"s\u00f8urce <&>"}, Label: "false"})
 	return s
 }
 
@@ -188,8 +188,8 @@ func TestBinarySaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Entries != s.Len() || info.Bytes <= 0 {
-		t.Fatalf("info = %+v, want %d entries", info, s.Len())
+	if info.Format != FormatBinary || info.Bytes <= 0 {
+		t.Fatalf("info = %+v", info)
 	}
 	sameEntries(t, s, got)
 }
@@ -364,9 +364,9 @@ func FuzzLoadBinary(f *testing.F) {
 // reader accepts must convert to a binary snapshot and back without
 // losing an entry, a source, a label, or a bit of probability.
 func FuzzJSONLToBinary(f *testing.F) {
-	f.Add([]byte(`{"triple":{"Subject":"s","Predicate":"p","Object":"o"},"sources":["a","b"],"label":"true","probability":0.25,"accepted":true}`))
-	f.Add([]byte("{\"triple\":{\"Subject\":\"s\",\"Predicate\":\"p\",\"Object\":\"o\"}}\n{\"triple\":{\"Subject\":\"t\",\"Predicate\":\"p\",\"Object\":\"o\"},\"sources\":[\"x\"]}\n"))
-	f.Add([]byte(`{"triple":{"Subject":"","Predicate":"","Object":"o"},"sources":[""]}`))
+	f.Add([]byte(`{"subject":"s","predicate":"p","object":"o","sources":["a","b"],"label":"true","probability":0.25,"accepted":true}`))
+	f.Add([]byte("{\"subject\":\"s\",\"predicate\":\"p\",\"object\":\"o\"}\n{\"subject\":\"t\",\"predicate\":\"p\",\"object\":\"o\",\"sources\":[\"x\"]}\n"))
+	f.Add([]byte(`{"subject":"uni \u00e9","predicate":"p\tq","object":"\ud83d\ude00","sources":["\u0000"],"probability":5e-324}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
 		if err := s.Read(bytes.NewReader(data)); err != nil {

@@ -6,19 +6,20 @@ import (
 	"testing"
 )
 
-// FuzzRead feeds arbitrary bytes to the JSONL loader and checks the two
+// FuzzRead feeds arbitrary bytes to the JSONL loader and checks the
 // contracts external data gets: malformed input returns an error (never a
-// panic), and anything the loader accepts survives a Write/Read round trip
-// as the identical store — the persistence path must be lossless for
-// whatever it admits.
+// panic), nothing the loader accepts holds an empty triple component (the
+// shape a mis-dialected line used to load as), and anything it accepts
+// survives a Write/Read round trip as the identical store — the
+// persistence path must be lossless for whatever it admits.
 func FuzzRead(f *testing.F) {
-	f.Add([]byte(`{"triple":{"Subject":"s","Predicate":"p","Object":"o"},"sources":["a","b"],"label":"true"}`))
-	f.Add([]byte(`{"triple":{"Subject":"s","Predicate":"p","Object":"o"},"probability":0.75,"accepted":true}`))
-	f.Add([]byte("{\"triple\":{\"Subject\":\"s\",\"Predicate\":\"p\",\"Object\":\"o\"}}\n{\"triple\":{\"Subject\":\"s\",\"Predicate\":\"p\",\"Object\":\"o\"},\"sources\":[\"x\"]}\n"))
-	f.Add([]byte(`{"triple":`))
+	f.Add([]byte(`{"subject":"s","predicate":"p","object":"o","sources":["a","b"],"label":"true"}`))
+	f.Add([]byte(`{"subject":"s","predicate":"p","object":"o","probability":0.75,"accepted":true}`))
+	f.Add([]byte("{\"subject\":\"s\",\"predicate\":\"p\",\"object\":\"o\"}\n{\"subject\":\"s\",\"predicate\":\"p\",\"object\":\"o\",\"sources\":[\"x\"]}\n"))
+	f.Add([]byte(`{"subject":`))
 	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{"triple":{"Subject":"\u001f","Predicate":"","Object":"o"},"sources":[""]}`))
-	f.Add([]byte(`{"probability":1e999}`))
+	f.Add([]byte(`{"subject":"\u001f","predicate":"","object":"o","sources":[""]}`))
+	f.Add([]byte(`{"subject":"s","predicate":"p","object":"o","probability":1e999}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
 		if err := s.Read(bytes.NewReader(data)); err != nil {
@@ -36,6 +37,9 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("round trip changed Len: %d -> %d", s.Len(), s2.Len())
 		}
 		for _, e := range s.entries {
+			if e.Triple.Subject == "" || e.Triple.Predicate == "" || e.Triple.Object == "" {
+				t.Fatalf("loader admitted an empty triple component: %+v\ninput: %q", e, data)
+			}
 			got, ok := s2.Get(e.Triple)
 			if !ok {
 				t.Fatalf("round trip lost %v", e.Triple)

@@ -5,8 +5,6 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -14,18 +12,20 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"corrfuse/internal/shard"
 	"corrfuse/internal/triple"
 )
 
-// Entry is a stored triple with its provenance and fusion state.
+// Entry is a stored triple with its provenance and fusion state. Label is
+// "true", "false" or "" (see triple.Label.Gold).
 type Entry struct {
-	Triple      triple.Triple `json:"triple"`
-	Sources     []string      `json:"sources"`
-	Label       string        `json:"label,omitempty"`
-	Probability float64       `json:"probability,omitempty"`
-	Accepted    bool          `json:"accepted,omitempty"`
+	Triple      triple.Triple
+	Sources     []string
+	Label       string
+	Probability float64
+	Accepted    bool
 }
 
 // Store is an in-memory indexed triple store with JSONL persistence.
@@ -258,12 +258,7 @@ func FromDataset(d *triple.Dataset) *Store {
 		for _, p := range provs {
 			e.Sources = append(e.Sources, d.SourceName(p))
 		}
-		switch d.Label(id) {
-		case triple.True:
-			e.Label = "true"
-		case triple.False:
-			e.Label = "false"
-		}
+		e.Label = d.Label(id).Gold()
 		s.Put(e)
 	}
 	return s
@@ -278,51 +273,34 @@ func (s *Store) Dataset() *triple.Dataset {
 		for _, src := range e.Sources {
 			d.Observe(d.AddSource(src), e.Triple)
 		}
-		switch e.Label {
-		case "true":
-			d.SetLabel(e.Triple, triple.True)
-		case "false":
-			d.SetLabel(e.Triple, triple.False)
+		if l, _ := triple.ParseGold(e.Label); l != triple.Unknown {
+			d.SetLabel(e.Triple, l)
 		}
 	}
 	return d
 }
 
-// Write streams the store as JSONL.
+// Write streams the store as JSONL, one Record per entry.
 func (s *Store) Write(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range s.entries {
-		if err := enc.Encode(&s.entries[i]); err != nil {
-			return fmt.Errorf("store: encode entry %d: %w", i, err)
+	return WriteRecords(w, len(s.entries), func(i int, rec *Record) {
+		e := &s.entries[i]
+		*rec = Record{
+			Subject: e.Triple.Subject, Predicate: e.Triple.Predicate, Object: e.Triple.Object,
+			Sources: e.Sources, Label: e.Label, Probability: e.Probability, Accepted: e.Accepted,
 		}
-	}
-	return bw.Flush()
+	})
 }
 
-// Read loads JSONL entries into the store (merging with existing ones).
+// Read loads JSONL records into the store (merging with existing entries).
 func (s *Store) Read(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return fmt.Errorf("store: line %d: %w", line, err)
-		}
-		s.Put(e)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: scan: %w", err)
-	}
-	return nil
+	return ReadRecords(r, func(rec *Record) {
+		s.Put(Entry{
+			Triple:  triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object},
+			Sources: rec.Sources, Label: rec.Label, Probability: rec.Probability, Accepted: rec.Accepted,
+		})
+	})
 }
 
 // fsyncFile syncs a file (or directory) to stable storage. It is a
@@ -340,6 +318,64 @@ func (s *Store) Save(path string) error {
 	return writeFileAtomic(path, ".store-*.jsonl", s.Write)
 }
 
+// PersistResult reports what one successful or failed Persist did.
+type PersistResult struct {
+	// SnapshotErr is the binary-snapshot save's failure, nil when the
+	// snapshot next to the store is fresh. Alone it does not fail the
+	// persist: the JSONL file is the durability source of truth.
+	SnapshotErr error
+	// SnapshotTime and JSONLTime are the wall times of the two saves.
+	SnapshotTime, JSONLTime time.Duration
+}
+
+// Persist saves the store next to path in both on-disk forms: the binary
+// snapshot (the cold-start format LoadPreferred prefers) first, then the
+// JSONL file (the recovery copy LoadPreferred falls back to when the
+// snapshot is rejected). A nil error means a restart from these files sees
+// at least the state the store held when Persist was called, so a WAL may
+// drop the records that state covers. That is why a failed snapshot save
+// deletes the stale snapshot, and why failing even that is an error: a
+// stale snapshot surviving past a truncation would resurrect a
+// pre-truncation state on the next start and lose acknowledged writes.
+func (s *Store) Persist(path string) (PersistResult, error) {
+	var res PersistResult
+	var staleErr error
+	start := time.Now()
+	if res.SnapshotErr = s.SaveBinary(BinaryPath(path)); res.SnapshotErr != nil {
+		staleErr = removeSnapshot(path)
+	}
+	res.SnapshotTime = time.Since(start)
+	start = time.Now()
+	if err := s.Save(path); err != nil {
+		return res, err
+	}
+	res.JSONLTime = time.Since(start)
+	return res, staleErr
+}
+
+// Install atomically replaces the store file at path with the JSONL stream
+// r (a leader's bootstrap snapshot) and removes any binary snapshot next to
+// it, so the next LoadPreferred reads exactly this image.
+func Install(path string, r io.Reader) error {
+	err := writeFileAtomic(path, ".store-*.jsonl", func(w io.Writer) error {
+		_, err := io.Copy(w, r)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	return removeSnapshot(path)
+}
+
+// removeSnapshot deletes the binary snapshot next to path; a missing file
+// is success.
+func removeSnapshot(path string) error {
+	if err := os.Remove(BinaryPath(path)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: removing stale binary snapshot: %w", err)
+	}
+	return nil
+}
+
 // writeFileAtomic streams write into a temp file in path's directory and
 // moves it over path with the fsync-before-rename / fsync-dir-after
 // discipline Save documents. SaveBinary shares it for the .cfsn snapshot.
@@ -350,25 +386,19 @@ func writeFileAtomic(path, pattern string, write func(io.Writer) error) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	tmp := f.Name()
-	if err := write(f); err != nil {
-		//lint:ignore errswallow cleanup on the error path; the Write error is returned and the temp file removed
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		err = fsyncFile(f)
 	}
-	if err := fsyncFile(f); err != nil {
-		//lint:ignore errswallow cleanup on the error path; the fsync error is returned and the temp file removed
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: fsync: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: writing %s: %w", path, err)
 	}
 	if runtime.GOOS == "windows" {
 		// Windows cannot fsync a directory handle; NTFS journals the
@@ -395,7 +425,7 @@ func Load(path string) (*Store, error) {
 	defer f.Close()
 	s := New()
 	if err := s.Read(f); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	return s, nil
 }

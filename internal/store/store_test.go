@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"corrfuse/internal/dataset"
 	"corrfuse/internal/shard"
 	"corrfuse/internal/triple"
 )
@@ -71,70 +70,10 @@ func TestAccepted(t *testing.T) {
 	}
 }
 
-func TestDatasetRoundTrip(t *testing.T) {
-	d := dataset.Obama()
-	s := FromDataset(d)
-	if s.Len() != 10 {
-		t.Fatalf("store Len = %d, want 10", s.Len())
-	}
-	back := s.Dataset()
-	if back.NumTriples() != d.NumTriples() || back.NumSources() != d.NumSources() {
-		t.Fatalf("round trip shape mismatch")
-	}
-	nt1, nf1 := d.CountLabels()
-	nt2, nf2 := back.CountLabels()
-	if nt1 != nt2 || nf1 != nf2 {
-		t.Errorf("labels (%d,%d) vs (%d,%d)", nt1, nf1, nt2, nf2)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	s := FromDataset(dataset.Obama())
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back := New()
-	if err := back.Read(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != s.Len() {
-		t.Fatalf("Len %d vs %d", back.Len(), s.Len())
-	}
-	tr := mk("Obama", "profession", "president")
-	a, _ := s.Get(tr)
-	b, ok := back.Get(tr)
-	if !ok || len(a.Sources) != len(b.Sources) || a.Label != b.Label {
-		t.Errorf("entry mismatch: %v vs %v", a, b)
-	}
-}
-
 func TestReadFromRejectsGarbage(t *testing.T) {
 	s := New()
 	if err := s.Read(bytes.NewBufferString("{bad json\n")); err == nil {
 		t.Error("garbage should fail")
-	}
-}
-
-func TestSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.jsonl")
-	s := FromDataset(dataset.Obama())
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != s.Len() {
-		t.Errorf("Len %d vs %d", back.Len(), s.Len())
-	}
-	if _, err := Load(filepath.Join(dir, "missing.jsonl")); err == nil {
-		t.Error("missing file should fail")
 	}
 }
 
@@ -402,5 +341,97 @@ func TestSaveFsyncFailureAborts(t *testing.T) {
 	}
 	if leftovers, _ := filepath.Glob(filepath.Join(dir, ".store-*")); len(leftovers) != 0 {
 		t.Fatalf("temp files left behind: %v", leftovers)
+	}
+}
+
+// TestPersistOrderAndTruncateSafety pins the one persist path: snapshot
+// first, JSONL second, and success (= the WAL may be truncated) only while
+// no stale snapshot can shadow the JSONL on the next LoadPreferred.
+func TestPersistOrderAndTruncateSafety(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.jsonl")
+	old := New()
+	old.Put(Entry{Triple: mk("old", "p", "v"), Sources: []string{"S1"}})
+	if res, err := old.Persist(path); err != nil || res.SnapshotErr != nil {
+		t.Fatalf("healthy persist: %+v, %v", res, err)
+	}
+	if _, info, err := LoadPreferred(path); err != nil || info.Format != FormatBinary || info.Duration <= 0 {
+		t.Fatalf("restart after a healthy persist: %+v, %v", info, err)
+	}
+
+	s := New()
+	s.Put(Entry{Triple: mk("new", "p", "v"), Sources: []string{"S1"}})
+	var synced []string
+	orig := fsyncFile
+	defer func() { fsyncFile = orig }()
+	fsyncFile = func(f *os.File) error {
+		synced = append(synced, filepath.Ext(f.Name()))
+		if filepath.Ext(f.Name()) == ".cfsn" {
+			return errors.New("injected snapshot fsync failure")
+		}
+		return orig(f)
+	}
+	res, err := s.Persist(path)
+	if err != nil {
+		t.Fatalf("a snapshot failure with the stale file removed must not fail the persist: %v", err)
+	}
+	if res.SnapshotErr == nil {
+		t.Fatal("snapshot failure not reported")
+	}
+	if len(synced) < 2 || synced[0] != ".cfsn" || synced[1] != ".jsonl" {
+		t.Fatalf("save order = %v, want the snapshot before the JSONL file", synced)
+	}
+	// The stale snapshot is gone, so the restart reads the new JSONL.
+	got, info, err := LoadPreferred(path)
+	if err != nil || info.Format != FormatJSONL || info.FallbackReason != "" {
+		t.Fatalf("restart after a failed snapshot: %+v, %v", info, err)
+	}
+	if _, ok := got.Get(mk("new", "p", "v")); !ok {
+		t.Fatal("restart resurrected the pre-persist state")
+	}
+
+	// JSONL failure: an error, so nothing may be truncated.
+	fsyncFile = func(f *os.File) error { return errors.New("injected fsync failure") }
+	if _, err := s.Persist(path); err == nil {
+		t.Fatal("failed JSONL save reported as a successful persist")
+	}
+
+	// A snapshot that can be neither replaced nor removed (here a non-empty
+	// directory in its place) would shadow the JSONL on the next start: the
+	// JSONL is still written, but the persist is an error.
+	fsyncFile = orig
+	stuck := filepath.Join(dir, "stuck.jsonl")
+	if err := os.MkdirAll(filepath.Join(BinaryPath(stuck), "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	res, err = s.Persist(stuck)
+	if err == nil || res.SnapshotErr == nil {
+		t.Fatalf("unremovable stale snapshot: res %+v, err %v; want both errors", res, err)
+	}
+	if got, err := Load(stuck); err != nil || got.Len() != 1 {
+		t.Fatalf("JSONL not written alongside the stuck snapshot: %v", err)
+	}
+}
+
+// TestInstallReplacesStoreAndSnapshot: a bootstrap image installed over an
+// existing store is what the next LoadPreferred reads — the older snapshot
+// next to it must not shadow it.
+func TestInstallReplacesStoreAndSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	old := New()
+	old.Put(Entry{Triple: mk("old", "p", "v"), Sources: []string{"S1"}})
+	if _, err := old.Persist(path); err != nil {
+		t.Fatal(err)
+	}
+	image := `{"subject":"new","predicate":"p","object":"v","sources":["S1"]}` + "\n"
+	if err := Install(path, strings.NewReader(image)); err != nil {
+		t.Fatal(err)
+	}
+	got, info, err := LoadPreferred(path)
+	if err != nil || info.Format != FormatJSONL {
+		t.Fatalf("load after Install: %+v, %v", info, err)
+	}
+	if _, ok := got.Get(mk("new", "p", "v")); !ok || got.Len() != 1 {
+		t.Fatalf("installed image not served: %d entries", got.Len())
 	}
 }

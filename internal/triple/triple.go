@@ -80,6 +80,28 @@ func (l Label) String() string {
 	}
 }
 
+// Gold returns the label's spelling in store files and on the wire: "true",
+// "false", or "" for Unknown.
+func (l Label) Gold() string {
+	if l == Unknown {
+		return ""
+	}
+	return l.String()
+}
+
+// ParseGold is the inverse of Gold; ok is false for any other spelling.
+func ParseGold(s string) (l Label, ok bool) {
+	switch s {
+	case "":
+		return Unknown, true
+	case "true":
+		return True, true
+	case "false":
+		return False, true
+	}
+	return Unknown, false
+}
+
 // Dataset holds a set of sources, the distinct triples they provide, the
 // observation matrix (which source provides which triple), and optional gold
 // labels. The zero value is an empty dataset ready for use.
