@@ -73,7 +73,7 @@ func run(in, out, method string, alpha float64, unionK, level int, scopeName str
 		return fmt.Errorf("unknown scope %q", scopeName)
 	}
 	if opts.Alpha = alpha; alpha == 0 {
-		opts.Alpha = corrfuse.DeriveAlpha(d)
+		opts.Alpha = corrfuse.DeriveAlpha(d.CountLabels())
 	}
 
 	fuser, err := corrfuse.New(d, opts)

@@ -20,9 +20,7 @@
 //	      [-trace-buffer 256] [-trace-threshold 0]
 //	      [-debug-addr localhost:6060]
 //	      [-rate-limit 0] [-rate-burst 0] [-request-timeout 0]
-//	      [-max-inflight 0] [-http-read-header-timeout 10s]
-//	      [-http-read-timeout 2m] [-http-write-timeout 10m]
-//	      [-http-idle-timeout 2m]
+//	      [-max-inflight 0]
 //
 // Endpoints (all JSON):
 //
@@ -88,9 +86,9 @@
 // stages (-request-timeout×10 for /v1/refuse); -max-inflight caps
 // concurrently executing /v1 requests, shedding reads with 503 before
 // durable writes — earlier still while fsyncs stall or a rebuild runs.
-// Concurrent /v1/refuse requests always coalesce into one rebuild. The
-// -http-*-timeout flags set the connection-level http.Server timeouts on
-// both listeners (finite by default — the slowloris guard).
+// Concurrent /v1/refuse requests always coalesce into one rebuild. Both
+// listeners carry fixed, finite connection-level http.Server timeouts (the
+// slowloris guard).
 //
 // With -shards N (N > 1) the store is partitioned by subject hash and every
 // batch re-fusion trains the N shard models concurrently on
@@ -160,25 +158,27 @@ type options struct {
 	rateBurst      int
 	requestTimeout time.Duration
 	maxInFlight    int
-
-	httpReadHeaderTimeout time.Duration
-	httpReadTimeout       time.Duration
-	httpWriteTimeout      time.Duration
-	httpIdleTimeout       time.Duration
 }
+
+// Connection-level http.Server timeouts, the same on both listeners.
+const (
+	httpReadHeaderTimeout = 10 * time.Second // slowloris guard
+	httpReadTimeout       = 2 * time.Minute  // full-request read ceiling
+	httpWriteTimeout      = 10 * time.Minute // must exceed the longest /v1/refuse rebuild
+	httpIdleTimeout       = 2 * time.Minute  // keep-alive idle ceiling
+)
 
 // httpServer builds an http.Server with the connection-level timeouts
 // applied. Both listeners (public and debug) go through here: a server with
 // zero timeouts holds a connection open for as long as the peer cares to
-// dribble bytes — the classic slowloris hole — so the defaults are finite
-// and every knob is flag-overridable (0 disables that timeout).
-func (o options) httpServer(h http.Handler) *http.Server {
+// dribble bytes — the classic slowloris hole.
+func httpServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: o.httpReadHeaderTimeout,
-		ReadTimeout:       o.httpReadTimeout,
-		WriteTimeout:      o.httpWriteTimeout,
-		IdleTimeout:       o.httpIdleTimeout,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
+		IdleTimeout:       httpIdleTimeout,
 	}
 }
 
@@ -214,10 +214,6 @@ func main() {
 	flag.IntVar(&o.rateBurst, "rate-burst", 0, "token-bucket burst on top of -rate-limit (0 = twice the rate)")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 0, "per-request deadline budget for /v1 endpoints, propagated into WAL commits and rebuilds; /v1/refuse gets 10x (0 disables)")
 	flag.IntVar(&o.maxInFlight, "max-inflight", 0, "max concurrently executing /v1 requests; past it reads are shed with 503 before durable writes (0 disables)")
-	flag.DurationVar(&o.httpReadHeaderTimeout, "http-read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout on both listeners (0 disables; slowloris guard)")
-	flag.DurationVar(&o.httpReadTimeout, "http-read-timeout", 2*time.Minute, "http.Server ReadTimeout on both listeners (0 disables)")
-	flag.DurationVar(&o.httpWriteTimeout, "http-write-timeout", 10*time.Minute, "http.Server WriteTimeout on both listeners; must exceed the longest /v1/refuse rebuild (0 disables)")
-	flag.DurationVar(&o.httpIdleTimeout, "http-idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections on both listeners (0 disables)")
 	flag.Parse()
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -325,7 +321,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		return fmt.Errorf("unknown scope %q", o.scope)
 	}
 	if cfg.Options.Alpha = o.alpha; o.alpha == 0 {
-		cfg.Options.Alpha = corrfuse.DeriveAlpha(st.Dataset())
+		cfg.Options.Alpha = corrfuse.DeriveAlpha(st.CountLabels())
 	}
 
 	srv, err := serve.New(st, cfg)
@@ -358,7 +354,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 			}
 			logger.Info(ctx, "replication leader endpoints up", "addr", dln.Addr().String())
 		}
-		ds = o.httpServer(dmux)
+		ds = httpServer(dmux)
 		// Replication long-polls ride this listener and hold connections
 		// open by design; deriving request contexts from ctx makes them
 		// unwind at shutdown instead of stalling Shutdown's drain.
@@ -377,7 +373,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	hs := o.httpServer(srv.Handler())
+	hs := httpServer(srv.Handler())
 	srv.Start()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

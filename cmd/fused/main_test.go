@@ -466,32 +466,18 @@ func TestServeLifecycleWAL(t *testing.T) {
 	}
 }
 
-// TestHTTPServerTimeouts: both listeners are built through options.httpServer,
-// so every http.Server carries the connection-level timeouts — the zero
-// values they used to ship with left the daemon open to slowloris clients
-// holding connections forever.
+// TestHTTPServerTimeouts: run builds both listeners (public and debug)
+// through httpServer, so every http.Server carries the fixed connection-level
+// timeouts — the zero values they used to ship with left the daemon open to
+// slowloris clients holding connections forever.
 func TestHTTPServerTimeouts(t *testing.T) {
-	o := options{
-		httpReadHeaderTimeout: 10 * time.Second,
-		httpReadTimeout:       2 * time.Minute,
-		httpWriteTimeout:      10 * time.Minute,
-		httpIdleTimeout:       2 * time.Minute,
-	}
-	h := http.NewServeMux()
-	hs := o.httpServer(h)
+	hs := httpServer(http.NewServeMux())
 	if hs.Handler == nil {
 		t.Fatal("httpServer dropped the handler")
 	}
-	if hs.ReadHeaderTimeout != o.httpReadHeaderTimeout {
-		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, o.httpReadHeaderTimeout)
-	}
-	if hs.ReadTimeout != o.httpReadTimeout {
-		t.Errorf("ReadTimeout = %v, want %v", hs.ReadTimeout, o.httpReadTimeout)
-	}
-	if hs.WriteTimeout != o.httpWriteTimeout {
-		t.Errorf("WriteTimeout = %v, want %v", hs.WriteTimeout, o.httpWriteTimeout)
-	}
-	if hs.IdleTimeout != o.httpIdleTimeout {
-		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, o.httpIdleTimeout)
+	if hs.ReadHeaderTimeout != 10*time.Second || hs.ReadTimeout != 2*time.Minute ||
+		hs.WriteTimeout != 10*time.Minute || hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("timeouts = header %v, read %v, write %v, idle %v; want 10s, 2m, 10m, 2m",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
 	}
 }

@@ -101,19 +101,7 @@ func startFollower(ctx context.Context, o options, srv *serve.Server, logger *ob
 	if err != nil {
 		return err
 	}
-	srv.SetReplStatus(func() serve.ReplStatus {
-		st := follower.Status()
-		return serve.ReplStatus{
-			Connected:       st.Connected,
-			AppliedSeq:      st.AppliedSeq,
-			LeaderSeq:       st.LeaderSeq,
-			SegmentsShipped: st.SegmentsShipped,
-			LagRecords:      st.LagRecords,
-			LagSeconds:      st.LagSeconds,
-			Diverged:        st.Diverged,
-			Rebootstraps:    st.Rebootstraps,
-		}
-	})
+	srv.SetReplStatus(follower.Status)
 	go func() {
 		// Run survives every fetch/apply failure internally and returns
 		// only ctx's error at shutdown — nothing to report here.

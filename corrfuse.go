@@ -133,16 +133,16 @@ func ParseMethod(name string) (Method, error) {
 	return 0, fmt.Errorf("unknown method %q", name)
 }
 
-// DeriveAlpha returns the a-priori truth probability d's gold labels imply:
-// the true share of the labeled triples, kept within [0.05, 0.95] so a
-// lopsided training set cannot pin the prior. Without labels it returns 0,
-// the Options.Alpha value that selects the default.
-func DeriveAlpha(d *Dataset) float64 {
-	nt, nf := d.CountLabels()
-	if nt+nf == 0 {
+// DeriveAlpha returns the a-priori truth probability a gold-label count
+// (Dataset.CountLabels) implies: the true share of the labeled triples, kept
+// within [0.05, 0.95] so a lopsided training set cannot pin the prior.
+// Without labels it returns 0, the Options.Alpha value that selects the
+// default.
+func DeriveAlpha(numTrue, numFalse int) float64 {
+	if numTrue+numFalse == 0 {
 		return 0
 	}
-	return min(max(float64(nt)/float64(nt+nf), 0.05), 0.95)
+	return min(max(float64(numTrue)/float64(numTrue+numFalse), 0.05), 0.95)
 }
 
 // Options configures a Fuser.

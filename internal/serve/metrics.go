@@ -8,6 +8,7 @@ import (
 
 	"corrfuse"
 	"corrfuse/internal/obs"
+	"corrfuse/internal/repl"
 	"corrfuse/internal/store"
 	"corrfuse/internal/wal"
 )
@@ -269,7 +270,7 @@ func (s *Server) initObs() {
 	// The replication families are suppressed — header included — until
 	// SetReplStatus installs a status source (followers only), mirroring the
 	// WAL-family pattern above.
-	replMetric := func(name, help, typ string, f func(st ReplStatus) float64) {
+	replMetric := func(name, help, typ string, f func(st repl.Status) float64) {
 		r.SampleFunc(name, help, typ, func() []obs.Sample {
 			st, ok := s.replStatusNow()
 			if !ok {
@@ -279,31 +280,31 @@ func (s *Server) initObs() {
 		})
 	}
 	replMetric("corrfused_repl_follower_connected", "1 while the follower's last leader contact succeeded, 0 while it serves stale reads and retries.", "gauge",
-		func(st ReplStatus) float64 {
+		func(st repl.Status) float64 {
 			if st.Connected {
 				return 1
 			}
 			return 0
 		})
 	replMetric("corrfused_repl_lag_records", "Leader records not yet applied by this follower.", "gauge",
-		func(st ReplStatus) float64 { return float64(st.LagRecords) })
+		func(st repl.Status) float64 { return float64(st.LagRecords) })
 	replMetric("corrfused_repl_lag_seconds", "How long this follower has continuously trailed the leader (0 when caught up).", "gauge",
-		func(st ReplStatus) float64 { return st.LagSeconds })
+		func(st repl.Status) float64 { return st.LagSeconds })
 	replMetric("corrfused_repl_applied_seq", "Last replicated WAL sequence applied by this follower.", "gauge",
-		func(st ReplStatus) float64 { return float64(st.AppliedSeq) })
+		func(st repl.Status) float64 { return float64(st.AppliedSeq) })
 	replMetric("corrfused_repl_leader_seq", "Leader WAL head as of this follower's last contact.", "gauge",
-		func(st ReplStatus) float64 { return float64(st.LeaderSeq) })
+		func(st repl.Status) float64 { return float64(st.LeaderSeq) })
 	replMetric("corrfused_repl_segments_shipped_total", "Shipment batches fetched from the leader and applied.", "counter",
-		func(st ReplStatus) float64 { return float64(st.SegmentsShipped) })
+		func(st repl.Status) float64 { return float64(st.SegmentsShipped) })
 	replMetric("corrfused_repl_diverged", "1 while this follower holds records outside the leader's durable history and needs an operator re-bootstrap.", "gauge",
-		func(st ReplStatus) float64 {
+		func(st repl.Status) float64 {
 			if st.Diverged {
 				return 1
 			}
 			return 0
 		})
 	replMetric("corrfused_repl_rebootstraps_total", "Automatic snapshot re-bootstraps after the leader truncated past this follower's position; nonzero means the follower fell behind a full retention window.", "counter",
-		func(st ReplStatus) float64 { return float64(st.Rebootstraps) })
+		func(st repl.Status) float64 { return float64(st.Rebootstraps) })
 
 	r.GaugeFunc("corrfused_shards", "Shards of the live batch model (1 = monolithic).",
 		snap(func(sn *snapshot) float64 {

@@ -1,52 +1,27 @@
 package serve
 
-// Replication integration. The serve package deliberately does not import
-// internal/repl: the follower loop and the leader endpoints live there and
-// reach the server through the small surface below (cmd/fused wires the two
-// together). This keeps the dependency arrow pointing one way — repl knows
-// wal, serve knows neither.
+// Replication integration. The follower loop and the leader endpoints live
+// in internal/repl and reach the server through the small surface below
+// (cmd/fused wires the two together); serve takes from repl only its Status
+// type, and repl imports only wal, so the dependency arrow points one way.
 
 import (
 	"fmt"
 	"io"
 	"net/http"
 
+	"corrfuse/internal/repl"
 	"corrfuse/internal/store"
 	"corrfuse/internal/triple"
 	"corrfuse/internal/wal"
 )
 
-// ReplStatus is a follower's replication position as surfaced on /healthz,
-// /v1/refuse and the corrfused_repl_* metric families. cmd/fused maps it
-// from the repl follower's own status type.
-type ReplStatus struct {
-	// Connected reports the last leader contact succeeded; false means the
-	// follower is serving stale reads while it retries.
-	Connected bool
-	// AppliedSeq is the last replicated record applied locally; LeaderSeq
-	// is the leader's head as of the last contact.
-	AppliedSeq, LeaderSeq uint64
-	// SegmentsShipped counts shipment batches applied since start.
-	SegmentsShipped uint64
-	// LagRecords and LagSeconds quantify how far and for how long the
-	// follower trails the leader (both 0 when caught up).
-	LagRecords uint64
-	LagSeconds float64
-	// Diverged reports the follower holds records outside the leader's
-	// durable history; fetching has stopped until an operator wipes the
-	// follower's state and re-bootstraps it.
-	Diverged bool
-	// Rebootstraps counts automatic snapshot re-bootstraps after the leader
-	// truncated past this follower's position (HTTP 410).
-	Rebootstraps uint64
-}
+type replStatusFn func() repl.Status
 
-type replStatusFn func() ReplStatus
-
-// SetReplStatus installs the replication-status source (a follower's status
-// getter). Installing it activates the corrfused_repl_* metric families and
+// SetReplStatus installs the replication-status source (a follower's Status
+// method). Installing it activates the corrfused_repl_* metric families and
 // the repl sections of /healthz and /v1/refuse.
-func (s *Server) SetReplStatus(f func() ReplStatus) {
+func (s *Server) SetReplStatus(f func() repl.Status) {
 	if f == nil {
 		s.replStatus.Store(nil)
 		return
@@ -57,16 +32,16 @@ func (s *Server) SetReplStatus(f func() ReplStatus) {
 
 // replStatusNow returns the current replication status and whether a source
 // is installed.
-func (s *Server) replStatusNow() (ReplStatus, bool) {
+func (s *Server) replStatusNow() (repl.Status, bool) {
 	fn := s.replStatus.Load()
 	if fn == nil {
-		return ReplStatus{}, false
+		return repl.Status{}, false
 	}
 	return (*fn)(), true
 }
 
 // replSummary is the repl section of /healthz and /v1/refuse.
-func (s *Server) replSummary(st ReplStatus) map[string]any {
+func (s *Server) replSummary(st repl.Status) map[string]any {
 	out := map[string]any{
 		"connected":       st.Connected,
 		"appliedSeq":      st.AppliedSeq,

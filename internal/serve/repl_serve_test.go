@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"corrfuse/internal/repl"
 	"corrfuse/internal/store"
 	"corrfuse/internal/wal"
 )
@@ -224,8 +225,8 @@ func TestReplStatusSurfaced(t *testing.T) {
 		t.Fatal("repl metric families present before SetReplStatus")
 	}
 
-	srv.SetReplStatus(func() ReplStatus {
-		return ReplStatus{Connected: true, AppliedSeq: 41, LeaderSeq: 44, LagRecords: 3, LagSeconds: 1.5, SegmentsShipped: 7, Diverged: true, Rebootstraps: 2}
+	srv.SetReplStatus(func() repl.Status {
+		return repl.Status{Connected: true, AppliedSeq: 41, LeaderSeq: 44, LagRecords: 3, LagSeconds: 1.5, SegmentsShipped: 7, Diverged: true, Rebootstraps: 2}
 	})
 
 	var health struct {

@@ -248,9 +248,6 @@ func shardUnchanged(d *triple.Dataset, ids []triple.TripleID, sd *triple.Dataset
 // NumShards returns the number of shards.
 func (p *Partition) NumShards() int { return len(p.shards) }
 
-// Global returns the dataset the partition was built from.
-func (p *Partition) Global() *triple.Dataset { return p.global }
-
 // Shard returns shard i's dataset. It must not be mutated.
 func (p *Partition) Shard(i int) *triple.Dataset { return p.shards[i] }
 

@@ -4,33 +4,32 @@ package store
 // the store. Where the JSONL file is the durable interchange format —
 // human-greppable, append-merged by Read — the binary snapshot is the
 // cold-start format: fixed-width entry records over a deduplicated string
-// arena, the frozen fusion score/decision per entry, and the secondary
-// postings (subject / predicate / source) serialized pre-ranked, so
-// startup is mmap + header/CRC validation + table fill instead of a
-// reflective parse of every line.
+// arena and the frozen fusion score/decision per entry, so startup is
+// mmap + header/CRC validation + table fill instead of a reflective parse
+// of every line. It holds the entries in store order and nothing derived
+// from them: ranked listings belong to internal/index, which is rebuilt
+// from the fused model at every boot anyway.
 //
 // On-disk layout (little-endian throughout):
 //
-//	header (72 B)  magic "CFSN", format version, section counts
+//	header (40 B)  magic "CFSN", format version, section counts
 //	arena          concatenated bytes of every distinct string
 //	strtab         nStrings × {off u64, len u32}   (into arena)
 //	entries        nEntries × 40 B fixed records (see below)
 //	refs           nRefs × u32                    (string idx, source lists)
-//	postings       3 groups (subject, predicate, source):
-//	                 per key: {key u32, n u32, n × entry u32}
 //	footer         crc32(IEEE) over everything above, u32
 //
 // Entry record (40 B): subject u32, predicate u32, object u32, label u32
 // (string indices; "" is always index 0), srcOff u32, srcLen u32 (into
 // refs), probability f64 bits, flags u64 (bit 0 = accepted).
 //
-// Postings are written pre-ranked: each subject/predicate/source list is
-// ordered by descending stored probability with the triple key breaking
-// ties — identical data always serializes identically, and a loaded
-// store serves its most probable results first without re-sorting. (A
-// JSONL-loaded store keeps insertion order instead; both are valid under
-// the documented "insertion order until mutated" contract, and the fused
-// outputs — which consume the primary entry order — are bit-identical.)
+// Identical data always serializes identically, and a binary-loaded store
+// equals the JSONL-loaded one field for field.
+//
+// This is format version 2. Version 1 also carried three postings
+// sections; there is no v1 reader — a v1 image is refused like any other
+// invalid snapshot ("unsupported format version 1"), the JSONL store next
+// to it loads instead, and the next persist replaces it with a v2 image.
 //
 // Every section offset and index is bounds-checked at load: a torn,
 // truncated or bit-flipped file fails loudly (almost always at the CRC,
@@ -45,7 +44,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"time"
 	"unsafe"
 
@@ -54,8 +52,8 @@ import (
 
 const (
 	binMagic     = "CFSN"
-	binVersion   = 1
-	binHeaderLen = 72
+	binVersion   = 2
+	binHeaderLen = 40
 	entryRecLen  = 40
 	strRecLen    = 12
 	flagAccepted = 1 << 0
@@ -131,11 +129,6 @@ func (s *Store) WriteBinary(w io.Writer) error {
 		nRefs += uint64(len(e.Sources))
 	}
 
-	subjKeys, subjRefs := s.rankedPostings(s.bySubject, in)
-	predKeys, predRefs := s.rankedPostings(s.byPredicate, in)
-	srcKeys, srcRefs := s.rankedPostings(s.bySource, in)
-	totalPostingRefs := uint64(subjRefs + predRefs + srcRefs)
-
 	crc := crc32.NewIEEE()
 	bw := newBinWriter(io.MultiWriter(w, crc))
 
@@ -146,10 +139,6 @@ func (s *Store) WriteBinary(w io.Writer) error {
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(in.strs)))
 	binary.LittleEndian.PutUint64(hdr[24:32], nRefs)
 	binary.LittleEndian.PutUint64(hdr[32:40], in.bytes)
-	binary.LittleEndian.PutUint64(hdr[40:48], uint64(len(subjKeys)))
-	binary.LittleEndian.PutUint64(hdr[48:56], uint64(len(predKeys)))
-	binary.LittleEndian.PutUint64(hdr[56:64], uint64(len(srcKeys)))
-	binary.LittleEndian.PutUint64(hdr[64:72], totalPostingRefs)
 	bw.write(hdr[:])
 
 	// Arena and string table.
@@ -187,15 +176,6 @@ func (s *Store) WriteBinary(w io.Writer) error {
 		}
 	}
 
-	for _, group := range [][]postingKey{subjKeys, predKeys, srcKeys} {
-		for _, pk := range group {
-			bw.u32(pk.str)
-			bw.u32(uint32(len(pk.entries)))
-			for _, ei := range pk.entries {
-				bw.u32(uint32(ei))
-			}
-		}
-	}
 	if err := bw.flush(); err != nil {
 		return fmt.Errorf("store: write binary snapshot: %w", err)
 	}
@@ -207,36 +187,6 @@ func (s *Store) WriteBinary(w io.Writer) error {
 		return fmt.Errorf("store: write binary snapshot: %w", err)
 	}
 	return nil
-}
-
-type postingKey struct {
-	key     string
-	str     uint32
-	entries []int
-}
-
-// rankedPostings freezes one secondary index deterministically: keys
-// sorted lexicographically, each posting list re-ranked by descending
-// stored probability with the triple key breaking ties. Callers hold the
-// read lock.
-func (s *Store) rankedPostings(m map[string][]int, in *intern) ([]postingKey, int) {
-	keys := make([]postingKey, 0, len(m))
-	total := 0
-	for k, idxs := range m {
-		ranked := make([]int, len(idxs))
-		copy(ranked, idxs)
-		sort.SliceStable(ranked, func(a, b int) bool {
-			ea, eb := &s.entries[ranked[a]], &s.entries[ranked[b]]
-			if ea.Probability != eb.Probability {
-				return ea.Probability > eb.Probability
-			}
-			return ea.Triple.Key() < eb.Triple.Key()
-		})
-		keys = append(keys, postingKey{key: k, str: in.of(k), entries: ranked})
-		total += len(ranked)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].key < keys[b].key })
-	return keys, total
 }
 
 // binWriter batches small fixed-width writes with sticky error handling.
@@ -261,17 +211,9 @@ func (b *binWriter) flushIfFull() {
 }
 
 func (b *binWriter) write(p []byte) {
-	if b.err != nil {
-		return
+	if b.flush() == nil {
+		_, b.err = b.w.Write(p)
 	}
-	if len(b.buf) > 0 {
-		_, b.err = b.w.Write(b.buf)
-		b.buf = b.buf[:0]
-		if b.err != nil {
-			return
-		}
-	}
-	_, b.err = b.w.Write(p)
 }
 
 func (b *binWriter) u32(v uint32) {
@@ -336,14 +278,10 @@ func loadBinary(data []byte) (*Store, error) {
 	nStrings := binary.LittleEndian.Uint64(data[16:24])
 	nRefs := binary.LittleEndian.Uint64(data[24:32])
 	arenaLen := binary.LittleEndian.Uint64(data[32:40])
-	nSubj := binary.LittleEndian.Uint64(data[40:48])
-	nPred := binary.LittleEndian.Uint64(data[48:56])
-	nSrc := binary.LittleEndian.Uint64(data[56:64])
-	totalPostingRefs := binary.LittleEndian.Uint64(data[64:72])
 
 	// Reject absurd counts before any size arithmetic can overflow.
 	const maxCount = 1 << 40
-	for _, c := range []uint64{nEntries, nStrings, nRefs, arenaLen, nSubj, nPred, nSrc, totalPostingRefs} {
+	for _, c := range []uint64{nEntries, nStrings, nRefs, arenaLen} {
 		if c > maxCount {
 			return nil, badSnapshot("implausible section count %d", c)
 		}
@@ -352,8 +290,7 @@ func loadBinary(data []byte) (*Store, error) {
 	strTabOff := arenaOff + arenaLen
 	entriesOff := strTabOff + nStrings*strRecLen
 	refsOff := entriesOff + nEntries*entryRecLen
-	postingsOff := refsOff + nRefs*4
-	footerOff := postingsOff + (nSubj+nPred+nSrc)*8 + totalPostingRefs*4
+	footerOff := refsOff + nRefs*4
 	if want := footerOff + 4; want != uint64(len(data)) {
 		return nil, badSnapshot("file is %d bytes, layout wants %d", len(data), want)
 	}
@@ -381,11 +318,8 @@ func loadBinary(data []byte) (*Store, error) {
 	}
 
 	st := &Store{
-		entries:     make([]Entry, nEntries),
-		byKey:       make(map[triple.Triple]int, nEntries),
-		bySubject:   make(map[string][]int, nSubj),
-		byPredicate: make(map[string][]int, nPred),
-		bySource:    make(map[string][]int, nSrc),
+		entries: make([]Entry, nEntries),
+		byKey:   make(map[triple.Triple]int, nEntries),
 	}
 	str := func(i uint32, what string) (string, error) {
 		if uint64(i) >= nStrings {
@@ -436,47 +370,6 @@ func loadBinary(data []byte) (*Store, error) {
 			return nil, badSnapshot("duplicate triple at entry %d", i)
 		}
 		st.byKey[e.Triple] = int(i)
-	}
-
-	// Postings: one backing array again, then per-key sub-slices.
-	postBacking := make([]int, totalPostingRefs)
-	pos := postingsOff
-	used := uint64(0)
-	for g, group := range []struct {
-		n uint64
-		m map[string][]int
-	}{{nSubj, st.bySubject}, {nPred, st.byPredicate}, {nSrc, st.bySource}} {
-		for k := uint64(0); k < group.n; k++ {
-			if pos+8 > footerOff {
-				return nil, badSnapshot("postings overrun section (group %d)", g)
-			}
-			key, err := str(binary.LittleEndian.Uint32(data[pos:]), "posting key")
-			if err != nil {
-				return nil, err
-			}
-			cnt := uint64(binary.LittleEndian.Uint32(data[pos+4:]))
-			pos += 8
-			if used+cnt > totalPostingRefs || pos+cnt*4 > footerOff {
-				return nil, badSnapshot("posting list for %q overruns section", key)
-			}
-			list := postBacking[used : used : used+cnt]
-			for j := uint64(0); j < cnt; j++ {
-				ei := binary.LittleEndian.Uint32(data[pos:])
-				pos += 4
-				if uint64(ei) >= nEntries {
-					return nil, badSnapshot("posting for %q references entry %d of %d", key, ei, nEntries)
-				}
-				list = append(list, int(ei))
-			}
-			used += cnt
-			if _, dup := group.m[key]; dup {
-				return nil, badSnapshot("duplicate posting key %q", key)
-			}
-			group.m[key] = list
-		}
-	}
-	if used != totalPostingRefs || pos != footerOff {
-		return nil, badSnapshot("posting sections do not tile the file (used %d/%d refs)", used, totalPostingRefs)
 	}
 
 	// Match a JSONL load's version arithmetic: one bump per entry.

@@ -2,13 +2,15 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 
 	"corrfuse/internal/triple"
@@ -47,18 +49,15 @@ func snapStore() *Store {
 	return s
 }
 
-// sameEntries asserts a and b store identical entry sets (probability
-// compared bit-exactly) and identical secondary-index membership.
+// sameEntries asserts a and b hold the same entries in the same order
+// (probability compared bit-exactly) under the same key index.
 func sameEntries(t *testing.T, a, b *Store) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("Len mismatch: %d vs %d", a.Len(), b.Len())
+	if len(a.entries) != len(b.entries) {
+		t.Fatalf("Len mismatch: %d vs %d", len(a.entries), len(b.entries))
 	}
-	for _, e := range a.entries {
-		got, ok := b.Get(e.Triple)
-		if !ok {
-			t.Fatalf("lost %v", e.Triple)
-		}
+	for i, e := range a.entries {
+		got := b.entries[i]
 		if math.Float64bits(got.Probability) != math.Float64bits(e.Probability) {
 			t.Fatalf("%v probability changed: %x vs %x", e.Triple,
 				math.Float64bits(e.Probability), math.Float64bits(got.Probability))
@@ -68,32 +67,11 @@ func sameEntries(t *testing.T, a, b *Store) {
 			got.Sources, e.Sources = nil, nil
 		}
 		if !reflect.DeepEqual(got, e) {
-			t.Fatalf("%v changed:\n  before %+v\n  after  %+v", e.Triple, e, got)
+			t.Fatalf("entry %d changed:\n  before %+v\n  after  %+v", i, e, got)
 		}
 	}
-	// Secondary indexes agree as sets (the binary load pre-ranks them,
-	// insertion order is not preserved).
-	for name, pair := range map[string][2]map[string][]int{
-		"bySubject":   {a.bySubject, b.bySubject},
-		"byPredicate": {a.byPredicate, b.byPredicate},
-		"bySource":    {a.bySource, b.bySource},
-	} {
-		if len(pair[0]) != len(pair[1]) {
-			t.Fatalf("%s key count: %d vs %d", name, len(pair[0]), len(pair[1]))
-		}
-		for k, idxs := range pair[0] {
-			keys := func(s *Store, idxs []int) []string {
-				out := make([]string, len(idxs))
-				for i, j := range idxs {
-					out[i] = s.entries[j].Triple.Key()
-				}
-				sort.Strings(out)
-				return out
-			}
-			if !reflect.DeepEqual(keys(a, idxs), keys(b, pair[1][k])) {
-				t.Fatalf("%s[%q] membership differs", name, k)
-			}
-		}
+	if !reflect.DeepEqual(a.byKey, b.byKey) {
+		t.Fatal("key index differs")
 	}
 	// No version comparison here: SetFusion interns entries without
 	// advancing the version, so any reload — JSONL or binary — can land
@@ -101,10 +79,19 @@ func sameEntries(t *testing.T, a, b *Store) {
 	// TestBinaryVersionMatchesJSONLLoad pins the invariant that matters.
 }
 
-// TestBinaryVersionMatchesJSONLLoad: a binary load must report the same
-// data version a JSONL load of the same store would, so downstream
-// version-compare logic (refreshers, shard trackers) behaves identically
-// whichever format served the cold start.
+// v1Image is a well-formed version-1 snapshot of an empty store: the old
+// 72-byte header (magic, version, eight zero section counts) and its CRC.
+func v1Image() []byte {
+	img := make([]byte, 72, 76)
+	copy(img, binMagic)
+	binary.LittleEndian.PutUint32(img[4:8], 1)
+	return binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
+}
+
+// TestBinaryVersionMatchesJSONLLoad: a binary load must produce the store
+// a JSONL load of the same data would — every field, including the data
+// version, so downstream version-compare logic (refreshers, shard
+// trackers) behaves identically whichever format served the cold start.
 func TestBinaryVersionMatchesJSONLLoad(t *testing.T) {
 	s := snapStore()
 	var jbuf, bbuf bytes.Buffer
@@ -122,8 +109,10 @@ func TestBinaryVersionMatchesJSONLLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaBinary.Version() != viaJSONL.Version() {
-		t.Fatalf("binary load version %d, JSONL load version %d", viaBinary.Version(), viaJSONL.Version())
+	sameEntries(t, viaJSONL, viaBinary)
+	if viaBinary.version != viaJSONL.version || !reflect.DeepEqual(viaBinary.shardVersions, viaJSONL.shardVersions) {
+		t.Fatalf("binary load version %d %v, JSONL load version %d %v",
+			viaBinary.version, viaBinary.shardVersions, viaJSONL.version, viaJSONL.shardVersions)
 	}
 }
 
@@ -151,29 +140,6 @@ func TestBinaryDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two writes of the same store differ")
-	}
-}
-
-func TestBinaryPostingsRanked(t *testing.T) {
-	s := snapStore()
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadBinary(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []map[string][]int{got.bySubject, got.byPredicate, got.bySource} {
-		for k, idxs := range m {
-			for i := 1; i < len(idxs); i++ {
-				a, b := &got.entries[idxs[i-1]], &got.entries[idxs[i]]
-				if a.Probability < b.Probability ||
-					(a.Probability == b.Probability && a.Triple.Key() > b.Triple.Key()) {
-					t.Fatalf("posting %q not ranked at position %d", k, i)
-				}
-			}
-		}
 	}
 }
 
@@ -244,6 +210,44 @@ func TestLoadPreferred(t *testing.T) {
 	sameEntries(t, s, got)
 }
 
+// TestV1SnapshotFallsBackThenUpgrades: there is no v1 reader. A version-1
+// image next to a valid JSONL store is refused by version, the JSONL store
+// serves with the reason recorded, and the next persist leaves a v2 image.
+func TestV1SnapshotFallsBackThenUpgrades(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	s := snapStore()
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(BinaryPath(path), v1Image(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, info, err := LoadPreferred(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Format != FormatJSONL || !strings.Contains(info.FallbackReason, "unsupported format version 1") {
+		t.Fatalf("v1 snapshot: info = %+v", info)
+	}
+	sameEntries(t, s, got)
+
+	if res, err := got.Persist(path); err != nil || res.SnapshotErr != nil {
+		t.Fatalf("persist over a v1 image: %+v, %v", res, err)
+	}
+	raw, err := os.ReadFile(BinaryPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[4:8]); v != 2 {
+		t.Fatalf("persist left a version-%d image", v)
+	}
+	upgraded, info, err := LoadBinary(BinaryPath(path))
+	if err != nil || info.Format != FormatBinary {
+		t.Fatalf("upgraded image: %+v, %v", info, err)
+	}
+	sameEntries(t, s, upgraded)
+}
+
 // TestBinaryCorruptionDetected flips, truncates and tears the snapshot in
 // every section and asserts the loader reports ErrBadSnapshot — loudly,
 // never a panic, never a silently wrong store.
@@ -270,12 +274,28 @@ func TestBinaryCorruptionDetected(t *testing.T) {
 	for _, n := range []int{0, 3, binHeaderLen - 1, binHeaderLen, len(good) / 3, len(good) / 2, len(good) - 1} {
 		check(fmt.Sprintf("truncate-to-%d", n), good[:n])
 	}
-	// Single bit flips spread across the file (header, arena, entries,
-	// postings, CRC footer).
-	for i := 0; i < len(good); i += len(good)/37 + 1 {
+	// One flipped bit in the middle of every section, located from the
+	// header's own counts, then a sweep across the whole file.
+	le := binary.LittleEndian
+	arena := binHeaderLen
+	strtab := arena + int(le.Uint64(good[32:40]))
+	entries := strtab + int(le.Uint64(good[16:24]))*strRecLen
+	refs := entries + int(le.Uint64(good[8:16]))*entryRecLen
+	footer := refs + int(le.Uint64(good[24:32]))*4
+	if footer+4 != len(good) {
+		t.Fatalf("sections end at %d, file is %d bytes", footer+4, len(good))
+	}
+	flip := func(name string, i int) {
 		bad := append([]byte(nil), good...)
 		bad[i] ^= 0x01
-		check(fmt.Sprintf("bitflip-at-%d", i), bad)
+		check(fmt.Sprintf("bitflip-%s-at-%d", name, i), bad)
+	}
+	bounds := []int{0, arena, strtab, entries, refs, footer, len(good)}
+	for i, name := range []string{"header", "arena", "strtab", "entries", "refs", "footer"} {
+		flip(name, (bounds[i]+bounds[i+1])/2)
+	}
+	for i := 0; i < len(good); i += len(good)/37 + 1 {
+		flip("sweep", i)
 	}
 	// A torn write: valid prefix, zero tail (what a crash mid-write could
 	// leave if rename discipline were violated).
@@ -293,6 +313,7 @@ func TestBinaryCorruptionDetected(t *testing.T) {
 	wrongVer := append([]byte(nil), good...)
 	wrongVer[4] = 0xee
 	check("bad-version", wrongVer)
+	check("v1-image", v1Image())
 }
 
 func TestBinaryEmptyStore(t *testing.T) {
@@ -330,10 +351,14 @@ func FuzzLoadBinary(f *testing.F) {
 	f.Add([]byte{})
 	trunc := seed.Bytes()
 	f.Add(trunc[:len(trunc)/2])
+	f.Add(v1Image())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := loadBinary(data)
 		if err != nil {
 			return
+		}
+		if v := binary.LittleEndian.Uint32(data[4:8]); v != binVersion {
+			t.Fatalf("accepted a version-%d image", v)
 		}
 		var buf bytes.Buffer
 		if err := st.WriteBinary(&buf); err != nil {

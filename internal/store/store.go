@@ -1,7 +1,9 @@
-// Package store provides an indexed, persistent triple store: the storage
-// substrate a production deployment of the fusion pipeline sits on. It keeps
-// the observation data of a triple.Dataset queryable by subject, predicate
-// and source, records fused results, and persists to JSON Lines.
+// Package store provides the persistent triple store: the write-side record
+// a production deployment of the fusion pipeline sits on. It keeps the
+// observation data of a triple.Dataset and the fused result per triple,
+// answers point lookups by triple, and persists to JSON Lines plus the CFSN
+// binary snapshot. It has no secondary index: per-subject and per-source
+// listings are served from the per-snapshot internal/index.
 package store
 
 import (
@@ -10,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -28,17 +31,13 @@ type Entry struct {
 	Accepted    bool
 }
 
-// Store is an in-memory indexed triple store with JSONL persistence.
-// It is safe for concurrent use.
+// Store is an in-memory triple store, keyed by triple, with JSONL
+// persistence. It is safe for concurrent use.
 type Store struct {
 	mu sync.RWMutex
 
 	entries []Entry
 	byKey   map[triple.Triple]int
-	// Secondary indexes: entry positions by subject / predicate / source.
-	bySubject   map[string][]int
-	byPredicate map[string][]int
-	bySource    map[string][]int
 
 	// version counts data mutations — new entries, new provenance, label
 	// changes — but not fusion-result writebacks (SetFusion, or Put merging
@@ -60,12 +59,7 @@ type Store struct {
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{
-		byKey:       make(map[triple.Triple]int),
-		bySubject:   make(map[string][]int),
-		byPredicate: make(map[string][]int),
-		bySource:    make(map[string][]int),
-	}
+	return &Store{byKey: make(map[triple.Triple]int)}
 }
 
 // Put inserts or merges an entry. Provenance lists are united; a non-empty
@@ -76,10 +70,9 @@ func (s *Store) Put(e Entry) {
 	if i, ok := s.byKey[e.Triple]; ok {
 		cur := &s.entries[i]
 		for _, src := range e.Sources {
-			if !containsString(cur.Sources, src) {
+			if !slices.Contains(cur.Sources, src) {
 				cur.Sources = append(cur.Sources, src)
 				sort.Strings(cur.Sources)
-				s.bySource[src] = append(s.bySource[src], i)
 				s.bump(e.Triple.Subject)
 			}
 		}
@@ -95,15 +88,9 @@ func (s *Store) Put(e Entry) {
 		}
 		return
 	}
-	i := len(s.entries)
 	sort.Strings(e.Sources)
+	s.byKey[e.Triple] = len(s.entries)
 	s.entries = append(s.entries, e)
-	s.byKey[e.Triple] = i
-	s.bySubject[e.Triple.Subject] = append(s.bySubject[e.Triple.Subject], i)
-	s.byPredicate[e.Triple.Predicate] = append(s.byPredicate[e.Triple.Predicate], i)
-	for _, src := range e.Sources {
-		s.bySource[src] = append(s.bySource[src], i)
-	}
 	s.bump(e.Triple.Subject)
 }
 
@@ -132,8 +119,6 @@ func (s *Store) SetFusion(t triple.Triple, prob float64, accepted bool) {
 		i = len(s.entries)
 		s.entries = append(s.entries, Entry{Triple: t})
 		s.byKey[t] = i
-		s.bySubject[t.Subject] = append(s.bySubject[t.Subject], i)
-		s.byPredicate[t.Predicate] = append(s.byPredicate[t.Predicate], i)
 	}
 	s.entries[i].Probability = prob
 	s.entries[i].Accepted = accepted
@@ -198,31 +183,6 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// BySubject returns the entries about a subject, in insertion order. The
-// serving layer's subject listings read the per-snapshot fused-result index
-// instead (internal/index); this remains the store-level query surface for
-// tools, tests and offline inspection.
-func (s *Store) BySubject(subject string) []Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.collect(s.bySubject[subject])
-}
-
-// ByPredicate returns the entries with a predicate.
-func (s *Store) ByPredicate(pred string) []Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.collect(s.byPredicate[pred])
-}
-
-// BySource returns the entries provided by a source; like BySubject, a
-// store-level query surface (the serving layer lists via internal/index).
-func (s *Store) BySource(src string) []Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.collect(s.bySource[src])
-}
-
 // Accepted returns the entries marked accepted by fusion, the cleaned
 // output set R of the paper.
 func (s *Store) Accepted() []Entry {
@@ -233,14 +193,6 @@ func (s *Store) Accepted() []Entry {
 		if e.Accepted {
 			out = append(out, e)
 		}
-	}
-	return out
-}
-
-func (s *Store) collect(idx []int) []Entry {
-	out := make([]Entry, len(idx))
-	for j, i := range idx {
-		out[j] = s.entries[i]
 	}
 	return out
 }
@@ -278,6 +230,22 @@ func (s *Store) Dataset() *triple.Dataset {
 		}
 	}
 	return d
+}
+
+// CountLabels returns how many entries carry a true and a false gold label:
+// what Dataset().CountLabels() reports, without materialising the dataset.
+func (s *Store) CountLabels() (numTrue, numFalse int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i := range s.entries {
+		switch l, _ := triple.ParseGold(s.entries[i].Label); l {
+		case triple.True:
+			numTrue++
+		case triple.False:
+			numFalse++
+		}
+	}
+	return
 }
 
 // Write streams the store as JSONL, one Record per entry.
@@ -428,13 +396,4 @@ func Load(path string) (*Store, error) {
 		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	return s, nil
-}
-
-func containsString(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

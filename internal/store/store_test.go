@@ -40,26 +40,6 @@ func TestPutGetMerge(t *testing.T) {
 	}
 }
 
-func TestIndexes(t *testing.T) {
-	s := New()
-	s.Put(Entry{Triple: mk("Obama", "profession", "president"), Sources: []string{"A"}})
-	s.Put(Entry{Triple: mk("Obama", "spouse", "Michelle"), Sources: []string{"B"}})
-	s.Put(Entry{Triple: mk("Bush", "profession", "president"), Sources: []string{"A"}})
-
-	if got := s.BySubject("Obama"); len(got) != 2 {
-		t.Errorf("BySubject(Obama) = %d entries", len(got))
-	}
-	if got := s.ByPredicate("profession"); len(got) != 2 {
-		t.Errorf("ByPredicate(profession) = %d entries", len(got))
-	}
-	if got := s.BySource("A"); len(got) != 2 {
-		t.Errorf("BySource(A) = %d entries", len(got))
-	}
-	if got := s.BySource("C"); len(got) != 0 {
-		t.Errorf("BySource(C) = %d entries", len(got))
-	}
-}
-
 func TestAccepted(t *testing.T) {
 	s := New()
 	s.Put(Entry{Triple: mk("a", "p", "1"), Accepted: true, Probability: 0.9})
@@ -67,6 +47,19 @@ func TestAccepted(t *testing.T) {
 	acc := s.Accepted()
 	if len(acc) != 1 || acc[0].Triple.Object != "1" {
 		t.Errorf("Accepted = %v", acc)
+	}
+}
+
+// TestCountLabelsMatchesDataset: the label count fused derives -alpha 0 from
+// is the one the materialised dataset reports, including a label outside
+// the schema that only a direct Put can store (counted by neither).
+func TestCountLabelsMatchesDataset(t *testing.T) {
+	s := snapStore()
+	s.Put(Entry{Triple: mk("odd", "p", "v"), Sources: []string{"S"}, Label: "maybe"})
+	nt, nf := s.CountLabels()
+	wt, wf := s.Dataset().CountLabels()
+	if nt != wt || nf != wf || nt == 0 || nf == 0 {
+		t.Fatalf("CountLabels = (%d,%d), Dataset().CountLabels() = (%d,%d)", nt, nf, wt, wf)
 	}
 }
 
@@ -88,7 +81,7 @@ func TestConcurrentAccess(t *testing.T) {
 				tr := mk("e", "p", string(rune('a'+i%26)))
 				s.Put(Entry{Triple: tr, Sources: []string{"S"}})
 				s.Get(tr)
-				s.BySubject("e")
+				s.Get(mk("e", "p", "a"))
 				s.Len()
 			}
 		}(g)
@@ -127,14 +120,14 @@ func TestSetFusion(t *testing.T) {
 		t.Fatalf("SetFusion(0) did not stick: %+v", e)
 	}
 
-	// SetFusion interns unknown triples and indexes them.
+	// SetFusion interns unknown triples.
 	fresh := mk("new", "p", "v")
 	s.SetFusion(fresh, 0.8, true)
 	if e, ok := s.Get(fresh); !ok || !e.Accepted {
 		t.Fatalf("SetFusion did not intern: %+v", e)
 	}
-	if got := s.BySubject("new"); len(got) != 1 {
-		t.Fatalf("interned triple not indexed: %v", got)
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d after interning one new triple, want 2", s.Len())
 	}
 }
 

@@ -310,10 +310,6 @@ func (sf *ShardedFuser) ShardStats() []ShardStat {
 	return out
 }
 
-// ShardFuser returns shard i's trained Fuser (its TripleIDs are local to the
-// shard's dataset). Exposed for inspection and tests.
-func (sf *ShardedFuser) ShardFuser(i int) *Fuser { return sf.fusers[i] }
-
 // PartitionTimings returns the stage costs of the partition build behind
 // this engine (serial routing pass, concurrent shard dataset builds) — the
 // partition share of a rebuild's wall time, surfaced by the service's
