@@ -62,7 +62,7 @@ func queryBench(b *testing.B) *queryBenchState {
 	d := shardBenchDataset(b)
 	opts := shardBenchOpts()
 	opts.Shards = 8
-	opts.RebuildWorkers = 8
+	opts.Parallelism = 8
 
 	st := store.FromDataset(d)
 	for i := 0; i < hubEntries; i++ {

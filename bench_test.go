@@ -328,7 +328,7 @@ func BenchmarkAblationParallelScoring(b *testing.B) {
 	}
 }
 
-// --- Sharded engine: rebuild and score vs the monolithic path --------------
+// --- The engine at 1 and 8 shards vs the library Fuser ---------------------
 
 // shardBenchOpts is the store-scale configuration the sharded benchmarks
 // compare under: the exact correlation-aware method over forced correlation
@@ -354,7 +354,7 @@ var shardBenchCache *triple.Dataset
 // of a copying pair plus an independent source (144 sources), 40% labeled.
 // This is the training-bound regime that motivates sharding: quality
 // estimation and pairwise correlation clustering over a wide source set are
-// the serial wall of a monolithic rebuild (scoring already parallelizes via
+// the serial wall of an unpartitioned rebuild (scoring already parallelizes via
 // ParallelScore), and both partition cleanly by shard. Subjects spread
 // uniformly over any shard count via the hash.
 func shardBenchDataset(b *testing.B) *triple.Dataset {
@@ -408,106 +408,101 @@ func shardBenchDataset(b *testing.B) *triple.Dataset {
 	return d
 }
 
-// BenchmarkShardTrainMonolithic measures the single-threaded wall the
-// sharded engine removes: monolithic model training (quality estimation +
-// pairwise correlation clustering) over the whole store. Scoring is NOT
-// included here — it already parallelizes via ParallelScore; training is
-// the serial section that caps rebuild scaling.
-func BenchmarkShardTrainMonolithic(b *testing.B) {
+// shardBenchModel is what the BenchmarkShard* family drives: the surface
+// Fuser and the engine share.
+type shardBenchModel interface {
+	Fuse() (*corrfuse.Result, error)
+	Score(ids []corrfuse.TripleID) []float64
+}
+
+// shardBenchBuild is one way to build the store-scale model.
+type shardBenchBuild func(d *triple.Dataset) (shardBenchModel, error)
+
+// buildFuserNew is the library's single-dataset Fuser — the baseline the
+// one-shard engine must cost the same as (it is the same model, see
+// TestOneShardEngineEqualsFuser).
+func buildFuserNew(d *triple.Dataset) (shardBenchModel, error) {
+	return corrfuse.New(d, shardBenchOpts())
+}
+
+// buildOneShard is what `fused -shards 1` serves.
+func buildOneShard(d *triple.Dataset) (shardBenchModel, error) {
+	opts := shardBenchOpts()
+	opts.Shards = 1
+	return corrfuse.NewModel(d, opts)
+}
+
+// buildSharded8 is the partitioned engine: on a multicore runner this is
+// where the ≥3× rebuild speedup comes from.
+func buildSharded8(d *triple.Dataset) (shardBenchModel, error) {
+	opts := shardBenchOpts()
+	opts.Shards = 8
+	opts.Parallelism = 8
+	return corrfuse.NewModel(d, opts)
+}
+
+// benchShard runs one BenchmarkShard* cell: op on a model from build, the
+// build itself inside the timed loop only when timeBuild is set.
+func benchShard(b *testing.B, build shardBenchBuild, timeBuild bool, op func(m shardBenchModel)) {
 	d := shardBenchDataset(b)
+	m, err := build(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := corrfuse.New(d, shardBenchOpts()); err != nil {
-			b.Fatal(err)
+		if timeBuild {
+			if m, err = build(d); err != nil {
+				b.Fatal(err)
+			}
 		}
+		op(m)
 	}
 }
 
-// BenchmarkShardTrainSharded8 is the sharded counterpart: partition plus 8
-// concurrent shard trainings. On a multicore runner this is where the ≥3×
-// rebuild speedup comes from.
+// BenchmarkShardTrain* measure model training (partition + quality estimation
+// + pairwise correlation clustering) over the whole store. Scoring is NOT
+// included — it already parallelizes via ParallelScore; training is the
+// serial section that caps rebuild scaling.
+func BenchmarkShardTrainFuserNew(b *testing.B) {
+	benchShard(b, buildFuserNew, true, func(shardBenchModel) {})
+}
+func BenchmarkShardTrainOneShard(b *testing.B) {
+	benchShard(b, buildOneShard, true, func(shardBenchModel) {})
+}
 func BenchmarkShardTrainSharded8(b *testing.B) {
-	d := shardBenchDataset(b)
-	opts := shardBenchOpts()
-	opts.Shards = 8
-	opts.RebuildWorkers = 8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := corrfuse.NewSharded(d, opts); err != nil {
+	benchShard(b, buildSharded8, true, func(shardBenchModel) {})
+}
+
+// benchFuse is the rebuild op: score every triple, merge, rank.
+func benchFuse(b *testing.B) func(m shardBenchModel) {
+	return func(m shardBenchModel) {
+		if _, err := m.Fuse(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkShardRebuildMonolithic is the baseline the acceptance criterion
-// measures against: one monolithic train-and-fuse over the whole store.
-func BenchmarkShardRebuildMonolithic(b *testing.B) {
-	d := shardBenchDataset(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := corrfuse.New(d, shardBenchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.Fuse(); err != nil {
-			b.Fatal(err)
-		}
-	}
+// BenchmarkShardRebuild* measure one train-and-fuse over the whole store; the
+// per-shard timings land in ShardStats.
+func BenchmarkShardRebuildFuserNew(b *testing.B) { benchShard(b, buildFuserNew, true, benchFuse(b)) }
+func BenchmarkShardRebuildOneShard(b *testing.B) { benchShard(b, buildOneShard, true, benchFuse(b)) }
+func BenchmarkShardRebuildSharded8(b *testing.B) { benchShard(b, buildSharded8, true, benchFuse(b)) }
+
+// benchScoreAll is the score op: every provided triple through the prebuilt,
+// unfrozen model. providedIDs lives in shard_differential_test.go (same
+// package).
+func benchScoreAll(b *testing.B) func(m shardBenchModel) {
+	ids := providedIDs(shardBenchDataset(b))
+	return func(m shardBenchModel) { m.Score(ids) }
 }
 
-// BenchmarkShardRebuildSharded8 is the sharded counterpart: partition,
-// train 8 shard models concurrently, fuse and merge. On a multicore runner
-// this is the ≥3× path; the per-shard timings land in ShardStats.
-func BenchmarkShardRebuildSharded8(b *testing.B) {
-	d := shardBenchDataset(b)
-	opts := shardBenchOpts()
-	opts.Shards = 8
-	opts.RebuildWorkers = 8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sf, err := corrfuse.NewSharded(d, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sf.Fuse(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShardScoreMonolithic scores every triple with the prebuilt
-// monolithic model (ParallelScore inside). providedIDs lives in
-// shard_differential_test.go (same package).
-func BenchmarkShardScoreMonolithic(b *testing.B) {
-	d := shardBenchDataset(b)
-	f, err := corrfuse.New(d, shardBenchOpts())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := providedIDs(d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Score(ids)
-	}
-}
-
-// BenchmarkShardScoreSharded8 scores every triple with the prebuilt sharded
-// model (shards scored concurrently).
-func BenchmarkShardScoreSharded8(b *testing.B) {
-	d := shardBenchDataset(b)
-	opts := shardBenchOpts()
-	opts.Shards = 8
-	opts.RebuildWorkers = 8
-	sf, err := corrfuse.NewSharded(d, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := providedIDs(d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sf.Score(ids)
-	}
-}
+// BenchmarkShardScore* score every triple with the prebuilt model
+// (ParallelScore inside a lone shard, shards scored concurrently otherwise).
+func BenchmarkShardScoreFuserNew(b *testing.B) { benchShard(b, buildFuserNew, false, benchScoreAll(b)) }
+func BenchmarkShardScoreOneShard(b *testing.B) { benchShard(b, buildOneShard, false, benchScoreAll(b)) }
+func BenchmarkShardScoreSharded8(b *testing.B) { benchShard(b, buildSharded8, false, benchScoreAll(b)) }
 
 // --- Dirty-shard partial rebuilds: wall time ∝ dirty fraction --------------
 
@@ -551,7 +546,7 @@ func benchRebuildDirty(b *testing.B, dirty []int) {
 	d := shardBenchDataset(b)
 	opts := shardBenchOpts()
 	opts.Shards = 8
-	opts.RebuildWorkers = 8
+	opts.Parallelism = 8
 	sf, err := corrfuse.NewSharded(d, opts)
 	if err != nil {
 		b.Fatal(err)

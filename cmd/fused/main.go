@@ -11,7 +11,7 @@
 //	      [-method precrec|corr|aggressive|elastic|union|3est|ltm]
 //	      [-alpha 0.5] [-scope global|subject] [-smoothing 0]
 //	      [-refresh 30s] [-persist out.jsonl] [-parallelism 0]
-//	      [-shards 1] [-rebuild-workers 0] [-partial-rebuild]
+//	      [-shards 1] [-partial-rebuild]
 //	      [-max-score-triples 1024] [-max-body-bytes 1048576]
 //	      [-wal dir] [-wal-sync always|interval|off]
 //	      [-wal-sync-interval 100ms] [-wal-segment-bytes 4194304]
@@ -90,14 +90,15 @@
 // listeners carry fixed, finite connection-level http.Server timeouts (the
 // slowloris guard).
 //
-// With -shards N (N > 1) the store is partitioned by subject hash and every
-// batch re-fusion trains the N shard models concurrently on
-// -rebuild-workers goroutines, swapping them in atomically as one snapshot;
-// /metrics then reports per-shard rebuild timings. -partial-rebuild
-// (default on, effective only when sharded) makes those re-fusions retrain
-// only the shards whose subjects changed since the last snapshot, adopting
-// every clean shard's model verbatim — model retraining, the dominant cost
-// of a refresh, then tracks the change rate rather than the store size.
+// The store is partitioned by subject hash into -shards N shards and every
+// batch re-fusion trains the N shard models concurrently on -parallelism
+// goroutines, swapping them in atomically as one snapshot; /metrics reports
+// per-shard rebuild timings. The default -shards 1 is one shard: the
+// unpartitioned model, through the same engine. -partial-rebuild (default on)
+// makes re-fusions retrain only the shards whose subjects changed since the
+// last snapshot, adopting every clean shard's model verbatim — model
+// retraining, the dominant cost of a refresh, then tracks the change rate
+// rather than the store size.
 package main
 
 import (
@@ -134,7 +135,6 @@ type options struct {
 
 	parallelism     int
 	shards          int
-	rebuildWorkers  int
 	partialRebuild  bool
 	maxScoreTriples int
 	maxBodyBytes    int64
@@ -192,10 +192,9 @@ func main() {
 	flag.Float64Var(&o.smoothing, "smoothing", 0, "add-k smoothing for quality estimation")
 	flag.DurationVar(&o.refresh, "refresh", 30*time.Second, "background re-fusion period (0 disables)")
 	flag.StringVar(&o.persist, "persist", "", "save the store (JSONL plus the binary cold-start snapshot next to it) to this path after re-fusions and on shutdown (default: -store path; \"-\" disables)")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "scoring goroutines per batch (0 = GOMAXPROCS)")
-	flag.IntVar(&o.shards, "shards", 1, "subject-hash shards for the batch model (1 = monolithic)")
-	flag.IntVar(&o.rebuildWorkers, "rebuild-workers", 0, "goroutines rebuilding shard models concurrently (0 = GOMAXPROCS)")
-	flag.BoolVar(&o.partialRebuild, "partial-rebuild", true, "retrain only dirty shards on re-fusions (effective with -shards > 1)")
+	flag.IntVar(&o.parallelism, "parallelism", 0, "goroutines training shard models and scoring a batch (0 = GOMAXPROCS)")
+	flag.IntVar(&o.shards, "shards", 1, "subject-hash shards for the batch model (1 = the unpartitioned model)")
+	flag.BoolVar(&o.partialRebuild, "partial-rebuild", true, "retrain only dirty shards on re-fusions")
 	flag.IntVar(&o.maxScoreTriples, "max-score-triples", serve.DefaultMaxScoreTriples, "max triples per /v1/score request (larger batches get 413)")
 	flag.Int64Var(&o.maxBodyBytes, "max-body-bytes", serve.DefaultMaxBodyBytes, "max request body bytes for /v1/score and /v1/observe (larger bodies get 413)")
 	flag.StringVar(&o.walDir, "wal", "", "write-ahead log directory: observes are durable before acknowledged (empty disables)")
@@ -290,6 +289,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		RateBurst:            o.rateBurst,
 		RequestTimeout:       o.requestTimeout,
 		MaxInFlight:          o.maxInFlight,
+		PartialRebuild:       o.partialRebuild,
 	}
 	switch o.persist {
 	case "":
@@ -300,12 +300,10 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		cfg.PersistPath = o.persist
 	}
 	cfg.Options = corrfuse.Options{
-		Smoothing:      o.smoothing,
-		Parallelism:    o.parallelism,
-		Shards:         o.shards,
-		RebuildWorkers: o.rebuildWorkers,
+		Smoothing:   o.smoothing,
+		Parallelism: o.parallelism,
+		Shards:      o.shards,
 	}
-	cfg.PartialRebuild = o.partialRebuild && o.shards > 1
 	if o.walDir != "" && cfg.PersistPath == "" {
 		return fmt.Errorf("-wal requires a persist path (WAL truncation rides the snapshot save): drop -persist - or point -persist somewhere")
 	}

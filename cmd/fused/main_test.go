@@ -49,7 +49,7 @@ func TestServeLifecycleSharded(t *testing.T) {
 	testServeLifecycle(t, 4, 2)
 }
 
-func testServeLifecycle(t *testing.T, shards, rebuildWorkers int) {
+func testServeLifecycle(t *testing.T, shards, parallelism int) {
 	path := writeStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
@@ -58,7 +58,7 @@ func testServeLifecycle(t *testing.T, shards, rebuildWorkers int) {
 		errc <- run(ctx, options{
 			storePath: path, addr: "127.0.0.1:0", method: "corr", scope: "global",
 			smoothing: 0.1, refresh: time.Hour,
-			shards: shards, rebuildWorkers: rebuildWorkers, partialRebuild: true,
+			shards: shards, parallelism: parallelism, partialRebuild: true,
 		}, ready)
 	}()
 	var base string

@@ -194,26 +194,24 @@ type Options struct {
 	// Iterations controls the 3-Estimates fixed point (default 20).
 	Iterations int
 
-	// Parallelism sets the number of goroutines used by Score and Fuse
-	// for the PrecRec/PrecRecCorr family. 0 means GOMAXPROCS; 1 forces
-	// serial scoring. A ShardedFuser uses it as the number of shards
-	// scored concurrently.
+	// Parallelism is the one worker bound of a model: the goroutines used
+	// by Score and Fuse for the PrecRec/PrecRecCorr family and, in a
+	// ShardedFuser, the shards partitioned, trained and scored
+	// concurrently. 0 means GOMAXPROCS; 1 forces serial work.
 	Parallelism int
 
-	// Shards selects the subject-hash-sharded engine for models built
-	// through NewModel (and the serve layer): the dataset is partitioned
-	// into Shards subject-hash shards and an independent model is trained
-	// per shard. 0 or 1 keeps the monolithic engine. See ShardedFuser for
-	// the consistency contract.
+	// Shards is the number of subject-hash shards of a ShardedFuser
+	// (NewSharded, NewModel, the serve layer): the dataset is partitioned
+	// into Shards shards and an independent model is trained per shard. 0 or
+	// 1 is one shard — the unpartitioned model, bit-identical to New at the
+	// same cost. See ShardedFuser for the consistency contract. New ignores
+	// it.
 	Shards int
 
-	// RebuildWorkers bounds the goroutines training shard models
-	// concurrently in NewSharded and Rebuild. 0 means GOMAXPROCS.
-	RebuildWorkers int
-
 	// qualityFallback supplies per-source quality for sources a training
-	// slice has no labeled evidence about. NewSharded points it at a
-	// globally trained estimator when building the per-shard models.
+	// slice has no labeled evidence about. A ShardedFuser of several shards
+	// points it at a globally trained estimator when building the per-shard
+	// models.
 	qualityFallback quality.Params
 }
 

@@ -37,10 +37,10 @@ func TestGoldenReplay(t *testing.T) {
 	}
 	cfg := Config{
 		Options: corrfuse.Options{
-			Method:         corrfuse.PrecRecCorr,
-			Smoothing:      0.1,
-			Shards:         2,
-			RebuildWorkers: 2,
+			Method:      corrfuse.PrecRecCorr,
+			Smoothing:   0.1,
+			Shards:      2,
+			Parallelism: 2,
 		},
 		PartialRebuild:  true,
 		PenalizeSilence: true,

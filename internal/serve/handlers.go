@@ -85,7 +85,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
 		s.m.encodeFailures.Inc()
-		s.logf("serve: response encode failed before write (status %d became 500): %v", code, err)
+		s.logger.Logf("serve: response encode failed before write (status %d became 500): %v", code, err)
 		s.writeBody(w, http.StatusInternalServerError, errEncodeBody)
 		return
 	}
@@ -452,7 +452,7 @@ func (s *Server) handleRefuse(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		if err := s.persist(); err != nil {
-			s.logf("%v", err)
+			s.logger.Logf("%v", err)
 		}
 		return s.refuseSummary(sn, skipped), nil
 	})
@@ -484,10 +484,7 @@ func (s *Server) handleRefuse(w http.ResponseWriter, r *http.Request) {
 // completed rebuild (everything except the per-request durationMs and
 // coalesced fields).
 func (s *Server) refuseSummary(sn *snapshot, skipped bool) map[string]any {
-	shards := 1
-	if len(sn.shardStats) > 0 {
-		shards = len(sn.shardStats)
-	}
+	rebuilt, reused := sn.rebuildCounts()
 	out := map[string]any{
 		"snapshotSeq":     sn.seq,
 		"snapshotVersion": sn.version,
@@ -498,12 +495,9 @@ func (s *Server) refuseSummary(sn *snapshot, skipped bool) map[string]any {
 		"triples":         sn.triples,
 		"accepted":        sn.accepted,
 		"method":          sn.fuser.MethodName(),
-		"shards":          shards,
-	}
-	if len(sn.shardStats) > 0 {
-		rebuilt, reused := sn.rebuildCounts()
-		out["rebuiltShards"] = rebuilt
-		out["reusedShards"] = reused
+		"shards":          len(sn.shardStats),
+		"rebuiltShards":   rebuilt,
+		"reusedShards":    reused,
 	}
 	if lastErr := s.lastPersistError(); lastErr != "" {
 		out["lastPersistError"] = lastErr

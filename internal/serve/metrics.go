@@ -29,8 +29,8 @@ type metrics struct {
 	scored       *obs.Counter // triples scored via /v1/score
 	rebuilds     *obs.Counter
 	rebuildSkips *obs.Counter
-	// partialRebuilds counts rebuilds routed through the dirty-shard
-	// partial path (a subset of rebuilds).
+	// partialRebuilds counts rebuilds that adopted at least one shard of
+	// the previous model (a subset of rebuilds).
 	partialRebuilds *obs.Counter
 
 	// onlineDisabled is a gauge: 1 while the live snapshot serves without
@@ -89,12 +89,6 @@ func (s *Server) initObs() {
 	s.slowThreshold = s.cfg.SlowRequestThreshold
 	s.traces = obs.NewTraceRecorder(s.cfg.TraceBufferSize, s.cfg.TraceThreshold)
 	s.logger = s.cfg.Logger
-	if s.logger == nil && s.cfg.Logf != nil {
-		// Bridge structured records (slow-request logs) onto the legacy
-		// printf sink so they are not lost on Logf-only deployments.
-		logf := s.cfg.Logf
-		s.logger = obs.NewLoggerFunc(func(line string) { logf("%s", line) }, obs.LevelInfo, "text")
-	}
 
 	r := obs.NewRegistry()
 	s.reg = r
@@ -195,7 +189,7 @@ func (s *Server) initObs() {
 
 	s.m.rebuilds = r.Counter("corrfused_rebuilds_total", "Batch re-fusions performed.")
 	s.m.rebuildSkips = r.Counter("corrfused_rebuild_skips_total", "Re-fusions skipped because the store was unchanged.")
-	s.m.partialRebuilds = r.Counter("corrfused_partial_rebuilds_total", "Re-fusions that retrained only the dirty shards.")
+	s.m.partialRebuilds = r.Counter("corrfused_partial_rebuilds_total", "Re-fusions that adopted at least one clean shard's model instead of retraining it.")
 	r.GaugeFunc("corrfused_online_disabled", "1 while the service runs batch-only (no incremental scorer), 0 when live scoring is up.",
 		func() float64 { return float64(s.m.onlineDisabled.Load()) })
 	r.GaugeFunc("corrfused_last_rebuild_seconds", "Duration of the last batch re-fusion.",
@@ -306,35 +300,21 @@ func (s *Server) initObs() {
 	replMetric("corrfused_repl_rebootstraps_total", "Automatic snapshot re-bootstraps after the leader truncated past this follower's position; nonzero means the follower fell behind a full retention window.", "counter",
 		func(st repl.Status) float64 { return float64(st.Rebootstraps) })
 
-	r.GaugeFunc("corrfused_shards", "Shards of the live batch model (1 = monolithic).",
+	r.GaugeFunc("corrfused_shards", "Shards of the live batch model.",
+		snap(func(sn *snapshot) float64 { return float64(len(sn.shardStats)) }))
+	r.GaugeFunc("corrfused_shards_rebuilt", "Shards retrained for the live snapshot.",
 		snap(func(sn *snapshot) float64 {
-			if len(sn.shardStats) > 0 {
-				return float64(len(sn.shardStats))
-			}
-			return 1
-		}))
-	// The per-shard families are suppressed for the monolithic engine.
-	shardSamples := func(f func(sn *snapshot) []obs.Sample) func() []obs.Sample {
-		return func() []obs.Sample {
-			sn := s.snap.Load()
-			if len(sn.shardStats) == 0 {
-				return nil
-			}
-			return f(sn)
-		}
-	}
-	r.SampleFunc("corrfused_shards_rebuilt", "Shards retrained for the live snapshot.", "gauge",
-		shardSamples(func(sn *snapshot) []obs.Sample {
 			rebuilt, _ := sn.rebuildCounts()
-			return []obs.Sample{{Value: float64(rebuilt)}}
+			return float64(rebuilt)
 		}))
-	r.SampleFunc("corrfused_shards_reused", "Shards adopted verbatim from the previous snapshot's model.", "gauge",
-		shardSamples(func(sn *snapshot) []obs.Sample {
+	r.GaugeFunc("corrfused_shards_reused", "Shards adopted verbatim from the previous snapshot's model.",
+		snap(func(sn *snapshot) float64 {
 			_, reused := sn.rebuildCounts()
-			return []obs.Sample{{Value: float64(reused)}}
+			return float64(reused)
 		}))
 	perShard := func(name, help string, f func(st corrfuse.ShardStat) float64) {
-		r.SampleFunc(name, help, "gauge", shardSamples(func(sn *snapshot) []obs.Sample {
+		r.SampleFunc(name, help, "gauge", func() []obs.Sample {
+			sn := s.snap.Load()
 			out := make([]obs.Sample, 0, len(sn.shardStats))
 			for _, st := range sn.shardStats {
 				out = append(out, obs.Sample{
@@ -343,7 +323,7 @@ func (s *Server) initObs() {
 				})
 			}
 			return out
-		}))
+		})
 	}
 	perShard("corrfused_shard_reused", "Whether each shard of the live snapshot was adopted (1) or retrained (0).",
 		func(st corrfuse.ShardStat) float64 {

@@ -26,10 +26,10 @@ func (s *Server) refresher() {
 		case <-ticker.C:
 			//lint:ignore ctxflow the background refresher has no request to inherit a deadline from
 			if _, skipped, err := s.rebuild(context.Background(), false); err != nil {
-				s.logf("serve: background re-fusion failed: %v", err)
+				s.logger.Logf("serve: background re-fusion failed: %v", err)
 			} else if !skipped {
 				if err := s.persist(); err != nil {
-					s.logf("%v", err)
+					s.logger.Logf("%v", err)
 				}
 			}
 		}
@@ -126,20 +126,16 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 
 	begin := time.Now()
 	endTrain := stage("train")
-	var fuser corrfuse.Model
+	var fuser *corrfuse.ShardedFuser
 	var err error
-	partial := false
 	if cur == nil {
 		opts := s.cfg.Options
 		if s.cfg.SubjectScope {
 			opts.Scope = corrfuse.NewScopeSubject(d)
 		}
-		fuser, err = corrfuse.NewModel(d, opts)
-	} else if sh, dirty, ok := s.partialPlan(cur, shardVers); ok {
-		fuser, err = sh.RebuildPartial(d, dirty)
-		partial = true
+		fuser, err = corrfuse.NewSharded(d, opts)
 	} else {
-		fuser, err = corrfuse.Rebuild(cur.fuser, d)
+		fuser, err = cur.fuser.RebuildPartial(d, s.dirtyShards(cur, shardVers))
 	}
 	endTrain()
 	if err != nil {
@@ -151,16 +147,14 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 		// as a never-started rebuild would leave them.
 		return nil, false, fmt.Errorf("serve: rebuild canceled after train, results discarded: %w", err)
 	}
-	if sh, ok := fuser.(*corrfuse.ShardedFuser); ok {
-		// The sharded engine already times its serial routing pass and its
-		// parallel per-shard build internally; surface both as refresh
-		// stages alongside the aggregate train time they are part of.
-		pt := sh.PartitionTimings()
-		tr.AddSpan("shard_route", 0, pt.Route)
-		s.rebuildStage.With("shard_route").Observe(pt.Route)
-		tr.AddSpan("shard_build", pt.Route, pt.Build)
-		s.rebuildStage.With("shard_build").Observe(pt.Build)
-	}
+	// The engine times its serial routing pass and its parallel per-shard
+	// dataset build internally; surface both as refresh stages alongside
+	// the aggregate train time they are part of.
+	pt := fuser.PartitionTimings()
+	tr.AddSpan("shard_route", 0, pt.Route)
+	s.rebuildStage.With("shard_route").Observe(pt.Route)
+	tr.AddSpan("shard_build", pt.Route, pt.Build)
+	s.rebuildStage.With("shard_build").Observe(pt.Build)
 	// Freeze the model: every probability and decision is computed once
 	// into the dense score tables that back all subsequent reads.
 	endFreeze := stage("freeze")
@@ -195,10 +189,10 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	endIndex()
 
 	// Reseed the incremental scorer from the new quality model (routed
-	// per shard for a sharded model). The unsupervised baselines carry no
-	// quality model; the service then serves batch results only and inc
-	// stays nil — the log line and the online_disabled gauge tell that
-	// state apart from a healthy supervised deployment.
+	// per shard). The unsupervised baselines carry no quality model; the
+	// service then serves batch results only and inc stays nil — the log
+	// line and the online_disabled gauge tell that state apart from a
+	// healthy supervised deployment.
 	endSeed := stage("online_seed")
 	inc, incErr := fuser.Online(s.cfg.PenalizeSilence)
 	if s.testOnlineHook != nil {
@@ -206,12 +200,12 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	}
 	if incErr != nil {
 		inc = nil
-		s.logf("serve: online scorer unavailable, serving batch results only: %v", incErr)
+		s.logger.Logf("serve: online scorer unavailable, serving batch results only: %v", incErr)
 	}
 	if inc != nil {
 		if err := seedOnline(inc, d); err != nil {
 			inc = nil
-			s.logf("serve: online scorer seeding failed, serving batch results only: %v", err)
+			s.logger.Logf("serve: online scorer seeding failed, serving batch results only: %v", err)
 		}
 	}
 	endSeed()
@@ -225,9 +219,7 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 		builtAt:       time.Now(),
 		triples:       nTriples,
 		accepted:      nAccepted,
-	}
-	if sh, ok := fuser.(*corrfuse.ShardedFuser); ok {
-		next.shardStats = sh.ShardStats()
+		shardStats:    fuser.ShardStats(),
 	}
 	if cur != nil {
 		next.seq = cur.seq + 1
@@ -247,7 +239,7 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 				// The store already holds the new model's results;
 				// degrade to batch-only rather than abort mid-swap.
 				inc = nil
-				s.logf("serve: journal replay failed, serving batch results only: %v", err)
+				s.logger.Logf("serve: journal replay failed, serving batch results only: %v", err)
 				break
 			}
 		}
@@ -274,55 +266,41 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 		s.m.onlineDisabled.Store(0)
 	}
 	s.m.rebuilds.Add(1)
-	if partial {
+	rebuilt, reused := next.rebuildCounts()
+	if reused > 0 {
+		// Counted by what happened, not by the path taken: a partial
+		// rebuild whose adoption degraded to zero reuse (say a new source
+		// changed the source table) was a full rebuild.
 		s.m.partialRebuilds.Add(1)
 	}
 	s.m.lastRebuildNanos.Store(int64(time.Since(begin)))
-	s.logf("serve: snapshot %d: %s over %d sources, %d triples → %d accepted in %v",
+	s.logger.Logf("serve: snapshot %d: %s over %d sources, %d triples → %d accepted in %v",
 		next.seq, fuser.MethodName(), d.NumSources(), next.triples, next.accepted, time.Since(begin).Round(time.Millisecond))
-	if len(next.shardStats) > 0 {
-		rebuilt, reused := next.rebuildCounts()
-		s.logf("serve: snapshot %d: %d shards rebuilt, %d reused", next.seq, rebuilt, reused)
-		for _, st := range next.shardStats {
-			if st.Reused {
-				continue
-			}
-			s.logf("serve: snapshot %d: shard %d: %d triples (%d labeled) built in %v",
-				next.seq, st.Shard, st.Triples, st.Labeled, st.Build.Round(time.Millisecond))
+	s.logger.Logf("serve: snapshot %d: %d shards rebuilt, %d reused", next.seq, rebuilt, reused)
+	for _, st := range next.shardStats {
+		if st.Reused {
+			continue
 		}
+		s.logger.Logf("serve: snapshot %d: shard %d: %d triples (%d labeled) built in %v",
+			next.seq, st.Shard, st.Triples, st.Labeled, st.Build.Round(time.Millisecond))
 	}
 	return next, false, nil
 }
 
-// partialPlan decides whether the next rebuild can go through the
-// dirty-shard partial path, and with which dirty set: partial rebuilds must
-// be enabled, the current model sharded, and the current snapshot must carry
-// a per-shard version capture matching the tracked shard count. The returned
-// dirty set holds the shards whose store version moved since that capture.
-func (s *Server) partialPlan(cur *snapshot, shardVers []uint64) (*corrfuse.ShardedFuser, []int, bool) {
-	if !s.cfg.PartialRebuild || cur == nil {
-		return nil, nil, false
-	}
-	sh, ok := cur.fuser.(*corrfuse.ShardedFuser)
-	if !ok {
-		return nil, nil, false
-	}
-	if sh.Options().Train != nil {
-		// RebuildPartial would delegate to a full rebuild for a
-		// Train-restricted engine (only the initial snapshot can be one:
-		// every rebuild clears Train); don't report that as partial.
-		return nil, nil, false
-	}
-	if len(shardVers) == 0 || len(shardVers) != len(cur.shardVersions) || len(shardVers) != sh.NumShards() {
-		return nil, nil, false
-	}
+// dirtyShards returns the shards the next rebuild must retrain: those whose
+// store version moved since the current snapshot's capture — or every shard
+// (a full rebuild) when partial rebuilds are off or the snapshot carries no
+// per-shard version capture matching the tracked shard count.
+func (s *Server) dirtyShards(cur *snapshot, shardVers []uint64) []int {
+	n := cur.fuser.NumShards()
+	diffable := s.cfg.PartialRebuild && len(shardVers) == n && len(cur.shardVersions) == n
 	var dirty []int
-	for i, v := range shardVers {
-		if v != cur.shardVersions[i] {
+	for i := 0; i < n; i++ {
+		if !diffable || shardVers[i] != cur.shardVersions[i] {
 			dirty = append(dirty, i)
 		}
 	}
-	return sh, dirty, true
+	return dirty
 }
 
 // seedOnline replays every observation of the captured dataset onto a

@@ -12,11 +12,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
 	"corrfuse"
+	"corrfuse/internal/obs"
 	"corrfuse/internal/shard"
 	"corrfuse/internal/triple"
 )
@@ -40,16 +42,19 @@ func (f *failingScorer) Probability(t triple.Triple) (float64, bool) { return f.
 func (f *failingScorer) Providers(t triple.Triple) int               { return f.inner.Providers(t) }
 func (f *failingScorer) Len() int                                    { return f.inner.Len() }
 
-// logCollector captures Logf lines for assertions.
+// logCollector captures the server's log lines for assertions.
 type logCollector struct {
 	mu    sync.Mutex
 	lines []string
 }
 
-func (lc *logCollector) logf(format string, args ...any) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.lines = append(lc.lines, fmt.Sprintf(format, args...))
+// logger is the Config.Logger that feeds the collector.
+func (lc *logCollector) logger() *obs.Logger {
+	return obs.NewLoggerFunc(func(line string) {
+		lc.mu.Lock()
+		defer lc.mu.Unlock()
+		lc.lines = append(lc.lines, line)
+	}, obs.LevelInfo, "text")
 }
 
 func (lc *logCollector) contains(sub string) bool {
@@ -93,7 +98,7 @@ func TestOnlineUnavailableIsSignalled(t *testing.T) {
 	var lc logCollector
 	cfg := Config{
 		Options: corrfuse.Options{Method: corrfuse.UnionK},
-		Logf:    lc.logf,
+		Logger:  lc.logger(),
 	}
 	srv := newServer(t, seedStore(t), cfg)
 	if liveInc(srv) != nil {
@@ -124,7 +129,7 @@ func TestOnlineUnavailableIsSignalled(t *testing.T) {
 func TestSeedFailureCompletesSwap(t *testing.T) {
 	var lc logCollector
 	cfg := corrConfig()
-	cfg.Logf = lc.logf
+	cfg.Logger = lc.logger()
 	srv := newServer(t, seedStore(t), cfg)
 	if liveInc(srv) == nil {
 		t.Fatal("supervised config came up without an online scorer")
@@ -182,7 +187,7 @@ func TestSeedFailureCompletesSwap(t *testing.T) {
 func TestReplayFailureCompletesSwap(t *testing.T) {
 	var lc logCollector
 	cfg := corrConfig()
-	cfg.Logf = lc.logf
+	cfg.Logger = lc.logger()
 	srv := newServer(t, seedStore(t), cfg)
 
 	poison := tr("mid-build", "v")
@@ -241,7 +246,7 @@ func TestPartialRebuildEndToEnd(t *testing.T) {
 	mkServer := func(partial bool) *Server {
 		cfg := corrConfig()
 		cfg.Options.Shards = shards
-		cfg.Options.RebuildWorkers = 2
+		cfg.Options.Parallelism = 2
 		cfg.PartialRebuild = partial
 		return newServer(t, seedStoreWide(t, 48), cfg)
 	}
@@ -313,7 +318,7 @@ func TestPartialRebuildNewSourceFallsBackToFull(t *testing.T) {
 	const shards = 3
 	cfg := corrConfig()
 	cfg.Options.Shards = shards
-	cfg.Options.RebuildWorkers = 2
+	cfg.Options.Parallelism = 2
 	cfg.PartialRebuild = true
 	srv := newServer(t, seedStoreWide(t, 48), cfg)
 
@@ -328,5 +333,88 @@ func TestPartialRebuildNewSourceFallsBackToFull(t *testing.T) {
 	}
 	if _, ok := sn.data.SourceID("newcomer"); !ok {
 		t.Fatal("new source missing from the rebuilt model")
+	}
+	// Nothing was adopted, so this was a full rebuild and is counted as one.
+	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_partial_rebuilds_total 0") {
+		t.Error("a partial rebuild that adopted no shard was counted as partial")
+	}
+}
+
+// TestOneShardRebuildIsPartialOnlyWhenAdopted: with one shard a dirty store
+// is a full rebuild — the partial-rebuild counter counts adoptions, not the
+// path taken, so it stays 0 — while a forced re-fusion of the unchanged store
+// adopts the whole model and is counted.
+func TestOneShardRebuildIsPartialOnlyWhenAdopted(t *testing.T) {
+	cfg := corrConfig()
+	cfg.PartialRebuild = true
+	srv := newServer(t, seedStoreWide(t, 48), cfg)
+
+	srv.ingest(Observation{Source: "good1", Subject: "fresh-subject", Predicate: "p", Object: "v"})
+	sn, skipped, err := srv.rebuild(context.Background(), false)
+	if err != nil || skipped {
+		t.Fatalf("rebuild: err=%v skipped=%v", err, skipped)
+	}
+	if rebuilt, reused := sn.rebuildCounts(); rebuilt != 1 || reused != 0 {
+		t.Fatalf("dirty store: rebuilt %d / reused %d shards, want 1 / 0", rebuilt, reused)
+	}
+	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_partial_rebuilds_total 0") {
+		t.Error("a one-shard rebuild of a dirty store was counted as partial")
+	}
+
+	sn, _, err = srv.rebuild(context.Background(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt, reused := sn.rebuildCounts(); rebuilt != 0 || reused != 1 {
+		t.Fatalf("unchanged store: rebuilt %d / reused %d shards, want 0 / 1", rebuilt, reused)
+	}
+	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_partial_rebuilds_total 1") {
+		t.Error("adopting the one shard was not counted as partial")
+	}
+}
+
+// TestShardsZeroAndOneAnswerIdentically: Options.Shards 0 and 1 are the same
+// one-shard engine, so two servers over the same store answer /v1/score,
+// /v1/subject and /v1/refuse byte for byte (wall-clock durationMs aside).
+func TestShardsZeroAndOneAnswerIdentically(t *testing.T) {
+	durationMs := regexp.MustCompile(`"durationMs":\d+`)
+	answers := func(shards int) []string {
+		cfg := corrConfig()
+		cfg.Options.Shards = shards
+		cfg.PartialRebuild = true
+		srv := newServer(t, seedStoreWide(t, 48), cfg)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		srv.ingest(Observation{Source: "good1", Subject: "wt3", Predicate: "p", Object: "other"})
+		do := func(method, path, body string) string {
+			req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status %d, err %v: %s", method, path, resp.StatusCode, err, raw)
+			}
+			return path + " " + durationMs.ReplaceAllString(string(raw), `"durationMs":0`)
+		}
+		return []string{
+			do("POST", "/v1/refuse", ""),
+			do("POST", "/v1/score", `{"triples":[{"subject":"wt3","predicate":"p","object":"v"},{"subject":"wt3","predicate":"p","object":"other"},{"subject":"nobody","predicate":"p","object":"v"}]}`),
+			do("GET", "/v1/subject/wt3", ""),
+		}
+	}
+	zero, one := answers(0), answers(1)
+	for i := range zero {
+		if zero[i] != one[i] {
+			t.Errorf("Shards 0 and 1 disagree:\n0: %s\n1: %s", zero[i], one[i])
+		}
+	}
+	if !strings.Contains(zero[0], `"shards":1`) || !strings.Contains(zero[0], `"rebuiltShards":1`) {
+		t.Errorf("refuse does not report the one shard: %s", zero[0])
 	}
 }

@@ -93,7 +93,7 @@ func (s *Server) ApplyReplicated(recs []wal.Record) error {
 					// holds the record, batch rebuilds stay correct, live
 					// scoring turns off until the next rebuild reseeds it.
 					s.live.inc = nil
-					s.logf("serve: repl: live scorer failed applying seq %d, serving batch results only: %v", r.Seq, err)
+					s.logger.Logf("serve: repl: live scorer failed applying seq %d, serving batch results only: %v", r.Seq, err)
 				}
 			} else {
 				s.live.unknown[r.Source] = true
@@ -136,7 +136,7 @@ func (s *Server) Rebootstrap(covered uint64, r io.Reader) error {
 	s.live.Lock()
 	if s.live.inc != nil {
 		s.live.inc = nil
-		s.logf("serve: rebootstrap: live scorer reset; serving batch results until the next rebuild")
+		s.logger.Logf("serve: rebootstrap: live scorer reset; serving batch results until the next rebuild")
 	}
 	s.live.Unlock()
 	if err := s.wal.Rebase(covered + 1); err != nil {

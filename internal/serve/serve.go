@@ -5,15 +5,17 @@
 //
 // Two models cooperate:
 //
-//   - A batch Fuser (any corrfuse.Method, typically a PrecRecCorr variant)
-//     trained over the whole store. It is immutable; readers reach it
-//     through an atomic snapshot pointer, so the read path never takes a
-//     write lock and never sees a half-built model.
+//   - A batch corrfuse.ShardedFuser (any corrfuse.Method, typically a
+//     PrecRecCorr variant) trained over the whole store — the one engine,
+//     whatever Options.Shards says; one shard is the unpartitioned model.
+//     It is immutable; readers reach it through an atomic snapshot pointer,
+//     so the read path never takes a write lock and never sees a half-built
+//     model.
 //
-//   - An online core.Incremental scorer derived from the same quality
-//     model. Every ingested claim updates it in O(1), so queries between
-//     batch refreshes reflect the newest observations instantly (under the
-//     independence model, the best an O(1) update can do).
+//   - An online scorer (corrfuse.ShardedIncremental) derived from the same
+//     quality model. Every ingested claim updates it in O(1), so queries
+//     between batch refreshes reflect the newest observations instantly
+//     (under the independence model, the best an O(1) update can do).
 //
 // A background refresher (and POST /v1/refuse) rebuilds the batch model
 // from the accumulated store, writes its results back as the authoritative
@@ -52,10 +54,10 @@ const (
 type Config struct {
 	// Options are the fusion options for batch (re)builds. Supervised
 	// methods (the default PrecRecCorr) require gold labels in the store.
-	// Options.Shards > 1 selects the subject-hash-sharded engine: the
-	// store is partitioned by subject hash and the shard models are
-	// rebuilt concurrently (Options.RebuildWorkers goroutines), then
-	// swapped in atomically as one snapshot.
+	// The store is partitioned into Options.Shards subject-hash shards (0
+	// or 1: one shard, the unpartitioned model) whose models are rebuilt
+	// concurrently (Options.Parallelism goroutines), then swapped in
+	// atomically as one snapshot.
 	Options corrfuse.Options
 
 	// SubjectScope selects subject-scope accountability; the scope index
@@ -63,15 +65,16 @@ type Config struct {
 	// false, Options.Scope (default global) is used as-is.
 	SubjectScope bool
 
-	// PartialRebuild, with Options.Shards > 1, makes background refreshes
-	// and /v1/refuse retrain only the shards whose subjects changed since
-	// the current snapshot's capture (tracked by per-shard store version
-	// counters), adopting every clean shard's model verbatim — model
-	// retraining, the dominant superlinear cost of a refresh, then scales
-	// with the change rate rather than the store size (scoring, fusion
-	// write-back and online reseeding remain linear, parallelized passes
-	// over the store). See corrfuse.ShardedFuser.RebuildPartial for the
-	// exactness contract. Ignored for the monolithic engine.
+	// PartialRebuild makes background refreshes and /v1/refuse retrain only
+	// the shards whose subjects changed since the current snapshot's
+	// capture (tracked by per-shard store version counters), adopting every
+	// clean shard's model verbatim — model retraining, the dominant
+	// superlinear cost of a refresh, then scales with the change rate
+	// rather than the store size (scoring, fusion write-back and online
+	// reseeding remain linear, parallelized passes over the store). See
+	// corrfuse.ShardedFuser.RebuildPartial for the exactness contract. With
+	// one shard it only spares retraining on a forced re-fusion of an
+	// unchanged store.
 	PartialRebuild bool
 
 	// PenalizeSilence selects global-scope semantics for the incremental
@@ -150,13 +153,9 @@ type Config struct {
 	// is included in write-rejection errors and health output.
 	LeaderURL string
 
-	// Logf receives operational log lines. Nil silences logging.
-	Logf func(format string, args ...any)
-
-	// Logger, when non-nil, is the structured logger: slow-request records
-	// (and, when Logf is nil, all operational lines) go through it, stamped
-	// with the request's trace ID. With a nil Logger and a non-nil Logf,
-	// structured records are bridged onto Logf as formatted text lines.
+	// Logger, when non-nil, is the structured logger every operational
+	// line and slow-request record goes through, the latter stamped with
+	// the request's trace ID. Nil silences logging.
 	Logger *obs.Logger
 
 	// SlowRequestThreshold, when positive, logs a structured warning for
@@ -232,9 +231,9 @@ type observation struct {
 // snapshot is one immutable generation of the batch model. Readers load it
 // through an atomic pointer and use it without locks.
 type snapshot struct {
-	// fuser is the trained batch model: the monolithic Fuser, or a
-	// ShardedFuser when Config.Options.Shards > 1.
-	fuser corrfuse.Model
+	// fuser is the trained batch model: the one engine, of
+	// Config.Options.Shards shards (one shard is the unpartitioned model).
+	fuser *corrfuse.ShardedFuser
 	// data is the dataset the fuser was trained on; it maps source names
 	// and triples to the IDs both models use. It is immutable.
 	data *corrfuse.Dataset
@@ -255,13 +254,13 @@ type snapshot struct {
 	builtAt  time.Time
 	triples  int
 	accepted int
-	// shardStats holds per-shard sizes and build timings when the model
-	// is sharded (nil for the monolithic engine); /metrics exposes them.
+	// shardStats holds the model's per-shard sizes and build timings;
+	// /metrics exposes them.
 	shardStats []corrfuse.ShardStat
 }
 
 // rebuildCounts reports how many shards the snapshot's build retrained vs
-// adopted from the previous model (0, 0 for the monolithic engine).
+// adopted from the previous model.
 func (sn *snapshot) rebuildCounts() (rebuilt, reused int) {
 	for _, st := range sn.shardStats {
 		if st.Reused {
@@ -426,7 +425,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 			SyncInterval:   cfg.WALSyncInterval,
 			SegmentBytes:   cfg.WALSegmentBytes,
 			RetainSegments: cfg.WALRetainSegments,
-			Logf:           s.logf,
+			Logf:           s.logger.Logf,
 			OnCommitWait:   s.onCommitWait,
 		}
 		w, recs, err := wal.Open(cfg.WALDir, walOpts)
@@ -443,14 +442,14 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		s.wal = w
 		s.walRecovered = len(recs)
 		if len(recs) > 0 {
-			s.logf("serve: wal: recovered %d acknowledged observations (through seq %d)", len(recs), recs[len(recs)-1].Seq)
+			s.logger.Logf("serve: wal: recovered %d acknowledged observations (through seq %d)", len(recs), recs[len(recs)-1].Seq)
 		}
 	}
-	if cfg.PartialRebuild && cfg.Options.Shards > 1 {
+	if cfg.PartialRebuild {
 		// Per-shard version counters feed the dirty-shard diff of every
 		// subsequent rebuild; the initial build below records the first
 		// capture.
-		st.TrackShards(cfg.Options.Shards)
+		st.TrackShards(max(cfg.Options.Shards, 1))
 	}
 	//lint:ignore ctxflow startup fusion runs before any request exists; New has no caller deadline to inherit
 	if _, _, err := s.rebuild(context.Background(), true); err != nil {
@@ -561,17 +560,6 @@ func (s *Server) Snapshot() (seq, version uint64, age time.Duration) {
 	return sn.seq, sn.version, time.Since(sn.builtAt)
 }
 
-// logf emits one operational log line: through the legacy Logf sink when
-// configured, otherwise through the structured Logger (at info level). With
-// neither configured it is silent.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-		return
-	}
-	s.logger.Logf(format, args...)
-}
-
 // persist saves the store (store.Persist owns the file formats, their
 // ordering and what makes truncation safe) and then truncates the WAL
 // segments the saved state covers. The WAL sequence is captured BEFORE the
@@ -594,7 +582,7 @@ func (s *Server) persist() error {
 	}
 	res, err := s.store.Persist(s.cfg.PersistPath)
 	if res.SnapshotErr != nil {
-		s.logf("serve: persist: binary snapshot: %v", res.SnapshotErr)
+		s.logger.Logf("serve: persist: binary snapshot: %v", res.SnapshotErr)
 	} else {
 		s.rebuildStage.With("snapshot_save_binary").Observe(res.SnapshotTime)
 	}
@@ -612,7 +600,7 @@ func (s *Server) persist() error {
 		if err := s.wal.TruncateThrough(capSeq); err != nil {
 			// Non-fatal: an untruncated segment only costs replay time on
 			// the next startup, never correctness (replay is idempotent).
-			s.logf("serve: wal truncate: %v", err)
+			s.logger.Logf("serve: wal truncate: %v", err)
 		}
 	}
 	return nil

@@ -432,13 +432,13 @@ func TestShardedStress(t *testing.T) {
 	st := seedStoreWide(t, 48)
 	cfg := corrConfig()
 	cfg.Options.Shards = 3
-	cfg.Options.RebuildWorkers = 2
+	cfg.Options.Parallelism = 2
 	srv := newServer(t, st, cfg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if _, ok := srv.snap.Load().fuser.(*corrfuse.ShardedFuser); !ok {
-		t.Fatalf("snapshot model is %T, want *corrfuse.ShardedFuser", srv.snap.Load().fuser)
+	if n := srv.snap.Load().fuser.NumShards(); n != 3 {
+		t.Fatalf("snapshot model has %d shards, want 3", n)
 	}
 
 	const writers, readers, rounds = 4, 3, 25

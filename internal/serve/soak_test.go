@@ -25,7 +25,7 @@ func TestSoakIndexedServing(t *testing.T) {
 	st := seedStoreWide(t, 48)
 	cfg := corrConfig()
 	cfg.Options.Shards = 3
-	cfg.Options.RebuildWorkers = 2
+	cfg.Options.Parallelism = 2
 	cfg.PartialRebuild = true
 	cfg.RefreshInterval = 25 * time.Millisecond
 	srv := newServer(t, st, cfg)

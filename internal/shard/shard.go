@@ -14,6 +14,10 @@
 // registration order, so triple.SourceID values are interchangeable between
 // the global dataset and any shard — quality parameters, clusters and
 // incremental scorers can be moved across the boundary without translation.
+//
+// A one-way partition is the unpartitioned dataset: shard 0 is the dataset
+// itself (no copy) under identity ID maps, which is what makes the root
+// package's one-shard engine equal to a plain Fuser bit for bit.
 package shard
 
 import (
@@ -54,13 +58,15 @@ func Of(subject string, n int) int {
 // table registered in global order. The partition records the two-way
 // TripleID mapping between the global dataset and the shards.
 //
-// A Partition is immutable after New and safe for concurrent use.
+// A Partition is immutable once built and safe for concurrent use.
 type Partition struct {
 	global *triple.Dataset
 	shards []*triple.Dataset
 
 	// shardOf and localID map a global TripleID to its shard and its ID
-	// within that shard's dataset.
+	// within that shard's dataset. A one-way partition keeps all three maps
+	// empty: its only shard is the global dataset and the mapping is the
+	// identity (see Locate and GlobalID).
 	shardOf []int32
 	localID []triple.TripleID
 	// globalID[s][local] is the inverse mapping.
@@ -81,41 +87,10 @@ type Timings struct {
 // Timings returns the partition build's stage costs.
 func (p *Partition) Timings() Timings { return p.timings }
 
-// New splits d into n subject-hash shards, building the shard datasets on
-// up to workers goroutines (<= 0 means GOMAXPROCS). n < 1 is treated as 1
-// (a single shard containing everything, useful as a degenerate case in
-// tests).
-//
-// Only the routing pass — one subject hash per triple — is serial; the
-// per-shard dataset builds (the expensive part: interning every triple and
-// observation into the shard's indexes) run concurrently, one goroutine per
-// shard. Each goroutine writes localID only at the indexes of its own
-// shard's triples, so the builds share no mutable state.
+// New splits d into n subject-hash shards from scratch: RebuildPartial with
+// no previous partition to adopt from.
 func New(d *triple.Dataset, n, workers int) *Partition {
-	if n < 1 {
-		n = 1
-	}
-	p := &Partition{
-		global:   d,
-		shards:   make([]*triple.Dataset, n),
-		shardOf:  make([]int32, d.NumTriples()),
-		localID:  make([]triple.TripleID, d.NumTriples()),
-		globalID: make([][]triple.TripleID, n),
-	}
-	begin := time.Now()
-	for i := 0; i < d.NumTriples(); i++ {
-		si := Of(d.Triple(triple.TripleID(i)).Subject, n)
-		p.shardOf[i] = int32(si)
-		p.globalID[si] = append(p.globalID[si], triple.TripleID(i))
-	}
-	p.timings.Route = time.Since(begin)
-	begin = time.Now()
-	// Build errors are impossible here (fn always returns nil).
-	ForEach(n, workers, func(si int) error {
-		p.buildShard(d, si)
-		return nil
-	})
-	p.timings.Build = time.Since(begin)
+	p, _ := RebuildPartial(d, n, nil, nil, workers)
 	return p
 }
 
@@ -123,8 +98,12 @@ func New(d *triple.Dataset, n, workers int) *Partition {
 // into a fresh dataset, recording the local IDs. Interning in ascending
 // global order makes local IDs positional: the j-th routed triple gets local
 // ID j — the stable assignment RebuildPartial's dataset comparison relies
-// on.
+// on. The only shard of a one-way partition is d itself.
 func (p *Partition) buildShard(d *triple.Dataset, si int) {
+	if len(p.shards) == 1 {
+		p.shards[0] = d
+		return
+	}
 	ids := p.globalID[si]
 	sd := triple.NewDatasetCap(d.NumSources(), len(ids))
 	for _, s := range d.Sources() {
@@ -150,12 +129,21 @@ func (p *Partition) buildShard(d *triple.Dataset, si int) {
 	p.shards[si] = sd
 }
 
-// RebuildPartial builds a partition of d with prev's shard count, adopting
-// prev's immutable shard dataset verbatim for every shard si with keep[si]
-// true whose slice of d is verifiably identical to prev's. It returns the
-// new partition, which shards were actually adopted, and whether the source
-// tables of d and prev's dataset agree (callers gate other SourceID-indexed
-// reuse, e.g. quality estimators, on the same verdict).
+// RebuildPartial splits d into n subject-hash shards (n < 1 is treated as
+// 1), building the shard datasets on up to workers goroutines (<= 0 means
+// GOMAXPROCS). With a previous n-way partition it adopts prev's immutable
+// shard dataset verbatim for every shard si with keep[si] true whose slice
+// of d is verifiably identical to prev's; a nil prev (or one of another
+// shard count) adopts nothing. It returns the new partition and which shards
+// were actually adopted.
+//
+// Only the routing pass — one subject hash per triple — is serial; the
+// per-shard dataset builds (the expensive part: interning every triple and
+// observation into the shard's indexes) run concurrently, one goroutine per
+// shard. Each goroutine writes localID only at the indexes of its own
+// shard's triples, so the builds share no mutable state. A one-way partition
+// does neither: it adopts d itself as shard 0 under identity ID maps, so the
+// one-shard engine costs no copy of the dataset.
 //
 // The subject-hash routing is stable and the global dataset only appends,
 // so an unchanged shard's triples arrive in the same relative order as in
@@ -167,27 +155,32 @@ func (p *Partition) buildShard(d *triple.Dataset, si int) {
 // source tables of d and prev's dataset differ, no shard is adopted: shard
 // datasets register the full global source table, and quality parameters
 // and silence-as-evidence scoring depend on it.
-func RebuildPartial(d *triple.Dataset, prev *Partition, keep []bool, workers int) (*Partition, []bool, bool) {
-	n := prev.NumShards()
+func RebuildPartial(d *triple.Dataset, n int, prev *Partition, keep []bool, workers int) (*Partition, []bool) {
+	if n < 1 {
+		n = 1
+	}
 	p := &Partition{
 		global:   d,
 		shards:   make([]*triple.Dataset, n),
-		shardOf:  make([]int32, d.NumTriples()),
-		localID:  make([]triple.TripleID, d.NumTriples()),
 		globalID: make([][]triple.TripleID, n),
 	}
 	begin := time.Now()
-	for i := 0; i < d.NumTriples(); i++ {
-		si := Of(d.Triple(triple.TripleID(i)).Subject, n)
-		p.shardOf[i] = int32(si)
-		p.globalID[si] = append(p.globalID[si], triple.TripleID(i))
+	if n > 1 {
+		p.shardOf = make([]int32, d.NumTriples())
+		p.localID = make([]triple.TripleID, d.NumTriples())
+		for i := 0; i < d.NumTriples(); i++ {
+			si := Of(d.Triple(triple.TripleID(i)).Subject, n)
+			p.shardOf[i] = int32(si)
+			p.globalID[si] = append(p.globalID[si], triple.TripleID(i))
+		}
 	}
 	p.timings.Route = time.Since(begin)
 	begin = time.Now()
-	sameSources := SourceTablesEqual(d, prev.global)
+	adoptable := prev != nil && prev.NumShards() == n && SourceTablesEqual(d, prev.global)
 	reused := make([]bool, n)
+	// Build errors are impossible here (fn always returns nil).
 	ForEach(n, workers, func(si int) error {
-		if si < len(keep) && keep[si] && sameSources && shardUnchanged(d, p.globalID[si], prev.shards[si]) {
+		if adoptable && si < len(keep) && keep[si] && p.shardUnchanged(si, prev.shards[si]) {
 			p.shards[si] = prev.shards[si]
 			for j, id := range p.globalID[si] {
 				p.localID[id] = triple.TripleID(j)
@@ -199,7 +192,7 @@ func RebuildPartial(d *triple.Dataset, prev *Partition, keep []bool, workers int
 		return nil
 	})
 	p.timings.Build = time.Since(begin)
-	return p, reused, sameSources
+	return p, reused
 }
 
 // SourceTablesEqual reports whether two datasets register the same sources
@@ -219,16 +212,21 @@ func SourceTablesEqual(a, b *triple.Dataset) bool {
 }
 
 // shardUnchanged reports whether the shard dataset sd (built from an earlier
-// capture) is exactly the shard-local view of d's triples ids: same triples
-// in the same positions with the same labels and providers. Local IDs are
-// positional (see buildShard), so the comparison is one linear pass over the
-// shard's triples and observations.
-func shardUnchanged(d *triple.Dataset, ids []triple.TripleID, sd *triple.Dataset) bool {
-	if len(ids) != sd.NumTriples() {
+// capture) is exactly the shard-local view of the triples p routed to shard
+// si: same triples in the same positions with the same labels and providers.
+// Local IDs are positional (see buildShard), so the comparison is one linear
+// pass over the shard's triples and observations.
+func (p *Partition) shardUnchanged(si int, sd *triple.Dataset) bool {
+	d, n := p.global, len(p.globalID[si])
+	if len(p.shards) == 1 {
+		n = d.NumTriples()
+	}
+	if n != sd.NumTriples() {
 		return false
 	}
-	for j, id := range ids {
+	for j := 0; j < n; j++ {
 		lid := triple.TripleID(j)
+		id := p.GlobalID(si, lid)
 		if d.Triple(id) != sd.Triple(lid) || d.Label(id) != sd.Label(lid) {
 			return false
 		}
@@ -251,13 +249,20 @@ func (p *Partition) NumShards() int { return len(p.shards) }
 // Shard returns shard i's dataset. It must not be mutated.
 func (p *Partition) Shard(i int) *triple.Dataset { return p.shards[i] }
 
-// Locate maps a global TripleID to its shard and shard-local TripleID.
+// Locate maps a global TripleID to its shard and shard-local TripleID (the
+// identity for a one-way partition, whose only shard is the dataset itself).
 func (p *Partition) Locate(id triple.TripleID) (shard int, local triple.TripleID) {
+	if len(p.shards) == 1 {
+		return 0, id
+	}
 	return int(p.shardOf[id]), p.localID[id]
 }
 
 // GlobalID maps a shard-local TripleID back to the global one.
 func (p *Partition) GlobalID(shard int, local triple.TripleID) triple.TripleID {
+	if len(p.shards) == 1 {
+		return local
+	}
 	return p.globalID[shard][local]
 }
 
@@ -289,7 +294,7 @@ func (p *Partition) Validate() error {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
 		total += sd.NumTriples()
-		if len(p.globalID[si]) != sd.NumTriples() {
+		if len(p.shards) > 1 && len(p.globalID[si]) != sd.NumTriples() {
 			return fmt.Errorf("shard %d: %d globalID entries for %d triples", si, len(p.globalID[si]), sd.NumTriples())
 		}
 	}

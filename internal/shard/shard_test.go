@@ -171,7 +171,7 @@ func TestRebuildPartialAdoptsUnchangedShards(t *testing.T) {
 	for i := range keep {
 		keep[i] = !dirty[i]
 	}
-	p, reused, _ := RebuildPartial(d2, prev, keep, 2)
+	p, reused := RebuildPartial(d2, n, prev, keep, 2)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("partial partition invalid: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestRebuildPartialVerifiesKeepClaim(t *testing.T) {
 	d2 := mutatedCopy(t, d, n, map[int]bool{2: true})
 
 	keep := []bool{true, true, true, true} // lies about shard 2
-	p, reused, _ := RebuildPartial(d2, prev, keep, 1)
+	p, reused := RebuildPartial(d2, n, prev, keep, 1)
 	if reused[2] {
 		t.Fatal("changed shard adopted on a false keep claim")
 	}
@@ -234,7 +234,7 @@ func TestRebuildPartialVerifiesKeepClaim(t *testing.T) {
 	if !relabeled {
 		t.Fatal("no unlabeled triple in shard 0 to relabel")
 	}
-	_, reused, _ = RebuildPartial(d3, prev, keep, 1)
+	_, reused = RebuildPartial(d3, n, prev, keep, 1)
 	if reused[0] {
 		t.Fatal("relabeled shard adopted")
 	}
@@ -255,8 +255,8 @@ func TestRebuildPartialNewSourceBlocksAdoption(t *testing.T) {
 	s := d2.AddSource("brand-new")
 	d2.Observe(s, triple.Triple{Subject: "e0", Predicate: "p2", Object: "v"})
 
-	p, reused, sameSources := RebuildPartial(d2, prev, []bool{true, true, true}, 1)
-	if sameSources {
+	p, reused := RebuildPartial(d2, n, prev, []bool{true, true, true}, 1)
+	if SourceTablesEqual(d2, d) {
 		t.Error("changed source table reported equal")
 	}
 	for si, r := range reused {
@@ -281,9 +281,38 @@ func TestPartitionTimings(t *testing.T) {
 	}
 
 	keep := []bool{true, true, true, true}
-	p2, _, _ := RebuildPartial(d, p, keep, 2)
+	p2, _ := RebuildPartial(d, 4, p, keep, 2)
 	tm2 := p2.Timings()
 	if tm2.Route <= 0 || tm2.Build <= 0 {
 		t.Fatalf("RebuildPartial timings not recorded: %+v", tm2)
+	}
+}
+
+// TestOneWayPartitionIsTheDataset: a one-way partition adopts the dataset
+// itself as shard 0 under identity ID maps (no copy), and its adoption check
+// still verifies the keep claim against the previous capture.
+func TestOneWayPartitionIsTheDataset(t *testing.T) {
+	d := buildDataset(120, 5)
+	p := New(d, 1, 2)
+	if p.Shard(0) != d {
+		t.Fatal("the only shard of a one-way partition is not the dataset itself")
+	}
+	for i := 0; i < d.NumTriples(); i++ {
+		id := triple.TripleID(i)
+		if si, lid := p.Locate(id); si != 0 || lid != id || p.GlobalID(0, lid) != id {
+			t.Fatalf("triple %d: one-way ID maps are not the identity", id)
+		}
+	}
+	same, reused := RebuildPartial(d.Clone(), 1, p, []bool{true}, 2)
+	if !reused[0] || same.Shard(0) != d {
+		t.Fatal("unchanged capture did not adopt the previous shard")
+	}
+	d2 := mutatedCopy(t, d, 1, map[int]bool{0: true})
+	changed, reused := RebuildPartial(d2, 1, p, []bool{true}, 2)
+	if reused[0] || changed.Shard(0) != d2 {
+		t.Fatal("changed capture adopted the stale shard on a false keep claim")
+	}
+	if err := changed.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

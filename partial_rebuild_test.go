@@ -93,21 +93,25 @@ func TestRebuildPartialMatchesFullRebuild(t *testing.T) {
 		name    string
 		method  corrfuse.Method
 		subject bool
+		shards  int
 		dirty   []int
 	}{
-		{"PrecRec/subject/1of4", corrfuse.PrecRec, true, []int{1}},
-		{"PrecRecCorr/subject/2of4", corrfuse.PrecRecCorr, true, []int{0, 2}},
-		{"PrecRecCorr/global/1of4", corrfuse.PrecRecCorr, false, []int{3}},
-		{"PrecRecCorrElastic/global/2of4", corrfuse.PrecRecCorrElastic, false, []int{1, 2}},
-		{"ThreeEstimates/global/1of4", corrfuse.ThreeEstimates, false, []int{0}},
+		{"PrecRec/subject/1of4", corrfuse.PrecRec, true, nShards, []int{1}},
+		{"PrecRecCorr/subject/2of4", corrfuse.PrecRecCorr, true, nShards, []int{0, 2}},
+		{"PrecRecCorr/global/1of4", corrfuse.PrecRecCorr, false, nShards, []int{3}},
+		{"PrecRecCorrElastic/global/2of4", corrfuse.PrecRecCorrElastic, false, nShards, []int{1, 2}},
+		{"ThreeEstimates/global/1of4", corrfuse.ThreeEstimates, false, nShards, []int{0}},
+		// One shard: a dirty store is a full rebuild (rebuilt 1, reused 0).
+		{"PrecRecCorr/subject/1of1", corrfuse.PrecRecCorr, true, 1, []int{0}},
+		{"PrecRecCorr/global/1of1", corrfuse.PrecRecCorr, false, 1, []int{0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := corrfuse.Options{
-				Method:         tc.method,
-				Smoothing:      0.1,
-				Shards:         nShards,
-				RebuildWorkers: nShards,
+				Method:      tc.method,
+				Smoothing:   0.1,
+				Shards:      tc.shards,
+				Parallelism: nShards,
 			}
 			if tc.subject {
 				opts.Scope = corrfuse.NewScopeSubject(base)
@@ -139,10 +143,10 @@ func TestRebuildPartialMatchesFullRebuild(t *testing.T) {
 func TestRebuildPartialLabelChangeRederivesFallback(t *testing.T) {
 	base := subjectPartitionedDataset(t)
 	opts := corrfuse.Options{
-		Method:         corrfuse.PrecRecCorr,
-		Smoothing:      0.1,
-		Shards:         nShards,
-		RebuildWorkers: nShards,
+		Method:      corrfuse.PrecRecCorr,
+		Smoothing:   0.1,
+		Shards:      nShards,
+		Parallelism: nShards,
 	}
 	prev, err := corrfuse.NewSharded(base, opts)
 	if err != nil {
@@ -196,10 +200,10 @@ func TestRebuildPartialLabelChangeRederivesFallback(t *testing.T) {
 func TestRebuildPartialNewSourceRederivesFallback(t *testing.T) {
 	base := subjectPartitionedDataset(t)
 	opts := corrfuse.Options{
-		Method:         corrfuse.PrecRecCorr,
-		Smoothing:      0.1,
-		Shards:         nShards,
-		RebuildWorkers: nShards,
+		Method:      corrfuse.PrecRecCorr,
+		Smoothing:   0.1,
+		Shards:      nShards,
+		Parallelism: nShards,
 	}
 	prev, err := corrfuse.NewSharded(base, opts)
 	if err != nil {
@@ -232,10 +236,10 @@ func TestRebuildPartialNewSourceRederivesFallback(t *testing.T) {
 func TestRebuildPartialDegradesOnUnderstatedDirtySet(t *testing.T) {
 	base := subjectPartitionedDataset(t)
 	opts := corrfuse.Options{
-		Method:         corrfuse.PrecRecCorr,
-		Smoothing:      0.1,
-		Shards:         nShards,
-		RebuildWorkers: nShards,
+		Method:      corrfuse.PrecRecCorr,
+		Smoothing:   0.1,
+		Shards:      nShards,
+		Parallelism: nShards,
 	}
 	prev, err := corrfuse.NewSharded(base, opts)
 	if err != nil {
@@ -265,10 +269,10 @@ func TestRebuildPartialDegradesOnUnderstatedDirtySet(t *testing.T) {
 func TestRebuildPartialEdgeCases(t *testing.T) {
 	base := subjectPartitionedDataset(t)
 	opts := corrfuse.Options{
-		Method:         corrfuse.PrecRecCorr,
-		Smoothing:      0.1,
-		Shards:         nShards,
-		RebuildWorkers: nShards,
+		Method:      corrfuse.PrecRecCorr,
+		Smoothing:   0.1,
+		Shards:      nShards,
+		Parallelism: nShards,
 	}
 	prev, err := corrfuse.NewSharded(base, opts)
 	if err != nil {
@@ -296,6 +300,26 @@ func TestRebuildPartialEdgeCases(t *testing.T) {
 	if _, err := prev.RebuildPartial(d2, []int{nShards}); err == nil {
 		t.Error("out-of-range shard index accepted")
 	}
+
+	// One shard: a forced rebuild over unchanged data adopts the whole
+	// model; an understated dirty set over changed data retrains it.
+	opts.Shards = 1
+	one, err := corrfuse.NewSharded(base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err = one.RebuildPartial(base.Clone(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReuse(t, same, nil)
+	scoreDiff(t, one, same, providedIDs(base), 0, "one shard no-op")
+	changed, err := one.RebuildPartial(d2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReuse(t, changed, []int{0})
+
 	if _, err := prev.RebuildPartial(nil, nil); err == nil {
 		t.Error("nil dataset accepted")
 	}
@@ -309,11 +333,11 @@ func TestRebuildPartialTrainRestrictedDelegatesToFull(t *testing.T) {
 	base := subjectPartitionedDataset(t)
 	labeled := base.Labeled()
 	opts := corrfuse.Options{
-		Method:         corrfuse.PrecRecCorr,
-		Smoothing:      0.1,
-		Shards:         nShards,
-		RebuildWorkers: nShards,
-		Train:          labeled[:len(labeled)/2],
+		Method:      corrfuse.PrecRecCorr,
+		Smoothing:   0.1,
+		Shards:      nShards,
+		Parallelism: nShards,
+		Train:       labeled[:len(labeled)/2],
 	}
 	prev, err := corrfuse.NewSharded(base, opts)
 	if err != nil {

@@ -9,6 +9,7 @@ package corrfuse_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"corrfuse"
@@ -111,7 +112,7 @@ func TestShardedMatchesMonolithicSubjectScoped(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.Shards = nShards
-			opts.RebuildWorkers = nShards
+			opts.Parallelism = nShards
 			sharded, err := corrfuse.NewSharded(d, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -354,7 +355,7 @@ func TestShardedOnlineRoutingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monoInc, err := mono.Online(false)
+	monoInc, err := mono.Incremental(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,49 +383,139 @@ func TestShardedOnlineRoutingParity(t *testing.T) {
 	}
 }
 
-// TestNewModelDispatch: NewModel picks the engine by Options.Shards and
-// Rebuild preserves it.
-func TestNewModelDispatch(t *testing.T) {
+// TestOneShardEngineEqualsFuser: the one-shard engine IS the unpartitioned
+// model. For every method, scope and training restriction, NewModel with
+// Shards 0 or 1 reproduces corrfuse.New exactly (==, not a tolerance): the
+// frozen tables, the Fuse ranking order, Decide, and the online scorer. The
+// dataset includes a source with no labeled triple — the one a multi-shard
+// engine's global fallback estimator would stand in for.
+func TestOneShardEngineEqualsFuser(t *testing.T) {
 	d := subjectPartitionedDataset(t)
-	opts := corrfuse.Options{Method: corrfuse.PrecRecCorr, Smoothing: 0.1}
-	m, err := corrfuse.NewModel(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.(*corrfuse.Fuser); !ok {
-		t.Fatalf("Shards=0 built %T, want *Fuser", m)
-	}
-	opts.Shards = nShards
-	m, err = corrfuse.NewModel(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, ok := m.(*corrfuse.ShardedFuser)
-	if !ok {
-		t.Fatalf("Shards=%d built %T, want *ShardedFuser", nShards, m)
-	}
-	if sf.NumShards() != nShards {
-		t.Fatalf("NumShards = %d, want %d", sf.NumShards(), nShards)
-	}
-	stats := sf.ShardStats()
-	if len(stats) != nShards {
-		t.Fatalf("ShardStats has %d entries", len(stats))
-	}
-	total := 0
-	for i, st := range stats {
-		if st.Shard != i {
-			t.Errorf("stats[%d].Shard = %d", i, st.Shard)
+	mute := d.AddSource("never-labeled")
+	for i := 0; i < 6; i++ {
+		tt := corrfuse.Triple{Subject: fmt.Sprintf("subject-%04d", i), Predicate: "p-mute", Object: "v"}
+		d.Observe(mute, tt)
+		if i%2 == 0 {
+			d.Observe(corrfuse.SourceID(i%3), tt)
 		}
-		total += st.Triples
 	}
-	if total != d.NumTriples() {
-		t.Errorf("shard stats cover %d triples, dataset has %d", total, d.NumTriples())
+	labeled := d.Labeled()
+	methods := []corrfuse.Method{
+		corrfuse.PrecRec, corrfuse.PrecRecCorr, corrfuse.PrecRecCorrAggressive, corrfuse.PrecRecCorrElastic,
+		corrfuse.UnionK, corrfuse.ThreeEstimates, corrfuse.LTM,
 	}
-	reb, err := corrfuse.Rebuild(m, d)
+	for _, method := range methods {
+		for _, subject := range []bool{false, true} {
+			for _, train := range [][]corrfuse.TripleID{nil, labeled[:len(labeled)*3/5]} {
+				name := fmt.Sprintf("%v/subject=%v/train=%d", method, subject, len(train))
+				t.Run(name, func(t *testing.T) {
+					opts := corrfuse.Options{Method: method, Smoothing: 0.1, Train: train}
+					if subject {
+						opts.Scope = corrfuse.NewScopeSubject(d)
+					}
+					want, err := corrfuse.New(d, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, shards := range []int{0, 1} {
+						opts.Shards = shards
+						got, err := corrfuse.NewModel(d, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertSameModel(t, d, want, got)
+					}
+				})
+			}
+		}
+	}
+}
+
+// assertSameModel requires got to answer exactly as the Fuser want does.
+func assertSameModel(t *testing.T, d *corrfuse.Dataset, want *corrfuse.Fuser, got corrfuse.Model) {
+	t.Helper()
+	wp, wprov, wacc := want.FrozenScores()
+	gp, gprov, gacc := got.FrozenScores()
+	if len(gp) != len(wp) {
+		t.Fatalf("frozen tables cover %d IDs, want %d", len(gp), len(wp))
+	}
+	for i := range wp {
+		if gp[i] != wp[i] || gprov[i] != wprov[i] || gacc[i] != wacc[i] {
+			t.Fatalf("%v: frozen (%v, %v, %v), want (%v, %v, %v)",
+				d.Triple(corrfuse.TripleID(i)), gp[i], gprov[i], gacc[i], wp[i], wprov[i], wacc[i])
+		}
+		tt := d.Triple(corrfuse.TripleID(i))
+		wa, wk := want.Decide(tt)
+		ga, gk := got.Decide(tt)
+		if ga != wa || gk != wk {
+			t.Fatalf("%v: Decide (%v, %v), want (%v, %v)", tt, ga, gk, wa, wk)
+		}
+	}
+	wr, err := want.Fuse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reb.(*corrfuse.ShardedFuser); !ok {
-		t.Fatalf("Rebuild of sharded model built %T", reb)
+	gr, err := got.Fuse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gr.All, wr.All) || !slices.Equal(gr.Accepted, wr.Accepted) {
+		t.Fatal("Fuse ranking differs from the Fuser's")
+	}
+	winc, werr := want.Incremental(true)
+	ginc, gerr := got.Online(true)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("Online error %v, Fuser.Incremental error %v", gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	for i := 0; i < 40; i++ {
+		tt := corrfuse.Triple{Subject: fmt.Sprintf("fresh-%03d", i%25), Predicate: "p", Object: "v"}
+		sid := corrfuse.SourceID(i % d.NumSources())
+		pw, err := winc.Observe(sid, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := ginc.Observe(sid, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pg != pw || ginc.Providers(tt) != winc.Providers(tt) {
+			t.Fatalf("claim %d: live %v (%d providers), want %v (%d)", i, pg, ginc.Providers(tt), pw, winc.Providers(tt))
+		}
+	}
+	if ginc.Len() != winc.Len() {
+		t.Fatalf("online Len %d, want %d", ginc.Len(), winc.Len())
+	}
+}
+
+// TestShardStatsCoverDataset: ShardStats has one entry per shard, in shard
+// order, and together they cover every triple — for one shard as for many.
+func TestShardStatsCoverDataset(t *testing.T) {
+	d := subjectPartitionedDataset(t)
+	for _, shards := range []int{0, 1, nShards} {
+		sf, err := corrfuse.NewSharded(d, corrfuse.Options{Method: corrfuse.PrecRecCorr, Smoothing: 0.1, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := max(shards, 1)
+		if sf.NumShards() != want {
+			t.Fatalf("Shards=%d: NumShards = %d, want %d", shards, sf.NumShards(), want)
+		}
+		stats := sf.ShardStats()
+		if len(stats) != want {
+			t.Fatalf("Shards=%d: ShardStats has %d entries", shards, len(stats))
+		}
+		total := 0
+		for i, st := range stats {
+			if st.Shard != i {
+				t.Errorf("Shards=%d: stats[%d].Shard = %d", shards, i, st.Shard)
+			}
+			total += st.Triples
+		}
+		if total != d.NumTriples() {
+			t.Errorf("Shards=%d: shard stats cover %d triples, dataset has %d", shards, total, d.NumTriples())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package corrfuse
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"corrfuse/internal/quality"
@@ -9,10 +10,9 @@ import (
 	"corrfuse/internal/triple"
 )
 
-// Model is the common read surface of the monolithic Fuser and the
-// ShardedFuser, so callers (notably internal/serve) can swap engines without
-// caring which one is behind a snapshot. Both implementations are immutable
-// and safe for concurrent use after construction.
+// Model is the read surface of ShardedFuser as an interface. The serving
+// layer holds the concrete *ShardedFuser; Model and NewModel remain only
+// because the frozen bench/ package compiles against them.
 type Model interface {
 	MethodName() string
 	Probability(t Triple) (p float64, ok bool)
@@ -32,10 +32,11 @@ type Model interface {
 	Online(penalizeSilence bool) (OnlineScorer, error)
 }
 
-// OnlineScorer is the surface of the O(1)-update online scorers: the
-// monolithic Incremental and the subject-hash-routed ShardedIncremental.
-// Implementations are NOT internally synchronized; callers serialize access
-// (internal/serve guards its scorer with the live lock).
+// OnlineScorer is the surface of the O(1)-update online scorer the serving
+// layer drives (and its tests fake): the subject-hash-routed
+// ShardedIncremental. Implementations are NOT internally synchronized;
+// callers serialize access (internal/serve guards its scorer with the live
+// lock).
 type OnlineScorer interface {
 	Observe(s SourceID, t Triple) (float64, error)
 	Probability(t Triple) (p float64, ok bool)
@@ -43,36 +44,13 @@ type OnlineScorer interface {
 	Len() int
 }
 
-// NewModel builds the fusion model selected by opts: a ShardedFuser when
-// opts.Shards > 1, the monolithic Fuser otherwise.
+// NewModel is NewSharded behind the Model interface.
 func NewModel(d *Dataset, opts Options) (Model, error) {
-	if opts.Shards > 1 {
-		return NewSharded(d, opts)
-	}
-	return New(d, opts)
-}
-
-// Rebuild trains a fresh model of the same kind as m over d, re-deriving
-// dataset-bound options the way Fuser.Rebuild does.
-func Rebuild(m Model, d *Dataset) (Model, error) {
-	switch f := m.(type) {
-	case *Fuser:
-		return f.Rebuild(d)
-	case *ShardedFuser:
-		return f.Rebuild(d)
-	default:
-		return nil, fmt.Errorf("corrfuse: cannot rebuild model of type %T", m)
-	}
-}
-
-// Online derives an OnlineScorer from the monolithic Fuser's quality model;
-// it is Incremental behind the Model interface.
-func (f *Fuser) Online(penalizeSilence bool) (OnlineScorer, error) {
-	inc, err := f.Incremental(penalizeSilence)
+	sf, err := NewSharded(d, opts)
 	if err != nil {
 		return nil, err
 	}
-	return inc, nil
+	return sf, nil
 }
 
 // ShardStat reports one shard's size and build cost.
@@ -93,18 +71,25 @@ type ShardStat struct {
 	Reused bool
 }
 
-// ShardedFuser is a subject-hash-sharded fusion engine: the dataset is
+// ShardedFuser is the subject-hash-sharded fusion engine: the dataset is
 // partitioned into Options.Shards shards (every triple about one subject
 // lands in the same shard), an independent Fuser is trained per shard
 // concurrently, and queries are routed by subject hash. It implements the
-// same Probability/Score/Fuse surface as the monolithic Fuser over the
-// global dataset's TripleIDs, with Fuse merging the shard results into one
-// globally ranked Result.
+// same Probability/Score/Fuse surface as Fuser over the global dataset's
+// TripleIDs, with Fuse merging the shard results into one globally ranked
+// Result.
+//
+// One shard is the unpartitioned model. The paper's PrecRecCorr terms are
+// independent per provider pattern, so an N = 1 partition changes nothing:
+// the shard is the dataset itself (no copy), no global fallback estimator is
+// built, and the shard's Fuser keeps Options.Parallelism for scoring — the
+// engine then equals New(d, opts) bit for bit at the same cost (see
+// TestOneShardEngineEqualsFuser).
 //
 // Consistency contract. Each shard trains its quality estimator and
-// correlation clusters on its own label slice, so the sharded model equals
-// the monolithic one exactly when quality evidence and correlation are
-// subject-scoped and no source's data crosses shards — with
+// correlation clusters on its own label slice, so a model of several shards
+// equals the unpartitioned one exactly when quality evidence and correlation
+// are subject-scoped and no source's data crosses shards — with
 // Options.Scope = NewScopeSubject and sources whose subjects all hash to
 // one shard, probabilities agree to floating-point roundoff (see
 // shard_differential_test.go). When a source's labels or a correlated
@@ -122,50 +107,80 @@ type ShardedFuser struct {
 	stats  []ShardStat
 
 	// fallback is the globally trained quality estimator handed to the
-	// per-shard builds (nil when no shard needed it). RebuildPartial
-	// reuses it verbatim when no rebuilt shard's labeled slice changed.
+	// per-shard builds (nil when no shard needed it). A rebuild that adopts
+	// shards reuses it verbatim when no rebuilt shard's labeled slice
+	// changed.
 	fallback quality.Params
 
 	// fr is the frozen score index in global TripleID space; see Freeze.
 	fr frozen
 }
 
-// NewSharded builds a sharded fusion engine over d with opts.Shards shards,
-// training the shard models concurrently on Options.RebuildWorkers
-// goroutines (0 = GOMAXPROCS).
+// NewSharded builds a fusion engine over d with opts.Shards subject-hash
+// shards (0 or 1: one shard, the unpartitioned model), training the shard
+// models concurrently on Options.Parallelism goroutines (0 = GOMAXPROCS).
 func NewSharded(d *Dataset, opts Options) (*ShardedFuser, error) {
+	return buildSharded(d, opts, nil, nil)
+}
+
+// buildSharded is the one construction path of the engine. prev and keep are
+// optional. A non-nil prev makes the build a rebuild of prev (opts are its
+// options, re-derived for d as Rebuild documents), and every shard si with
+// keep[si] true whose slice of d is verifiably identical to prev's adopts
+// prev's immutable Fuser and stats instead of retraining (see RebuildPartial
+// for the contract); every other shard trains from scratch.
+func buildSharded(d *Dataset, opts Options, prev *ShardedFuser, keep []bool) (*ShardedFuser, error) {
 	if d == nil {
 		return nil, fmt.Errorf("corrfuse: nil dataset")
-	}
-	if opts.Shards < 2 {
-		return nil, fmt.Errorf("corrfuse: NewSharded needs Shards >= 2, got %d", opts.Shards)
 	}
 	if opts.Scope == nil {
 		opts.Scope = ScopeGlobal{}
 	}
+	n := max(opts.Shards, 1)
+	var prevPart *shard.Partition
+	if prev != nil {
+		prevPart = prev.part
+		opts.Train = nil
+		if _, ok := opts.Scope.(*triple.ScopeSubject); ok {
+			opts.Scope = NewScopeSubject(d)
+		}
+	}
+	part, reused := shard.RebuildPartial(d, n, prevPart, keep, opts.Parallelism)
 	sf := &ShardedFuser{
 		d:      d,
 		opts:   opts,
-		part:   shard.New(d, opts.Shards, opts.RebuildWorkers),
-		fusers: make([]*Fuser, opts.Shards),
-		stats:  make([]ShardStat, opts.Shards),
+		part:   part,
+		fusers: make([]*Fuser, n),
+		stats:  make([]ShardStat, n),
+	}
+	var toBuild []int
+	for si := 0; si < n; si++ {
+		if reused[si] {
+			sf.fusers[si] = prev.fusers[si]
+			sf.stats[si] = prev.stats[si]
+			sf.stats[si].Reused = true
+			continue
+		}
+		toBuild = append(toBuild, si)
 	}
 
 	// Shard options: a caller-supplied Train set holds global TripleIDs,
 	// which are translated per shard through the partition so every shard
 	// trains on exactly the slice of the restriction it owns (nil keeps
-	// the default: all labeled triples). Parallelism is forced serial
-	// inside a shard — the ShardedFuser parallelizes across shards and
-	// keeps one level of workers.
+	// the default: all labeled triples). With several shards Parallelism
+	// is forced serial inside a shard — the engine parallelizes across
+	// shards and keeps one level of workers; a lone shard keeps it.
 	sub := opts
 	sub.Shards = 0
 	sub.Train = nil
-	sub.Parallelism = 1
+	if n > 1 {
+		sub.Parallelism = 1
+	}
 	var trainPerShard [][]TripleID
 	if opts.Train != nil {
-		trainPerShard = make([][]TripleID, opts.Shards)
+		trainPerShard = make([][]TripleID, n)
 		for _, id := range opts.Train {
-			si, local := sf.part.Locate(id)
+			si, local := part.Locate(id)
 			trainPerShard[si] = append(trainPerShard[si], local)
 		}
 	}
@@ -176,25 +191,30 @@ func NewSharded(d *Dataset, opts Options) (*ShardedFuser, error) {
 	// (a cheap pre-pass over the label slices), keeping the serial
 	// fraction of a sharded rebuild minimal when labels cover every
 	// source everywhere. A globally label-less dataset always needs it,
-	// so the build surfaces "no true labels" as one clear error, exactly
-	// like the monolithic path.
-	if supervised(opts.Method) && anyShardNeedsFallback(sf.part, trainPerShard) {
-		est, err := quality.NewEstimator(d, quality.Options{
-			Alpha:     effectiveAlpha(opts.Alpha),
-			Scope:     opts.Scope,
-			Smoothing: opts.Smoothing,
-			Train:     opts.Train,
-		})
-		if err != nil {
-			return nil, err
+	// so the build surfaces "no true labels" as one clear error. A lone
+	// shard trains on the global evidence itself and takes none.
+	//
+	// The previous engine's estimator is reused only next to adopted
+	// shards whose retrained neighbours kept their labeled slices: it is
+	// then still exact. Nothing adopted (a from-scratch build, a full
+	// rebuild, or a changed source table — the old estimator's tables are
+	// indexed by the old table) re-derives it.
+	if n > 1 && supervised(opts.Method) && anyShardNeedsFallback(part, trainPerShard) {
+		if len(toBuild) < n && prev.fallback != nil && labeledSlicesUnchanged(prev.part, part, toBuild) {
+			sf.fallback = prev.fallback
+		} else {
+			est, err := quality.NewEstimator(d, quality.Options{
+				Alpha:     effectiveAlpha(opts.Alpha),
+				Scope:     opts.Scope,
+				Smoothing: opts.Smoothing,
+				Train:     opts.Train,
+			})
+			if err != nil {
+				return nil, err
+			}
+			sf.fallback = est
 		}
-		sub.qualityFallback = est
-		sf.fallback = est
-	}
-
-	toBuild := make([]int, opts.Shards)
-	for i := range toBuild {
-		toBuild[i] = i
+		sub.qualityFallback = sf.fallback
 	}
 	if err := sf.buildShardFusers(toBuild, sub, trainPerShard); err != nil {
 		return nil, err
@@ -203,15 +223,15 @@ func NewSharded(d *Dataset, opts Options) (*ShardedFuser, error) {
 }
 
 // buildShardFusers trains the shard models for the given shard indexes
-// concurrently (Options.RebuildWorkers goroutines), filling sf.fusers and
+// concurrently (Options.Parallelism goroutines), filling sf.fusers and
 // sf.stats. trainPerShard, when non-nil, restricts each shard's training
 // slice (shard-local IDs); nil keeps the default (all labeled triples).
 func (sf *ShardedFuser) buildShardFusers(toBuild []int, sub Options, trainPerShard [][]TripleID) error {
-	subjectScoped := false
-	if _, ok := sf.opts.Scope.(*triple.ScopeSubject); ok {
-		subjectScoped = true
-	}
-	return shard.ForEach(len(toBuild), sf.opts.RebuildWorkers, func(k int) error {
+	// A lone shard is the global dataset: the caller's scope already
+	// indexes it.
+	_, subjectScoped := sf.opts.Scope.(*triple.ScopeSubject)
+	subjectScoped = subjectScoped && len(sf.fusers) > 1
+	return shard.ForEach(len(toBuild), sf.opts.Parallelism, func(k int) error {
 		i := toBuild[k]
 		begin := time.Now()
 		so := sub
@@ -235,10 +255,11 @@ func (sf *ShardedFuser) buildShardFusers(toBuild []int, sub Options, trainPerSha
 			return fmt.Errorf("corrfuse: shard %d: %w", i, err)
 		}
 		sf.fusers[i] = f
+		numTrue, numFalse := sf.part.Shard(i).CountLabels()
 		sf.stats[i] = ShardStat{
 			Shard:   i,
 			Triples: sf.part.Shard(i).NumTriples(),
-			Labeled: len(sf.part.Shard(i).Labeled()),
+			Labeled: numTrue + numFalse,
 			Build:   time.Since(begin),
 		}
 		return nil
@@ -367,8 +388,12 @@ func (sf *ShardedFuser) Score(ids []TripleID) []float64 {
 // scoreModel routes the IDs to their shards and scores them there (the
 // pre-freeze path).
 func (sf *ShardedFuser) scoreModel(ids []TripleID) []float64 {
-	out := make([]float64, len(ids))
 	n := len(sf.fusers)
+	if n == 1 {
+		// A lone shard's IDs are the global ones: nothing to route.
+		return sf.fusers[0].Score(ids)
+	}
+	out := make([]float64, len(ids))
 	perShard := make([][]TripleID, n)
 	perIdx := make([][]int, n)
 	for i, id := range ids {
@@ -403,6 +428,14 @@ func (sf *ShardedFuser) Freeze() {
 			sf.fusers[si].Freeze()
 			return nil
 		})
+		if n == 1 {
+			// A lone shard's tables are already dense over the global
+			// IDs: share them (they are immutable) instead of copying.
+			f := sf.fusers[0]
+			sf.fr.probs, sf.fr.provided, sf.fr.accepted = f.fr.probs, f.fr.provided, f.fr.accepted
+			sf.fr.ready.Store(true)
+			return
+		}
 		nt := sf.d.NumTriples()
 		probs := make([]float64, nt)
 		provided := make([]bool, nt)
@@ -445,18 +478,21 @@ func (sf *ShardedFuser) Fuse() (*Result, error) {
 }
 
 // Rebuild trains a new ShardedFuser over d with this engine's options,
-// mirroring Fuser.Rebuild: Train is cleared (its IDs belong to the original
-// dataset) and a subject scope is re-indexed for d.
+// every shard from scratch. An engine is immutable once built; rebuilding is
+// the path by which a long-running system folds newly accumulated
+// observations into a fresh model and atomically swaps it in (see
+// internal/serve).
+//
+// Two options are re-derived rather than copied verbatim:
+//
+//   - Train is cleared: it holds TripleIDs of the original dataset, which
+//     are meaningless in d, so the new model trains on every labeled triple
+//     of d.
+//   - A subject scope (NewScopeSubject) is re-indexed for d; its per-source
+//     subject coverage is dataset-specific. ScopeGlobal and custom
+//     dataset-agnostic scopes are kept as-is.
 func (sf *ShardedFuser) Rebuild(d *Dataset) (*ShardedFuser, error) {
-	if d == nil {
-		return nil, fmt.Errorf("corrfuse: Rebuild with nil dataset")
-	}
-	opts := sf.opts
-	opts.Train = nil
-	if _, ok := opts.Scope.(*triple.ScopeSubject); ok {
-		opts.Scope = NewScopeSubject(d)
-	}
-	return NewSharded(d, opts)
+	return buildSharded(d, sf.opts, sf, nil)
 }
 
 // RebuildPartial trains a new ShardedFuser over d retraining only the dirty
@@ -480,20 +516,17 @@ func (sf *ShardedFuser) Rebuild(d *Dataset) (*ShardedFuser, error) {
 // the one a full rebuild would train on, so RebuildPartial equals a full
 // sharded rebuild exactly whenever the global quality fallback is unused or
 // unchanged. The fallback (the globally trained estimator backing sources a
-// shard has no labeled evidence about) is re-derived only when a retrained
+// shard has no labeled evidence about) is re-derived when a retrained
 // shard's labeled slice changed — labels added, removed, flipped, or a
-// labeled triple's provenance changed — or when the source table changed
-// (the old estimator's tables are indexed by the old table); reused shards
-// then keep the quality
-// they were built with until their shard next changes (or a full Rebuild).
-// Under subject scope a new unlabeled triple can also shift the global
-// estimator by widening a source's coverage; that drift is bounded by the
-// same argument as cross-shard estimation (see the consistency contract
-// above) and is the price of not retraining clean shards.
+// labeled triple's provenance changed — or when nothing was adopted; reused
+// shards then keep the quality they were built with until their shard next
+// changes (or a full Rebuild). Under subject scope a new unlabeled triple
+// can also shift the global estimator by widening a source's coverage; that
+// drift is bounded by the same argument as cross-shard estimation (see the
+// consistency contract above) and is the price of not retraining clean
+// shards. A one-shard engine has no fallback and no neighbours: its partial
+// rebuild either adopts the whole model (d unchanged) or is a full rebuild.
 func (sf *ShardedFuser) RebuildPartial(d *Dataset, dirty []int) (*ShardedFuser, error) {
-	if d == nil {
-		return nil, fmt.Errorf("corrfuse: RebuildPartial with nil dataset")
-	}
 	if sf.opts.Train != nil {
 		// This engine's shard models (and fallback estimator) were
 		// trained under a Train restriction that any rebuild clears —
@@ -513,87 +546,25 @@ func (sf *ShardedFuser) RebuildPartial(d *Dataset, dirty []int) (*ShardedFuser, 
 		}
 		keep[si] = false
 	}
-	opts := sf.opts
-	opts.Train = nil
-	if _, ok := opts.Scope.(*triple.ScopeSubject); ok {
-		opts.Scope = NewScopeSubject(d)
-	}
-
-	part, reused, sameSources := shard.RebuildPartial(d, sf.part, keep, opts.RebuildWorkers)
-	next := &ShardedFuser{
-		d:      d,
-		opts:   opts,
-		part:   part,
-		fusers: make([]*Fuser, n),
-		stats:  make([]ShardStat, n),
-	}
-	var toBuild []int
-	labelsChanged := false
-	for si := 0; si < n; si++ {
-		if reused[si] {
-			next.fusers[si] = sf.fusers[si]
-			next.stats[si] = sf.stats[si]
-			next.stats[si].Reused = true
-			continue
-		}
-		toBuild = append(toBuild, si)
-		if !labeledSliceUnchanged(sf.part.Shard(si), part.Shard(si)) {
-			labelsChanged = true
-		}
-	}
-
-	sub := opts
-	sub.Shards = 0
-	sub.Train = nil
-	sub.Parallelism = 1
-	if supervised(opts.Method) && anyShardNeedsFallback(part, nil) {
-		fb := sf.fallback
-		// A changed source table makes the previous estimator unusable
-		// regardless of labels: its per-source tables are sized and
-		// indexed by the old table.
-		if fb == nil || labelsChanged || !sameSources {
-			est, err := quality.NewEstimator(d, quality.Options{
-				Alpha:     effectiveAlpha(opts.Alpha),
-				Scope:     opts.Scope,
-				Smoothing: opts.Smoothing,
-			})
-			if err != nil {
-				return nil, err
-			}
-			fb = est
-		}
-		sub.qualityFallback = fb
-		next.fallback = fb
-	}
-	if err := next.buildShardFusers(toBuild, sub, nil); err != nil {
-		return nil, err
-	}
-	return next, nil
+	return buildSharded(d, sf.opts, sf, keep)
 }
 
-// labeledSliceUnchanged reports whether two captures of one shard carry the
-// same labeled slice: the same labeled triples with the same labels and the
-// same providers. This is exactly the evidence the global quality fallback
-// estimator is counted from, so an unchanged slice in every retrained shard
-// means the previous fallback is still exact (clean shards are unchanged by
-// definition).
-func labeledSliceUnchanged(old, new *triple.Dataset) bool {
-	ol, nl := old.Labeled(), new.Labeled()
-	if len(ol) != len(nl) {
-		return false
-	}
-	for _, id := range nl {
-		t := new.Triple(id)
-		oid, ok := old.TripleID(t)
-		if !ok || old.Label(oid) != new.Label(id) {
+// labeledSlicesUnchanged reports whether two captures of the given shards
+// carry the same labeled slices: the same labeled triples with the same
+// labels and the same providers. This is exactly the evidence the global
+// quality fallback estimator is counted from, so an unchanged slice in every
+// retrained shard means the previous fallback is still exact (clean shards
+// are unchanged by definition).
+func labeledSlicesUnchanged(prev, next *shard.Partition, shards []int) bool {
+	for _, si := range shards {
+		old, new := prev.Shard(si), next.Shard(si)
+		ol, nl := old.Labeled(), new.Labeled()
+		if len(ol) != len(nl) {
 			return false
 		}
-		po, pn := old.Providers(oid), new.Providers(id)
-		if len(po) != len(pn) {
-			return false
-		}
-		for k := range po {
-			if po[k] != pn[k] {
+		for _, id := range nl {
+			oid, ok := old.TripleID(new.Triple(id))
+			if !ok || old.Label(oid) != new.Label(id) || !slices.Equal(old.Providers(oid), new.Providers(id)) {
 				return false
 			}
 		}
@@ -603,8 +574,8 @@ func labeledSliceUnchanged(old, new *triple.Dataset) bool {
 
 // Online derives a subject-hash-routed online scorer: one Incremental per
 // shard, each seeded with its shard's quality model, behind the routing
-// function the batch engine uses. It fails when the underlying method has
-// no quality model.
+// function the batch engine uses (one shard: one Incremental, routing is the
+// constant 0). It fails when the underlying method has no quality model.
 func (sf *ShardedFuser) Online(penalizeSilence bool) (OnlineScorer, error) {
 	incs := make([]*Incremental, len(sf.fusers))
 	for i, f := range sf.fusers {

@@ -1,12 +1,9 @@
 package corrfuse
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"corrfuse/internal/triple"
 )
 
 // frozen is a model's immutable score index: every provided triple's
@@ -155,31 +152,6 @@ func (f *Fuser) Freeze() {
 func (f *Fuser) FrozenScores() (probs []float64, provided, accepted []bool) {
 	f.Freeze()
 	return f.fr.probs, f.fr.provided, f.fr.accepted
-}
-
-// Rebuild trains a new Fuser over d with this Fuser's options. A Fuser is
-// immutable once built; Rebuild is the path by which a long-running system
-// folds newly accumulated observations into a fresh model and atomically
-// swaps it in (see internal/serve).
-//
-// Two options are re-derived rather than copied verbatim:
-//
-//   - Train is cleared: it holds TripleIDs of the original dataset, which
-//     are meaningless in d, so the new model trains on every labeled triple
-//     of d.
-//   - A subject scope (NewScopeSubject) is re-indexed for d; its per-source
-//     subject coverage is dataset-specific. ScopeGlobal and custom
-//     dataset-agnostic scopes are kept as-is.
-func (f *Fuser) Rebuild(d *Dataset) (*Fuser, error) {
-	if d == nil {
-		return nil, fmt.Errorf("corrfuse: Rebuild with nil dataset")
-	}
-	opts := f.opts
-	opts.Train = nil
-	if _, ok := opts.Scope.(*triple.ScopeSubject); ok {
-		opts.Scope = NewScopeSubject(d)
-	}
-	return New(d, opts)
 }
 
 // Dataset returns the dataset the Fuser was trained on. The dataset must
