@@ -16,8 +16,7 @@
 //	      [-wal dir] [-wal-sync always|interval|off]
 //	      [-wal-sync-interval 100ms] [-wal-segment-bytes 4194304]
 //	      [-wal-retain-segments 0] [-follow http://leader:6060]
-//	      [-log-format text|json] [-log-level info] [-slow-request 1s]
-//	      [-trace-buffer 256] [-trace-threshold 0]
+//	      [-log-format text|json] [-log-level info]
 //	      [-debug-addr localhost:6060]
 //	      [-rate-limit 0] [-rate-burst 0] [-request-timeout 0]
 //	      [-max-inflight 0]
@@ -37,9 +36,9 @@
 // Every request is traced: a well-formed X-Corrfused-Trace-Id header is
 // honored (and echoed on the response; a fresh ID is generated otherwise),
 // stages are timed into per-endpoint and per-stage latency histograms, and
-// finished traces land in the /debug/traces ring buffer (-trace-buffer
-// entries, filtered to ≥ -trace-threshold when set). Requests slower than
-// -slow-request are logged as structured warnings carrying the trace ID.
+// the last 256 finished traces sit in the /debug/traces ring buffer
+// (?min_ms= filters at read time). Requests slower than 1s are logged as
+// structured warnings carrying the trace ID.
 // -log-format json switches logs to one JSON object per line.
 //
 // With -debug-addr the service additionally serves net/http/pprof profiles,
@@ -147,12 +146,9 @@ type options struct {
 
 	follow string
 
-	logFormat      string
-	logLevel       string
-	slowRequest    time.Duration
-	traceBuffer    int
-	traceThreshold time.Duration
-	debugAddr      string
+	logFormat string
+	logLevel  string
+	debugAddr string
 
 	rateLimit      float64
 	rateBurst      int
@@ -205,9 +201,6 @@ func main() {
 	flag.StringVar(&o.follow, "follow", "", "replicate from this leader's debug/admin base URL (follower mode: read-only API, requires -wal; bootstraps from the leader snapshot when the local WAL is empty)")
 	flag.StringVar(&o.logFormat, "log-format", "text", "log format: text or json (one object per line)")
 	flag.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
-	flag.DurationVar(&o.slowRequest, "slow-request", time.Second, "log a structured warning for requests at least this slow (0 disables)")
-	flag.IntVar(&o.traceBuffer, "trace-buffer", 256, "recent traces retained for /debug/traces")
-	flag.DurationVar(&o.traceThreshold, "trace-threshold", 0, "retain only traces at least this slow (0 retains all)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof, /debug/traces and /metrics on this separate address (empty disables; bind to localhost)")
 	flag.Float64Var(&o.rateLimit, "rate-limit", 0, "sustained /v1 requests per second per API key (X-Api-Key header; keyless requests share one bucket; 0 disables)")
 	flag.IntVar(&o.rateBurst, "rate-burst", 0, "token-bucket burst on top of -rate-limit (0 = twice the rate)")
@@ -270,26 +263,23 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	}
 
 	cfg := serve.Config{
-		SnapshotLoad:         &loadInfo,
-		RefreshInterval:      o.refresh,
-		MaxScoreTriples:      o.maxScoreTriples,
-		MaxBodyBytes:         o.maxBodyBytes,
-		WALDir:               o.walDir,
-		WALSync:              o.walSync,
-		WALSyncInterval:      o.walSyncInterval,
-		WALSegmentBytes:      o.walSegmentBytes,
-		WALRetainSegments:    o.walRetain,
-		ReadOnly:             o.follow != "",
-		LeaderURL:            o.follow,
-		Logger:               logger,
-		SlowRequestThreshold: o.slowRequest,
-		TraceBufferSize:      o.traceBuffer,
-		TraceThreshold:       o.traceThreshold,
-		RateLimit:            o.rateLimit,
-		RateBurst:            o.rateBurst,
-		RequestTimeout:       o.requestTimeout,
-		MaxInFlight:          o.maxInFlight,
-		PartialRebuild:       o.partialRebuild,
+		SnapshotLoad:      &loadInfo,
+		RefreshInterval:   o.refresh,
+		MaxScoreTriples:   o.maxScoreTriples,
+		MaxBodyBytes:      o.maxBodyBytes,
+		WALDir:            o.walDir,
+		WALSync:           o.walSync,
+		WALSyncInterval:   o.walSyncInterval,
+		WALSegmentBytes:   o.walSegmentBytes,
+		WALRetainSegments: o.walRetain,
+		ReadOnly:          o.follow != "",
+		LeaderURL:         o.follow,
+		Logger:            logger,
+		RateLimit:         o.rateLimit,
+		RateBurst:         o.rateBurst,
+		RequestTimeout:    o.requestTimeout,
+		MaxInFlight:       o.maxInFlight,
+		PartialRebuild:    o.partialRebuild,
 	}
 	switch o.persist {
 	case "":

@@ -292,7 +292,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 			storePath: path, addr: "127.0.0.1:0", method: "corr", scope: "global",
 			smoothing: 0.1, refresh: time.Hour, shards: 1, persist: "-",
 			logFormat: "json", logLevel: "warn",
-			debugAddr: debugAddr, traceBuffer: 32,
+			debugAddr: debugAddr,
 		}, ready)
 	}()
 	var base string

@@ -12,7 +12,6 @@ import (
 	"corrfuse/internal/index"
 	"corrfuse/internal/obs"
 	"corrfuse/internal/serve/middleware"
-	"corrfuse/internal/store"
 	"corrfuse/internal/triple"
 )
 
@@ -296,22 +295,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, http.StatusOK, buf.B)
 }
 
-func (s *Server) status(sn *snapshot, e store.Entry) TripleStatus {
-	st := TripleStatus{
-		Triple:           e.Triple,
-		Sources:          e.Sources,
-		Label:            e.Label,
-		Probability:      e.Probability,
-		BatchProbability: e.Probability,
-		Accepted:         e.Accepted,
-	}
-	if p, live, ok := s.liveProbability(sn, e.Triple); ok {
-		st.Probability = p
-		st.Live = live
-	}
-	return st
-}
-
+// handleTriple answers one stored triple. The store supplies its live
+// provenance (sources, label); every probability and the decision come from
+// the snapshot/overlay pair, never from the store's write-back copy.
 func (s *Server) handleTriple(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	t := triple.Triple{Subject: q.Get("subject"), Predicate: q.Get("predicate"), Object: q.Get("object")}
@@ -324,9 +310,20 @@ func (s *Server) handleTriple(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusNotFound, "triple %s not stored", t)
 		return
 	}
+	s.live.RLock()
 	sn := s.snap.Load()
+	p, batch, accepted, basis := s.freshestLocked(sn, t)
+	s.live.RUnlock()
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"result":      s.status(sn, e),
+		"result": TripleStatus{
+			Triple:           t,
+			Sources:          e.Sources,
+			Label:            e.Label,
+			Probability:      p,
+			Live:             basis == basisLive,
+			BatchProbability: batch,
+			Accepted:         accepted,
+		},
 		"snapshotSeq": sn.seq,
 	})
 }
@@ -375,9 +372,9 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 
 // handleScore scores a batch of up to Config.MaxScoreTriples triples in one
 // request. Triples fully reflected in the snapshot are answered from the
-// frozen index in O(1) each; triples with newer provenance by the
-// incremental model. Oversized requests (body bytes or triple count) are
-// rejected with 413 before any scoring work.
+// frozen index in O(1) each; triples with newer provenance by the overlay
+// (freshestLocked decides). Oversized requests (body bytes or triple count)
+// are rejected with 413 before any scoring work.
 //
 //corrfuse:hotpath
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
@@ -395,34 +392,20 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endScore := s.span(r.Context(), "score")
-	sn := s.snap.Load()
 	results := make([]ScoreResult, len(req.Triples))
-	// One read lock for the live-overlay checks; snapshot-resident triples
-	// never touch the model — each is a constant-time index read.
+	// One read lock for the whole batch, taken before the snapshot load so
+	// the overlay consulted is the one layered on this snapshot;
+	// snapshot-resident triples never touch the model — each is a
+	// constant-time index read.
 	s.live.RLock()
+	sn := s.snap.Load()
 	for i, t := range req.Triples {
-		results[i] = ScoreResult{Triple: t, Basis: "unknown"}
-		id, inSnap := sn.data.TripleID(t)
-		snapProviders := 0
-		if inSnap {
-			snapProviders = len(sn.data.Providers(id))
-		}
-		if s.live.inc != nil && s.live.inc.Providers(t) > snapProviders {
-			if p, ok := s.live.inc.Probability(t); ok {
-				results[i].Probability = p
-				results[i].Basis = "live"
-			}
-			continue
-		}
-		if inSnap {
-			if p, accepted, ok := sn.idx.Lookup(id); ok {
-				results[i].Probability = p
-				if accepted {
-					results[i].Accepted = &acceptedTrue
-				} else {
-					results[i].Accepted = &acceptedFalse
-				}
-				results[i].Basis = "snapshot"
+		p, _, accepted, basis := s.freshestLocked(sn, t)
+		results[i] = ScoreResult{Triple: t, Probability: p, Basis: basis}
+		if basis == basisSnapshot {
+			results[i].Accepted = &acceptedFalse
+			if accepted {
+				results[i].Accepted = &acceptedTrue
 			}
 		}
 	}

@@ -67,7 +67,7 @@ func (sr *statusRecorder) status() int {
 // echoes it on the response, attaches a Trace to the context for the stage
 // spans downstream, and on completion feeds the per-endpoint latency
 // histogram, the per-status response counter, the 4xx counter, the trace
-// ring buffer, and — past the threshold — the slow-request log.
+// ring buffer, and — past slowRequestThreshold — the slow-request log.
 func (s *Server) instrument(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(obs.TraceHeader)
@@ -101,7 +101,7 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 			s.m.badRequests.Inc()
 		}
 		s.traces.Record(tr)
-		if s.slowThreshold > 0 && d >= s.slowThreshold {
+		if d >= slowRequestThreshold {
 			s.logger.Warn(ctx, "slow request",
 				"endpoint", endpoint,
 				"method", r.Method,

@@ -33,12 +33,6 @@ type metrics struct {
 	// the previous model (a subset of rebuilds).
 	partialRebuilds *obs.Counter
 
-	// onlineDisabled is a gauge: 1 while the live snapshot serves without
-	// an incremental scorer (unsupervised method, or a scorer that failed
-	// to derive/seed/replay — the log says which), 0 when live scoring is
-	// up. It distinguishes batch-only degradation from normal operation.
-	onlineDisabled atomic.Uint64
-
 	// Admission control: rateLimited counts 429s by API-key label (capped
 	// cardinality, see rateKeyLabel), shed counts 503s by endpoint, and
 	// refuseCoalesced counts /v1/refuse requests that joined another
@@ -86,8 +80,7 @@ var shedEndpoints = []string{
 // Families are registered in presentation order; HELP/TYPE headers are
 // emitted by Registry.WriteTo, declared exactly once here.
 func (s *Server) initObs() {
-	s.slowThreshold = s.cfg.SlowRequestThreshold
-	s.traces = obs.NewTraceRecorder(s.cfg.TraceBufferSize, s.cfg.TraceThreshold)
+	s.traces = obs.NewTraceRecorder(s.cfg.TraceBufferSize, 0)
 	s.logger = s.cfg.Logger
 
 	r := obs.NewRegistry()
@@ -165,33 +158,36 @@ func (s *Server) initObs() {
 			return float64(s.store.Version() - sn.version)
 		})
 
-	r.GaugeFunc("corrfused_live_triples", "Triples tracked by the incremental scorer.",
-		func() float64 {
+	// The overlay's gauges read its fields under the live read lock.
+	live := func(f func() float64) func() float64 {
+		return func() float64 {
 			s.live.RLock()
 			defer s.live.RUnlock()
+			return f()
+		}
+	}
+	r.GaugeFunc("corrfused_live_triples", "Triples claimed since the live snapshot's capture (what the incremental scorer holds on top of it).",
+		live(func() float64 {
 			if s.live.inc == nil {
 				return 0
 			}
 			return float64(s.live.inc.Len())
-		})
+		}))
 	r.GaugeFunc("corrfused_journal_entries", "Claims journaled since the last snapshot capture.",
-		func() float64 {
-			s.live.RLock()
-			defer s.live.RUnlock()
-			return float64(len(s.live.journal))
-		})
+		live(func() float64 { return float64(len(s.live.journal)) }))
 	r.GaugeFunc("corrfused_unknown_sources", "Sources seen in ingests but absent from the quality model.",
-		func() float64 {
-			s.live.RLock()
-			defer s.live.RUnlock()
-			return float64(len(s.live.unknown))
-		})
+		live(func() float64 { return float64(len(s.live.unknown)) }))
+	r.GaugeFunc("corrfused_online_disabled", "1 while the service runs batch-only (no incremental scorer: an unsupervised method, a failed scorer or a follower re-bootstrap — the log says which), 0 when live scoring is up.",
+		live(func() float64 {
+			if s.live.inc == nil {
+				return 1
+			}
+			return 0
+		}))
 
 	s.m.rebuilds = r.Counter("corrfused_rebuilds_total", "Batch re-fusions performed.")
 	s.m.rebuildSkips = r.Counter("corrfused_rebuild_skips_total", "Re-fusions skipped because the store was unchanged.")
 	s.m.partialRebuilds = r.Counter("corrfused_partial_rebuilds_total", "Re-fusions that adopted at least one clean shard's model instead of retraining it.")
-	r.GaugeFunc("corrfused_online_disabled", "1 while the service runs batch-only (no incremental scorer), 0 when live scoring is up.",
-		func() float64 { return float64(s.m.onlineDisabled.Load()) })
 	r.GaugeFunc("corrfused_last_rebuild_seconds", "Duration of the last batch re-fusion.",
 		func() float64 { return time.Duration(s.m.lastRebuildNanos.Load()).Seconds() })
 	s.rebuildStage = r.HistogramVec("corrfused_rebuild_stage_seconds", "Re-fusion stage wall time (capture, train, freeze, writeback, index_build, online_seed, swap, shard_route, shard_build, snapshot_save_binary, snapshot_save_jsonl).", "stage", obs.DefBuckets)

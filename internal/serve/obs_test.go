@@ -262,3 +262,54 @@ func TestConcurrentScrapeAndIngest(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLiveTriplesCountsTheDelta: corrfused_live_triples is the overlay — the
+// triples claimed since the live snapshot's capture — not the store: 0 on a
+// quiet server, the distinct claimed triples between rebuilds, and after a
+// rebuild exactly the distinct triples of the journal suffix that raced it.
+func TestLiveTriplesCountsTheDelta(t *testing.T) {
+	srv := newServer(t, seedStore(t), corrConfig())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	wantLive := func(when string, n int) {
+		t.Helper()
+		if want := fmt.Sprintf("corrfused_live_triples %d\n", n); !strings.Contains(getMetrics(t, ts.URL), want) {
+			t.Errorf("%s: metrics missing %q", when, strings.TrimSpace(want))
+		}
+	}
+	wantLive("quiet boot over a populated store", 0)
+
+	// Two claims on one new triple, one on a snapshot triple: two triples.
+	srv.ingest(Observation{Source: "good1", Subject: "delta-1", Predicate: "p", Object: "v"})
+	srv.ingest(Observation{Source: "good2", Subject: "delta-1", Predicate: "p", Object: "v"})
+	srv.ingest(Observation{Source: "bad", Subject: "u1", Predicate: "p", Object: "v"})
+	wantLive("after three claims on two triples", 2)
+
+	// Claims landing after the capture are the journal suffix the swap
+	// replays: two claims, one distinct triple.
+	srv.testStageHook = func(stage string) {
+		if stage == "capture" {
+			srv.ingest(Observation{Source: "good1", Subject: "mid-build", Predicate: "p", Object: "v"})
+			srv.ingest(Observation{Source: "bad", Subject: "mid-build", Predicate: "p", Object: "v"})
+		}
+	}
+	if _, _, err := srv.rebuild(context.Background(), false); err != nil {
+		t.Fatal(err)
+	}
+	srv.testStageHook = nil
+	srv.live.RLock()
+	suffix := map[string]bool{}
+	for _, o := range srv.live.journal {
+		suffix[o.t.Subject] = true
+	}
+	srv.live.RUnlock()
+	if len(suffix) != 1 {
+		t.Fatalf("journal suffix holds %d distinct triples, want the one mid-build triple", len(suffix))
+	}
+	wantLive("after a rebuild with a mid-build claim", len(suffix))
+
+	if _, _, err := srv.rebuild(context.Background(), false); err != nil {
+		t.Fatal(err)
+	}
+	wantLive("after a quiet rebuild", 0)
+}

@@ -53,24 +53,25 @@ func (s *Server) refresher() {
 // the new capture. The long model build then runs without any lock. At swap
 // time the journal suffix —
 // claims ingested during the build, which the capture may have missed — is
-// replayed onto the new incremental scorer; replaying a claim the capture
-// did include is harmless because Incremental.Observe is idempotent.
+// replayed onto the new, empty overlay through applyLive; replaying a claim
+// the capture did include is harmless because Observe is idempotent on top
+// of the capture-time providers applyLive reads from the new dataset.
 //
-// Online-scorer failures never abort a rebuild: by the time the scorer is
-// seeded, SetFusion has already written the new model's results back to the
-// store, so bailing out would leave store-backed endpoints (/v1/subject,
-// /v1/accepted) serving the new model against a snapshot still serving the
-// old one. The service instead degrades to batch-only (inc = nil), logs the
-// cause once, raises the online_disabled gauge, and completes the swap.
+// Online-scorer failures never abort a rebuild: the scorer is derived after
+// the write-back, past the last cancellation checkpoint (below). The
+// service instead degrades to batch-only (live.inc = nil, which is what
+// corrfused_online_disabled reports), logs the cause once, and completes
+// the swap.
 //
 // Cancellation: ctx bounds the rebuild (the refresher and New pass
 // context.Background(); /v1/refuse passes the coalesced clients' budget).
 // It is checked at the points of no side effects — on entry, after the
 // capture, and after the model trains but BEFORE SetFusion writes anything
 // back. Once write-back begins the rebuild runs to completion regardless:
-// aborting between SetFusion and the snapshot swap would leave store-backed
-// responses serving the new model against a snapshot still serving the old
-// one, the exact inconsistency this function exists to prevent.
+// no read endpoint consults the write-back copy (every batch answer comes
+// from the snapshot's index), but persist saves it, so aborting between
+// SetFusion and the snapshot swap would let the next persist write
+// probability/accepted columns from a model that never served a request.
 func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, error) {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
@@ -188,11 +189,12 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	idx := index.Build(d, probs, provided, accepted, version)
 	endIndex()
 
-	// Reseed the incremental scorer from the new quality model (routed
-	// per shard). The unsupervised baselines carry no quality model; the
-	// service then serves batch results only and inc stays nil — the log
-	// line and the online_disabled gauge tell that state apart from a
-	// healthy supervised deployment.
+	// Derive the next overlay's scorer from the new quality model (routed
+	// per shard). It starts empty — the snapshot is the record of the
+	// capture — so this stage times the derivation alone. The unsupervised
+	// baselines carry no quality model; the service then serves batch
+	// results only and inc stays nil — the log line and the online_disabled
+	// gauge tell that state apart from a healthy supervised deployment.
 	endSeed := stage("online_seed")
 	inc, incErr := fuser.Online(s.cfg.PenalizeSilence)
 	if s.testOnlineHook != nil {
@@ -201,12 +203,6 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	if incErr != nil {
 		inc = nil
 		s.logger.Logf("serve: online scorer unavailable, serving batch results only: %v", incErr)
-	}
-	if inc != nil {
-		if err := seedOnline(inc, d); err != nil {
-			inc = nil
-			s.logger.Logf("serve: online scorer seeding failed, serving batch results only: %v", err)
-		}
 	}
 	endSeed()
 
@@ -229,30 +225,20 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 
 	endSwap := stage("swap")
 	s.live.Lock()
-	if inc != nil {
-		for _, o := range s.live.journal[journalStart:] {
-			sid, ok := d.SourceID(o.source)
-			if !ok {
-				continue
-			}
-			if _, err := inc.Observe(sid, o.t); err != nil {
-				// The store already holds the new model's results;
-				// degrade to batch-only rather than abort mid-swap.
-				inc = nil
-				s.logger.Logf("serve: journal replay failed, serving batch results only: %v", err)
-				break
-			}
-		}
-	}
 	s.live.inc = inc
 	s.live.data = d
-	// Keep only the suffix: everything before the capture is in the
-	// store, so the next capture will include it.
-	s.live.journal = append([]observation(nil), s.live.journal[journalStart:]...)
 	for name := range s.live.unknown {
 		if _, ok := d.SourceID(name); ok {
 			delete(s.live.unknown, name)
 		}
+	}
+	// Keep only the suffix — everything before the capture is in the store,
+	// so the next capture will include it — by replaying it: applyLive
+	// journals each claim again as it feeds the new overlay.
+	suffix := s.live.journal[journalStart:]
+	s.live.journal = nil
+	for _, o := range suffix {
+		s.applyLive(o.source, o.t)
 	}
 	s.snap.Store(next)
 	s.live.Unlock()
@@ -260,11 +246,6 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	tr.Finish(0)
 	s.traces.Record(tr)
 
-	if inc == nil {
-		s.m.onlineDisabled.Store(1)
-	} else {
-		s.m.onlineDisabled.Store(0)
-	}
 	s.m.rebuilds.Add(1)
 	rebuilt, reused := next.rebuildCounts()
 	if reused > 0 {
@@ -303,25 +284,60 @@ func (s *Server) dirtyShards(cur *snapshot, shardVers []uint64) []int {
 	return dirty
 }
 
-// seedOnline replays every observation of the captured dataset onto a
-// freshly derived incremental scorer.
-func seedOnline(inc corrfuse.OnlineScorer, d *corrfuse.Dataset) error {
-	for si := 0; si < d.NumSources(); si++ {
-		sid := triple.SourceID(si)
-		for _, id := range d.Output(sid) {
-			if _, err := inc.Observe(sid, d.Triple(id)); err != nil {
-				return err
-			}
+// applyLive journals one claim and feeds it to the overlay. It is the only
+// caller of OnlineScorer.Observe: ingest, ApplyReplicated and the swap-time
+// journal replay all go through it, holding the live write lock. ok reports
+// that the scorer took the claim, and p is then the triple's new
+// probability; otherwise the claim waits in the store for the next rebuild —
+// batch-only service, or a source the quality model does not know yet
+// (recorded in live.unknown).
+//
+// The overlay holds only what was claimed since the capture, so a triple's
+// first claim starts from the snapshot's record of it: its capture-time
+// providers, observed in ascending SourceID order — the same log-odds sum,
+// term for term, as a scorer seeded from the whole dataset.
+//
+// A failing Observe leaves the scorer half-updated, so it is dropped: the
+// cause is logged once and the service runs batch-only until the next
+// rebuild derives a fresh scorer. The claim itself is safe in the store.
+func (s *Server) applyLive(source string, t triple.Triple) (p float64, ok bool) {
+	s.live.journal = append(s.live.journal, observation{source: source, t: t})
+	inc, d := s.live.inc, s.live.data
+	if inc == nil {
+		return 0, false
+	}
+	sid, known := d.SourceID(source)
+	if !known {
+		s.live.unknown[source] = true
+		return 0, false
+	}
+	var base []triple.SourceID
+	if inc.Providers(t) == 0 {
+		if id, inSnap := d.TripleID(t); inSnap {
+			base = d.Providers(id)
 		}
 	}
-	return nil
+	var err error
+	for i := 0; i < len(base) && err == nil; i++ {
+		_, err = inc.Observe(base[i], t)
+	}
+	if err == nil {
+		p, err = inc.Observe(sid, t)
+	}
+	if err != nil {
+		s.live.inc = nil
+		s.logger.Logf("serve: live scorer failed on %s's claim of %v, serving batch results only until the next rebuild: %v", source, t, err)
+		return 0, false
+	}
+	return p, true
 }
 
 // ingest applies one claim: store first (so a concurrent capture that
 // precedes our journal entry already has it), then the write-ahead log,
-// then the live scorer and the journal under the live write lock. It
-// returns the freshest probability available and whether it came from the
-// live model, plus the claim's WAL sequence number (0 without a WAL).
+// then the journal and the overlay (applyLive) under the live write lock.
+// It returns the overlay's new probability when the scorer took the claim,
+// else the freshest answer there is (freshestLocked: the claim waits for the
+// next rebuild), plus the claim's WAL sequence number (0 without a WAL).
 //
 // The returned sequence is NOT yet durable: the caller must wal.Commit the
 // batch's highest sequence before acknowledging anything. Ordering matters
@@ -333,10 +349,10 @@ func seedOnline(inc corrfuse.OnlineScorer, d *corrfuse.Dataset) error {
 // acknowledged-then-lost.
 func (s *Server) ingest(o Observation) (ObserveResult, uint64, error) {
 	t := triple.Triple{Subject: o.Subject, Predicate: o.Predicate, Object: o.Object}
-	entry := store.Entry{Triple: t, Sources: []string{o.Source}, Label: o.Label}
-	s.store.Put(entry)
+	s.store.Put(store.Entry{Triple: t, Sources: []string{o.Source}, Label: o.Label})
 	s.m.observations.Add(1)
 
+	res := ObserveResult{Triple: t}
 	var seq uint64
 	if s.wal != nil {
 		var err error
@@ -344,63 +360,53 @@ func (s *Server) ingest(o Observation) (ObserveResult, uint64, error) {
 			Source: o.Source, Subject: o.Subject, Predicate: o.Predicate, Object: o.Object, Label: o.Label,
 		})
 		if err != nil {
-			return ObserveResult{Triple: t}, 0, err
+			return res, 0, err
 		}
 	}
 
-	res := ObserveResult{Triple: t}
 	s.live.Lock()
-	s.live.journal = append(s.live.journal, observation{source: o.Source, t: t})
-	if s.live.inc == nil {
-		s.live.Unlock()
-		if e, ok := s.store.Get(t); ok {
-			res.Probability = e.Probability
-		}
-		return res, seq, nil
+	if p, ok := s.applyLive(o.Source, t); ok {
+		res.Probability, res.Live = p, true
+	} else {
+		var basis string
+		res.Probability, _, _, basis = s.freshestLocked(s.snap.Load(), t)
+		res.Live = basis == basisLive
+		res.PendingSource = s.live.unknown[o.Source]
 	}
-	sid, known := s.live.data.SourceID(o.Source)
-	if !known {
-		s.live.unknown[o.Source] = true
-		p, ok := s.live.inc.Probability(t)
-		s.live.Unlock()
-		res.PendingSource = true
-		if ok {
-			res.Probability = p
-			res.Live = true
-		} else if e, ok := s.store.Get(t); ok {
-			res.Probability = e.Probability
-		}
-		return res, seq, nil
-	}
-	p, err := s.live.inc.Observe(sid, t)
 	s.live.Unlock()
-	if err == nil {
-		res.Probability = p
-		res.Live = true
-	}
 	return res, seq, nil
 }
 
-// liveProbability returns the freshest probability for t. Triples whose
-// observation set is fully reflected in the current snapshot get the batch
-// (correlation-corrected) probability; triples newly observed — or with new
-// provenance — since the capture get the incremental probability. ok is
-// false when neither model knows t.
-func (s *Server) liveProbability(sn *snapshot, t triple.Triple) (p float64, live, ok bool) {
-	id, inSnap := sn.data.TripleID(t)
+// The ScoreResult.Basis values: which side of the snapshot/overlay boundary
+// answered.
+const (
+	basisLive     = "live"
+	basisSnapshot = "snapshot"
+	basisUnknown  = "unknown"
+)
+
+// freshestLocked answers t across the snapshot/overlay boundary; the caller
+// holds the live lock (read or write). batch and accepted are the
+// snapshot's answer (zero when it has no fused result for t); p is the
+// freshest probability: the overlay's when it holds more providers for t
+// than the snapshot recorded — a triple newly observed, or with new
+// provenance, since the capture — and the batch (correlation-corrected)
+// one otherwise. basis says which, basisUnknown when neither side knows t.
+//
+//corrfuse:hotpath
+func (s *Server) freshestLocked(sn *snapshot, t triple.Triple) (p, batch float64, accepted bool, basis string) {
+	basis = basisUnknown
 	snapProviders := 0
-	if inSnap {
+	if id, inSnap := sn.data.TripleID(t); inSnap {
 		snapProviders = len(sn.data.Providers(id))
+		if bp, acc, ok := sn.idx.Lookup(id); ok {
+			p, batch, accepted, basis = bp, bp, acc, basisSnapshot
+		}
 	}
-	s.live.RLock()
 	if s.live.inc != nil && s.live.inc.Providers(t) > snapProviders {
-		p, ok = s.live.inc.Probability(t)
-		s.live.RUnlock()
-		return p, true, ok
+		if lp, ok := s.live.inc.Probability(t); ok {
+			p, basis = lp, basisLive
+		}
 	}
-	s.live.RUnlock()
-	if inSnap && snapProviders > 0 {
-		return sn.fuser.ProbabilityByID(id), false, true
-	}
-	return 0, false, false
+	return p, batch, accepted, basis
 }

@@ -84,6 +84,16 @@ func metricsText(t *testing.T, srv *Server) string {
 	return string(raw)
 }
 
+// liveProbability is freshestLocked as the tests ask it: the freshest
+// probability for t, whether the overlay gave it, and whether either side of
+// the boundary knows t.
+func (s *Server) liveProbability(sn *snapshot, t triple.Triple) (p float64, live, ok bool) {
+	s.live.RLock()
+	defer s.live.RUnlock()
+	p, _, _, basis := s.freshestLocked(sn, t)
+	return p, basis == basisLive, basis != basisUnknown
+}
+
 func liveInc(srv *Server) corrfuse.OnlineScorer {
 	srv.live.RLock()
 	defer srv.live.RUnlock()
@@ -122,61 +132,81 @@ func TestOnlineUnavailableIsSignalled(t *testing.T) {
 	}
 }
 
-// TestSeedFailureCompletesSwap: when the freshly derived scorer fails while
-// being seeded from the captured dataset, the rebuild must still swap the
-// new snapshot in (the store already holds its results) and degrade to
-// batch-only — not return an error after SetFusion.
-func TestSeedFailureCompletesSwap(t *testing.T) {
+// TestIngestFailureDegradesToBatch: a scorer that fails on an ingested claim
+// is dropped — one log line, online_disabled 1, the response and every read
+// fall back to the snapshot answer — and the next /v1/refuse restores live
+// scoring.
+func TestIngestFailureDegradesToBatch(t *testing.T) {
 	var lc logCollector
 	cfg := corrConfig()
 	cfg.Logger = lc.logger()
 	srv := newServer(t, seedStore(t), cfg)
-	if liveInc(srv) == nil {
-		t.Fatal("supervised config came up without an online scorer")
-	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 0") {
 		t.Error("online_disabled gauge raised on a healthy deployment")
 	}
 
+	// u1 is a snapshot triple both copiers provide; "bad" claiming it too
+	// is new provenance, so a healthy scorer would answer live.
+	poison := tr("u1", "v")
 	srv.testOnlineHook = func(inc corrfuse.OnlineScorer, err error) (corrfuse.OnlineScorer, error) {
 		if err != nil {
 			return inc, err
 		}
-		return &failingScorer{inner: inc, failAll: true}, nil
+		return &failingScorer{inner: inc, failOn: poison}, nil
 	}
-	srv.ingest(Observation{Source: "good1", Subject: "seedfail", Predicate: "p", Object: "v"})
-	sn, skipped, err := srv.rebuild(context.Background(), false)
-	if err != nil {
-		t.Fatalf("seed failure aborted the rebuild: %v", err)
+	postJSON(t, ts.URL+"/v1/refuse", struct{}{})
+	body, _ := getJSON(t, tripleURL(ts.URL, poison))
+	batch := body["result"].(map[string]any)["batchProbability"].(float64)
+	if batch <= 0 {
+		t.Fatalf("no batch answer for %v: %v", poison, body)
 	}
-	if skipped || sn.seq != 2 {
-		t.Fatalf("snapshot not swapped: skipped=%v seq=%d", skipped, sn.seq)
+
+	claim := Observation{Source: "bad", Subject: poison.Subject, Predicate: poison.Predicate, Object: poison.Object}
+	res := postJSON(t, ts.URL+"/v1/observe", claim)["results"].([]any)[0].(map[string]any)
+	if res["live"].(bool) || res["probability"].(float64) != batch {
+		t.Errorf("observe on a failing scorer = %v, want the snapshot answer %v", res, batch)
 	}
 	if liveInc(srv) != nil {
 		t.Fatal("failed scorer left installed")
 	}
-	if !lc.contains("seeding failed") {
-		t.Errorf("seed failure not logged; lines: %v", lc.lines)
+	// A second claim finds no scorer to fail: the cause is logged once.
+	postJSON(t, ts.URL+"/v1/observe", claim)
+	lc.mu.Lock()
+	logged := 0
+	for _, l := range lc.lines {
+		if strings.Contains(l, "live scorer failed") {
+			logged++
+		}
+	}
+	lc.mu.Unlock()
+	if logged != 1 {
+		t.Errorf("failure logged %d times, want once; lines: %v", logged, lc.lines)
 	}
 	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 1") {
-		t.Error("online_disabled gauge not raised after seed failure")
+		t.Error("online_disabled gauge not raised after the ingest failure")
 	}
-	// The new snapshot's results reached the store: the ingested claim is
-	// scored by the batch model.
-	if e, ok := srv.store.Get(tr("seedfail", "v")); !ok || e.Probability == 0 {
-		t.Errorf("store not updated by the degraded rebuild: %+v", e)
+	sc := postJSON(t, ts.URL+"/v1/score", ScoreRequest{Triples: []triple.Triple{poison}})
+	if got := sc["results"].([]any)[0].(map[string]any); got["basis"] != "snapshot" || got["probability"].(float64) != batch {
+		t.Errorf("score while degraded = %v, want snapshot %v", got, batch)
 	}
 
-	// The next healthy rebuild restores live scoring and lowers the gauge.
+	// The claim is in the store: the next re-fusion folds it in, derives a
+	// healthy scorer and lowers the gauge.
 	srv.testOnlineHook = nil
-	if _, _, err := srv.rebuild(context.Background(), true); err != nil {
-		t.Fatal(err)
+	if ref := postJSON(t, ts.URL+"/v1/refuse", struct{}{}); ref["skipped"].(bool) {
+		t.Fatal("refuse skipped despite the stored claim")
 	}
 	if liveInc(srv) == nil {
 		t.Fatal("healthy rebuild did not restore the online scorer")
 	}
 	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 0") {
 		t.Error("online_disabled gauge not lowered after recovery")
+	}
+	res = postJSON(t, ts.URL+"/v1/observe", Observation{Source: "good1", Subject: "after", Predicate: "p", Object: "v"})["results"].([]any)[0].(map[string]any)
+	if !res["live"].(bool) {
+		t.Errorf("observe after recovery not served live: %v", res)
 	}
 }
 
@@ -211,7 +241,7 @@ func TestReplayFailureCompletesSwap(t *testing.T) {
 	if liveInc(srv) != nil {
 		t.Fatal("scorer that failed replay left installed")
 	}
-	if !lc.contains("journal replay failed") {
+	if !lc.contains("live scorer failed") {
 		t.Errorf("replay failure not logged; lines: %v", lc.lines)
 	}
 	// Journal truncation stays correct: only the suffix (the mid-build

@@ -70,8 +70,8 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter) {
 }
 
 // ApplyReplicated applies one verified shipment batch to the follower's
-// store, journal and live scorer — the same path ingest takes, minus the
-// local WAL append (the replication loop appends the shipped lines verbatim
+// store, journal and overlay — the same path ingest takes, minus the local
+// WAL append (the replication loop appends the shipped lines verbatim
 // afterwards, preserving the store-write-before-log-append ordering that
 // makes truncation safe). Records are applied in order; re-applying a
 // record after a crash-refetch is idempotent (Put merges provenance,
@@ -85,20 +85,7 @@ func (s *Server) ApplyReplicated(recs []wal.Record) error {
 		s.store.Put(store.Entry{Triple: t, Sources: []string{r.Source}, Label: r.Label})
 		s.m.observations.Add(1)
 		s.live.Lock()
-		s.live.journal = append(s.live.journal, observation{source: r.Source, t: t})
-		if s.live.inc != nil {
-			if sid, known := s.live.data.SourceID(r.Source); known {
-				if _, err := s.live.inc.Observe(sid, t); err != nil {
-					// Same degradation as a failed journal replay: the store
-					// holds the record, batch rebuilds stay correct, live
-					// scoring turns off until the next rebuild reseeds it.
-					s.live.inc = nil
-					s.logger.Logf("serve: repl: live scorer failed applying seq %d, serving batch results only: %v", r.Seq, err)
-				}
-			} else {
-				s.live.unknown[r.Source] = true
-			}
-		}
+		s.applyLive(r.Source, t)
 		s.live.Unlock()
 	}
 	return nil
@@ -129,10 +116,10 @@ func (s *Server) Rebootstrap(covered uint64, r io.Reader) error {
 	if err := s.store.Read(r); err != nil {
 		return fmt.Errorf("serve: rebootstrap: snapshot: %w", err)
 	}
-	// The snapshot's observations bypassed the live scorer's journal, so
-	// its incremental state no longer matches the store: degrade to batch
-	// results until the next rebuild reseeds it, the same fallback a failed
-	// journal replay uses.
+	// The snapshot's observations bypassed the journal, so the overlay no
+	// longer holds everything claimed since the capture: degrade to batch
+	// results until the next rebuild derives a fresh one, the same fallback
+	// a failing scorer gets (corrfused_online_disabled reads 1 meanwhile).
 	s.live.Lock()
 	if s.live.inc != nil {
 		s.live.inc = nil

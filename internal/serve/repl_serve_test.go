@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -196,6 +197,17 @@ func TestServerRebootstrap(t *testing.T) {
 	}
 	if got := srv.wal.Seq(); got != covered {
 		t.Fatalf("WAL seq %d after rebootstrap, want %d (next shipped record lands at %d)", got, covered, covered+1)
+	}
+	// The snapshot bypassed the journal, so the overlay was dropped: the
+	// gauge must say batch-only until the next rebuild derives a fresh one.
+	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 1") {
+		t.Error("online_disabled gauge reads 0 on a re-bootstrapped follower serving batch-only")
+	}
+	if _, _, err := srv.rebuild(context.Background(), false); err != nil {
+		t.Fatal(err)
+	}
+	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 0") {
+		t.Error("online_disabled gauge not lowered by the rebuild after a re-bootstrap")
 	}
 
 	writer := newServer(t, seedStore(t), walConfig(t.TempDir()))

@@ -3,26 +3,32 @@
 // stream of arriving claims, and periodically re-fuses the accumulated data
 // with the full correlation-aware batch model.
 //
-// Two models cooperate:
+// Two models cooperate across one boundary:
 //
-//   - A batch corrfuse.ShardedFuser (any corrfuse.Method, typically a
-//     PrecRecCorr variant) trained over the whole store — the one engine,
-//     whatever Options.Shards says; one shard is the unpartitioned model.
-//     It is immutable; readers reach it through an atomic snapshot pointer,
-//     so the read path never takes a write lock and never sees a half-built
-//     model.
+//   - The snapshot: a batch corrfuse.ShardedFuser (any corrfuse.Method,
+//     typically a PrecRecCorr variant) trained over the whole store — the
+//     one engine, whatever Options.Shards says; one shard is the
+//     unpartitioned model — with the dataset it was trained on and the
+//     index of its results. It is immutable, reached through an atomic
+//     pointer, and the only record of who provided what at the capture and
+//     of every batch answer: no read consults the store's write-back copy.
 //
-//   - An online scorer (corrfuse.ShardedIncremental) derived from the same
-//     quality model. Every ingested claim updates it in O(1), so queries
-//     between batch refreshes reflect the newest observations instantly
-//     (under the independence model, the best an O(1) update can do).
+//   - The overlay: an online scorer (corrfuse.ShardedIncremental) derived
+//     from the same quality model, empty at each swap and holding only the
+//     triples claimed since the snapshot's capture. A triple's first such
+//     claim copies its capture-time providers in from the snapshot, then
+//     every claim updates it in O(1), so queries between batch refreshes
+//     reflect the newest observations instantly (under the independence
+//     model, the best an O(1) update can do). applyLive is the one path
+//     that feeds it; freshestLocked is the one place that decides which
+//     side answers.
 //
 // A background refresher (and POST /v1/refuse) rebuilds the batch model
-// from the accumulated store, writes its results back as the authoritative
-// fusion state (store.SetFusion, so demotions stick), reseeds the
-// incremental scorer, and swaps the new snapshot in atomically. A store
-// data-version counter lets the refresher skip rebuilds when nothing that
-// feeds the model has changed.
+// from the accumulated store, writes its results back for the next persist
+// (store.SetFusion, so demotions stick), derives a fresh empty overlay,
+// replays onto it the journal of claims that raced the build, and swaps
+// the new snapshot in atomically. A store data-version counter lets the
+// refresher skip rebuilds when nothing that feeds the model has changed.
 package serve
 
 import (
@@ -158,20 +164,11 @@ type Config struct {
 	// the request's trace ID. Nil silences logging.
 	Logger *obs.Logger
 
-	// SlowRequestThreshold, when positive, logs a structured warning for
-	// every request that takes at least this long — the sampling knob for
-	// slow-request logging. Zero disables it.
-	SlowRequestThreshold time.Duration
-
 	// TraceBufferSize is the capacity of the /debug/traces ring buffer of
-	// recent request and refresh traces. 0 means 256.
+	// recent request and refresh traces. 0 means 256, the only value in
+	// use: cmd/fused no longer sets it, and the field outlives its flag
+	// only because the frozen bench/ still names it.
 	TraceBufferSize int
-
-	// TraceThreshold keeps only traces at least this slow in the ring
-	// buffer. 0 (the default) retains every trace, so any request carrying
-	// an X-Corrfused-Trace-Id can be found in /debug/traces; operators
-	// raise it to keep only the slow ones.
-	TraceThreshold time.Duration
 
 	// RateLimit, when positive, rate-limits the /v1 endpoints: each API
 	// key (the X-Api-Key request header) sustains RateLimit requests per
@@ -211,6 +208,12 @@ type Config struct {
 // normal request by about this much.
 const refuseTimeoutFactor = 10
 
+// slowRequestThreshold is how slow a request must be to earn a structured
+// warning carrying its trace ID. (The /debug/traces ring retains every
+// trace, so any X-Corrfused-Trace-Id can be found there; ?min_ms= filters
+// at read time.)
+const slowRequestThreshold = time.Second
+
 // Pressure signal constants: a WAL commit wait at least pressureCommitWait
 // long marks the service under pressure for the next pressureWindow, and
 // so does a rebuild in progress. Under pressure the load shedder halves
@@ -220,9 +223,9 @@ const (
 	pressureWindow     = time.Second
 )
 
-// observation is a journaled ingest: a claim applied to the live scorer
-// that the next rebuild must not lose while it re-seeds from a store
-// capture taken concurrently with ingestion.
+// observation is a journaled ingest: a claim applied to the overlay that
+// the next rebuild must not lose when its store capture, taken concurrently
+// with ingestion, missed it.
 type observation struct {
 	source string
 	t      triple.Triple
@@ -279,15 +282,24 @@ type Server struct {
 	store *store.Store
 	snap  atomic.Pointer[snapshot]
 
-	// live guards the incremental scorer (its maps are mutated on every
-	// ingest) and the journal of observations since the last capture.
-	// Queries take the read lock only.
+	// live is the overlay on the current snapshot: what was claimed since
+	// its capture, and nothing the snapshot already records. Mutations
+	// (applyLive, the swap) take the write lock, queries the read lock, and
+	// the snapshot pointer is only stored under the write lock, so a reader
+	// holding either sees a matching snapshot/overlay pair.
 	live struct {
 		sync.RWMutex
+		// inc scores the triples claimed since the capture; it starts empty
+		// at every swap. nil means batch-only: the method has no quality
+		// model, or a scorer failed — corrfused_online_disabled reads this
+		// field, and the next rebuild derives a fresh one.
 		inc corrfuse.OnlineScorer
-		// data is the dataset inc's source IDs refer to (the current
-		// snapshot's dataset).
-		data    *corrfuse.Dataset
+		// data is the current snapshot's dataset: inc's source IDs refer
+		// to it, and a triple's capture-time providers are read from it.
+		data *corrfuse.Dataset
+		// journal is the overlay's input log: every claim since the last
+		// capture, in arrival order, with or without a WAL. A swap replays
+		// the suffix that raced its build.
 		journal []observation
 		// unknown holds source names seen in ingests but absent from
 		// the current quality model; their claims reach the store and
@@ -353,20 +365,19 @@ type Server struct {
 
 	// Observability (built by initObs before the WAL opens and the initial
 	// rebuild runs, so every instrument exists for the server's whole life).
-	reg           *obs.Registry
-	logger        *obs.Logger
-	traces        *obs.TraceRecorder
-	slowThreshold time.Duration
-	reqCounts     *obs.CounterVec   // corrfused_requests_total{endpoint}
-	reqHist       *obs.HistogramVec // corrfused_request_seconds{endpoint}
-	stageHist     *obs.HistogramVec // corrfused_request_stage_seconds{stage}
-	respCodes     *obs.CounterVec   // corrfused_responses_total{code}
-	walWait       *obs.Histogram    // corrfused_wal_commit_wait_seconds
-	rebuildStage  *obs.HistogramVec // corrfused_rebuild_stage_seconds{stage}
+	reg          *obs.Registry
+	logger       *obs.Logger
+	traces       *obs.TraceRecorder
+	reqCounts    *obs.CounterVec   // corrfused_requests_total{endpoint}
+	reqHist      *obs.HistogramVec // corrfused_request_seconds{endpoint}
+	stageHist    *obs.HistogramVec // corrfused_request_stage_seconds{stage}
+	respCodes    *obs.CounterVec   // corrfused_responses_total{code}
+	walWait      *obs.Histogram    // corrfused_wal_commit_wait_seconds
+	rebuildStage *obs.HistogramVec // corrfused_rebuild_stage_seconds{stage}
 
 	// testOnlineHook, when non-nil, intercepts the online scorer derived
 	// during a rebuild. Tests use it to inject scorers whose Observe fails
-	// mid-replay; production code never sets it.
+	// on a replayed or ingested claim; production code never sets it.
 	testOnlineHook func(corrfuse.OnlineScorer, error) (corrfuse.OnlineScorer, error)
 
 	// testStageHook, when non-nil, runs at the end of every rebuild stage

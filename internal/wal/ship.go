@@ -8,11 +8,9 @@ package wal
 // follower's log to the first sequence its snapshot does not cover.
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -144,46 +142,27 @@ func shipLines(path string, next *uint64, limit uint64, maxBytes int64, buf *byt
 		return false, fmt.Errorf("wal: ship: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	var env envelope
-	for {
-		if *next > limit {
-			return true, nil
-		}
-		raw, rerr := br.ReadBytes('\n')
-		if rerr == io.EOF && len(raw) == 0 {
+	sc := newLineScanner("ship "+path, f, *next)
+	sc.skipBelow = true // the range may start mid-segment
+	for *next <= limit {
+		raw, _, _, why := sc.scan()
+		if why == scanEOF || why == scanTorn {
+			// A newline-less tail is an append in flight past the durable
+			// watermark. Every record <= limit is complete, so hitting it
+			// means this file is exhausted for our range.
 			return false, nil
 		}
-		if rerr == io.EOF {
-			// Newline-less tail: an append in flight past the durable
-			// watermark. Every record <= limit is complete, so hitting the
-			// tail means this file is exhausted for our range.
-			return false, nil
+		if why != scanRecord {
+			return false, sc.err
 		}
-		if rerr != nil {
-			return false, fmt.Errorf("wal: ship %s: %w", path, rerr)
-		}
-		line := raw
-		raw = raw[:len(raw)-1]
-		if len(raw) == 0 {
-			return false, fmt.Errorf("wal: ship %s: blank line mid-log (corruption)", path)
-		}
-		rec, perr := decodeLine(raw, &env)
-		if perr != nil {
-			return false, fmt.Errorf("wal: ship %s: %w", path, perr)
-		}
-		if rec.Seq < *next {
-			continue // before the requested range
-		}
-		if rec.Seq != *next {
-			return false, fmt.Errorf("wal: ship %s: sequence %d, want %d (gap)", path, rec.Seq, *next)
-		}
-		buf.Write(line)
-		*next = rec.Seq + 1
+		buf.Write(raw)
+		buf.WriteByte('\n')
+		*next = sc.next
 		if int64(buf.Len()) >= maxBytes {
 			return true, nil
 		}
 	}
+	return true, nil
 }
 
 // AppendShipped appends one leader-shipped log line verbatim: the CRC
@@ -235,30 +214,18 @@ func (w *WAL) AppendShipped(raw []byte) (uint64, error) {
 // re-verification of everything the leader passed through verbatim. A blank
 // line anywhere in a shipment is corruption and rejects the whole batch.
 func SplitShipment(lines []byte, first uint64) (raws [][]byte, recs []Record, err error) {
-	next := first
-	var env envelope
-	for len(lines) > 0 {
-		nl := bytes.IndexByte(lines, '\n')
-		if nl < 0 {
-			return nil, nil, errors.New("wal: shipment ends mid-line (truncated transfer)")
+	sc := newLineScanner("shipment", bytes.NewReader(lines), first)
+	for {
+		raw, rec, _, why := sc.scan()
+		if why == scanEOF {
+			return raws, recs, nil
 		}
-		raw := lines[:nl]
-		lines = lines[nl+1:]
-		if len(bytes.TrimSpace(raw)) == 0 {
-			return nil, nil, errors.New("wal: shipment contains a blank line: rejecting corrupt shipment")
+		if why != scanRecord {
+			return nil, nil, sc.err // scanTorn: the transfer was truncated mid-line
 		}
-		rec, perr := decodeLine(raw, &env)
-		if perr != nil {
-			return nil, nil, fmt.Errorf("wal: shipment: %w", perr)
-		}
-		if rec.Seq != next {
-			return nil, nil, fmt.Errorf("wal: shipment: sequence %d, want %d (gap or reordering)", rec.Seq, next)
-		}
-		next++
 		raws = append(raws, raw)
 		recs = append(recs, rec)
 	}
-	return raws, recs, nil
 }
 
 // HasSegments reports whether dir holds any valid segment files. A missing

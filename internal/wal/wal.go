@@ -21,6 +21,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -311,22 +312,102 @@ func Open(dir string, opts Options) (*WAL, []Record, error) {
 	return w, records, nil
 }
 
-// readSegment replays one segment file through a streaming reader — O(line)
-// memory, not O(segment), which matters once replication retains more
-// segments and a follower bootstraps through the whole log. next is the
-// expected sequence number of its first record (0 = accept any); last marks
-// the final segment, whose tail may be torn. It returns the records, the
-// byte offset just past the last good record, and the file size. A record
-// is good only if it parses, its CRC matches AND its newline terminator
-// made it to disk — a newline-less tail is torn even when the bytes so far
-// parse, because appending to it would glue two records into one corrupt
-// line.
+// scanStop says how a lineScanner.scan call ended.
+type scanStop int
+
+const (
+	scanRecord scanStop = iota // not a stop: scan yielded a record
+	scanEOF                    // the source ended on a line boundary
+	scanTorn                   // the source ended mid-line: bytes without their newline terminator
+	scanBlank                  // a blank line
+	scanBad                    // a line that failed decodeLine (CRC, JSON, missing sequence)
+	scanSeq                    // a record out of sequence
+	scanIO                     // the source failed
+)
+
+// lineScanner is the one reader of log lines — segment replay, leader
+// shipping and follower verification all run it: split on the newline
+// terminator, refuse a blank line, decodeLine (CRC + JSON), then sequence
+// contiguity. Which stops a caller forgives is its policy (a torn tail only
+// in the last segment, never in a shipment); finding and naming them is not.
+// It streams — O(line) memory, not O(segment), which matters once
+// replication retains more segments and a follower bootstraps through the
+// whole log.
 //
-// A blank line is corruption, not a tear: the writer emits a record's
-// newline as the LAST byte of its line, so no crash point can produce a
-// lone newline with data after it. Blank lines therefore fail loudly
-// everywhere except one spot — a blank line that IS the torn tail of the
-// last segment (nothing after it), which is trimmed like any other tear.
+// A record is good only if its newline terminator made it to the source — a
+// newline-less tail is torn even when the bytes so far parse, because
+// appending to it would glue two records into one corrupt line. A blank
+// line is corruption, not a tear: the writer emits a record's newline as the
+// LAST byte of its line, so no crash point can produce a lone newline with
+// data after it.
+type lineScanner struct {
+	what string // names the source in errors: a segment path or "shipment"
+	br   *bufio.Reader
+	// next is the sequence number the next record must carry, advanced past
+	// every yielded record; 0 accepts any.
+	next uint64
+	// skipBelow makes records sequenced below next skipped instead of out of
+	// sequence (shipping starts mid-segment).
+	skipBelow bool
+
+	env  envelope
+	line int   // 1-based number of the last line read
+	err  error // the loud error for the last stop, for callers that do not forgive it
+}
+
+func newLineScanner(what string, r io.Reader, next uint64) *lineScanner {
+	return &lineScanner{what: what, br: bufio.NewReaderSize(r, 64<<10), next: next}
+}
+
+// scan yields the next record — its line without the terminator, the decoded
+// record, the line's length in the source — or stops at a line of length
+// lineLen for the reason it returns, leaving the error for it in sc.err.
+func (sc *lineScanner) scan() (raw []byte, rec Record, lineLen int64, why scanStop) {
+	for {
+		b, err := sc.br.ReadBytes('\n')
+		lineLen = int64(len(b))
+		switch {
+		case err == io.EOF && len(b) == 0:
+			return nil, rec, 0, scanEOF
+		case err == io.EOF:
+			sc.err = fmt.Errorf("wal: %s: ends mid-line: record without newline terminator", sc.what)
+			return nil, rec, lineLen, scanTorn
+		case err != nil:
+			sc.err = fmt.Errorf("wal: %s: %w", sc.what, err)
+			return nil, rec, lineLen, scanIO
+		}
+		sc.line++
+		raw = b[:len(b)-1]
+		if len(bytes.TrimSpace(raw)) == 0 {
+			sc.err = fmt.Errorf("wal: %s line %d: blank line (corruption, not a torn tail)", sc.what, sc.line)
+			return nil, rec, lineLen, scanBlank
+		}
+		if rec, err = decodeLine(raw, &sc.env); err != nil {
+			sc.err = fmt.Errorf("wal: %s line %d: %w", sc.what, sc.line, err)
+			return nil, rec, lineLen, scanBad
+		}
+		if sc.skipBelow && rec.Seq < sc.next {
+			continue
+		}
+		if sc.next != 0 && rec.Seq != sc.next {
+			sc.err = fmt.Errorf("wal: %s line %d: sequence %d, want %d (gap or reordering)", sc.what, sc.line, rec.Seq, sc.next)
+			return nil, rec, lineLen, scanSeq
+		}
+		sc.next = rec.Seq + 1
+		return raw, rec, lineLen, scanRecord
+	}
+}
+
+// readSegment replays one segment file. next is the expected sequence
+// number of its first record (0 = accept any); last marks the final
+// segment, whose tail may be torn. It returns the records, the byte offset
+// just past the last good record, and the file size.
+//
+// Only the last segment forgives anything: a torn or undecodable tail is a
+// crash mid-append (everything after the tear was written later and is
+// equally suspect), and a blank line is trimmed like any other tear when —
+// and only when — it IS the file's final content. Everywhere else each stop
+// fails loudly.
 func readSegment(path string, next uint64, last bool) (recs []Record, good, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -338,49 +419,19 @@ func readSegment(path string, next uint64, last bool) (recs []Record, good, size
 		return nil, 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	size = fi.Size()
-	br := bufio.NewReaderSize(f, 64<<10)
-	var offset int64
-	line := 0
-	var env envelope
-	for offset < size {
-		raw, rerr := br.ReadBytes('\n')
-		if rerr != nil {
-			if rerr == io.EOF {
-				if last {
-					return recs, offset, size, nil
-				}
-				return nil, 0, 0, fmt.Errorf("wal: %s: record without newline terminator mid-log", path)
+	sc := newLineScanner(path, f, next)
+	for {
+		_, rec, lineLen, why := sc.scan()
+		if why != scanRecord {
+			tornTail := why == scanTorn || why == scanBad || why == scanBlank && good+lineLen == size
+			if why == scanEOF || last && tornTail {
+				return recs, good, size, nil
 			}
-			return nil, 0, 0, fmt.Errorf("wal: %s: %w", path, rerr)
+			return nil, 0, 0, sc.err
 		}
-		line++
-		lineLen := int64(len(raw))
-		raw = raw[:len(raw)-1] // drop the terminator
-		if len(raw) == 0 {
-			if last && offset+lineLen == size {
-				// The blank line is the file's final content: trim it as a
-				// torn tail so replay resumes on a clean boundary.
-				return recs, offset, size, nil
-			}
-			return nil, 0, 0, fmt.Errorf("wal: %s line %d: blank line mid-log (corruption, not a torn tail)", path, line)
-		}
-		rec, perr := decodeLine(raw, &env)
-		if perr != nil {
-			if last {
-				// Torn tail from a crash mid-append: everything after
-				// the tear was written later and is equally suspect.
-				return recs, offset, size, nil
-			}
-			return nil, 0, 0, fmt.Errorf("wal: %s line %d: %w", path, line, perr)
-		}
-		if next != 0 && rec.Seq != next {
-			return nil, 0, 0, fmt.Errorf("wal: %s line %d: sequence %d, want %d (gap or reordering)", path, line, rec.Seq, next)
-		}
-		next = rec.Seq + 1
 		recs = append(recs, rec)
-		offset += lineLen
+		good += lineLen
 	}
-	return recs, offset, size, nil
 }
 
 // decodeLine parses and verifies one JSONL envelope.
