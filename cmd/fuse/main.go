@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"corrfuse"
 	"corrfuse/internal/dataset"
@@ -85,26 +86,15 @@ func run(in, out, method string, alpha float64, unionK, level int, scopeName str
 		return err
 	}
 
-	st := store.New()
 	rows := res.All
 	if acceptedOnly {
 		rows = res.Accepted
 	}
-	acceptedSet := make(map[corrfuse.TripleID]bool, len(res.Accepted))
+	// The decision is looked up by ID: UnionK accepts by provider count, so
+	// Accepted need not be the top of the probability ranking.
+	accepted := make([]bool, d.NumTriples())
 	for _, r := range res.Accepted {
-		acceptedSet[r.ID] = true
-	}
-	for _, r := range rows {
-		entry := store.Entry{
-			Triple:      r.Triple,
-			Label:       d.Label(r.ID).Gold(),
-			Probability: r.Probability,
-			Accepted:    acceptedSet[r.ID],
-		}
-		for _, s := range d.Providers(r.ID) {
-			entry.Sources = append(entry.Sources, d.SourceName(s))
-		}
-		st.Put(entry)
+		accepted[r.ID] = true
 	}
 
 	w := os.Stdout
@@ -116,7 +106,22 @@ func run(in, out, method string, alpha float64, unionK, level int, scopeName str
 		defer file.Close()
 		w = file
 	}
-	if err := st.Write(w); err != nil {
+	// One name list serves every row: the writer encodes a record before it
+	// asks for the next.
+	var names []string
+	err = store.WriteRecords(w, len(rows), func(i int, rec *store.Record) {
+		r := rows[i]
+		names = names[:0]
+		for _, s := range d.Providers(r.ID) {
+			names = append(names, d.SourceName(s))
+		}
+		sort.Strings(names) // the order Store.Put keeps, so fuse -out ≡ store.Save
+		*rec = store.Record{
+			Subject: r.Triple.Subject, Predicate: r.Triple.Predicate, Object: r.Triple.Object,
+			Sources: names, Label: d.Label(r.ID).Gold(), Probability: r.Probability, Accepted: accepted[r.ID],
+		}
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "fuse: %s over %d sources, %d triples → %d accepted\n",

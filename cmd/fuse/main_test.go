@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -148,5 +150,68 @@ func TestOutputFeedsFused(t *testing.T) {
 	}
 	if seq, _, _ := srv.Snapshot(); seq != 1 {
 		t.Fatalf("snapshot seq = %d, want 1", seq)
+	}
+}
+
+// pinnedSpec is the dataset the output hashes below were recorded on: ten
+// sources in one cluster, a group correlated on true triples, one on false
+// ones, and a source whose mistakes are disjoint from the others'.
+func pinnedSpec() dataset.SyntheticSpec {
+	spec := dataset.SyntheticSpec{NumTrue: 1500, NumFalse: 1500, Seed: 16, SubjectPrefix: "fact"}
+	for i := 0; i < 10; i++ {
+		spec.Sources = append(spec.Sources, dataset.SourceSpec{
+			Precision:   0.55 + 0.03*float64(i),
+			Recall:      0.25 + 0.03*float64((i*3)%10),
+			FalseWindow: dataset.Window{Lo: 0, Hi: 0.8},
+		})
+	}
+	spec.Sources[9].FalseWindow = dataset.Window{Lo: 0.75, Hi: 1}
+	spec.Groups = []dataset.GroupSpec{
+		{Members: []int{0, 1, 2, 3}, OnTrue: true, Strength: 0.7},
+		{Members: []int{4, 5, 6}, OnTrue: false, Strength: 0.7},
+	}
+	return spec
+}
+
+// TestOutputBytesPinned holds fuse's output to the bytes the commit before
+// the dense joint tables and the streamed writer produced (sha256 recorded
+// there): the kernel and the output path may get faster, the answer file may
+// not change.
+func TestOutputBytesPinned(t *testing.T) {
+	d, err := dataset.Generate(pinnedSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(t.TempDir(), "in.jsonl")
+	f, err := os.Create(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.Write(f, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, method, scope string
+		acceptedOnly        bool
+		want                string
+	}{
+		{"corr", "corr", "global", false, "bcf2058124fa8b27e90db851c5d657406763f75aae0d089b7e1fc0ce9d5f41a2"},
+		{"elastic", "elastic", "global", false, "d325879e5f90beb71fb17f075587c1b66b212fe26b0732b78b853256ba98fcc5"},
+		{"corr-subject-accepted", "corr", "subject", true, "e8dfa4fe736f82b8fef9c93b51dd6e256f55d78ebc6fae5af3b00c3ca0e66850"},
+	} {
+		out := filepath.Join(t.TempDir(), tc.name+".jsonl")
+		if err := run(in, out, tc.method, 0, 50, 3, tc.scope, 0, tc.acceptedOnly); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != tc.want {
+			t.Errorf("%s: output sha256 %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -177,13 +177,16 @@ type Options struct {
 	// Clustering controls whether sources are partitioned into
 	// correlation clusters before running a correlation-aware method.
 	// ClusterAuto (default) clusters when the dataset is too wide for
-	// the exact computation; ClusterAlways and ClusterNever force it.
+	// the exact computation to run from one dense joint table (more than
+	// 20 sources); ClusterAlways and ClusterNever force it.
 	Clustering ClusterMode
 	// ClusterThreshold is the minimum significance (z-score of the
 	// observed co-provision count against its independence expectation)
 	// for a pair to be considered correlated (default 3).
 	ClusterThreshold float64
-	// MaxClusterSize caps correlation clusters (default 22).
+	// MaxClusterSize caps correlation clusters. Default 20, the widest
+	// cluster that gets a dense joint table; the exact method accepts up
+	// to 30 on explicit request, at 2ⁿ map lookups per pattern.
 	MaxClusterSize int
 
 	// Seed drives the stochastic methods (LTM). Default 1.
@@ -221,7 +224,7 @@ type ClusterMode int
 // Clustering modes.
 const (
 	// ClusterAuto clusters only when the source set is too wide for the
-	// exact inclusion–exclusion computation.
+	// exact inclusion–exclusion computation over a dense joint table.
 	ClusterAuto ClusterMode = iota
 	// ClusterAlways always partitions sources by pairwise correlation.
 	ClusterAlways

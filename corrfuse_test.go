@@ -321,3 +321,46 @@ func TestElasticLevelOption(t *testing.T) {
 		}
 	}
 }
+
+// TestTwentySourcesOneCluster is the regression test for the oldest open
+// finding (ROADMAP item 2): 20 uniform sources are one correlation cluster
+// under the defaults, which used to mean 2²⁰ string-keyed map entries per
+// joint statistic and a fusion that never finished. With the dense joint
+// table it runs inside an ordinary test, unclustered, and — λ = n makes the
+// elastic approximation exact — agrees with Elastic at level 20.
+func TestTwentySourcesOneCluster(t *testing.T) {
+	d, err := dataset.Generate(dataset.UniformSpec(20, 1500, 0.5, 0.7, 0.5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.PrecRecCorr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Clusters() != nil {
+		t.Fatalf("default clustering split 20 sources into %d clusters, want one", len(exact.Clusters()))
+	}
+	elastic, err := corrfuse.New(d, corrfuse.Options{
+		Method: corrfuse.PrecRecCorrElastic, ElasticLevel: 20, Clustering: corrfuse.ClusterNever,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, provided, _ := exact.FrozenScores()
+	// Elastic at λ = n costs as much per pattern as the exact sum and reads
+	// its terms level by level; a sample keeps the test quick under -race.
+	var sample []corrfuse.TripleID
+	for id := 0; id < len(provided) && len(sample) < 100; id += 7 {
+		if provided[id] {
+			sample = append(sample, corrfuse.TripleID(id))
+		}
+	}
+	if len(sample) < 100 {
+		t.Fatalf("only %d provided triples sampled", len(sample))
+	}
+	for i, want := range elastic.Score(sample) {
+		if diff := got[sample[i]] - want; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("triple %d: PrecRecCorr %v, Elastic at λ = n %v", sample[i], got[sample[i]], want)
+		}
+	}
+}

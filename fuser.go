@@ -137,7 +137,10 @@ func (f *Fuser) resolveClusters(est *quality.Estimator) ([][]SourceID, error) {
 	case ClusterAlways:
 		return cluster.Cluster(est, copts), nil
 	default: // ClusterAuto
-		if n <= core.MaxExactCluster && f.opts.Method == PrecRecCorr {
+		// No default reaches the kernel's sparse 2ⁿ path: exact runs
+		// unclustered only while one dense table holds every subset, and
+		// the default cluster cap is that same width.
+		if n <= quality.MaxTableWidth && f.opts.Method == PrecRecCorr {
 			return nil, nil
 		}
 		if n <= 16 {

@@ -22,8 +22,10 @@ type Options struct {
 	// independence) for a pair to be considered correlated. Default 3.
 	Threshold float64
 	// MaxClusterSize caps cluster growth so the downstream
-	// inclusion–exclusion stays feasible. Default 22 (the largest
-	// cluster the paper reports for BOOK).
+	// inclusion–exclusion stays feasible. Default
+	// quality.MaxTableWidth: the widest cluster the correlation-aware
+	// algorithms serve from a dense joint table (the paper's BOOK run
+	// reports clusters up to 22 wide; ask for that explicitly).
 	MaxClusterSize int
 	// MinSupport is the minimum number of labeled triples jointly
 	// provided by a pair for its correlation estimate to be trusted.
@@ -38,7 +40,7 @@ func (o *Options) normalize() {
 		o.Threshold = 3
 	}
 	if o.MaxClusterSize <= 0 {
-		o.MaxClusterSize = 22
+		o.MaxClusterSize = quality.MaxTableWidth
 	}
 	if o.MinSupport <= 0 {
 		o.MinSupport = 8

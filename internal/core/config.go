@@ -123,23 +123,31 @@ type pattern struct {
 // clusterView precomputes the local indexing of one cluster.
 type clusterView struct {
 	members []triple.SourceID
-	// local[s] is the local index of global source s, or -1.
-	local map[triple.SourceID]int
+
+	// r and q are the cluster's dense joint table (quality.JointTable),
+	// indexed by member bitmask; nil for the algorithms that read no joint
+	// parameter per pattern and for a cluster wider than
+	// quality.MaxTableWidth.
+	r, q []float64
 
 	mu    sync.Mutex
 	cache map[pattern]float64
 }
 
 func newClusterView(members []triple.SourceID) *clusterView {
-	cv := &clusterView{
-		members: members,
-		local:   make(map[triple.SourceID]int, len(members)),
-		cache:   make(map[pattern]float64),
+	return &clusterView{members: members, cache: make(map[pattern]float64)}
+}
+
+// tabledViews builds the cluster views of a normalized config, each with its
+// joint table.
+func tabledViews(cfg Config) []*clusterView {
+	tables := quality.JointTables(cfg.Params, cfg.Clusters)
+	views := make([]*clusterView, len(cfg.Clusters))
+	for ci, cl := range cfg.Clusters {
+		views[ci] = newClusterView(cl)
+		views[ci].r, views[ci].q = tables[ci].R, tables[ci].Q
 	}
-	for i, s := range members {
-		cv.local[s] = i
-	}
-	return cv
+	return views
 }
 
 // patternFor computes the observation pattern of triple id within the
@@ -185,9 +193,14 @@ func (cv *clusterView) subsetIDs(s stat.Set64) []triple.SourceID {
 // clampRate bounds a probability estimate away from 0 and 1.
 func clampRate(v float64) float64 { return stat.Clamp(v, probEps, 1-probEps) }
 
-// jointRecallOf returns the joint recall of a local subset, with r_∅ = 1 and
-// an independence-product fallback when the parameter has no support.
-func jointRecallOf(p quality.Params, cv *clusterView, s stat.Set64) float64 {
+// jointRecall returns the joint recall of a local subset: a table read. Only
+// a cluster too wide for a table asks p, with r_∅ = 1 and the
+// independence-product fallback when the parameter has no support — the
+// values a table holds.
+func (cv *clusterView) jointRecall(p quality.Params, s stat.Set64) float64 {
+	if cv.r != nil {
+		return cv.r[s]
+	}
 	if s.Empty() {
 		return 1
 	}
@@ -198,9 +211,11 @@ func jointRecallOf(p quality.Params, cv *clusterView, s stat.Set64) float64 {
 	return quality.IndepJointRecall(p, ids)
 }
 
-// jointFPROf returns the joint FPR of a local subset, with q_∅ = 1 and an
-// independence-product fallback when the parameter has no support.
-func jointFPROf(p quality.Params, cv *clusterView, s stat.Set64) float64 {
+// jointFPR is jointRecall for the joint false positive rate (q_∅ = 1).
+func (cv *clusterView) jointFPR(p quality.Params, s stat.Set64) float64 {
+	if cv.q != nil {
+		return cv.q[s]
+	}
 	if s.Empty() {
 		return 1
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"corrfuse/internal/quality"
 	"corrfuse/internal/stat"
@@ -40,9 +41,8 @@ func NewElastic(cfg Config, level int) (*Elastic, error) {
 	if level < 0 {
 		return nil, fmt.Errorf("core: elastic level must be >= 0, got %d", level)
 	}
-	e := &Elastic{cfg: cfg, level: level}
+	e := &Elastic{cfg: cfg, level: level, views: tabledViews(cfg)}
 	for _, cl := range cfg.Clusters {
-		e.views = append(e.views, newClusterView(cl))
 		cp, cm := quality.AggressiveFactors(cfg.Params, cl)
 		e.cplus = append(e.cplus, cp)
 		e.cminus = append(e.cminus, cm)
@@ -63,13 +63,14 @@ func (a *Elastic) clusterMu(ci int, p pattern) float64 {
 	providers := p.providers
 	nonProviders := p.inScope.Minus(p.providers)
 
-	rSt := jointRecallOf(params, cv, providers)
-	qSt := jointFPROf(params, cv, providers)
+	rSt := cv.jointRecall(params, providers)
+	qSt := cv.jointFPR(params, providers)
 
 	// Lines 1–2: aggressive form with level-0 adjustment.
 	var rAcc, qAcc stat.KahanSum
 	rInit, qInit := rSt, qSt
-	for _, i := range nonProviders.Elems() {
+	for v := uint64(nonProviders); v != 0; v &= v - 1 {
+		i := bits.TrailingZeros64(v)
 		s := cv.members[i]
 		rInit *= 1 - stat.Clamp(a.cplus[ci][i]*params.Recall(s), 0, 1-probEps)
 		qInit *= 1 - stat.Clamp(a.cminus[ci][i]*params.FPR(s), 0, 1-probEps)
@@ -89,10 +90,11 @@ func (a *Elastic) clusterMu(ci int, p pattern) float64 {
 		}
 		nonProviders.SubsetsOfSize(l, func(sub stat.Set64) bool {
 			set := providers.Union(sub)
-			exactR := jointRecallOf(params, cv, set)
-			exactQ := jointFPROf(params, cv, set)
+			exactR := cv.jointRecall(params, set)
+			exactQ := cv.jointFPR(params, set)
 			approxR, approxQ := rSt, qSt
-			for _, i := range sub.Elems() {
+			for v := uint64(sub); v != 0; v &= v - 1 {
+				i := bits.TrailingZeros64(v)
 				s := cv.members[i]
 				approxR *= a.cplus[ci][i] * params.Recall(s)
 				approxQ *= a.cminus[ci][i] * params.FPR(s)

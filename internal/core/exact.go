@@ -8,7 +8,12 @@ import (
 )
 
 // MaxExactCluster bounds the cluster width the exact algorithm accepts: the
-// inclusion–exclusion sum enumerates 2^|St̄| subsets per cluster.
+// inclusion–exclusion sum enumerates 2^|St̄| subsets per cluster. Up to
+// quality.MaxTableWidth every term is a read from the cluster's dense joint
+// table, and no default configuration builds a wider cluster; between the
+// two limits a term is a Params call (for an Estimator a memoized bitset
+// intersection under a lock), which is only there for callers that ask for
+// such a cluster explicitly and can wait for it.
 const MaxExactCluster = 30
 
 // Exact is the exact correlation-aware model of Theorem 4.2. Within each
@@ -36,8 +41,8 @@ func NewExact(cfg Config) (*Exact, error) {
 		if len(cl) > MaxExactCluster {
 			return nil, fmt.Errorf("core: exact solution infeasible for cluster of %d sources (max %d); use Elastic or a finer clustering", len(cl), MaxExactCluster)
 		}
-		e.views = append(e.views, newClusterView(cl))
 	}
+	e.views = tabledViews(cfg)
 	return e, nil
 }
 
@@ -55,8 +60,8 @@ func (a *Exact) clusterMu(cv *clusterView, p pattern) float64 {
 		if sub.Len()%2 == 1 {
 			sign = -1
 		}
-		rSum.Add(sign * jointRecallOf(a.cfg.Params, cv, set))
-		qSum.Add(sign * jointFPROf(a.cfg.Params, cv, set))
+		rSum.Add(sign * cv.jointRecall(a.cfg.Params, set))
+		qSum.Add(sign * cv.jointFPR(a.cfg.Params, set))
 		return true
 	})
 	r := rSum.Sum()

@@ -93,7 +93,7 @@ func TestPatternDistributionSumsToOne(t *testing.T) {
 			if sub.Len()%2 == 1 {
 				sign = -1
 			}
-			rSum.Add(sign * jointRecallOf(m, cv, set))
+			rSum.Add(sign * cv.jointRecall(m, set))
 			return true
 		})
 		pr := rSum.Sum()

@@ -41,7 +41,8 @@ type Options struct {
 	// ClusterSources partitions sources by pairwise correlation before
 	// the correlation-aware methods run (the paper's device for BOOK).
 	ClusterSources bool
-	// MaxClusterSize caps correlation clusters (default 22).
+	// MaxClusterSize caps correlation clusters (0 = cluster.Options'
+	// default).
 	MaxClusterSize int
 	// SkipLTM and SkipThreeEstimates drop the slow baselines (useful in
 	// benchmarks that only target the paper's methods).
@@ -68,9 +69,6 @@ func (o *Options) normalize() {
 	}
 	if o.ElasticLevel == 0 {
 		o.ElasticLevel = 3
-	}
-	if o.MaxClusterSize == 0 {
-		o.MaxClusterSize = 22
 	}
 }
 

@@ -114,7 +114,13 @@ func (s Set64) Subsets(fn func(Set64) bool) {
 // SubsetsOfSize calls fn for every subset of s with exactly k elements.
 // If fn returns false the enumeration stops early.
 func (s Set64) SubsetsOfSize(k int, fn func(Set64) bool) {
-	elems := s.Elems()
+	// Fixed-size scratch keeps the enumeration off the heap: it runs once
+	// per level inside the elastic approximation's per-pattern kernel.
+	var elemBuf, idxBuf [64]int
+	elems := elemBuf[:0]
+	for v := uint64(s); v != 0; v &= v - 1 {
+		elems = append(elems, bits.TrailingZeros64(v))
+	}
 	n := len(elems)
 	if k < 0 || k > n {
 		return
@@ -125,7 +131,7 @@ func (s Set64) SubsetsOfSize(k int, fn func(Set64) bool) {
 	}
 	// Gosper-style combination enumeration over positions, mapped through
 	// elems so the subsets are subsets of s rather than of {0..n-1}.
-	idx := make([]int, k)
+	idx := idxBuf[:k]
 	for i := range idx {
 		idx[i] = i
 	}

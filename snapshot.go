@@ -1,7 +1,7 @@
 package corrfuse
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -104,8 +104,14 @@ func (fr *frozen) score(ids []TripleID, slowPath func([]TripleID) []float64) []f
 // sortByProb ranks scored triples by descending probability, stable within
 // equal scores (so dataset order breaks ties, deterministically).
 func sortByProb(list []ScoredTriple) {
-	sort.SliceStable(list, func(a, b int) bool {
-		return list[a].Probability > list[b].Probability
+	slices.SortStableFunc(list, func(a, b ScoredTriple) int {
+		switch {
+		case a.Probability > b.Probability:
+			return -1
+		case a.Probability < b.Probability:
+			return 1
+		}
+		return 0
 	})
 }
 
