@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md's per-experiment index, E1–E14). Each BenchmarkFig* runs
+// (E1–E14 in the section comments below). Each BenchmarkFig* runs
 // the corresponding experiment end to end; the BenchmarkMethod* family
 // measures per-method scoring cost on the simulated REVERB dataset,
 // reproducing the *relative* runtimes of Figure 5b (Union ≪ PrecRec <
@@ -229,7 +229,7 @@ func BenchmarkMethodPrecRecCorrElastic3(b *testing.B) {
 	}
 }
 
-// --- Ablations for design choices called out in DESIGN.md ------------------
+// --- Ablations for design choices (pattern memo, elastic level, workers) ---
 
 // BenchmarkAblationPatternMemoOff measures exact scoring without the benefit
 // of cross-triple pattern sharing by rebuilding the algorithm per triple.

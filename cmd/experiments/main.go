@@ -1,12 +1,12 @@
 // Command experiments regenerates the tables and figures of the paper's
 // evaluation section. Each experiment prints the same rows/series the paper
 // reports (on the simulated substitutes of the proprietary datasets — see
-// DESIGN.md).
+// internal/dataset/simulated.go).
 //
 // Usage:
 //
-//	experiments -exp fig1b|fig1c|fig3|fig4a|fig4b|fig4c|fig5a|fig5b|fig6a|fig6b|fig6c|fig7|copy|ablation|crowd|all
-//	            [-seed N] [-reps N] [-levels N]
+//	experiments -exp fig1b|fig1c|fig3|fig4a|fig4b|fig4c|fig5a|fig5b|fig6a|fig6b|fig6c|fig7|all
+//	            [-seed N] [-reps N] [-levels N] [-curves DIR]
 package main
 
 import (
@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig1b, fig1c, fig3, fig4a, fig4b, fig4c, fig5a, fig5b, fig6a, fig6b, fig6c, fig7, copy, ablation, crowd, all)")
+	exp := flag.String("exp", "all", "experiment to run (fig1b, fig1c, fig3, fig4a, fig4b, fig4c, fig5a, fig5b, fig6a, fig6b, fig6c, fig7, all)")
 	seed := flag.Int64("seed", 1, "random seed for data simulation")
 	reps := flag.Int("reps", 0, "repetitions for the synthetic sweeps (0 = paper default)")
 	levels := flag.Int("levels", 5, "maximum elastic level for fig5a")
@@ -57,13 +57,10 @@ func run(w io.Writer, exp string, seed int64, reps, levels int) error {
 		"fig6c": func() error {
 			return sweep(w, experiments.Fig6c(), "Figure 6c — low recall sources (r=0.25), 25% true", reps)
 		},
-		"fig7":     func() error { return experiments.PrintFig7(w, seed, reps) },
-		"copy":     func() error { return experiments.PrintCopyComparison(w, seed) },
-		"ablation": func() error { return experiments.PrintAblation(w, seed) },
-		"crowd":    func() error { return experiments.PrintCrowdRobustness(w, seed) },
+		"fig7": func() error { return experiments.PrintFig7(w, seed, reps) },
 	}
 	if exp == "all" {
-		order := []string{"fig1b", "fig1c", "fig3", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7", "copy", "ablation", "crowd"}
+		order := []string{"fig1b", "fig1c", "fig3", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7"}
 		for _, name := range order {
 			if err := runners[name](); err != nil {
 				return fmt.Errorf("%s: %w", name, err)

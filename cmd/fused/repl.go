@@ -105,7 +105,6 @@ func startFollower(ctx context.Context, o options, srv *serve.Server, logger *ob
 	go func() {
 		// Run survives every fetch/apply failure internally and returns
 		// only ctx's error at shutdown — nothing to report here.
-		//lint:ignore errswallow Run returns only ctx.Err() at shutdown
 		follower.Run(ctx)
 	}()
 	logger.Info(ctx, "follower replication started", "leader", o.follow)

@@ -178,7 +178,10 @@ type Options struct {
 	// correlation clusters before running a correlation-aware method.
 	// ClusterAuto (default) clusters when the dataset is too wide for
 	// the exact computation to run from one dense joint table (more than
-	// 20 sources); ClusterAlways and ClusterNever force it.
+	// 20 sources); ClusterAlways and ClusterNever force it. Under
+	// ClusterNever New fails when the single cluster is wider than the
+	// method accepts: 30 sources for PrecRecCorr, 64 for the aggressive
+	// and elastic approximations (PrecRec reads no cluster).
 	Clustering ClusterMode
 	// ClusterThreshold is the minimum significance (z-score of the
 	// observed co-provision count against its independence expectation)
@@ -186,7 +189,9 @@ type Options struct {
 	ClusterThreshold float64
 	// MaxClusterSize caps correlation clusters. Default 20, the widest
 	// cluster that gets a dense joint table; the exact method accepts up
-	// to 30 on explicit request, at 2ⁿ map lookups per pattern.
+	// to 30 on explicit request, at 2ⁿ map lookups per pattern, and the
+	// aggressive and elastic approximations up to 64. New fails when
+	// clustering produces a cluster over the method's limit.
 	MaxClusterSize int
 
 	// Seed drives the stochastic methods (LTM). Default 1.

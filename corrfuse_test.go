@@ -1,6 +1,7 @@
 package corrfuse_test
 
 import (
+	"strings"
 	"testing"
 
 	"corrfuse"
@@ -187,13 +188,30 @@ func TestClusteringModes(t *testing.T) {
 	if f.Clusters() == nil {
 		t.Error("auto mode should have produced clusters")
 	}
-	// Elastic without clustering works at any width.
-	if _, err := corrfuse.New(d, corrfuse.Options{
-		Method:     corrfuse.PrecRecCorrElastic,
-		Clustering: corrfuse.ClusterNever,
-		Smoothing:  0.5,
-	}); err != nil {
-		t.Errorf("elastic without clustering: %v", err)
+	// One 333-wide cluster is past the approximations' 64-member limit
+	// too: refused at construction (it used to panic while scoring).
+	// PrecRec reads no cluster and takes any width.
+	for _, m := range []corrfuse.Method{corrfuse.PrecRecCorrAggressive, corrfuse.PrecRecCorrElastic} {
+		_, err := corrfuse.New(d, corrfuse.Options{Method: m, Clustering: corrfuse.ClusterNever, Smoothing: 0.5})
+		if err == nil || !strings.Contains(err.Error(), "max 64") {
+			t.Errorf("%v over 333 unclustered sources: err = %v, want the 64-member limit", m, err)
+		}
+	}
+	if _, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.PrecRec, Clustering: corrfuse.ClusterNever, Smoothing: 0.5}); err != nil {
+		t.Errorf("PrecRec without clustering: %v", err)
+	}
+	// Within the limit an unclustered elastic model builds and scores.
+	wide, err := dataset.Generate(dataset.UniformSpec(24, 200, 0.5, 0.7, 0.5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	el, err := corrfuse.New(wide, corrfuse.Options{Method: corrfuse.PrecRecCorrElastic, Clustering: corrfuse.ClusterNever})
+	if err != nil {
+		t.Fatalf("elastic over 24 unclustered sources: %v", err)
+	}
+	res, err := el.Fuse()
+	if err != nil || len(res.All) == 0 {
+		t.Fatalf("elastic over 24 unclustered sources scored %d triples, err %v", len(res.All), err)
 	}
 }
 
@@ -319,6 +337,45 @@ func TestElasticLevelOption(t *testing.T) {
 		if _, err := f.Fuse(); err != nil {
 			t.Fatalf("level %d: %v", level, err)
 		}
+	}
+}
+
+func TestIncrementalPublicAPI(t *testing.T) {
+	d := obama()
+	f, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.PrecRec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := f.Incremental(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stream the Obama observations; final state must match batch PrecRec.
+	for s := 0; s < d.NumSources(); s++ {
+		for _, id := range d.Output(corrfuse.SourceID(s)) {
+			if _, err := inc.Observe(corrfuse.SourceID(s), d.Triple(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < d.NumTriples(); i++ {
+		tr := d.Triple(corrfuse.TripleID(i))
+		batch, _ := f.Probability(tr)
+		online, ok := inc.Probability(tr)
+		if !ok {
+			t.Fatalf("%v unobserved", tr)
+		}
+		if diff := batch - online; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("%v: online %v vs batch %v", tr, online, batch)
+		}
+	}
+	// Unsupervised methods have no quality model.
+	u, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.UnionK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.Incremental(true); err == nil {
+		t.Error("UnionK should not offer an incremental fuser")
 	}
 }
 

@@ -7,15 +7,7 @@ import (
 	"corrfuse/internal/cluster"
 	"corrfuse/internal/core"
 	"corrfuse/internal/quality"
-	"corrfuse/internal/triple"
 )
-
-// scorer is the common surface of all algorithms.
-type scorer interface {
-	Name() string
-	Probability(id triple.TripleID) float64
-	Score(ids []triple.TripleID) []float64
-}
 
 // Fuser scores triples with correctness probabilities using the configured
 // method. Build one with New; it is immutable and safe for concurrent use
@@ -24,7 +16,7 @@ type scorer interface {
 type Fuser struct {
 	d    *Dataset
 	opts Options
-	alg  scorer
+	alg  core.Algorithm
 
 	clusters [][]SourceID
 	est      *quality.Estimator
@@ -100,7 +92,7 @@ func New(d *Dataset, opts Options) (*Fuser, error) {
 			f.clusters = clusters
 			cfg.Clusters = clusters
 		}
-		var alg scorer
+		var alg core.Algorithm
 		switch opts.Method {
 		case PrecRec:
 			alg, err = core.NewPrecRec(cfg)
@@ -130,10 +122,9 @@ func (f *Fuser) resolveClusters(est *quality.Estimator) ([][]SourceID, error) {
 	}
 	switch f.opts.Clustering {
 	case ClusterNever:
-		if f.opts.Method == PrecRecCorr && n > core.MaxExactCluster {
-			return nil, fmt.Errorf("corrfuse: %d sources exceed the exact model's limit of %d; enable clustering or use the elastic method", n, core.MaxExactCluster)
-		}
-		return nil, nil // single cluster (core default)
+		// A single cluster (core's default); core refuses one too wide
+		// for the method.
+		return nil, nil
 	case ClusterAlways:
 		return cluster.Cluster(est, copts), nil
 	default: // ClusterAuto
@@ -149,6 +140,22 @@ func (f *Fuser) resolveClusters(est *quality.Estimator) ([][]SourceID, error) {
 		}
 		return cluster.Cluster(est, copts), nil
 	}
+}
+
+// Incremental maintains PrecRec probabilities under a stream of
+// observations with O(1) updates; see Fuser.Incremental.
+type Incremental = core.Incremental
+
+// Incremental derives an online fuser from this Fuser's trained quality
+// model. Only the supervised methods carry a quality model; penalizeSilence
+// selects global-scope semantics (every silent source counts against a
+// triple). The returned Incremental is independent of the Fuser's dataset:
+// feed it any observation stream.
+func (f *Fuser) Incremental(penalizeSilence bool) (*Incremental, error) {
+	if f.est == nil {
+		return nil, fmt.Errorf("corrfuse: method %s has no trained quality model; use PrecRec or a PrecRecCorr variant", f.MethodName())
+	}
+	return core.NewIncremental(f.est, f.d.NumSources(), penalizeSilence)
 }
 
 // MethodName returns the descriptive name of the configured algorithm.
@@ -190,8 +197,8 @@ func (f *Fuser) Score(ids []TripleID) []float64 {
 
 // scoreModel runs the fusion algorithm over the IDs (the pre-freeze path).
 func (f *Fuser) scoreModel(ids []TripleID) []float64 {
-	if alg, ok := f.alg.(core.Algorithm); ok && f.opts.Parallelism != 1 {
-		return core.ParallelScore(alg, ids, f.opts.Parallelism)
+	if f.opts.Parallelism != 1 {
+		return core.ParallelScore(f.alg, ids, f.opts.Parallelism)
 	}
 	return f.alg.Score(ids)
 }

@@ -24,9 +24,13 @@ type Aggressive struct {
 	cminus [][]float64
 }
 
-// NewAggressive builds the aggressive approximation.
+// NewAggressive builds the aggressive approximation. It fails if any cluster
+// has more than 64 members, the width of a pattern bitmask.
 func NewAggressive(cfg Config) (*Aggressive, error) {
 	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	if err := cfg.checkWidth("aggressive approximation", maxClusterWidth, "use a finer clustering"); err != nil {
 		return nil, err
 	}
 	a := &Aggressive{cfg: cfg}

@@ -91,6 +91,22 @@ func (c *Config) normalize() error {
 	return nil
 }
 
+// maxClusterWidth bounds the clusters of every correlation-aware algorithm: a
+// pattern holds a cluster's providers and in-scope members as stat.Set64
+// bitmasks over member positions, and a Set64 has 64 of them.
+const maxClusterWidth = 64
+
+// checkWidth fails when a cluster of the normalized config has more than max
+// members. what names the refused computation, advice the way out.
+func (c *Config) checkWidth(what string, max int, advice string) error {
+	for _, cl := range c.Clusters {
+		if len(cl) > max {
+			return fmt.Errorf("core: %s infeasible for cluster of %d sources (max %d); %s", what, len(cl), max, advice)
+		}
+	}
+	return nil
+}
+
 // Algorithm scores triples with correctness probabilities.
 type Algorithm interface {
 	// Name identifies the algorithm (for tables and logs).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"corrfuse/internal/dataset"
@@ -193,20 +194,57 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestExactWidthLimit: clusters wider than MaxExactCluster are refused.
-func TestExactWidthLimit(t *testing.T) {
+// wideConfig is n sources under manual parameters in one cluster.
+func wideConfig(n int) Config {
 	d := triple.NewDataset()
 	m := quality.NewManual(0.5)
-	for i := 0; i < MaxExactCluster+1; i++ {
+	for i := 0; i < n; i++ {
 		s := d.AddSource(string(rune('a'+i%26)) + string(rune('0'+i/26)))
 		m.SetSource(s, 0.5, 0.2)
 	}
-	if _, err := NewExact(Config{Dataset: d, Params: m}); err == nil {
+	return Config{Dataset: d, Params: m}
+}
+
+// TestExactWidthLimit: clusters wider than MaxExactCluster are refused.
+func TestExactWidthLimit(t *testing.T) {
+	cfg := wideConfig(MaxExactCluster + 1)
+	if _, err := NewExact(cfg); err == nil {
 		t.Error("expected width-limit error")
 	}
 	// Elastic accepts the same width.
-	if _, err := NewElastic(Config{Dataset: d, Params: m}, 2); err != nil {
+	if _, err := NewElastic(cfg, 2); err != nil {
 		t.Errorf("elastic should accept wide clusters: %v", err)
+	}
+}
+
+// TestPatternWidthLimit: a pattern is a 64-bit mask over cluster members, so
+// the approximations refuse a 65-wide cluster at construction (it used to
+// panic inside Score); PrecRec reads no cluster and takes any width.
+func TestPatternWidthLimit(t *testing.T) {
+	build := map[string]func(Config) error{
+		"aggressive": func(c Config) error { _, err := NewAggressive(c); return err },
+		"elastic":    func(c Config) error { _, err := NewElastic(c, 2); return err },
+	}
+	for name, newAlg := range build {
+		if err := newAlg(wideConfig(maxClusterWidth)); err != nil {
+			t.Errorf("%s: %d-wide cluster refused: %v", name, maxClusterWidth, err)
+		}
+		err := newAlg(wideConfig(maxClusterWidth + 1))
+		if err == nil || !strings.Contains(err.Error(), "max 64") {
+			t.Errorf("%s: %d-wide cluster: err = %v, want the 64-member limit", name, maxClusterWidth+1, err)
+		}
+		// The same 65 sources in two clusters are fine.
+		split := wideConfig(maxClusterWidth + 1)
+		split.Clusters = [][]triple.SourceID{nil, {maxClusterWidth}}
+		for s := 0; s < maxClusterWidth; s++ {
+			split.Clusters[0] = append(split.Clusters[0], triple.SourceID(s))
+		}
+		if err := newAlg(split); err != nil {
+			t.Errorf("%s: clusters of 64 and 1 refused: %v", name, err)
+		}
+	}
+	if _, err := NewPrecRec(wideConfig(maxClusterWidth + 1)); err != nil {
+		t.Errorf("PrecRec refused %d sources: %v", maxClusterWidth+1, err)
 	}
 }
 

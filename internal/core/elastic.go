@@ -33,9 +33,14 @@ type Elastic struct {
 }
 
 // NewElastic builds the elastic approximation at adjustment level λ ≥ 0.
-// Level 0 applies only the initialization of Algorithm 1 (lines 1–2).
+// Level 0 applies only the initialization of Algorithm 1 (lines 1–2). It
+// fails if any cluster has more than 64 members, the width of a pattern
+// bitmask.
 func NewElastic(cfg Config, level int) (*Elastic, error) {
 	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	if err := cfg.checkWidth("elastic approximation", maxClusterWidth, "use a finer clustering"); err != nil {
 		return nil, err
 	}
 	if level < 0 {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"corrfuse/internal/stat"
 	"corrfuse/internal/triple"
 )
@@ -36,14 +34,10 @@ func NewExact(cfg Config) (*Exact, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	e := &Exact{cfg: cfg}
-	for _, cl := range cfg.Clusters {
-		if len(cl) > MaxExactCluster {
-			return nil, fmt.Errorf("core: exact solution infeasible for cluster of %d sources (max %d); use Elastic or a finer clustering", len(cl), MaxExactCluster)
-		}
+	if err := cfg.checkWidth("exact solution", MaxExactCluster, "use Elastic or a finer clustering"); err != nil {
+		return nil, err
 	}
-	e.views = tabledViews(cfg)
-	return e, nil
+	return &Exact{cfg: cfg, views: tabledViews(cfg)}, nil
 }
 
 // Name implements Algorithm.

@@ -12,8 +12,7 @@ import (
 // published shape of its dataset — source count, gold-standard size, truth
 // ratio, per-source quality bands, and the correlation structure reported in
 // the paper's "Discovered correlations" discussion — so the fusion
-// algorithms exercise the same regimes as in the paper. See DESIGN.md for
-// the substitution rationale.
+// algorithms exercise the same regimes as in the paper.
 
 // SimulatedReVerb mimics the REVERB ClueWeb extraction dataset: 6 extractors
 // over 2407 gold triples (616 true, 1791 false) with fairly low precision

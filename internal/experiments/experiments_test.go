@@ -238,32 +238,6 @@ func TestDeriveAlpha(t *testing.T) {
 	}
 }
 
-// TestCrowdRobustnessShape: accurate workers reproduce near-gold fusion
-// quality; fusion quality degrades monotonically-ish as workers approach
-// coin flips.
-func TestCrowdRobustnessShape(t *testing.T) {
-	rows, err := CrowdRobustness(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	first, last := rows[0], rows[len(rows)-1]
-	if first.LabelAccuracy < 0.95 {
-		t.Errorf("accurate workers should label near-perfectly, got %v", first.LabelAccuracy)
-	}
-	if last.LabelAccuracy >= first.LabelAccuracy {
-		t.Error("noisy workers should label worse")
-	}
-	if first.CorrF1 < 0.9 {
-		t.Errorf("fusion on near-gold labels should be strong, got %v", first.CorrF1)
-	}
-	if last.CorrF1 >= first.CorrF1 {
-		t.Error("fusion quality should degrade with label noise")
-	}
-}
-
 func TestWriteCurves(t *testing.T) {
 	evals, err := Fig4("restaurant", 1)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"corrfuse/internal/baseline"
@@ -56,30 +57,11 @@ func Datasets() []DatasetBuilder {
 // DatasetByName resolves one of "reverb", "restaurant", "book".
 func DatasetByName(name string) (DatasetBuilder, error) {
 	for _, b := range Datasets() {
-		if equalsFold(b.Name, name) {
+		if strings.EqualFold(b.Name, name) {
 			return b, nil
 		}
 	}
 	return DatasetBuilder{}, fmt.Errorf("experiments: unknown dataset %q", name)
-}
-
-func equalsFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -165,8 +147,8 @@ type UnionRow struct {
 // Fig1c recomputes Figure 1c: Union-25/50/75 on the Obama example.
 func Fig1c() ([]UnionRow, error) {
 	d := dataset.Obama()
-	ids := providedLabeled(d)
-	labels := goldLabels(d, ids)
+	ids := dataset.ProvidedLabeled(d)
+	labels := dataset.GoldLabels(d, ids)
 	var rows []UnionRow
 	for _, k := range []int{25, 50, 75} {
 		u, err := baseline.NewUnionK(d, k)
@@ -361,8 +343,8 @@ func Fig5a(name string, seed int64, maxLevel int) (*ElasticLevelResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := providedLabeled(d)
-	labels := goldLabels(d, ids)
+	ids := dataset.ProvidedLabeled(d)
+	labels := dataset.GoldLabels(d, ids)
 	cfg := core.Config{Dataset: d, Params: est, Scope: scope}
 	if b.Cluster {
 		cfg.Clusters = cluster.Cluster(est, cluster.Options{MaxClusterSize: b.MaxClusterSize})

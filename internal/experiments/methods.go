@@ -13,6 +13,7 @@ import (
 	"corrfuse/internal/baseline"
 	"corrfuse/internal/cluster"
 	"corrfuse/internal/core"
+	"corrfuse/internal/dataset"
 	"corrfuse/internal/eval"
 	"corrfuse/internal/quality"
 	"corrfuse/internal/triple"
@@ -92,11 +93,11 @@ type MethodEval struct {
 // ordering.
 func EvaluateAll(d *triple.Dataset, opts Options) ([]MethodEval, error) {
 	opts.normalize()
-	ids := providedLabeled(d)
+	ids := dataset.ProvidedLabeled(d)
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("experiments: dataset has no provided labeled triples")
 	}
-	labels := goldLabels(d, ids)
+	labels := dataset.GoldLabels(d, ids)
 	if opts.Alpha == 0 {
 		opts.Alpha = DeriveAlpha(d)
 	}
@@ -222,26 +223,6 @@ func threshold(scores []float64, th float64) []bool {
 	out := make([]bool, len(scores))
 	for i, s := range scores {
 		out[i] = s > th
-	}
-	return out
-}
-
-// providedLabeled lists gold triples with at least one provider.
-func providedLabeled(d *triple.Dataset) []triple.TripleID {
-	var out []triple.TripleID
-	for _, id := range d.Labeled() {
-		if len(d.Providers(id)) > 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// goldLabels converts gold labels into booleans.
-func goldLabels(d *triple.Dataset, ids []triple.TripleID) []bool {
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		out[i] = d.Label(id) == triple.True
 	}
 	return out
 }

@@ -20,7 +20,6 @@ package index
 
 import (
 	"sort"
-	"time"
 
 	"corrfuse/internal/triple"
 )
@@ -41,7 +40,6 @@ type Entry struct {
 // Subject and Source are shared and must not be mutated.
 type Index struct {
 	version uint64
-	built   time.Duration
 
 	// Dense tables by TripleID over the snapshot dataset; provided marks
 	// the IDs the fused result set covers (triples with at least one
@@ -69,7 +67,6 @@ type Index struct {
 // Provenance, labels and the tables must not be mutated afterwards (the
 // serving layer's datasets and frozen models never are).
 func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, version uint64) *Index {
-	begin := time.Now()
 	n := d.NumTriples()
 	if n > len(provided) {
 		n = len(provided) // defensive: never read past the tables
@@ -125,7 +122,6 @@ func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, versio
 			idx.bySource[src] = append(idx.bySource[src], e)
 		}
 	}
-	idx.built = time.Since(begin)
 	return idx
 }
 
@@ -134,17 +130,11 @@ func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, versio
 // snapshot's own version; a mismatch would mean a reader mixed generations.
 func (idx *Index) Version() uint64 { return idx.version }
 
-// BuildTime returns the wall time Build took.
-func (idx *Index) BuildTime() time.Duration { return idx.built }
-
 // Len returns the number of fused results in the index.
 func (idx *Index) Len() int { return len(idx.entries) }
 
 // Subjects returns the number of distinct subjects with fused results.
 func (idx *Index) Subjects() int { return len(idx.bySubject) }
-
-// Sources returns the number of distinct sources contributing results.
-func (idx *Index) Sources() int { return len(idx.bySource) }
 
 // Lookup returns the frozen probability and acceptance decision for a
 // snapshot triple ID in O(1). ok is false for IDs outside the fused result

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
@@ -21,25 +20,10 @@ var FineBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
 }
 
-// ExpBuckets returns n log-spaced bucket bounds starting at start (seconds),
-// each factor times the previous.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if n < 1 || start <= 0 || factor <= 1 {
-		return nil
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket latency histogram safe for concurrent use.
-// Observation is wait-free: one atomic add into the bucket counter plus two
-// atomic adds for the running count and nanosecond sum — no locks on the
-// hot path, so request handlers can observe without contending with scrapes.
+// Observation is wait-free: one atomic add into the bucket counter plus one
+// for the nanosecond sum — no locks on the hot path, so request handlers can
+// observe without contending with scrapes.
 type Histogram struct {
 	// upper are the inclusive bucket upper bounds in seconds, ascending; an
 	// implicit +Inf bucket follows.
@@ -48,7 +32,6 @@ type Histogram struct {
 	// bucket i (NOT cumulative; the exposition writer accumulates). The
 	// final element is the +Inf bucket.
 	counts []atomic.Uint64
-	count  atomic.Uint64
 	// sumNanos accumulates the observed durations in nanoseconds: integer
 	// adds are atomic without a CAS loop, and ~292 years of summed latency
 	// fit in int64 before overflow.
@@ -81,59 +64,17 @@ func (h *Histogram) Observe(d time.Duration) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sumNanos.Add(int64(d))
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed durations in seconds.
 func (h *Histogram) Sum() float64 {
 	return time.Duration(h.sumNanos.Load()).Seconds()
 }
 
-// Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation within the owning bucket — the usual Prometheus
-// histogram_quantile estimate, handy for slow-log decisions and tests.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum uint64
-	lower := 0.0
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			if i < len(h.upper) {
-				lower = h.upper[i]
-			}
-			continue
-		}
-		if float64(cum+c) >= rank {
-			upper := lower
-			if i < len(h.upper) {
-				upper = h.upper[i]
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-		if i < len(h.upper) {
-			lower = h.upper[i]
-		}
-	}
-	return lower
-}
-
 // snapshot returns cumulative bucket counts aligned with upper (+Inf last),
 // plus count and sum. Reads are atomic per counter; a scrape racing
-// observations may see a bucket updated before the total — the linter and
+// observations may see a bucket updated before the sum — the linter and
 // Prometheus both tolerate that skew, and it never decreases.
 func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {
 	cum = make([]uint64, len(h.counts))

@@ -36,9 +36,6 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 	if math.Abs(sum-wantSum) > 1e-9 {
 		t.Errorf("sum = %v, want %v", sum, wantSum)
 	}
-	if q := h.Quantile(0.5); q < 0 || q > 0.01 {
-		t.Errorf("median %v outside [0, 0.01]", q)
-	}
 }
 
 func TestHistogramBoundaryInclusive(t *testing.T) {
@@ -169,9 +166,9 @@ func TestTraceSpansAndRecorder(t *testing.T) {
 	rec := NewTraceRecorder(2, 0)
 	for i := 0; i < 3; i++ {
 		tr := NewTrace(fmt.Sprintf("id-%d", i), "test")
-		done := tr.StartSpan("stage")
+		begin := time.Now()
 		time.Sleep(time.Millisecond)
-		done()
+		tr.AddSpan("stage", begin.Sub(tr.Start), time.Since(begin))
 		tr.Finish(200)
 		rec.Record(tr)
 	}
@@ -221,7 +218,6 @@ func TestTraceSpanCap(t *testing.T) {
 
 func TestNilTraceSafe(t *testing.T) {
 	var tr *Trace
-	tr.StartSpan("x")()
 	tr.AddSpan("y", 0, 0)
 	tr.Finish(200)
 	if d := tr.Duration(); d != 0 {
@@ -400,22 +396,6 @@ func TestBuildInfo(t *testing.T) {
 	}
 	if errs := LintExposition(buf.Bytes()); len(errs) > 0 {
 		t.Fatalf("build info fails lint: %v", errs)
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(0.001, 10, 4)
-	want := []float64{0.001, 0.01, 0.1, 1}
-	if len(b) != len(want) {
-		t.Fatalf("b = %v", b)
-	}
-	for i := range want {
-		if math.Abs(b[i]-want[i]) > 1e-12 {
-			t.Errorf("b[%d] = %v, want %v", i, b[i], want[i])
-		}
-	}
-	if ExpBuckets(0, 2, 3) != nil || ExpBuckets(1, 1, 3) != nil || ExpBuckets(1, 2, 0) != nil {
-		t.Error("invalid ExpBuckets input did not return nil")
 	}
 }
 

@@ -88,17 +88,6 @@ func NewTrace(id, name string) *Trace {
 	return &Trace{ID: id, Name: name, Start: time.Now()}
 }
 
-// StartSpan opens a span and returns its closer; call the closer when the
-// stage completes. Nil-safe: a nil trace returns a no-op closer, so
-// instrumented code never branches on tracing being enabled.
-func (t *Trace) StartSpan(name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() { t.AddSpan(name, begin.Sub(t.Start), time.Since(begin)) }
-}
-
 // AddSpan records an already-measured stage. Nil-safe.
 func (t *Trace) AddSpan(name string, offset, d time.Duration) {
 	if t == nil {

@@ -17,7 +17,6 @@ package quality
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -297,16 +296,6 @@ func DeriveFPR(alpha, p, r float64) float64 {
 		return 0
 	}
 	return q
-}
-
-// ValidFPR reports whether the Theorem 3.5 derivation yields a valid
-// probability, i.e. α ≤ p/(p + r − p·r).
-func ValidFPR(alpha, p, r float64) bool {
-	den := p + r - p*r
-	if den <= 0 {
-		return false
-	}
-	return alpha <= p/den
 }
 
 // Dataset returns the dataset this estimator was built on.
@@ -627,25 +616,4 @@ func (e *Estimator) PairCounts(a, b triple.SourceID) (bothTrue, bothFalse, aTrue
 	totTrue = len(e.trueIDs)
 	totFalse = len(e.labelled) - totTrue
 	return
-}
-
-// PairCorrelation summarizes the pairwise correlation between two sources on
-// true and on false triples; used by the clustering package.
-func PairCorrelation(p Params, a, b triple.SourceID) (onTrue, onFalse float64) {
-	pair := []triple.SourceID{a, b}
-	ct, okT := CorrelationTrue(p, pair)
-	cf, okF := CorrelationFalse(p, pair)
-	if !okT {
-		ct = 1
-	}
-	if !okF {
-		cf = 1
-	}
-	if math.IsInf(ct, 0) || math.IsNaN(ct) {
-		ct = 1
-	}
-	if math.IsInf(cf, 0) || math.IsNaN(cf) {
-		cf = 1
-	}
-	return ct, cf
 }

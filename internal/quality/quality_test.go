@@ -192,18 +192,6 @@ func TestDeriveFPRTheorem35(t *testing.T) {
 	}
 }
 
-func TestValidFPRCondition(t *testing.T) {
-	// α ≤ p/(p+r−pr) exactly when the derived q ≤ 1 (before clamping).
-	for _, tc := range []struct {
-		alpha, p, r float64
-	}{{0.5, 0.8, 0.5}, {0.5, 0.3, 0.9}, {0.9, 0.5, 0.5}, {0.2, 0.1, 0.9}} {
-		raw := tc.alpha / (1 - tc.alpha) * (1 - tc.p) / tc.p * tc.r
-		if got, want := ValidFPR(tc.alpha, tc.p, tc.r), raw <= 1+1e-12; got != want {
-			t.Errorf("ValidFPR(%v) = %v, want %v (raw q = %v)", tc, got, want, raw)
-		}
-	}
-}
-
 func TestGoodSourceCondition(t *testing.T) {
 	// Theorem 3.5: p > α implies q < r.
 	for _, alpha := range []float64{0.2, 0.5, 0.8} {
@@ -259,10 +247,6 @@ func TestCorrelationFactors(t *testing.T) {
 	cf, ok := CorrelationFalse(m, pair)
 	if !ok || !stat.ApproxEqual(cf, 0.5, 1e-12) {
 		t.Errorf("C_false = %v (ok=%v), want 0.5", cf, ok)
-	}
-	onTrue, onFalse := PairCorrelation(m, 0, 1)
-	if onTrue != ct || onFalse != cf {
-		t.Error("PairCorrelation disagrees with factors")
 	}
 }
 

@@ -228,9 +228,8 @@ func (f *Follower) fetchOnce(ctx context.Context, wait time.Duration) (int, erro
 		return 0, err
 	}
 	defer func() {
-		//lint:ignore errswallow drain-and-close of an exhausted response body; nothing actionable
+		// Drain-and-close of an exhausted response body; nothing actionable.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		//lint:ignore errswallow see above
 		resp.Body.Close()
 	}()
 
@@ -436,11 +435,4 @@ func (f *Follower) LastError() string {
 // condition (HTTP 410) that requires an operator re-bootstrap.
 func IsTruncated(err error) bool {
 	return errors.Is(err, errTruncated)
-}
-
-// IsDiverged reports whether err is the follower-ahead-of-leader condition
-// (leader data loss / wipe / older restore) that requires an operator
-// re-bootstrap.
-func IsDiverged(err error) bool {
-	return errors.Is(err, errDiverged)
 }

@@ -411,7 +411,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	s.live.RUnlock()
 	endScore()
-	s.m.scored.Add(uint64(len(req.Triples)))
 	buf := codec.GetBuffer()
 	defer codec.PutBuffer(buf)
 	buf.B = codec.AppendScoreResponse(buf.B, results, sn.seq, sn.version, sn.idx.Version())

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"corrfuse"
 	"corrfuse/internal/obs"
@@ -12,8 +11,6 @@ import (
 	"corrfuse/internal/store"
 	"corrfuse/internal/wal"
 )
-
-type counter = atomic.Uint64
 
 // metrics are the service's operational counters. The exposition-facing
 // counters are registry-backed (declared once, emitted by Registry.WriteTo);
@@ -26,9 +23,7 @@ type metrics struct {
 	badRequests *obs.Counter
 
 	observations *obs.Counter // claims ingested
-	scored       *obs.Counter // triples scored via /v1/score
 	rebuilds     *obs.Counter
-	rebuildSkips *obs.Counter
 	// partialRebuilds counts rebuilds that adopted at least one shard of
 	// the previous model (a subset of rebuilds).
 	partialRebuilds *obs.Counter
@@ -53,8 +48,6 @@ type metrics struct {
 	// persist instead of finding out from a log line.
 	persistFailures *obs.Counter
 	lastPersistErr  atomic.Value
-
-	lastRebuildNanos atomic.Int64
 }
 
 // endpoints are the routed endpoint names; their request counters and
@@ -99,7 +92,6 @@ func (s *Server) initObs() {
 	s.stageHist = r.HistogramVec("corrfused_request_stage_seconds", "Request-stage latency (decode, ingest, wal_commit, index_lookup, score).", "stage", obs.FineBuckets)
 
 	s.m.observations = r.Counter("corrfused_observations_total", "Claims ingested via /v1/observe.")
-	s.m.scored = r.Counter("corrfused_scored_triples_total", "Triples scored via /v1/score.")
 
 	// Admission control. The families exist (at zero) even when the knobs
 	// are disabled, so dashboards and alerts can rely on the series.
@@ -125,30 +117,8 @@ func (s *Server) initObs() {
 	}
 	r.GaugeFunc("corrfused_snapshot_seq", "Sequence number of the live batch snapshot.",
 		snap(func(sn *snapshot) float64 { return float64(sn.seq) }))
-	r.GaugeFunc("corrfused_snapshot_age_seconds", "Age of the live batch snapshot.",
-		snap(func(sn *snapshot) float64 { return time.Since(sn.builtAt).Seconds() }))
-	r.GaugeFunc("corrfused_snapshot_triples", "Triples scored by the live snapshot.",
-		snap(func(sn *snapshot) float64 { return float64(sn.triples) }))
-	r.GaugeFunc("corrfused_snapshot_accepted", "Triples the live snapshot accepts as true.",
-		snap(func(sn *snapshot) float64 { return float64(sn.accepted) }))
-
-	r.GaugeFunc("corrfused_index_version", "Store data version the live read index was built at (always equals corrfused_snapshot_version).",
-		snap(func(sn *snapshot) float64 { return float64(sn.idx.Version()) }))
-	r.GaugeFunc("corrfused_snapshot_version", "Store data version the live snapshot was captured at.",
-		snap(func(sn *snapshot) float64 { return float64(sn.version) }))
-	r.GaugeFunc("corrfused_index_triples", "Fused results frozen in the live read index.",
-		snap(func(sn *snapshot) float64 { return float64(sn.idx.Len()) }))
-	r.GaugeFunc("corrfused_index_subjects", "Distinct subjects with results in the live read index.",
-		snap(func(sn *snapshot) float64 { return float64(sn.idx.Subjects()) }))
-	r.GaugeFunc("corrfused_index_sources", "Distinct sources contributing to the live read index.",
-		snap(func(sn *snapshot) float64 { return float64(sn.idx.Sources()) }))
-	r.GaugeFunc("corrfused_index_build_seconds", "Wall time of the live read index build.",
-		snap(func(sn *snapshot) float64 { return sn.idx.BuildTime().Seconds() }))
-
 	r.GaugeFunc("corrfused_store_triples", "Distinct triples in the store.",
 		func() float64 { return float64(s.store.Len()) })
-	r.GaugeFunc("corrfused_store_version", "Store data version (mutations that feed the model).",
-		func() float64 { return float64(s.store.Version()) })
 	r.GaugeFunc("corrfused_ingest_lag", "Data mutations not yet reflected in the batch snapshot.",
 		func() float64 {
 			// Load the snapshot before the store version: a concurrent swap
@@ -173,10 +143,6 @@ func (s *Server) initObs() {
 			}
 			return float64(s.live.inc.Len())
 		}))
-	r.GaugeFunc("corrfused_journal_entries", "Claims journaled since the last snapshot capture.",
-		live(func() float64 { return float64(len(s.live.journal)) }))
-	r.GaugeFunc("corrfused_unknown_sources", "Sources seen in ingests but absent from the quality model.",
-		live(func() float64 { return float64(len(s.live.unknown)) }))
 	r.GaugeFunc("corrfused_online_disabled", "1 while the service runs batch-only (no incremental scorer: an unsupervised method, a failed scorer or a follower re-bootstrap — the log says which), 0 when live scoring is up.",
 		live(func() float64 {
 			if s.live.inc == nil {
@@ -186,10 +152,7 @@ func (s *Server) initObs() {
 		}))
 
 	s.m.rebuilds = r.Counter("corrfused_rebuilds_total", "Batch re-fusions performed.")
-	s.m.rebuildSkips = r.Counter("corrfused_rebuild_skips_total", "Re-fusions skipped because the store was unchanged.")
 	s.m.partialRebuilds = r.Counter("corrfused_partial_rebuilds_total", "Re-fusions that adopted at least one clean shard's model instead of retraining it.")
-	r.GaugeFunc("corrfused_last_rebuild_seconds", "Duration of the last batch re-fusion.",
-		func() float64 { return time.Duration(s.m.lastRebuildNanos.Load()).Seconds() })
 	s.rebuildStage = r.HistogramVec("corrfused_rebuild_stage_seconds", "Re-fusion stage wall time (capture, train, freeze, writeback, index_build, online_seed, swap, shard_route, shard_build, snapshot_save_binary, snapshot_save_jsonl).", "stage", obs.DefBuckets)
 	s.m.persistFailures = r.Counter("corrfused_persist_failures_total", "Persists in which a store save failed (either format; a binary-snapshot failure never loses data, the JSONL store still saves).")
 
@@ -332,8 +295,6 @@ func (s *Server) initObs() {
 		func(st corrfuse.ShardStat) float64 { return st.Build.Seconds() })
 	perShard("corrfused_shard_triples", "Distinct triples routed to each shard of the live snapshot.",
 		func(st corrfuse.ShardStat) float64 { return float64(st.Triples) })
-	perShard("corrfused_shard_labeled", "Labeled triples in each shard's training slice.",
-		func(st corrfuse.ShardStat) float64 { return float64(st.Labeled) })
 
 	r.SampleFunc("corrfused_traces_recorded_total", "Finished traces offered to the trace ring buffer.", "counter",
 		func() []obs.Sample { return []obs.Sample{{Value: float64(s.traces.Total())}} })

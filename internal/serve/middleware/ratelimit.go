@@ -99,13 +99,6 @@ func (l *Limiter) evictLocked() {
 	}
 }
 
-// Keys returns the number of tracked buckets (tests and introspection).
-func (l *Limiter) Keys() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}
-
 // LimitFunc wires a Limiter into a Middleware: keyFunc extracts the API key
 // from the request (return "" for the shared fallback bucket) and reject
 // writes the 429 response — presentation stays with the caller, so the

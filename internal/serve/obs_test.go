@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -155,9 +156,19 @@ func TestMetricsExpositionLint(t *testing.T) {
 	cfg.Options.Shards = 3
 	cfg.WALDir = dir + "/wal"
 	cfg.PersistPath = dir + "/store.jsonl"
+	// The two fault counters: a crash leftover in the WAL directory at boot,
+	// and a log record the observability layer cannot marshal.
+	if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.WALDir+"/wal-0000000001.jsonl.tmp", []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	srv := newServer(t, seedStore(t), cfg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	encodeFailures := obs.EncodeFailures()
+	obs.NewLogger(io.Discard, obs.LevelInfo, "json").Info(context.Background(), "unmarshalable", "value", make(chan int))
 
 	// Touch every kind of path so the document is as populated as it gets:
 	// ingest (stage histograms + WAL commit wait), a read, a router 404 and
@@ -183,6 +194,8 @@ func TestMetricsExpositionLint(t *testing.T) {
 		`stage="train"`,
 		"corrfused_wal_commit_wait_seconds_count 1",
 		"corrfused_build_info{",
+		"corrfused_wal_ignored_files 1\n",
+		fmt.Sprintf("corrfused_obs_encode_failures_total %d\n", encodeFailures+1),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

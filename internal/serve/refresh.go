@@ -112,7 +112,6 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 		// forever across skipped rebuilds.
 		s.live.journal = s.live.journal[:0]
 		s.live.Unlock()
-		s.m.rebuildSkips.Add(1)
 		return cur, true, nil
 	}
 	shardVers := s.store.ShardVersions()
@@ -254,7 +253,6 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 		// changed the source table) was a full rebuild.
 		s.m.partialRebuilds.Add(1)
 	}
-	s.m.lastRebuildNanos.Store(int64(time.Since(begin)))
 	s.logger.Logf("serve: snapshot %d: %s over %d sources, %d triples → %d accepted in %v",
 		next.seq, fuser.MethodName(), d.NumSources(), next.triples, next.accepted, time.Since(begin).Round(time.Millisecond))
 	s.logger.Logf("serve: snapshot %d: %d shards rebuilt, %d reused", next.seq, rebuilt, reused)

@@ -266,15 +266,6 @@ func (p *Partition) GlobalID(shard int, local triple.TripleID) triple.TripleID {
 	return p.globalID[shard][local]
 }
 
-// Sizes returns the number of triples routed to each shard.
-func (p *Partition) Sizes() []int {
-	out := make([]int, len(p.shards))
-	for i, sd := range p.shards {
-		out[i] = sd.NumTriples()
-	}
-	return out
-}
-
 // Validate checks the partition invariants: every global triple is mapped to
 // exactly one shard, the two-way ID mapping is consistent, every shard's
 // source table matches the global one, and every shard dataset is internally

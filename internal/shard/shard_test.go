@@ -66,8 +66,8 @@ func TestPartitionInvariants(t *testing.T) {
 func TestPartitionSpreadsSubjects(t *testing.T) {
 	d := buildDataset(400, 5)
 	p := New(d, 4, 0)
-	for i, size := range p.Sizes() {
-		if size == 0 {
+	for i := 0; i < p.NumShards(); i++ {
+		if p.Shard(i).NumTriples() == 0 {
 			t.Errorf("shard %d is empty over 400 subjects", i)
 		}
 	}

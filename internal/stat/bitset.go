@@ -58,9 +58,6 @@ func (s Set64) Contains(e int) bool {
 // Union returns s ∪ t.
 func (s Set64) Union(t Set64) Set64 { return s | t }
 
-// Intersect returns s ∩ t.
-func (s Set64) Intersect(t Set64) Set64 { return s & t }
-
 // Minus returns s \ t.
 func (s Set64) Minus(t Set64) Set64 { return s &^ t }
 
@@ -156,19 +153,4 @@ func (s Set64) SubsetsOfSize(k int, fn func(Set64) bool) {
 			idx[j] = idx[j-1] + 1
 		}
 	}
-}
-
-// Binomial returns C(n, k) as a float64 (to survive large n).
-func Binomial(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	out := 1.0
-	for i := 0; i < k; i++ {
-		out = out * float64(n-i) / float64(i+1)
-	}
-	return out
 }

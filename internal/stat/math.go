@@ -24,78 +24,6 @@ func (k *KahanSum) Add(v float64) {
 // Sum returns the compensated total.
 func (k *KahanSum) Sum() float64 { return k.sum + k.c }
 
-// Sum adds values with compensated summation.
-func Sum(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(x)
-	}
-	return k.Sum()
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (0 for fewer than two
-// values).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var k KahanSum
-	for _, x := range xs {
-		d := x - m
-		k.Add(d * d)
-	}
-	return k.Sum() / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// LogAddExp returns log(exp(a) + exp(b)) without overflow.
-func LogAddExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-// LogSumExp returns log(sum(exp(xs))) without overflow. It returns -Inf for
-// an empty slice.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	maxv := math.Inf(-1)
-	for _, x := range xs {
-		if x > maxv {
-			maxv = x
-		}
-	}
-	if math.IsInf(maxv, -1) {
-		return maxv
-	}
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(math.Exp(x - maxv))
-	}
-	return maxv + math.Log(k.Sum())
-}
-
 // Sigmoid returns 1/(1+exp(-x)).
 func Sigmoid(x float64) float64 {
 	if x >= 0 {
@@ -143,34 +71,6 @@ func ApproxEqual(a, b, tol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= tol*scale
-}
-
-// Odds converts a probability to odds p/(1-p); Inf for p >= 1.
-func Odds(p float64) float64 {
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return p / (1 - p)
-}
-
-// FromOdds converts odds back to a probability odds/(1+odds). It maps +Inf
-// to 1 and negative values to 0.
-func FromOdds(odds float64) float64 {
-	if math.IsInf(odds, 1) {
-		return 1
-	}
-	if odds <= 0 {
-		return 0
-	}
-	return odds / (1 + odds)
-}
-
-// LogBeta returns log(B(a, b)).
-func LogBeta(a, b float64) float64 {
-	la, _ := math.Lgamma(a)
-	lb, _ := math.Lgamma(b)
-	lab, _ := math.Lgamma(a + b)
-	return la + lb - lab
 }
 
 // HarmonicMean returns the harmonic mean of a and b (the F-measure when a and

@@ -1,18 +1,11 @@
-// Package stat provides the numeric and statistical substrate the fusion
-// algorithms need: a deterministic random number generator, samplers for the
-// Beta/Gamma/Binomial/Bernoulli distributions (required by the LTM baseline
-// and the synthetic data generators), compensated summation, log-space
-// helpers, and small-set (bitset) utilities for subset enumeration in the
-// inclusion–exclusion computations.
-//
-// Go's standard library has no scientific stack, so everything here is
-// implemented from scratch on top of math and math/rand.
+// Package stat provides the numeric substrate the fusion algorithms need: a
+// deterministic random number generator (the LTM baseline's Gibbs sampler and
+// the synthetic data generators draw from it), compensated summation,
+// log-odds helpers, and small-set (bitset) utilities for subset enumeration
+// in the inclusion–exclusion computations.
 package stat
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic random source. It wraps math/rand with the samplers
 // the rest of the repository needs, so all stochastic components (data
@@ -32,12 +25,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform sample in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
-// NormFloat64 returns a standard normal sample.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -55,87 +42,6 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
-// Gamma samples from the Gamma distribution with shape alpha and scale 1,
-// using the Marsaglia–Tsang (2000) squeeze method, with the Ahrens–Dieter
-// boost for alpha < 1.
-func (g *RNG) Gamma(alpha float64) float64 {
-	if alpha <= 0 {
-		panic("stat: Gamma requires alpha > 0")
-	}
-	if alpha < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := g.r.Float64()
-		for u == 0 {
-			u = g.r.Float64()
-		}
-		return g.Gamma(alpha+1) * math.Pow(u, 1/alpha)
-	}
-	d := alpha - 1.0/3.0
-	c := 1.0 / math.Sqrt(9*d)
-	for {
-		var x, v float64
-		for {
-			x = g.r.NormFloat64()
-			v = 1 + c*x
-			if v > 0 {
-				break
-			}
-		}
-		v = v * v * v
-		u := g.r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// Beta samples from the Beta(a, b) distribution via two Gamma draws.
-func (g *RNG) Beta(a, b float64) float64 {
-	x := g.Gamma(a)
-	y := g.Gamma(b)
-	if x+y == 0 {
-		return 0.5
-	}
-	return x / (x + y)
-}
-
-// Binomial samples the number of successes in n Bernoulli(p) trials.
-// For the modest n used in this repository a direct loop is fine; for large n
-// it switches to a normal approximation with continuity correction.
-func (g *RNG) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("stat: Binomial requires n >= 0")
-	}
-	if p <= 0 || n == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if g.r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(mean * (1 - p))
-	k := int(math.Round(mean + sd*g.r.NormFloat64()))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
 // SampleWithoutReplacement returns k distinct indexes drawn uniformly from
 // [0, n) in random order. It panics if k > n.
 func (g *RNG) SampleWithoutReplacement(n, k int) []int {
@@ -144,28 +50,4 @@ func (g *RNG) SampleWithoutReplacement(n, k int) []int {
 	}
 	perm := g.r.Perm(n)
 	return perm[:k]
-}
-
-// Categorical samples an index proportionally to the non-negative weights.
-// It panics if all weights are zero or any weight is negative.
-func (g *RNG) Categorical(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("stat: Categorical requires non-negative weights")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("stat: Categorical requires a positive total weight")
-	}
-	u := g.r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -40,6 +40,6 @@ func mapFile(path string) ([]byte, bool, error) {
 }
 
 func unmapFile(data []byte) {
-	//lint:ignore errswallow releasing a rejected mapping; nothing to do on failure beyond leaking pages
+	// Releasing a rejected mapping; nothing to do on failure beyond leaking pages.
 	syscall.Munmap(data)
 }

@@ -11,7 +11,6 @@ package triple
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Triple is one unit of data: a {subject, predicate, object} statement,
@@ -32,16 +31,6 @@ func (t Triple) String() string {
 // appear in data; the in-memory struct itself is already comparable.
 func (t Triple) Key() string {
 	return t.Subject + "\x1f" + t.Predicate + "\x1f" + t.Object
-}
-
-// ParseKey reverses Key. It returns an error if k does not contain exactly
-// three components.
-func ParseKey(k string) (Triple, error) {
-	parts := strings.Split(k, "\x1f")
-	if len(parts) != 3 {
-		return Triple{}, fmt.Errorf("triple: malformed key %q", k)
-	}
-	return Triple{Subject: parts[0], Predicate: parts[1], Object: parts[2]}, nil
 }
 
 // SourceID identifies a data source within a Dataset. IDs are dense indexes
@@ -253,17 +242,6 @@ func (d *Dataset) Labeled() []TripleID {
 	out := make([]TripleID, 0, len(d.labels))
 	for id, l := range d.labels {
 		if l != Unknown {
-			out = append(out, TripleID(id))
-		}
-	}
-	return out
-}
-
-// TrueTriples returns the IDs of all triples labeled True.
-func (d *Dataset) TrueTriples() []TripleID {
-	out := make([]TripleID, 0, len(d.labels))
-	for id, l := range d.labels {
-		if l == True {
 			out = append(out, TripleID(id))
 		}
 	}

@@ -280,7 +280,7 @@ func WriteBootstrapSegment(dir string, first uint64) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		//lint:ignore errswallow best-effort removal of the orphaned temp file; the rename error is returned
+		// Best-effort removal of the orphaned temp file; the rename error is returned.
 		os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}

@@ -519,7 +519,7 @@ func (w *WAL) createSegment() error {
 	if err := os.Rename(tmp, path); err != nil {
 		//lint:ignore errswallow cleanup on the error path; the rename error is returned
 		f.Close()
-		//lint:ignore errswallow best-effort removal of the orphaned temp file
+		// Best-effort removal of the orphaned temp file.
 		os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}

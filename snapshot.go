@@ -41,9 +41,9 @@ type frozen struct {
 
 // rankedResult builds the ranked result lists from the frozen tables once
 // (dataset order in, stable descending-probability sort) and returns a
-// fresh Result backed by copies, so callers may reorder or filter (e.g.
-// ResolveSingleValued) without corrupting the shared lists. d must be the
-// dataset the tables are dense over.
+// fresh Result backed by copies, so callers may reorder or filter without
+// corrupting the shared lists. d must be the dataset the tables are dense
+// over.
 func (fr *frozen) rankedResult(d *Dataset) *Result {
 	fr.rankOnce.Do(func() {
 		var all, acc []ScoredTriple

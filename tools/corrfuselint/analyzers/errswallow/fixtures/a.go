@@ -67,3 +67,10 @@ func suppressed(f *os.File) {
 	//lint:ignore errswallow fixture proves the suppression path works
 	f.Close()
 }
+
+// A directive that suppresses nothing is itself a finding: the handled
+// Close below raises no errswallow diagnostic for it to match.
+func staleSuppression(f *os.File) error {
+	//lint:ignore errswallow nothing on the next line discards an error // want "matched no errswallow diagnostic"
+	return f.Close()
+}

@@ -1,17 +1,64 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
 )
 
-// ignoreSet maps file → line → analyzer names suppressed on that line.
-type ignoreSet map[string]map[int]map[string]bool
+// directive is one //lint:ignore comment: the analyzers it names, each
+// mapped to whether the directive has suppressed a diagnostic of it.
+type directive struct {
+	pos   token.Position
+	names map[string]bool
+}
 
-func (s ignoreSet) match(d Diagnostic) bool {
-	names := s[d.Pos.Filename][d.Pos.Line]
-	return names["*"] || names[d.Analyzer]
+// lineKey addresses one source line.
+type lineKey struct {
+	file string
+	line int
+}
+
+// ignoreSet holds a package's directives, indexed by the lines they cover.
+type ignoreSet struct {
+	all    []*directive
+	byLine map[lineKey][]*directive
+}
+
+// match reports whether a directive suppresses d, and records the use.
+func (s *ignoreSet) match(d Diagnostic) bool {
+	hit := false
+	for _, dir := range s.byLine[lineKey{d.Pos.Filename, d.Pos.Line}] {
+		for _, n := range []string{d.Analyzer, "*"} {
+			if _, named := dir.names[n]; named {
+				dir.names[n] = true
+				hit = true
+			}
+		}
+	}
+	return hit
+}
+
+// unused reports every directive that names an analyzer in ran and
+// suppressed no diagnostic of it: a suppression that suppresses nothing is
+// a stale exception, and counting it as a live one hides what the analyzer
+// really needs excused. Names of analyzers that did not run (-only) and the
+// "*" wildcard are not judged.
+func (s *ignoreSet) unused(ran map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, dir := range s.all {
+		for n, used := range dir.names {
+			if ran[n] && !used {
+				out = append(out, Diagnostic{
+					Pos:      dir.pos,
+					Analyzer: "lintdirective",
+					Message:  fmt.Sprintf("//lint:ignore %s matched no %s diagnostic; delete the directive", n, n),
+				})
+			}
+		}
+	}
+	return out
 }
 
 // scanIgnores collects //lint:ignore directives from a package's files.
@@ -25,8 +72,8 @@ func (s ignoreSet) match(d Diagnostic) bool {
 // and as a standalone comment above one. A directive without a reason
 // is itself reported: a suppression whose justification nobody wrote
 // down is exactly the silent exception this tool exists to prevent.
-func scanIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagnostic) {
-	set := make(ignoreSet)
+func scanIgnores(fset *token.FileSet, files []*ast.File) (*ignoreSet, []Diagnostic) {
+	set := &ignoreSet{byLine: make(map[lineKey][]*directive)}
 	var bad []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -46,22 +93,16 @@ func scanIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagnosti
 					})
 					continue
 				}
-				lines := set[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					set[pos.Filename] = lines
+				dir := &directive{pos: pos, names: make(map[string]bool)}
+				for _, n := range strings.Split(fields[0], ",") {
+					if n = strings.TrimSpace(n); n != "" {
+						dir.names[n] = false
+					}
 				}
+				set.all = append(set.all, dir)
 				for _, line := range []int{pos.Line, pos.Line + 1} {
-					names := lines[line]
-					if names == nil {
-						names = make(map[string]bool)
-						lines[line] = names
-					}
-					for _, n := range strings.Split(fields[0], ",") {
-						if n = strings.TrimSpace(n); n != "" {
-							names[n] = true
-						}
-					}
+					k := lineKey{pos.Filename, line}
+					set.byLine[k] = append(set.byLine[k], dir)
 				}
 			}
 		}

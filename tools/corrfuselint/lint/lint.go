@@ -68,10 +68,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Run applies every analyzer to every target package of the program and
 // returns the surviving diagnostics sorted by position: findings on
 // lines carrying (or immediately following) a matching //lint:ignore
-// directive are dropped, and malformed directives are themselves
-// reported. The error aggregates analyzer failures, not findings.
+// directive are dropped, and malformed directives — and directives that
+// suppressed nothing of an analyzer that ran — are themselves reported.
+// The error aggregates analyzer failures, not findings.
 func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	for _, pkg := range prog.Targets() {
 		ignores, bad := scanIgnores(prog.Fset, pkg.Files)
 		diags = append(diags, bad...)
@@ -95,6 +100,7 @@ func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 				return diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
 		}
+		diags = append(diags, ignores.unused(ran)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -107,7 +113,10 @@ func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return diags, nil
 }

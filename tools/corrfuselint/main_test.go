@@ -82,4 +82,12 @@ func TestDriverFindingsExit(t *testing.T) {
 	if !strings.Contains(string(raw), "error result of Encode is discarded") {
 		t.Errorf("stdout missing the re-introduced writeJSON-style finding:\n%s", raw)
 	}
+	if !strings.Contains(string(raw), "matched no errswallow diagnostic") {
+		t.Errorf("stdout missing the fixture's stale //lint:ignore directive:\n%s", raw)
+	}
+	// A directive is judged only against analyzers that ran: with errswallow
+	// excluded, its directives — stale or not — are nobody's business.
+	if code := run([]string{"-dir", "analyzers/errswallow/fixtures", "-only", "ctxflow"}, out, errOut); code != 0 {
+		t.Fatalf("-only ctxflow exit = %d, want 0: errswallow directives judged without errswallow running", code)
+	}
 }
