@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -43,17 +45,15 @@ func main() {
 	}
 }
 
+// createFile opens the -out file; a variable so a test can hand run a file
+// whose Close fails.
+var createFile = func(path string) (io.WriteCloser, error) { return os.Create(path) }
+
 func run(in, out, method string, alpha float64, unionK, level int, scopeName string, smoothing float64, acceptedOnly bool) error {
 	if in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	f, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	d, err := dataset.Read(f)
-	//lint:ignore errswallow read-only file; the dataset.Read error just above is the one that matters
-	f.Close()
+	d, err := dataset.ReadFile(in)
 	if err != nil {
 		return err
 	}
@@ -97,14 +97,11 @@ func run(in, out, method string, alpha float64, unionK, level int, scopeName str
 		accepted[r.ID] = true
 	}
 
-	w := os.Stdout
+	var w io.WriteCloser = os.Stdout
 	if out != "" {
-		file, err := os.Create(out)
-		if err != nil {
+		if w, err = createFile(out); err != nil {
 			return err
 		}
-		defer file.Close()
-		w = file
 	}
 	// One name list serves every row: the writer encodes a record before it
 	// asks for the next.
@@ -121,6 +118,10 @@ func run(in, out, method string, alpha float64, unionK, level int, scopeName str
 			Sources: names, Label: d.Label(r.ID).Gold(), Probability: r.Probability, Accepted: accepted[r.ID],
 		}
 	})
+	if out != "" {
+		// A write the kernel deferred (quota, NFS) fails here, not above.
+		err = errors.Join(err, w.Close())
+	}
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -79,6 +81,33 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(in, "", "corr", 0, 50, 3, "sideways", 0, false); err == nil {
 		t.Error("unknown scope should fail")
+	}
+}
+
+// failingClose is an -out file whose deferred write fails at Close, the way
+// a quota or an NFS server reports it.
+type failingClose struct {
+	io.Writer
+	closed bool
+}
+
+var errDeferredWrite = errors.New("close: disk quota exceeded")
+
+func (f *failingClose) Close() error {
+	f.closed = true
+	return errDeferredWrite
+}
+
+// TestRunReportsCloseFailure: a run whose output file fails to close is a
+// failed run, not an exit 0 over a file that may be short.
+func TestRunReportsCloseFailure(t *testing.T) {
+	in := writeInput(t)
+	file := &failingClose{Writer: io.Discard}
+	defer func(orig func(string) (io.WriteCloser, error)) { createFile = orig }(createFile)
+	createFile = func(string) (io.WriteCloser, error) { return file, nil }
+	err := run(in, "out.jsonl", "precrec", 0, 50, 3, "global", 0, false)
+	if !errors.Is(err, errDeferredWrite) || !file.closed {
+		t.Fatalf("run = %v (file closed: %v), want the Close error", err, file.closed)
 	}
 }
 

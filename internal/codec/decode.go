@@ -104,18 +104,61 @@ type Decoder struct {
 // NewDecoder returns a Decoder at the start of data.
 func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
 
-// Strings parses an array of strings; null or an empty array yields nil.
-func (d *Decoder) Strings() ([]string, error) {
+// internCap bounds an Interner: a stream with more distinct values than this
+// (subjects, free text) pays one allocation per further value, as String
+// does, and the table stops growing.
+const internCap = 4096
+
+// Interner is a bounded table of the string values already decoded from one
+// stream of documents. A store file repeats a few dozen source names,
+// predicates and labels on every line; InternedString hands each repeat the
+// string the first occurrence allocated. The zero value is ready for use; a
+// nil *Interner interns nothing. Not safe for concurrent use.
+type Interner struct {
+	tab  map[string]string
+	list []string // Strings' scratch, so the returned slice is cut once
+}
+
+// get returns b as a string, from the table when it is there.
+func (in *Interner) get(b []byte) string {
+	if in == nil {
+		return string(b)
+	}
+	if s, ok := in.tab[string(b)]; ok { // no allocation: the compiler elides the conversion
+		return s
+	}
+	s := string(b)
+	if len(in.tab) < internCap {
+		if in.tab == nil {
+			in.tab = make(map[string]string)
+		}
+		in.tab[s] = s
+	}
+	return s
+}
+
+// Strings parses an array of strings, each read as InternedString reads it;
+// null or an empty array yields nil. The returned slice is the caller's.
+func (d *Decoder) Strings(in *Interner) ([]string, error) {
 	if isNull, err := d.nullOr(); err != nil || isNull {
 		return nil, err
 	}
-	var out []string
+	var list []string
+	if in != nil {
+		list = in.list[:0]
+	}
 	err := d.array(func() error {
-		s, err := d.String()
-		out = append(out, s)
+		s, err := d.InternedString(in)
+		list = append(list, s)
 		return err
 	})
-	return out, err
+	if in != nil {
+		in.list = list
+	}
+	if err != nil || len(list) == 0 {
+		return nil, err
+	}
+	return append(make([]string, 0, len(list)), list...), nil
 }
 
 // Number parses a JSON number; out-of-range values are an error.
@@ -403,18 +446,23 @@ func (d *Decoder) key() ([]byte, error) {
 // String parses a JSON string value with encoding/json's semantics:
 // strict escape validation, surrogate pairs combined, unpaired surrogates
 // and invalid UTF-8 coerced to U+FFFD.
-func (d *Decoder) String() (string, error) {
+func (d *Decoder) String() (string, error) { return d.InternedString(nil) }
+
+// InternedString is String, except that a plain-ASCII value without escapes
+// that in already holds is returned from in without allocating. Value, error
+// and position are String's in every case.
+func (d *Decoder) InternedString(in *Interner) (string, error) {
 	d.skipSpace()
 	if err := d.advance('"'); err != nil {
 		return "", err
 	}
 	start := d.pos
-	// Fast path: plain ASCII without escapes aliases no memory but costs
-	// exactly one string allocation.
+	// Fast path: plain ASCII without escapes aliases no memory and costs
+	// at most one string allocation.
 	for d.pos < len(d.data) {
 		c := d.data[d.pos]
 		if c == '"' {
-			s := string(d.data[start:d.pos])
+			s := in.get(d.data[start:d.pos])
 			d.pos++
 			return s, nil
 		}

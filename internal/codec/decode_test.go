@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -193,4 +194,45 @@ func FuzzAppendStringRoundTrip(f *testing.F) {
 			t.Fatalf("AppendString(%q) = %s, want %s", s, got, want)
 		}
 	})
+}
+
+// TestInternerBoundedAndTransparent: fed more distinct values than internCap
+// the table stops at the cap and every value still decodes as String decodes
+// it; a value the table holds comes back without allocating.
+func TestInternerBoundedAndTransparent(t *testing.T) {
+	var in Interner
+	for round := 0; round < 2; round++ {
+		for i := 0; i < internCap+1000; i++ {
+			doc := []byte(fmt.Sprintf(`"name-%d"`, i))
+			got, err := NewDecoder(doc).InternedString(&in)
+			want, wantErr := NewDecoder(doc).String()
+			if got != want || err != nil || wantErr != nil {
+				t.Fatalf("%s: interned %q (%v), fresh %q (%v)", doc, got, err, want, wantErr)
+			}
+		}
+		if len(in.tab) != internCap {
+			t.Fatalf("round %d: table holds %d values, want the cap %d", round, len(in.tab), internCap)
+		}
+	}
+	d := NewDecoder([]byte(`"name-7"`))
+	if allocs := testing.AllocsPerRun(100, func() {
+		d.pos = 0
+		if s, err := d.InternedString(&in); s != "name-7" || err != nil {
+			t.Fatalf("%q, %v", s, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a held value costs %v allocations, want 0", allocs)
+	}
+	// Escaped and non-ASCII values bypass the table and still agree.
+	for _, doc := range []string{`"abc"`, `"é"`, "\"bad \xff\"", `"\ud800"`, `"unterminated`, `"bad \q"`, "\"ctrl \x01\"", `7`} {
+		di, ds := NewDecoder([]byte(doc)), NewDecoder([]byte(doc))
+		got, err := di.InternedString(&in)
+		want, wantErr := ds.String()
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) || di.pos != ds.pos {
+			t.Errorf("%s: interned %q (%v) at %d, fresh %q (%v) at %d", doc, got, err, di.pos, want, wantErr, ds.pos)
+		}
+	}
+	if len(in.tab) != internCap {
+		t.Fatalf("table grew to %d past the cap", len(in.tab))
+	}
 }

@@ -25,10 +25,9 @@ const scoreChunk = 64
 // vCPUs, Fuser.Freeze, 1 worker → 2 workers). When the 2ⁿ sums dominate —
 // 20 sources in one cluster, 20k triples — 5.6 s → 2.6 s, linear. On the
 // batch-fuse shape — 12 sources, 50k triples, 3.4k distinct patterns — the
-// sums are 15–25 ms either way: what is left is pattern extraction and the
-// pattern memo's mutex. Before the joint tables the same shape took 416–501
-// ms with one worker and 489–512 ms with two: every term took the
-// estimator's lock and both workers computed the same misses.
+// sums are 15–25 ms either way (bench's core.exact_score_ms reads 22–25),
+// about a sixth of what `fuse -method corr` takes on that file end to end;
+// README's "where fuse's wall goes" has the other stages.
 //
 // The work queue is a single atomic cursor rather than a mutex-guarded
 // counter: claiming a chunk is one lock-free fetch-add, so the queue never

@@ -3,9 +3,14 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"corrfuse/internal/quality"
+	"corrfuse/internal/store"
 	"corrfuse/internal/triple"
 )
 
@@ -384,6 +389,137 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if d.NumTriples() != 1 || d.NumSources() != 1 {
 		t.Error("valid line not parsed")
+	}
+	// A line over the reader's cap is a line-numbered error like any other.
+	long := `{"subject":"s","predicate":"p","object":"o"}` + "\n" + `{"subject":"` + strings.Repeat("x", 5<<20) + `","predicate":"p","object":"o"}` + "\n"
+	if _, err := Read(strings.NewReader(long)); err == nil || !strings.Contains(err.Error(), "dataset: line 2: longer than") {
+		t.Errorf("over-long line: %v", err)
+	}
+}
+
+// refRead is Read as it was before the row insert, kept as its reference:
+// one Observe per (source, triple) pair and a SetLabel per labeled row.
+func refRead(t *testing.T, raw []byte) *triple.Dataset {
+	t.Helper()
+	d := triple.NewDataset()
+	err := store.ReadRecords(bytes.NewReader(raw), func(rec *store.Record) {
+		tr := triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object}
+		for _, name := range rec.Sources {
+			d.Observe(d.AddSource(name), tr)
+		}
+		if l, _ := triple.ParseGold(rec.Label); l != triple.Unknown || len(rec.Sources) == 0 {
+			d.SetLabel(tr, l)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestReadEqualsObserveLoop: Read and ReadFile assign the IDs and build the
+// lists the per-pair loop does, on a generated file and on one with a source
+// repeated inside a row, a triple on several rows, label-only rows, an
+// unlabeled row after a labeled one and a source first named on the last row.
+func TestReadEqualsObserveLoop(t *testing.T) {
+	gen, err := Generate(benchShape(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var generated bytes.Buffer
+	if err := Write(&generated, gen); err != nil {
+		t.Fatal(err)
+	}
+	const row = `{"subject":"s","predicate":"p","object":"o1"`
+	crafted := strings.Join([]string{
+		row + `,"sources":["b","a","b","a"],"label":"true"}`,
+		`{"subject":"gold","predicate":"p","object":"missed","label":"false"}`,
+		row + `,"sources":["c"]}`,
+		`{"subject":"s","predicate":"p","object":"o2","sources":["c","a"],"probability":0.25,"accepted":true}`,
+		row + `}`,
+		`{"subject":"bare","predicate":"p","object":"o"}`,
+		`{"subject":"s","predicate":"p","object":"o2","sources":["late","a"],"label":"false"}`,
+	}, "\n")
+	for name, raw := range map[string][]byte{"generated": generated.Bytes(), "crafted": []byte(crafted)} {
+		want := refRead(t, raw)
+		path := filepath.Join(t.TempDir(), "in.jsonl")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, err := ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromStream, err := Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for how, got := range map[string]*triple.Dataset{"Read": fromStream, "ReadFile": fromFile} {
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s, %s: %v", name, how, err)
+			}
+			same := slices.Equal(got.Sources(), want.Sources()) && got.NumTriples() == want.NumTriples()
+			for i := 0; same && i < want.NumTriples(); i++ {
+				id := triple.TripleID(i)
+				same = got.Triple(id) == want.Triple(id) && got.Label(id) == want.Label(id) && slices.Equal(got.Providers(id), want.Providers(id))
+			}
+			for _, src := range want.Sources() {
+				same = same && slices.Equal(got.Output(src.ID), want.Output(src.ID))
+			}
+			if !same {
+				t.Errorf("%s: %s built a different dataset than the per-pair loop", name, how)
+			}
+		}
+	}
+	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
+		t.Error("ReadFile of a missing file should fail")
+	}
+}
+
+// benchShape is the batch-fuse benchmark's dataset (bench/data.go's
+// fuseSpec) at a chosen size: 12 sources, three correlated groups.
+func benchShape(triples int) SyntheticSpec {
+	spec := SyntheticSpec{NumTrue: triples / 2, NumFalse: triples - triples/2, Seed: 1, SubjectPrefix: "fact"}
+	for i := 0; i < 12; i++ {
+		spec.Sources = append(spec.Sources, SourceSpec{
+			Precision:   0.55 + 0.025*float64(i),
+			Recall:      0.25 + 0.025*float64((i*5)%12),
+			FalseWindow: Window{Lo: 0, Hi: 0.8},
+		})
+	}
+	spec.Sources[11].FalseWindow = Window{Lo: 0.75, Hi: 1}
+	spec.Groups = []GroupSpec{
+		{Members: []int{0, 1, 2, 3}, OnTrue: true, Strength: 0.7},
+		{Members: []int{4, 5, 6}, OnTrue: false, Strength: 0.7},
+		{Members: []int{7, 8}, OnTrue: true, Strength: 0.5},
+	}
+	return spec
+}
+
+// TestReadAllocationBudget: a row costs its subject string, its Sources
+// slice, its provider slice and an amortised share of the dataset's growth;
+// the repeated names, the predicate, the object and the label come from the
+// reader's intern table. Measured on these 2 000 rows: 12.7 allocations per
+// row at the parent commit (a fresh string per value, providers grown
+// 1-2-4-8), 3.0 here.
+func TestReadAllocationBudget(t *testing.T) {
+	d, err := Generate(benchShape(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	raw, rows := buf.Bytes(), float64(d.NumTriples())
+	perRow := testing.AllocsPerRun(5, func() {
+		if _, err := Read(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+	}) / rows
+	t.Logf("dataset.Read: %.2f allocations per row over %.0f rows", perRow, rows)
+	if perRow > 5 {
+		t.Errorf("dataset.Read allocates %.2f times per row, budget 5", perRow)
 	}
 }
 

@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 
 	"corrfuse/internal/store"
@@ -29,19 +31,29 @@ func Write(w io.Writer, d *triple.Dataset) error {
 }
 
 // Read parses a store-schema JSONL stream (as written by Write, fuse or
-// store.Save; fusion results are ignored) into a Dataset.
+// store.Save; fusion results are ignored) into a Dataset. Sources and
+// triples take their IDs in order of first appearance in the stream.
 func Read(r io.Reader) (*triple.Dataset, error) {
-	d := triple.NewDataset()
+	return readInto(triple.NewDataset(), r)
+}
+
+// ReadFile is Read over the named file, read whole in one file-sized
+// buffer, into a dataset sized once from the file's line count.
+func ReadFile(path string) (*triple.Dataset, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return readInto(triple.NewDatasetCap(0, bytes.Count(data, []byte{'\n'})+1), bytes.NewReader(data))
+}
+
+func readInto(d *triple.Dataset, r io.Reader) (*triple.Dataset, error) {
 	err := store.ReadRecords(r, func(rec *store.Record) {
-		t := triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object}
-		for _, name := range rec.Sources {
-			d.Observe(d.AddSource(name), t)
-		}
-		// An unlabeled row keeps whatever label an earlier row set; with no
-		// sources either, SetLabel interns it so unprovided rows round-trip.
-		if l, _ := triple.ParseGold(rec.Label); l != triple.Unknown || len(rec.Sources) == 0 {
-			d.SetLabel(t, l)
-		}
+		// InsertNamedRow's label rule is this file format's: an unlabeled row
+		// keeps whatever label an earlier row set, and a row with no sources
+		// is interned all the same, so unprovided rows round-trip.
+		l, _ := triple.ParseGold(rec.Label)
+		d.InsertNamedRow(triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object}, rec.Sources, l)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)

@@ -110,21 +110,9 @@ func (p *Partition) buildShard(d *triple.Dataset, si int) {
 		sd.AddSource(s.Name)
 	}
 	for _, id := range ids {
-		t := d.Triple(id)
-		var lid triple.TripleID
-		if provs := d.Providers(id); len(provs) > 0 {
-			for _, s := range provs {
-				lid = sd.Observe(s, t)
-			}
-			if l := d.Label(id); l != triple.Unknown {
-				sd.SetLabel(t, l)
-			}
-		} else {
-			// A label-only triple (gold truth missed by every
-			// source) still needs an ID in its shard.
-			lid = sd.SetLabel(t, d.Label(id))
-		}
-		p.localID[id] = lid
+		// A label-only triple (gold truth missed by every source) has no
+		// providers and still gets an ID in its shard.
+		p.localID[id] = sd.InsertRow(d.Triple(id), d.Providers(id), d.Label(id))
 	}
 	p.shards[si] = sd
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -314,5 +315,47 @@ func TestOneWayPartitionIsTheDataset(t *testing.T) {
 	}
 	if err := changed.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildShardEqualsObserveLoop: every shard the row insert builds is the
+// dataset buildShard's per-pair Observe/SetLabel loop (kept here as the
+// reference) built, ID for ID — labeled, unlabeled and label-only triples.
+func TestBuildShardEqualsObserveLoop(t *testing.T) {
+	d := buildDataset(300, 7)
+	const n = 4
+	p := New(d, n, 1)
+	for si := 0; si < n; si++ {
+		want := triple.NewDataset()
+		for _, s := range d.Sources() {
+			want.AddSource(s.Name)
+		}
+		for i := 0; i < d.NumTriples(); i++ {
+			id := triple.TripleID(i)
+			if tr := d.Triple(id); Of(tr.Subject, n) == si {
+				for _, s := range d.Providers(id) {
+					want.Observe(s, tr)
+				}
+				if l := d.Label(id); l != triple.Unknown || len(d.Providers(id)) == 0 {
+					want.SetLabel(tr, l)
+				}
+			}
+		}
+		got := p.Shard(si)
+		if got.NumTriples() != want.NumTriples() || got.NumTriples() == 0 || !SourceTablesEqual(got, want) {
+			t.Fatalf("shard %d: %d triples, the loop built %d", si, got.NumTriples(), want.NumTriples())
+		}
+		for i := 0; i < want.NumTriples(); i++ {
+			id := triple.TripleID(i)
+			if got.Triple(id) != want.Triple(id) || got.Label(id) != want.Label(id) || !slices.Equal(got.Providers(id), want.Providers(id)) {
+				t.Fatalf("shard %d, triple %d: %v %v %v, the loop built %v %v %v", si, id,
+					got.Triple(id), got.Label(id), got.Providers(id), want.Triple(id), want.Label(id), want.Providers(id))
+			}
+		}
+		for _, s := range want.Sources() {
+			if !slices.Equal(got.Output(s.ID), want.Output(s.ID)) {
+				t.Fatalf("shard %d: output of %s differs", si, s.Name)
+			}
+		}
 	}
 }

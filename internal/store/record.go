@@ -8,7 +8,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -54,42 +53,135 @@ func (r *Record) validate() error {
 	return nil
 }
 
+// writeChunk is how many encoded bytes WriteRecords gathers before it hands
+// them to the writer.
+const writeChunk = 64 << 10
+
 // WriteRecords streams n records as JSONL; fill populates the zeroed rec
-// for position i.
+// for position i. Each line is byte for byte what encoding/json's Encoder
+// writes for the Record (key order, omitempty, HTML-safe string escapes,
+// float spelling, trailing newline) — files written before and after the
+// encoder was replaced compare equal — appended into one reused buffer.
 func WriteRecords(w io.Writer, n int, fill func(i int, rec *Record)) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	var rec Record // one allocation: Encode takes it by interface
+	buf := make([]byte, 0, writeChunk+4<<10)
+	var rec Record
 	for i := 0; i < n; i++ {
 		rec = Record{}
 		fill(i, &rec)
-		err := rec.validate()
-		if err == nil {
-			err = enc.Encode(&rec)
-		}
-		if err != nil {
+		if err := rec.validate(); err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
+		buf = appendRecord(buf, &rec)
+		if len(buf) >= writeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 	}
-	return bw.Flush()
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
+
+// appendRecord appends rec as one JSONL line.
+func appendRecord(dst []byte, rec *Record) []byte {
+	dst = append(dst, `{"subject":`...)
+	dst = appendString(dst, rec.Subject)
+	dst = append(dst, `,"predicate":`...)
+	dst = appendString(dst, rec.Predicate)
+	dst = append(dst, `,"object":`...)
+	dst = appendString(dst, rec.Object)
+	if len(rec.Sources) > 0 {
+		dst = append(dst, `,"sources":[`...)
+		for i, src := range rec.Sources {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(dst, src)
+		}
+		dst = append(dst, ']')
+	}
+	if rec.Label != "" {
+		dst = append(dst, `,"label":`...)
+		dst = appendString(dst, rec.Label)
+	}
+	if rec.Probability != 0 {
+		dst = append(dst, `,"probability":`...)
+		dst = codec.AppendFloat(dst, rec.Probability)
+	}
+	if rec.Accepted {
+		dst = append(dst, `,"accepted":true`...)
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendString is codec.AppendString plus the three escapes json.Encoder
+// applies by default and AppendString (the wire encoder, which has
+// EscapeHTML off) does not: <, > and & become \u003c, \u003e and \u0026.
+// AppendString emits those bytes only where the value holds them, so the
+// appended region is rewritten in place, back to front.
+func appendString(dst []byte, s string) []byte {
+	start := len(dst)
+	dst = codec.AppendString(dst, s)
+	n := 0
+	for _, c := range dst[start:] {
+		if c == '<' || c == '>' || c == '&' {
+			n++
+		}
+	}
+	if n == 0 {
+		return dst
+	}
+	r := len(dst) - 1 // next byte to read
+	dst = append(dst, make([]byte, 5*n)...)
+	for w := len(dst) - 1; r >= start; r-- { // w: next byte to write
+		switch c := dst[r]; c {
+		case '<':
+			w -= copy(dst[w-5:], `\u003c`)
+		case '>':
+			w -= copy(dst[w-5:], `\u003e`)
+		case '&':
+			w -= copy(dst[w-5:], `\u0026`)
+		default:
+			dst[w] = c
+			w--
+		}
+	}
+	return dst
+}
+
+// maxLineBytes is the longest line ReadRecords accepts.
+const maxLineBytes = 4 << 20
 
 // ReadRecords parses a JSONL stream, handing each record to fn (the record
 // is reused between calls; its Sources slice is not). Blank lines are
-// skipped; any other line that is not exactly one well-formed Record fails
-// with a "line N:" error.
+// skipped; any other line that is not exactly one well-formed Record — or
+// is longer than maxLineBytes — fails with a "line N:" error. Repeated
+// predicate, object, source and label values share one string per stream
+// through a codec.Interner, whose size is bounded whatever the file holds;
+// subjects are not interned.
 func ReadRecords(r io.Reader, fn func(rec *Record)) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var rec Record
-	for line := 1; sc.Scan(); line++ {
+	sc.Buffer(make([]byte, 0, 1<<16), maxLineBytes+1) // +1: the newline
+	var (
+		rec Record
+		in  codec.Interner
+	)
+	line := 1
+	for ; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		if err := decodeRecord(sc.Bytes(), &rec); err != nil {
+		if err := decodeRecord(sc.Bytes(), &rec, &in); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
 		fn(&rec)
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		return fmt.Errorf("line %d: longer than %d bytes", line, maxLineBytes)
 	}
 	return sc.Err()
 }
@@ -98,8 +190,8 @@ func ReadRecords(r io.Reader, fn func(rec *Record)) error {
 // exactly Record's (case-sensitive, each at most once) with values of
 // exactly the field's type (no null, except "sources":null for the empty
 // list, which datagen wrote before the schemas merged), and nothing but
-// whitespace around it.
-func decodeRecord(line []byte, rec *Record) error {
+// whitespace around it. A nil in decodes every string afresh.
+func decodeRecord(line []byte, rec *Record, in *codec.Interner) error {
 	*rec = Record{}
 	d := codec.NewDecoder(line)
 	seen := 0
@@ -112,16 +204,16 @@ func decodeRecord(line []byte, rec *Record) error {
 			rec.Subject, err = d.String()
 		case "predicate":
 			bit = 1 << 1
-			rec.Predicate, err = d.String()
+			rec.Predicate, err = d.InternedString(in)
 		case "object":
 			bit = 1 << 2
-			rec.Object, err = d.String()
+			rec.Object, err = d.InternedString(in)
 		case "sources":
 			bit = 1 << 3
-			rec.Sources, err = d.Strings()
+			rec.Sources, err = d.Strings(in)
 		case "label":
 			bit = 1 << 4
-			rec.Label, err = d.String()
+			rec.Label, err = d.InternedString(in)
 		case "probability":
 			bit = 1 << 5
 			rec.Probability, err = d.Number()

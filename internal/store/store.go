@@ -216,17 +216,18 @@ func FromDataset(d *triple.Dataset) *Store {
 	return s
 }
 
-// Dataset converts the store back into a triple.Dataset.
+// Dataset converts the store back into a triple.Dataset: one row per entry
+// that has a source or a label, in entry order, so sources and triples take
+// their IDs in order of first appearance in the store. An entry with neither
+// (interned by SetFusion alone) is no evidence and is left out.
 func (s *Store) Dataset() *triple.Dataset {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d := triple.NewDataset()
-	for _, e := range s.entries {
-		for _, src := range e.Sources {
-			d.Observe(d.AddSource(src), e.Triple)
-		}
-		if l, _ := triple.ParseGold(e.Label); l != triple.Unknown {
-			d.SetLabel(e.Triple, l)
+	d := triple.NewDatasetCap(0, len(s.entries))
+	for i := range s.entries {
+		e := &s.entries[i]
+		if l, _ := triple.ParseGold(e.Label); len(e.Sources) > 0 || l != triple.Unknown {
+			d.InsertNamedRow(e.Triple, e.Sources, l)
 		}
 	}
 	return d

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -426,5 +427,48 @@ func TestInstallReplacesStoreAndSnapshot(t *testing.T) {
 	}
 	if _, ok := got.Get(mk("new", "p", "v")); !ok || got.Len() != 1 {
 		t.Fatalf("installed image not served: %d entries", got.Len())
+	}
+}
+
+// TestDatasetEqualsObserveLoop: Dataset's row insert builds what its
+// per-pair Observe/SetLabel loop (kept here as the reference) built, ID for
+// ID: sources in order of first appearance, an entry that carries only a
+// fusion result left out, an unlabeled provided entry left unlabeled.
+func TestDatasetEqualsObserveLoop(t *testing.T) {
+	s := New()
+	s.Put(Entry{Triple: mk("a", "p", "1"), Sources: []string{"z", "m"}, Label: "true"})
+	s.SetFusion(mk("fused", "p", "only"), 0.9, true)
+	s.Put(Entry{Triple: mk("gold", "p", "missed"), Label: "false"})
+	s.Put(Entry{Triple: mk("a", "p", "2"), Sources: []string{"m", "a"}})
+	s.Put(Entry{Triple: mk("a", "p", "1"), Sources: []string{"late"}})
+	s.Put(Entry{Triple: mk("b", "p", "1"), Sources: []string{"late", "z"}, Label: "false", Probability: 0.2})
+
+	want := triple.NewDataset()
+	for _, e := range s.entries {
+		for _, src := range e.Sources {
+			want.Observe(want.AddSource(src), e.Triple)
+		}
+		if l, _ := triple.ParseGold(e.Label); l != triple.Unknown {
+			want.SetLabel(e.Triple, l)
+		}
+	}
+	got := s.Dataset()
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Sources(), want.Sources()) || got.NumTriples() != want.NumTriples() || got.NumTriples() != 4 {
+		t.Fatalf("sources %v, %d triples; the loop built %v, %d", got.Sources(), got.NumTriples(), want.Sources(), want.NumTriples())
+	}
+	for i := 0; i < want.NumTriples(); i++ {
+		id := triple.TripleID(i)
+		if got.Triple(id) != want.Triple(id) || got.Label(id) != want.Label(id) || !slices.Equal(got.Providers(id), want.Providers(id)) {
+			t.Fatalf("triple %d: %v %v %v, the loop built %v %v %v", id,
+				got.Triple(id), got.Label(id), got.Providers(id), want.Triple(id), want.Label(id), want.Providers(id))
+		}
+	}
+	for _, src := range want.Sources() {
+		if !slices.Equal(got.Output(src.ID), want.Output(src.ID)) {
+			t.Fatalf("output of %s: %v, the loop built %v", src.Name, got.Output(src.ID), want.Output(src.ID))
+		}
 	}
 }

@@ -9,8 +9,9 @@
 package triple
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Triple is one unit of data: a {subject, predicate, object} statement,
@@ -95,6 +96,12 @@ func ParseGold(s string) (l Label, ok bool) {
 // observation matrix (which source provides which triple), and optional gold
 // labels. The zero value is an empty dataset ready for use.
 //
+// IDs are assigned in first-appearance order whichever call registers the
+// name or the triple first (AddSource, Observe, SetLabel, InsertRow,
+// InsertNamedRow): a row-at-a-time build and the equivalent per-pair
+// Observe/SetLabel loop yield the same SourceIDs, TripleIDs, provider lists
+// and output lists.
+//
 // Dataset is not safe for concurrent mutation; concurrent reads are fine.
 type Dataset struct {
 	sources []Source
@@ -109,6 +116,10 @@ type Dataset struct {
 	outputs [][]TripleID
 
 	labels []Label
+
+	// row is InsertRow's scratch: the row's providers, sorted and
+	// deduplicated, before the triple's own list is cut at its exact size.
+	row []SourceID
 }
 
 // NewDataset returns an empty dataset.
@@ -174,9 +185,66 @@ func (d *Dataset) Observe(s SourceID, t Triple) TripleID {
 		panic(fmt.Sprintf("triple: Observe with unregistered source %d", s))
 	}
 	id := d.internTriple(t)
-	if !containsSource(d.providers[id], s) {
-		d.providers[id] = insertSource(d.providers[id], s)
-		d.outputs[s] = insertTriple(d.outputs[s], id)
+	d.observeID(s, id)
+	return id
+}
+
+// observeID is Observe for an interned triple and a registered source.
+func (d *Dataset) observeID(s SourceID, id TripleID) {
+	var added bool
+	if d.providers[id], added = insertSorted(d.providers[id], s); added {
+		d.outputs[s], _ = insertSorted(d.outputs[s], id)
+	}
+}
+
+// InsertRow records one row of a source-by-triple file in a single step:
+// every source of provs provides t, and t takes label l when l is not Unknown
+// or the row names no provider (a label-only row: its label, Unknown included,
+// replaces the stored one). It equals calling Observe(s, t) for each s and
+// then SetLabel under that rule, but interns t once, and for a new triple —
+// the common case in a file with one row per triple — cuts the provider list
+// at its exact size and appends to each source's output list, the new ID
+// being the largest. provs may repeat a source and need not be sorted; it is
+// not retained.
+func (d *Dataset) InsertRow(t Triple, provs []SourceID, l Label) TripleID {
+	for _, s := range provs {
+		if int(s) < 0 || int(s) >= len(d.sources) {
+			panic(fmt.Sprintf("triple: InsertRow with unregistered source %d", s))
+		}
+	}
+	d.row = append(d.row[:0], provs...)
+	return d.insertRow(t, l)
+}
+
+// InsertNamedRow is InsertRow for a row that names its sources, registering
+// each name on first sight, in row order.
+func (d *Dataset) InsertNamedRow(t Triple, names []string, l Label) TripleID {
+	d.row = d.row[:0]
+	for _, name := range names {
+		d.row = append(d.row, d.AddSource(name))
+	}
+	return d.insertRow(t, l)
+}
+
+// insertRow inserts the row whose providers are in d.row.
+func (d *Dataset) insertRow(t Triple, l Label) TripleID {
+	known := len(d.triples)
+	id := d.internTriple(t)
+	switch {
+	case int(id) < known:
+		for _, s := range d.row {
+			d.observeID(s, id)
+		}
+	case len(d.row) > 0:
+		slices.Sort(d.row)
+		d.row = slices.Compact(d.row)
+		d.providers[id] = append(make([]SourceID, 0, len(d.row)), d.row...)
+		for _, s := range d.row {
+			d.outputs[s] = append(d.outputs[s], id)
+		}
+	}
+	if l != Unknown || len(d.row) == 0 {
+		d.labels[id] = l
 	}
 	return id
 }
@@ -226,7 +294,8 @@ func (d *Dataset) Providers(id TripleID) []SourceID { return d.providers[id] }
 
 // Provides reports whether source s provides triple id.
 func (d *Dataset) Provides(s SourceID, id TripleID) bool {
-	return containsSource(d.providers[id], s)
+	_, ok := slices.BinarySearch(d.providers[id], s)
+	return ok
 }
 
 // Output returns the triples provided by source s, in ascending ID order.
@@ -282,21 +351,21 @@ func (d *Dataset) Validate() error {
 		return fmt.Errorf("triple: outputs length mismatch")
 	}
 	for id, provs := range d.providers {
-		if !sort.SliceIsSorted(provs, func(i, j int) bool { return provs[i] < provs[j] }) {
+		if !slices.IsSorted(provs) {
 			return fmt.Errorf("triple: providers of %d not sorted", id)
 		}
 		for _, s := range provs {
 			if int(s) < 0 || int(s) >= len(d.sources) {
 				return fmt.Errorf("triple: provider %d of triple %d out of range", s, id)
 			}
-			if !containsTriple(d.outputs[s], TripleID(id)) {
+			if _, ok := slices.BinarySearch(d.outputs[s], TripleID(id)); !ok {
 				return fmt.Errorf("triple: asymmetric observation (%d, %d)", s, id)
 			}
 		}
 	}
 	for s, out := range d.outputs {
 		for _, id := range out {
-			if !containsSource(d.providers[id], SourceID(s)) {
+			if _, ok := slices.BinarySearch(d.providers[id], SourceID(s)); !ok {
 				return fmt.Errorf("triple: asymmetric output (%d, %d)", s, id)
 			}
 		}
@@ -327,28 +396,12 @@ func (d *Dataset) Clone() *Dataset {
 	return c
 }
 
-func containsSource(xs []SourceID, s SourceID) bool {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= s })
-	return i < len(xs) && xs[i] == s
-}
-
-func insertSource(xs []SourceID, s SourceID) []SourceID {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= s })
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = s
-	return xs
-}
-
-func containsTriple(xs []TripleID, t TripleID) bool {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= t })
-	return i < len(xs) && xs[i] == t
-}
-
-func insertTriple(xs []TripleID, t TripleID) []TripleID {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= t })
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = t
-	return xs
+// insertSorted inserts x into the ascending list xs unless it is already
+// there, reporting whether it was added.
+func insertSorted[T cmp.Ordered](xs []T, x T) ([]T, bool) {
+	i, found := slices.BinarySearch(xs, x)
+	if found {
+		return xs, false
+	}
+	return slices.Insert(xs, i, x), true
 }

@@ -1,6 +1,9 @@
 package triple
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,4 +244,98 @@ func TestDatasetZeroValueBuilders(t *testing.T) {
 	if id != 0 || d.NumTriples() != 1 {
 		t.Error("zero-value Dataset should be usable")
 	}
+}
+
+// refInsertRow is the per-pair loop InsertNamedRow replaced (dataset.Read's,
+// before the row insert), kept as its reference.
+func refInsertRow(d *Dataset, t Triple, names []string, l Label) TripleID {
+	id := TripleID(-1)
+	for _, name := range names {
+		id = d.Observe(d.AddSource(name), t)
+	}
+	if l != Unknown || len(names) == 0 {
+		id = d.SetLabel(t, l)
+	}
+	return id
+}
+
+// sameDataset compares everything a Dataset exposes, ID by ID.
+func sameDataset(t *testing.T, got, want *Dataset) {
+	t.Helper()
+	if !slices.Equal(got.Sources(), want.Sources()) {
+		t.Fatalf("sources %v, want %v", got.Sources(), want.Sources())
+	}
+	if got.NumTriples() != want.NumTriples() {
+		t.Fatalf("%d triples, want %d", got.NumTriples(), want.NumTriples())
+	}
+	for i := 0; i < want.NumTriples(); i++ {
+		id := TripleID(i)
+		if got.Triple(id) != want.Triple(id) || got.Label(id) != want.Label(id) || !slices.Equal(got.Providers(id), want.Providers(id)) {
+			t.Fatalf("triple %d: %v %v %v, want %v %v %v", id,
+				got.Triple(id), got.Label(id), got.Providers(id), want.Triple(id), want.Label(id), want.Providers(id))
+		}
+		if gid, ok := got.TripleID(want.Triple(id)); !ok || gid != id {
+			t.Fatalf("TripleID(%v) = %d, %v; want %d", want.Triple(id), gid, ok, id)
+		}
+	}
+	for _, src := range want.Sources() {
+		if !slices.Equal(got.Output(src.ID), want.Output(src.ID)) {
+			t.Fatalf("output of %s: %v, want %v", src.Name, got.Output(src.ID), want.Output(src.ID))
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInsertRowEqualsObserveLoop: on random row streams — duplicate sources
+// inside a row, the same triple on several rows, label-only rows, unlabeled
+// rows after labeled ones, sources first seen mid-file — the row insert
+// leaves exactly the dataset the per-pair loop leaves, with the same IDs.
+func TestInsertRowEqualsObserveLoop(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		named, byID, want := NewDataset(), NewDatasetCap(3, 7), NewDataset()
+		for row := 0; row < 400; row++ {
+			// Rows draw from a window of sources and triples that widens
+			// with the row number, so both keep appearing mid-stream.
+			tt := tr(fmt.Sprintf("s%d", rng.Intn(5+row/4)), "p", fmt.Sprintf("o%d", rng.Intn(2)))
+			var names []string
+			for k := rng.Intn(7); k > 0 && rng.Intn(8) > 0; k-- { // Intn(8) == 0: a row without sources
+				names = append(names, fmt.Sprintf("src%d", rng.Intn(2+row/20)))
+			}
+			l := Label(rng.Intn(3))
+			wantID := refInsertRow(want, tt, names, l)
+			if id := named.InsertNamedRow(tt, names, l); id != wantID {
+				t.Fatalf("seed %d row %d: InsertNamedRow returned %d, the loop %d", seed, row, id, wantID)
+			}
+			provs := make([]SourceID, len(names))
+			for i, name := range names {
+				provs[i] = byID.AddSource(name)
+			}
+			given := slices.Clone(provs)
+			if id := byID.InsertRow(tt, provs, l); id != wantID {
+				t.Fatalf("seed %d row %d: InsertRow returned %d, the loop %d", seed, row, id, wantID)
+			}
+			if !slices.Equal(provs, given) {
+				t.Fatalf("seed %d row %d: InsertRow reordered its argument: %v, was %v", seed, row, provs, given)
+			}
+		}
+		sameDataset(t, named, want)
+		sameDataset(t, byID, want)
+	}
+}
+
+func TestInsertRowPanicsOnUnknownSource(t *testing.T) {
+	d := NewDataset()
+	d.AddSource("A")
+	defer func() {
+		if recover() == nil {
+			t.Error("InsertRow with unregistered source should panic")
+		}
+		if d.NumTriples() != 0 {
+			t.Error("the refused row left a triple behind")
+		}
+	}()
+	d.InsertRow(tr("e", "p", "v"), []SourceID{0, 3}, True)
 }

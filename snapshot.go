@@ -1,6 +1,7 @@
 package corrfuse
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -8,7 +9,7 @@ import (
 
 // frozen is a model's immutable score index: every provided triple's
 // probability and acceptance decision, computed once by Freeze, plus the
-// globally ranked result lists. After Freeze, the model's read surface
+// global ranking. After Freeze, the model's read surface
 // (Probability, Score, Fuse) serves from these tables in O(1) per triple
 // instead of re-running the fusion algorithm per call — the shape the
 // serving layer's per-snapshot read index is built from.
@@ -29,44 +30,64 @@ type frozen struct {
 	provided []bool
 	accepted []bool
 
-	// all and acceptedRank are the ranked result lists Fuse returns
-	// (descending probability, stable within equal scores). They are built
-	// lazily by rankedResult on the first Fuse call — the serving layer
-	// reads only the tables above, so a model that is frozen but never
-	// fused pays no sort and pins no ScoredTriple lists.
-	rankOnce     sync.Once
-	all          []ScoredTriple
-	acceptedRank []ScoredTriple
+	// order is the ranking Fuse returns — the provided IDs by descending
+	// probability, ascending ID within equal scores — and numAccepted how
+	// many of them are accepted. They are built lazily by rankedResult on
+	// the first Fuse call — the serving layer reads only the tables above,
+	// so a model that is frozen but never fused pays no sort — and cost
+	// 4 bytes per triple for the model's life; the ScoredTriple lists are
+	// materialised per call and belong to the caller.
+	rankOnce    sync.Once
+	order       []int32
+	numAccepted int
 }
 
-// rankedResult builds the ranked result lists from the frozen tables once
-// (dataset order in, stable descending-probability sort) and returns a
-// fresh Result backed by copies, so callers may reorder or filter without
-// corrupting the shared lists. d must be the dataset the tables are dense
-// over.
+// rankedResult ranks the frozen tables once and returns a fresh Result cut
+// from the ranking at its exact size: All in rank order, Accepted its
+// accepted subsequence. Callers may reorder or filter both. d must be the
+// dataset the tables are dense over.
 func (fr *frozen) rankedResult(d *Dataset) *Result {
 	fr.rankOnce.Do(func() {
-		var all, acc []ScoredTriple
+		type key struct {
+			p  float64
+			id int32
+		}
+		keys := make([]key, 0, len(fr.provided))
 		for i, ok := range fr.provided {
 			if !ok {
 				continue
 			}
-			id := TripleID(i)
-			st := ScoredTriple{Triple: d.Triple(id), ID: id, Probability: fr.probs[i]}
-			all = append(all, st)
+			keys = append(keys, key{fr.probs[i], int32(i)})
 			if fr.accepted[i] {
-				acc = append(acc, st)
+				fr.numAccepted++
 			}
 		}
-		sortByProb(all)
-		sortByProb(acc)
-		fr.all = all
-		fr.acceptedRank = acc
+		// The ID tie-break makes the order total, so the unstable sort
+		// returns what a stable sort of the ID-ordered input would.
+		slices.SortFunc(keys, func(a, b key) int {
+			switch {
+			case a.p > b.p:
+				return -1
+			case a.p < b.p:
+				return 1
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		fr.order = make([]int32, len(keys))
+		for i, k := range keys {
+			fr.order[i] = k.id
+		}
 	})
-	return &Result{
-		All:      append([]ScoredTriple(nil), fr.all...),
-		Accepted: append([]ScoredTriple(nil), fr.acceptedRank...),
+	all := make([]ScoredTriple, len(fr.order))
+	acc := make([]ScoredTriple, 0, fr.numAccepted)
+	for i, id := range fr.order {
+		st := ScoredTriple{Triple: d.Triple(TripleID(id)), ID: TripleID(id), Probability: fr.probs[id]}
+		all[i] = st
+		if fr.accepted[id] {
+			acc = append(acc, st)
+		}
 	}
+	return &Result{All: all, Accepted: acc}
 }
 
 // lookup reads one ID from the frozen tables. ok is false while the tables
@@ -99,20 +120,6 @@ func (fr *frozen) score(ids []TripleID, slowPath func([]TripleID) []float64) []f
 		}
 	}
 	return out
-}
-
-// sortByProb ranks scored triples by descending probability, stable within
-// equal scores (so dataset order breaks ties, deterministically).
-func sortByProb(list []ScoredTriple) {
-	slices.SortStableFunc(list, func(a, b ScoredTriple) int {
-		switch {
-		case a.Probability > b.Probability:
-			return -1
-		case a.Probability < b.Probability:
-			return 1
-		}
-		return 0
-	})
 }
 
 // Freeze scores every provided triple of the dataset once and caches the
