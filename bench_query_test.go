@@ -1,5 +1,5 @@
 // Read-path query benchmarks on the 52k-triple store-scale dataset
-// (shardBenchDataset): the indexed serving path against the pre-index
+// (storeBenchDataset): the indexed serving path against the pre-index
 // baseline, for single-triple and 64-triple bulk requests, plus indexed
 // subject listings (there is no other listing path to compare against).
 //
@@ -13,7 +13,6 @@
 //
 // Every benchmark reports a triples/s throughput metric; the acceptance
 // ratio is BenchmarkQueryBulk64Indexed vs BenchmarkQuerySingleBaseline.
-// CI uploads the results as BENCH_query.json.
 package corrfuse_test
 
 import (
@@ -40,7 +39,7 @@ type queryBenchState struct {
 	// enabled at thresholds the benchmark can never trip: the delta
 	// against handler is the per-request admission overhead.
 	handlerAdmission http.Handler
-	baseline         corrfuse.Model // unfrozen: scores recompute through the algorithm
+	baseline         *corrfuse.Fuser // unfrozen: scores recompute through the algorithm
 	triples          []triple.Triple
 }
 
@@ -59,9 +58,8 @@ func queryBench(b *testing.B) *queryBenchState {
 	if queryBenchCache != nil {
 		return queryBenchCache
 	}
-	d := shardBenchDataset(b)
-	opts := shardBenchOpts()
-	opts.Shards = 8
+	d := storeBenchDataset(b)
+	opts := storeBenchOpts()
 	opts.Parallelism = 8
 
 	st := store.FromDataset(d)
@@ -92,7 +90,7 @@ func queryBench(b *testing.B) *queryBenchState {
 	// correlation-aware algorithm per call — the pre-index read path. It is
 	// trained over the same data the server captured.
 	d2 := st.Dataset()
-	baseline, err := corrfuse.NewModel(d2, opts)
+	baseline, err := corrfuse.New(d2, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"corrfuse/internal/dataset"
 	"corrfuse/internal/experiments"
 	"corrfuse/internal/quality"
-	"corrfuse/internal/shard"
 	"corrfuse/internal/triple"
 )
 
@@ -328,13 +327,13 @@ func BenchmarkAblationParallelScoring(b *testing.B) {
 	}
 }
 
-// --- The engine at 1 and 8 shards vs the library Fuser ---------------------
+// --- The store-scale dataset the read-path benchmarks serve ----------------
 
-// shardBenchOpts is the store-scale configuration the sharded benchmarks
-// compare under: the exact correlation-aware method over forced correlation
-// clusters — the paper's §5 configuration for wide sources, without which
-// the single-cluster inclusion–exclusion over 24 sources is intractable.
-func shardBenchOpts() corrfuse.Options {
+// storeBenchOpts is the store-scale configuration: the exact
+// correlation-aware method over forced correlation clusters — the paper's §5
+// configuration for wide sources, without which the single-cluster
+// inclusion–exclusion over 144 sources is intractable.
+func storeBenchOpts() corrfuse.Options {
 	return corrfuse.Options{
 		Method:         corrfuse.PrecRecCorr,
 		Smoothing:      0.5,
@@ -344,23 +343,17 @@ func shardBenchOpts() corrfuse.Options {
 	}
 }
 
-// shardBenchCache holds the ≥50k-triple synthetic store-scale dataset used
-// by the BenchmarkShard* family (built once; the generators are
-// deterministic).
-var shardBenchCache *triple.Dataset
+// storeBenchCache holds the ≥50k-triple synthetic store-scale dataset (built
+// once; the generator is deterministic).
+var storeBenchCache *triple.Dataset
 
-// shardBenchDataset synthesizes a store at the scale the ISSUE acceptance
-// criterion names: ≥50k distinct triples from a wide source set — 48 groups
-// of a copying pair plus an independent source (144 sources), 40% labeled.
-// This is the training-bound regime that motivates sharding: quality
-// estimation and pairwise correlation clustering over a wide source set are
-// the serial wall of an unpartitioned rebuild (scoring already parallelizes via
-// ParallelScore), and both partition cleanly by shard. Subjects spread
-// uniformly over any shard count via the hash.
-func shardBenchDataset(b *testing.B) *triple.Dataset {
+// storeBenchDataset synthesizes a store of ≥50k distinct triples from a wide
+// source set — 48 groups of a copying pair plus an independent source (144
+// sources), 40% labeled.
+func storeBenchDataset(b *testing.B) *triple.Dataset {
 	b.Helper()
-	if shardBenchCache != nil {
-		return shardBenchCache
+	if storeBenchCache != nil {
+		return storeBenchCache
 	}
 	const groups = 48
 	d := triple.NewDataset()
@@ -404,187 +397,9 @@ func shardBenchDataset(b *testing.B) *triple.Dataset {
 	if d.NumTriples() < 50000 {
 		b.Fatalf("benchmark dataset has %d triples, need >= 50k", d.NumTriples())
 	}
-	shardBenchCache = d
+	storeBenchCache = d
 	return d
 }
-
-// shardBenchModel is what the BenchmarkShard* family drives: the surface
-// Fuser and the engine share.
-type shardBenchModel interface {
-	Fuse() (*corrfuse.Result, error)
-	Score(ids []corrfuse.TripleID) []float64
-}
-
-// shardBenchBuild is one way to build the store-scale model.
-type shardBenchBuild func(d *triple.Dataset) (shardBenchModel, error)
-
-// buildFuserNew is the library's single-dataset Fuser — the baseline the
-// one-shard engine must cost the same as (it is the same model, see
-// TestOneShardEngineEqualsFuser).
-func buildFuserNew(d *triple.Dataset) (shardBenchModel, error) {
-	return corrfuse.New(d, shardBenchOpts())
-}
-
-// buildOneShard is what `fused -shards 1` serves.
-func buildOneShard(d *triple.Dataset) (shardBenchModel, error) {
-	opts := shardBenchOpts()
-	opts.Shards = 1
-	return corrfuse.NewModel(d, opts)
-}
-
-// buildSharded8 is the partitioned engine: on a multicore runner this is
-// where the ≥3× rebuild speedup comes from.
-func buildSharded8(d *triple.Dataset) (shardBenchModel, error) {
-	opts := shardBenchOpts()
-	opts.Shards = 8
-	opts.Parallelism = 8
-	return corrfuse.NewModel(d, opts)
-}
-
-// benchShard runs one BenchmarkShard* cell: op on a model from build, the
-// build itself inside the timed loop only when timeBuild is set.
-func benchShard(b *testing.B, build shardBenchBuild, timeBuild bool, op func(m shardBenchModel)) {
-	d := shardBenchDataset(b)
-	m, err := build(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if timeBuild {
-			if m, err = build(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-		op(m)
-	}
-}
-
-// BenchmarkShardTrain* measure model training (partition + quality estimation
-// + pairwise correlation clustering) over the whole store. Scoring is NOT
-// included — it already parallelizes via ParallelScore; training is the
-// serial section that caps rebuild scaling.
-func BenchmarkShardTrainFuserNew(b *testing.B) {
-	benchShard(b, buildFuserNew, true, func(shardBenchModel) {})
-}
-func BenchmarkShardTrainOneShard(b *testing.B) {
-	benchShard(b, buildOneShard, true, func(shardBenchModel) {})
-}
-func BenchmarkShardTrainSharded8(b *testing.B) {
-	benchShard(b, buildSharded8, true, func(shardBenchModel) {})
-}
-
-// benchFuse is the rebuild op: score every triple, merge, rank.
-func benchFuse(b *testing.B) func(m shardBenchModel) {
-	return func(m shardBenchModel) {
-		if _, err := m.Fuse(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShardRebuild* measure one train-and-fuse over the whole store; the
-// per-shard timings land in ShardStats.
-func BenchmarkShardRebuildFuserNew(b *testing.B) { benchShard(b, buildFuserNew, true, benchFuse(b)) }
-func BenchmarkShardRebuildOneShard(b *testing.B) { benchShard(b, buildOneShard, true, benchFuse(b)) }
-func BenchmarkShardRebuildSharded8(b *testing.B) { benchShard(b, buildSharded8, true, benchFuse(b)) }
-
-// benchScoreAll is the score op: every provided triple through the prebuilt,
-// unfrozen model. providedIDs lives in shard_differential_test.go (same
-// package).
-func benchScoreAll(b *testing.B) func(m shardBenchModel) {
-	ids := providedIDs(shardBenchDataset(b))
-	return func(m shardBenchModel) { m.Score(ids) }
-}
-
-// BenchmarkShardScore* score every triple with the prebuilt model
-// (ParallelScore inside a lone shard, shards scored concurrently otherwise).
-func BenchmarkShardScoreFuserNew(b *testing.B) { benchShard(b, buildFuserNew, false, benchScoreAll(b)) }
-func BenchmarkShardScoreOneShard(b *testing.B) { benchShard(b, buildOneShard, false, benchScoreAll(b)) }
-func BenchmarkShardScoreSharded8(b *testing.B) { benchShard(b, buildSharded8, false, benchScoreAll(b)) }
-
-// --- Dirty-shard partial rebuilds: wall time ∝ dirty fraction --------------
-
-// dirtyShardMutation clones the 52k-triple store-scale dataset and adds a
-// handful of unlabeled claims per dirty shard (existing sources, existing
-// subjects), the change profile of a heavy ingest stream between refreshes.
-// Labels stay untouched, so the partial rebuild's fallback-reuse fast path
-// applies and the rebuild is exact.
-func dirtyShardMutation(b *testing.B, d *triple.Dataset, shards int, dirty []int) *triple.Dataset {
-	b.Helper()
-	d2 := d.Clone()
-	want := make(map[int]int, len(dirty))
-	for _, g := range dirty {
-		want[g] = 32 // new claims per dirty shard
-	}
-	src, ok := d2.SourceID("indep-0")
-	if !ok {
-		b.Fatal("benchmark dataset misses indep-0")
-	}
-	for s := 0; s < 13000; s++ {
-		sub := fmt.Sprintf("entity-%05d", s)
-		g := shard.Of(sub, shards)
-		if want[g] == 0 {
-			continue
-		}
-		want[g]--
-		d2.Observe(src, triple.Triple{Subject: sub, Predicate: "p-fresh", Object: "v"})
-	}
-	for g, left := range want {
-		if left > 0 {
-			b.Fatalf("shard %d short %d mutation subjects", g, left)
-		}
-	}
-	return d2
-}
-
-// benchRebuildDirty measures RebuildPartial over the 52k-triple store with
-// the given dirty shards of 8: the refresh path's model-retraining cost when
-// only a fraction of the subject space changed since the last snapshot.
-func benchRebuildDirty(b *testing.B, dirty []int) {
-	d := shardBenchDataset(b)
-	opts := shardBenchOpts()
-	opts.Shards = 8
-	opts.Parallelism = 8
-	sf, err := corrfuse.NewSharded(d, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d2 := dirtyShardMutation(b, d, opts.Shards, dirty)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next, err := sf.RebuildPartial(d2, dirty)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reused := 0
-			for _, st := range next.ShardStats() {
-				if st.Reused {
-					reused++
-				}
-			}
-			if reused != opts.Shards-len(dirty) {
-				b.Fatalf("reused %d shards, want %d", reused, opts.Shards-len(dirty))
-			}
-		}
-	}
-}
-
-// BenchmarkRebuildDirty1of8 is the acceptance benchmark: retraining 1 dirty
-// shard of 8 must land well below the full-rebuild wall
-// (BenchmarkRebuildFull8of8 / BenchmarkShardTrainSharded8).
-func BenchmarkRebuildDirty1of8(b *testing.B) { benchRebuildDirty(b, []int{0}) }
-
-// BenchmarkRebuildDirty4of8 shows the wall time growing with the dirty
-// fraction, not the store size.
-func BenchmarkRebuildDirty4of8(b *testing.B) { benchRebuildDirty(b, []int{0, 1, 2, 3}) }
-
-// BenchmarkRebuildFull8of8 drives the same partial path with every shard
-// dirty — the full-rebuild baseline through identical code, making the
-// 1-of-8 / 4-of-8 / 8-of-8 proportionality directly comparable.
-func BenchmarkRebuildFull8of8(b *testing.B) { benchRebuildDirty(b, []int{0, 1, 2, 3, 4, 5, 6, 7}) }
 
 // BenchmarkEstimatorJointStats measures the bitset-backed joint statistics.
 func BenchmarkEstimatorJointStats(b *testing.B) {

@@ -89,15 +89,13 @@
 // listeners carry fixed, finite connection-level http.Server timeouts (the
 // slowloris guard).
 //
-// The store is partitioned by subject hash into -shards N shards and every
-// batch re-fusion trains the N shard models concurrently on -parallelism
-// goroutines, swapping them in atomically as one snapshot; /metrics reports
-// per-shard rebuild timings. The default -shards 1 is one shard: the
-// unpartitioned model, through the same engine. -partial-rebuild (default on)
-// makes re-fusions retrain only the shards whose subjects changed since the
-// last snapshot, adopting every clean shard's model verbatim — model
-// retraining, the dominant cost of a refresh, then tracks the change rate
-// rather than the store size.
+// Every batch re-fusion trains one model over the whole store — one quality
+// estimate, one clustering, one table set, as the paper fits them — scores
+// it on -parallelism goroutines and swaps it in atomically as one snapshot.
+// -shards and -partial-rebuild are inert: they are still accepted (-shards
+// must be at least 1) because the benchmark harness passes them, and change
+// nothing — `fused -shards 8 -partial-rebuild` answers exactly what
+// `fused -shards 1` answers.
 package main
 
 import (
@@ -188,9 +186,9 @@ func main() {
 	flag.Float64Var(&o.smoothing, "smoothing", 0, "add-k smoothing for quality estimation")
 	flag.DurationVar(&o.refresh, "refresh", 30*time.Second, "background re-fusion period (0 disables)")
 	flag.StringVar(&o.persist, "persist", "", "save the store (JSONL plus the binary cold-start snapshot next to it) to this path after re-fusions and on shutdown (default: -store path; \"-\" disables)")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "goroutines training shard models and scoring a batch (0 = GOMAXPROCS)")
-	flag.IntVar(&o.shards, "shards", 1, "subject-hash shards for the batch model (1 = the unpartitioned model)")
-	flag.BoolVar(&o.partialRebuild, "partial-rebuild", true, "retrain only dirty shards on re-fusions")
+	flag.IntVar(&o.parallelism, "parallelism", 0, "goroutines scoring a batch (0 = GOMAXPROCS)")
+	flag.IntVar(&o.shards, "shards", 1, "inert: accepted (at least 1) and ignored; every re-fusion trains one model")
+	flag.BoolVar(&o.partialRebuild, "partial-rebuild", true, "inert: accepted and ignored; every re-fusion retrains the whole model")
 	flag.IntVar(&o.maxScoreTriples, "max-score-triples", serve.DefaultMaxScoreTriples, "max triples per /v1/score request (larger batches get 413)")
 	flag.Int64Var(&o.maxBodyBytes, "max-body-bytes", serve.DefaultMaxBodyBytes, "max request body bytes for /v1/score and /v1/observe (larger bodies get 413)")
 	flag.StringVar(&o.walDir, "wal", "", "write-ahead log directory: observes are durable before acknowledged (empty disables)")
@@ -367,7 +365,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	go func() { errc <- hs.Serve(ln) }()
 	bi := obs.GetBuildInfo()
 	logger.Info(ctx, "fused: serving",
-		"triples", st.Len(), "addr", ln.Addr().String(), "shards", o.shards,
+		"triples", st.Len(), "addr", ln.Addr().String(),
 		"version", bi.Version, "commit", bi.Commit, "go", bi.GoVersion)
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -43,13 +44,26 @@ func TestServeLifecycle(t *testing.T) {
 	testServeLifecycle(t, 1, 0)
 }
 
-// TestServeLifecycleSharded runs the same lifecycle with a sharded batch
-// model and concurrent shard rebuilds.
+// TestServeLifecycleSharded runs the same lifecycle with -shards 4 and two
+// scoring workers: -shards and -partial-rebuild are inert, so the forced
+// re-fusion reports and the persisted fusion result equal the one-shard
+// run's.
 func TestServeLifecycleSharded(t *testing.T) {
-	testServeLifecycle(t, 4, 2)
+	wantRefuse, want := testServeLifecycle(t, 1, 0)
+	refuse, got := testServeLifecycle(t, 4, 2)
+	delete(wantRefuse, "durationMs")
+	delete(refuse, "durationMs")
+	if !reflect.DeepEqual(refuse, wantRefuse) {
+		t.Errorf("refuse with -shards 4: %v, with -shards 1: %v", refuse, wantRefuse)
+	}
+	if got.Probability != want.Probability || got.Accepted != want.Accepted {
+		t.Errorf("persisted u1 with -shards 4: %+v, with -shards 1: %+v", got, want)
+	}
 }
 
-func testServeLifecycle(t *testing.T, shards, parallelism int) {
+// testServeLifecycle runs the lifecycle and returns the /v1/refuse body and
+// the persisted entry of the claimed triple.
+func testServeLifecycle(t *testing.T, shards, parallelism int) (map[string]any, store.Entry) {
 	path := writeStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
@@ -97,16 +111,6 @@ func testServeLifecycle(t *testing.T, shards, parallelism int) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if shards > 1 {
-		// -partial-rebuild routed the forced re-fusion through the
-		// dirty-shard path: only the ingested claim's shard retrained.
-		if got, ok := refuse["rebuiltShards"].(float64); !ok || int(got) != 1 {
-			t.Errorf("refuse rebuiltShards = %v, want 1", refuse["rebuiltShards"])
-		}
-		if got, ok := refuse["reusedShards"].(float64); !ok || int(got) != shards-1 {
-			t.Errorf("refuse reusedShards = %v, want %d", refuse["reusedShards"], shards-1)
-		}
-	}
 
 	cancel()
 	select {
@@ -131,6 +135,7 @@ func testServeLifecycle(t *testing.T, shards, parallelism int) {
 	if e.Probability == 0 {
 		t.Fatal("fusion result not persisted")
 	}
+	return refuse, e
 }
 
 // TestDatagenFileServesEveryTriple is the README's documented flow, datagen

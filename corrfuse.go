@@ -26,7 +26,6 @@ package corrfuse
 import (
 	"fmt"
 
-	"corrfuse/internal/quality"
 	"corrfuse/internal/triple"
 )
 
@@ -202,25 +201,16 @@ type Options struct {
 	// Iterations controls the 3-Estimates fixed point (default 20).
 	Iterations int
 
-	// Parallelism is the one worker bound of a model: the goroutines used
-	// by Score and Fuse for the PrecRec/PrecRecCorr family and, in a
-	// ShardedFuser, the shards partitioned, trained and scored
-	// concurrently. 0 means GOMAXPROCS; 1 forces serial work.
+	// Parallelism is the one worker bound of a model: the goroutines Score
+	// and Freeze (and so Fuse) score triples on. Training is serial. 0
+	// means GOMAXPROCS; 1 forces serial work.
 	Parallelism int
 
-	// Shards is the number of subject-hash shards of a ShardedFuser
-	// (NewSharded, NewModel, the serve layer): the dataset is partitioned
-	// into Shards shards and an independent model is trained per shard. 0 or
-	// 1 is one shard — the unpartitioned model, bit-identical to New at the
-	// same cost. See ShardedFuser for the consistency contract. New ignores
-	// it.
+	// Shards is accepted and ignored: a model is one quality estimator, one
+	// clustering and one table set over the whole dataset, as the paper
+	// fits them, whatever Shards says (NewSharded and NewModel are New). It
+	// remains because the benchmark harness sets it.
 	Shards int
-
-	// qualityFallback supplies per-source quality for sources a training
-	// slice has no labeled evidence about. A ShardedFuser of several shards
-	// points it at a globally trained estimator when building the per-shard
-	// models.
-	qualityFallback quality.Params
 }
 
 // ClusterMode controls source clustering for correlation-aware methods.

@@ -1,6 +1,7 @@
 package corrfuse_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -148,6 +149,24 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.UnionK, UnionK: 300}); err == nil {
 		t.Error("invalid UnionK should fail")
+	}
+	// A Train ID outside the dataset, or one listed twice (it would be
+	// counted once per occurrence), is refused by name.
+	labeled := d.Labeled()
+	for _, tc := range []struct {
+		train []corrfuse.TripleID
+		bad   string
+	}{
+		{[]corrfuse.TripleID{labeled[0], 99}, "99"},
+		{[]corrfuse.TripleID{-1}, "-1"},
+		{[]corrfuse.TripleID{labeled[0], labeled[0], labeled[0], labeled[1]}, fmt.Sprint(labeled[0])},
+	} {
+		for _, m := range []corrfuse.Method{corrfuse.PrecRec, corrfuse.PrecRecCorr} {
+			_, err := corrfuse.New(d, corrfuse.Options{Method: m, Train: tc.train})
+			if err == nil || !strings.Contains(err.Error(), "Train ID "+tc.bad+" ") {
+				t.Errorf("%v with Train %v: err = %v, want one naming ID %s", m, tc.train, err, tc.bad)
+			}
+		}
 	}
 	// No labels → supervised methods fail.
 	empty := corrfuse.NewDataset()

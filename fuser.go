@@ -7,12 +7,16 @@ import (
 	"corrfuse/internal/cluster"
 	"corrfuse/internal/core"
 	"corrfuse/internal/quality"
+	"corrfuse/internal/triple"
 )
 
 // Fuser scores triples with correctness probabilities using the configured
 // method. Build one with New; it is immutable and safe for concurrent use
 // after construction. Freeze (called implicitly by Fuse) computes every
 // probability once and turns the whole read surface into O(1) index reads.
+//
+// Fuser is the one fusion engine: the library, fuse and the fused service
+// all train it, and Rebuild retrains it over a newer capture of the data.
 type Fuser struct {
 	d    *Dataset
 	opts Options
@@ -77,7 +81,6 @@ func New(d *Dataset, opts Options) (*Fuser, error) {
 			Scope:     opts.Scope,
 			Smoothing: opts.Smoothing,
 			Train:     opts.Train,
-			Fallback:  opts.qualityFallback,
 		})
 		if err != nil {
 			return nil, err
@@ -156,6 +159,48 @@ func (f *Fuser) Incremental(penalizeSilence bool) (*Incremental, error) {
 		return nil, fmt.Errorf("corrfuse: method %s has no trained quality model; use PrecRec or a PrecRecCorr variant", f.MethodName())
 	}
 	return core.NewIncremental(f.est, f.d.NumSources(), penalizeSilence)
+}
+
+// OnlineScorer is the surface of the O(1)-update online scorer the serving
+// layer drives (and its tests fake); *Incremental implements it.
+// Implementations are NOT internally synchronized; callers serialize access
+// (internal/serve guards its scorer with the live lock).
+type OnlineScorer interface {
+	Observe(s SourceID, t Triple) (float64, error)
+	Probability(t Triple) (p float64, ok bool)
+	Providers(t Triple) int
+	Len() int
+}
+
+// Online is Incremental behind the OnlineScorer interface.
+func (f *Fuser) Online(penalizeSilence bool) (OnlineScorer, error) {
+	inc, err := f.Incremental(penalizeSilence)
+	if err != nil {
+		return nil, err
+	}
+	return inc, nil
+}
+
+// Rebuild trains a new Fuser over d with this Fuser's options. A Fuser is
+// immutable once built; rebuilding is the path by which a long-running
+// system folds newly accumulated observations into a fresh model and
+// atomically swaps it in (see internal/serve).
+//
+// Two options are re-derived rather than copied verbatim:
+//
+//   - Train is cleared: it holds TripleIDs of the original dataset, which
+//     are meaningless in d, so the new model trains on every labeled triple
+//     of d.
+//   - A subject scope (NewScopeSubject) is re-indexed for d; its per-source
+//     subject coverage is dataset-specific. ScopeGlobal and custom
+//     dataset-agnostic scopes are kept as-is.
+func (f *Fuser) Rebuild(d *Dataset) (*Fuser, error) {
+	opts := f.opts
+	opts.Train = nil
+	if _, ok := opts.Scope.(*triple.ScopeSubject); ok && d != nil {
+		opts.Scope = NewScopeSubject(d)
+	}
+	return New(d, opts)
 }
 
 // MethodName returns the descriptive name of the configured algorithm.

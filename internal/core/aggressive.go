@@ -35,7 +35,7 @@ func NewAggressive(cfg Config) (*Aggressive, error) {
 	}
 	a := &Aggressive{cfg: cfg}
 	for _, cl := range cfg.Clusters {
-		a.views = append(a.views, newClusterView(cl))
+		a.views = append(a.views, newClusterView(cl, cfg.Dataset.NumSources()))
 		cp, cm := quality.AggressiveFactors(cfg.Params, cl)
 		a.cplus = append(a.cplus, cp)
 		a.cminus = append(a.cminus, cm)

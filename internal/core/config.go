@@ -139,6 +139,10 @@ type pattern struct {
 // clusterView precomputes the local indexing of one cluster.
 type clusterView struct {
 	members []triple.SourceID
+	// pos maps a SourceID to its member position, -1 for a source outside
+	// the cluster; full is the set of every member position.
+	pos  []int8
+	full stat.Set64
 
 	// r and q are the cluster's dense joint table (quality.JointTable),
 	// indexed by member bitmask; nil for the algorithms that read no joint
@@ -146,12 +150,29 @@ type clusterView struct {
 	// quality.MaxTableWidth.
 	r, q []float64
 
+	// absent is µ of the all-absent pattern (no member provides, every
+	// member in scope), computed once on first use: under global scope it
+	// is the pattern of every triple no member provides, so most (triple,
+	// cluster) pairs of a many-cluster model read it here instead of
+	// through the memo's lock.
+	absentOnce sync.Once
+	absent     float64
+
 	mu    sync.Mutex
 	cache map[pattern]float64
 }
 
-func newClusterView(members []triple.SourceID) *clusterView {
-	return &clusterView{members: members, cache: make(map[pattern]float64)}
+// newClusterView builds the view of one cluster over numSources sources.
+func newClusterView(members []triple.SourceID, numSources int) *clusterView {
+	cv := &clusterView{members: members, pos: make([]int8, numSources), cache: make(map[pattern]float64)}
+	for s := range cv.pos {
+		cv.pos[s] = -1
+	}
+	for i, s := range members {
+		cv.pos[s] = int8(i)
+		cv.full = cv.full.Add(i)
+	}
+	return cv
 }
 
 // tabledViews builds the cluster views of a normalized config, each with its
@@ -160,15 +181,26 @@ func tabledViews(cfg Config) []*clusterView {
 	tables := quality.JointTables(cfg.Params, cfg.Clusters)
 	views := make([]*clusterView, len(cfg.Clusters))
 	for ci, cl := range cfg.Clusters {
-		views[ci] = newClusterView(cl)
+		views[ci] = newClusterView(cl, cfg.Dataset.NumSources())
 		views[ci].r, views[ci].q = tables[ci].R, tables[ci].Q
 	}
 	return views
 }
 
 // patternFor computes the observation pattern of triple id within the
-// cluster under the given scope.
+// cluster under the given scope. Under ScopeGlobal every member is in scope
+// and the providers are the triple's provider list mapped through pos, one
+// read per provider; other scopes ask each member.
 func (cv *clusterView) patternFor(d *triple.Dataset, sc triple.Scope, id triple.TripleID) pattern {
+	if _, global := sc.(triple.ScopeGlobal); global {
+		p := pattern{inScope: cv.full}
+		for _, s := range d.Providers(id) {
+			if i := cv.pos[s]; i >= 0 {
+				p.providers = p.providers.Add(int(i))
+			}
+		}
+		return p
+	}
 	var p pattern
 	for i, s := range cv.members {
 		if d.Provides(s, id) {
@@ -182,7 +214,12 @@ func (cv *clusterView) patternFor(d *triple.Dataset, sc triple.Scope, id triple.
 }
 
 // muCached returns the memoized µ for a pattern, computing it with f on miss.
+// The all-absent pattern is answered from absent without the lock.
 func (cv *clusterView) muCached(p pattern, f func(pattern) float64) float64 {
+	if p.providers.Empty() && p.inScope == cv.full {
+		cv.absentOnce.Do(func() { cv.absent = f(p) })
+		return cv.absent
+	}
 	cv.mu.Lock()
 	v, ok := cv.cache[p]
 	cv.mu.Unlock()

@@ -17,9 +17,11 @@ const scoreChunk = 64
 // (0 or negative means GOMAXPROCS). The paper notes that PrecRecCorr
 // parallelizes well because the per-pattern terms are independent; all
 // algorithms in this package are safe for concurrent scoring: the joint
-// tables are read-only after construction, the pattern memo is
-// mutex-guarded, and so is the estimator's joint-statistic memo that a
-// cluster too wide for a table still goes through.
+// tables and each cluster's member-position index are read-only after
+// construction, the all-absent pattern's µ is computed once under a
+// sync.Once, every other pattern read goes through a mutex-guarded memo,
+// and so does the estimator's joint-statistic memo that a cluster too wide
+// for a table still goes through.
 //
 // What a second worker buys depends on where the time is (measured on 2
 // vCPUs, Fuser.Freeze, 1 worker → 2 workers). When the 2ⁿ sums dominate —

@@ -66,17 +66,6 @@ type Options struct {
 	// datasets benefit from a handful (the estimates for rare source
 	// combinations are otherwise noise).
 	MinJointSupport int
-
-	// Fallback, when non-nil, supplies per-source quality for sources the
-	// training slice carries no evidence about (sources providing none of
-	// the labeled triples). Counting such a source's precision as 0 would
-	// derive a false positive rate of 1 and wrongly turn its silence into
-	// strong evidence for a triple. Sharded training uses this: a shard's
-	// label slice can miss a source entirely, and the globally trained
-	// estimator stands in for it. With a Fallback set, an empty or
-	// all-false training slice is not an error — every source then runs
-	// on fallback quality and all joint statistics are unsupported.
-	Fallback Params
 }
 
 // Estimator computes per-source and joint quality metrics from the labeled
@@ -115,8 +104,9 @@ type jointStat struct {
 }
 
 // NewEstimator builds an estimator for d. It panics if Alpha is outside
-// (0, 1); it returns an error if the training set contains no true triples
-// (recall would be undefined).
+// (0, 1); it returns an error if Train names a triple ID outside d or names
+// one twice (it would be counted once per occurrence), and if the training
+// set contains no true triples (recall would be undefined).
 func NewEstimator(d *triple.Dataset, opts Options) (*Estimator, error) {
 	if opts.Alpha <= 0 || opts.Alpha >= 1 {
 		panic(fmt.Sprintf("quality: Alpha %v outside (0,1)", opts.Alpha))
@@ -127,6 +117,8 @@ func NewEstimator(d *triple.Dataset, opts Options) (*Estimator, error) {
 	train := opts.Train
 	if train == nil {
 		train = d.Labeled()
+	} else if err := checkTrain(d, train); err != nil {
+		return nil, err
 	}
 	e := &Estimator{
 		d:         d,
@@ -144,12 +136,28 @@ func NewEstimator(d *triple.Dataset, opts Options) (*Estimator, error) {
 			e.labelled = append(e.labelled, id)
 		}
 	}
-	if len(e.trueIDs) == 0 && opts.Fallback == nil {
+	if len(e.trueIDs) == 0 {
 		return nil, fmt.Errorf("quality: training set has no true triples")
 	}
 	e.buildBitsets()
 	e.computeSingles()
 	return e, nil
+}
+
+// checkTrain rejects a caller-supplied training set that names a triple ID
+// outside d or names one more than once.
+func checkTrain(d *triple.Dataset, train []triple.TripleID) error {
+	seen := make([]bool, d.NumTriples())
+	for _, id := range train {
+		if id < 0 || int(id) >= len(seen) {
+			return fmt.Errorf("quality: Train ID %d outside the dataset's %d triples", id, len(seen))
+		}
+		if seen[id] {
+			return fmt.Errorf("quality: Train ID %d listed twice", id)
+		}
+		seen[id] = true
+	}
+	return nil
 }
 
 // buildBitsets indexes provider membership and scope over the labeled
@@ -218,7 +226,10 @@ func popcountAnd(a, b []uint64) int {
 	return n
 }
 
-// computeSingles fills the per-source precision/recall/FPR tables.
+// computeSingles fills the per-source precision/recall/FPR tables from the
+// bitsets buildBitsets indexed: a source's three counts are popcounts over
+// the labeled triples in its scope — those it provides, those it provides
+// that are true, and the true ones.
 func (e *Estimator) computeSingles() {
 	n := e.d.NumSources()
 	e.prec = make([]float64, n)
@@ -226,52 +237,18 @@ func (e *Estimator) computeSingles() {
 	e.fpr = make([]float64, n)
 	k := e.opts.Smoothing
 	for s := 0; s < n; s++ {
-		sid := triple.SourceID(s)
-		var provided, providedTrue, inScopeTrue float64
-		for _, id := range e.labelled {
-			if !e.opts.Scope.InScope(e.d, sid, id) {
-				continue
-			}
-			isTrue := e.d.Label(id) == triple.True
-			if e.d.Provides(sid, id) {
-				provided++
-				if isTrue {
-					providedTrue++
-				}
-			}
-			if isTrue {
-				inScopeTrue++
-			}
+		prov, scope := e.provLab[s], e.scopeLab[s]
+		var provided, providedTrue, inScopeTrue int
+		for w, sc := range scope {
+			ps := prov[w] & sc
+			provided += onesCount64(ps)
+			providedTrue += onesCount64(ps & e.labTrue[w])
+			inScopeTrue += onesCount64(sc & e.labTrue[w])
 		}
-		if (provided == 0 || len(e.trueIDs) == 0) && e.opts.Fallback != nil {
-			// The training slice has no evidence about this source —
-			// or no true triples at all, leaving every recall
-			// denominator empty; inherit the source's quality from
-			// the fallback. Precision is back-derived from the
-			// Theorem 3.5 identity so the (p, r, q) triple stays
-			// internally consistent.
-			r := e.opts.Fallback.Recall(sid)
-			q := e.opts.Fallback.FPR(sid)
-			e.rec[s] = r
-			e.fpr[s] = q
-			e.prec[s] = derivePrecision(e.opts.Alpha, r, q)
-			continue
-		}
-		e.prec[s] = safeRatio(providedTrue+k, provided+2*k)
-		e.rec[s] = safeRatio(providedTrue+k, inScopeTrue+2*k)
+		e.prec[s] = safeRatio(float64(providedTrue)+k, float64(provided)+2*k)
+		e.rec[s] = safeRatio(float64(providedTrue)+k, float64(inScopeTrue)+2*k)
 		e.fpr[s] = DeriveFPR(e.opts.Alpha, e.prec[s], e.rec[s])
 	}
-}
-
-// derivePrecision inverts the Theorem 3.5 identity q = α/(1−α)·(1−p)/p·r,
-// giving p = αr / (αr + (1−α)q). A source with no recall and no false
-// positives carries no information; its precision is reported as 0.
-func derivePrecision(alpha, r, q float64) float64 {
-	den := alpha*r + (1-alpha)*q
-	if den <= 0 {
-		return 0
-	}
-	return alpha * r / den
 }
 
 // safeRatio returns num/den, or 0 when den is 0.

@@ -24,10 +24,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestGoldenReplay replays the committed fixture store and claim journal
-// through a full sharded server over HTTP and pins the complete JSON bodies
-// of /v1/refuse and /v1/subject against golden files. Any change to the
-// serving shape — fields, ranking, probabilities, partial-rebuild counts —
-// shows up as a readable golden diff. Probabilities are rounded to 1e-9 and
+// through a full server over HTTP and pins the complete JSON bodies of
+// /v1/refuse and /v1/subject against golden files. Any change to the
+// serving shape — fields, ranking, probabilities — shows up as a readable golden diff. Probabilities are rounded to 1e-9 and
 // durationMs zeroed before comparison, so the goldens are robust to
 // platform math-library ULP differences and wall-clock noise.
 func TestGoldenReplay(t *testing.T) {
@@ -79,8 +78,7 @@ func TestGoldenReplay(t *testing.T) {
 		t.Fatal("empty journal fixture")
 	}
 
-	// Re-fuse (the dirty-shard partial path: the journal touched a subset
-	// of subjects) and pin the full response.
+	// Re-fuse and pin the full response.
 	resp, err := http.Post(ts.URL+"/v1/refuse", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -466,7 +466,6 @@ func (s *Server) handleRefuse(w http.ResponseWriter, r *http.Request) {
 // completed rebuild (everything except the per-request durationMs and
 // coalesced fields).
 func (s *Server) refuseSummary(sn *snapshot, skipped bool) map[string]any {
-	rebuilt, reused := sn.rebuildCounts()
 	out := map[string]any{
 		"snapshotSeq":     sn.seq,
 		"snapshotVersion": sn.version,
@@ -477,9 +476,6 @@ func (s *Server) refuseSummary(sn *snapshot, skipped bool) map[string]any {
 		"triples":         sn.triples,
 		"accepted":        sn.accepted,
 		"method":          sn.fuser.MethodName(),
-		"shards":          len(sn.shardStats),
-		"rebuiltShards":   rebuilt,
-		"reusedShards":    reused,
 	}
 	if lastErr := s.lastPersistError(); lastErr != "" {
 		out["lastPersistError"] = lastErr

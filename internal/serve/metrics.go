@@ -2,10 +2,8 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"sync/atomic"
 
-	"corrfuse"
 	"corrfuse/internal/obs"
 	"corrfuse/internal/repl"
 	"corrfuse/internal/store"
@@ -24,9 +22,6 @@ type metrics struct {
 
 	observations *obs.Counter // claims ingested
 	rebuilds     *obs.Counter
-	// partialRebuilds counts rebuilds that adopted at least one shard of
-	// the previous model (a subset of rebuilds).
-	partialRebuilds *obs.Counter
 
 	// Admission control: rateLimited counts 429s by API-key label (capped
 	// cardinality, see rateKeyLabel), shed counts 503s by endpoint, and
@@ -152,8 +147,7 @@ func (s *Server) initObs() {
 		}))
 
 	s.m.rebuilds = r.Counter("corrfused_rebuilds_total", "Batch re-fusions performed.")
-	s.m.partialRebuilds = r.Counter("corrfused_partial_rebuilds_total", "Re-fusions that adopted at least one clean shard's model instead of retraining it.")
-	s.rebuildStage = r.HistogramVec("corrfused_rebuild_stage_seconds", "Re-fusion stage wall time (capture, train, freeze, writeback, index_build, online_seed, swap, shard_route, shard_build, snapshot_save_binary, snapshot_save_jsonl).", "stage", obs.DefBuckets)
+	s.rebuildStage = r.HistogramVec("corrfused_rebuild_stage_seconds", "Re-fusion stage wall time (capture, train, freeze, writeback, index_build, online_seed, swap, snapshot_save_binary, snapshot_save_jsonl).", "stage", obs.DefBuckets)
 	s.m.persistFailures = r.Counter("corrfused_persist_failures_total", "Persists in which a store save failed (either format; a binary-snapshot failure never loses data, the JSONL store still saves).")
 
 	// How the store was loaded at startup (suppressed unless cmd/fused
@@ -258,43 +252,6 @@ func (s *Server) initObs() {
 		})
 	replMetric("corrfused_repl_rebootstraps_total", "Automatic snapshot re-bootstraps after the leader truncated past this follower's position; nonzero means the follower fell behind a full retention window.", "counter",
 		func(st repl.Status) float64 { return float64(st.Rebootstraps) })
-
-	r.GaugeFunc("corrfused_shards", "Shards of the live batch model.",
-		snap(func(sn *snapshot) float64 { return float64(len(sn.shardStats)) }))
-	r.GaugeFunc("corrfused_shards_rebuilt", "Shards retrained for the live snapshot.",
-		snap(func(sn *snapshot) float64 {
-			rebuilt, _ := sn.rebuildCounts()
-			return float64(rebuilt)
-		}))
-	r.GaugeFunc("corrfused_shards_reused", "Shards adopted verbatim from the previous snapshot's model.",
-		snap(func(sn *snapshot) float64 {
-			_, reused := sn.rebuildCounts()
-			return float64(reused)
-		}))
-	perShard := func(name, help string, f func(st corrfuse.ShardStat) float64) {
-		r.SampleFunc(name, help, "gauge", func() []obs.Sample {
-			sn := s.snap.Load()
-			out := make([]obs.Sample, 0, len(sn.shardStats))
-			for _, st := range sn.shardStats {
-				out = append(out, obs.Sample{
-					Labels: obs.Label("shard", strconv.Itoa(st.Shard)),
-					Value:  f(st),
-				})
-			}
-			return out
-		})
-	}
-	perShard("corrfused_shard_reused", "Whether each shard of the live snapshot was adopted (1) or retrained (0).",
-		func(st corrfuse.ShardStat) float64 {
-			if st.Reused {
-				return 1
-			}
-			return 0
-		})
-	perShard("corrfused_shard_rebuild_seconds", "Wall time of each shard's model build in the live snapshot.",
-		func(st corrfuse.ShardStat) float64 { return st.Build.Seconds() })
-	perShard("corrfused_shard_triples", "Distinct triples routed to each shard of the live snapshot.",
-		func(st corrfuse.ShardStat) float64 { return float64(st.Triples) })
 
 	r.SampleFunc("corrfused_traces_recorded_total", "Finished traces offered to the trace ring buffer.", "counter",
 		func() []obs.Sample { return []obs.Sample{{Value: float64(s.traces.Total())}} })

@@ -146,8 +146,8 @@ func TestResponsesTotalCoversRouterErrors(t *testing.T) {
 	}
 }
 
-// TestMetricsExpositionLint: the full /metrics document — WAL and shard
-// families included — passes the exposition linter: HELP/TYPE before
+// TestMetricsExpositionLint: the full /metrics document — WAL families
+// included — passes the exposition linter: HELP/TYPE before
 // samples, no duplicates, monotone cumulative histogram buckets with
 // le="+Inf" equal to _count.
 func TestMetricsExpositionLint(t *testing.T) {

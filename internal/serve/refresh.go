@@ -43,19 +43,12 @@ func (s *Server) refresher() {
 // Concurrency protocol: the store capture happens under the live write lock,
 // so every journal entry recorded before the capture is already in the
 // store (ingest writes the store before journaling, and journaling needs
-// the same lock). The per-shard version capture is a separate store-lock
-// acquisition: ingest writes the store before taking the live lock, so a
-// claim can land between the two reads. Versions are therefore captured
-// BEFORE the dataset — an interleaved claim then appears in the dataset
-// with its version bump unrecorded, and the next diff over-states dirtiness
-// (an extra retrain, never a stale adoption); any remaining understatement
-// is backstopped by shard.RebuildPartial verifying every adoption against
-// the new capture. The long model build then runs without any lock. At swap
-// time the journal suffix —
-// claims ingested during the build, which the capture may have missed — is
-// replayed onto the new, empty overlay through applyLive; replaying a claim
-// the capture did include is harmless because Observe is idempotent on top
-// of the capture-time providers applyLive reads from the new dataset.
+// the same lock). The long model build then runs without any lock. At swap
+// time the journal suffix — claims ingested during the build, which the
+// capture may have missed — is replayed onto the new, empty overlay through
+// applyLive; replaying a claim the capture did include is harmless because
+// Observe is idempotent on top of the capture-time providers applyLive reads
+// from the new dataset.
 //
 // Online-scorer failures never abort a rebuild: the scorer is derived after
 // the write-back, past the last cancellation checkpoint (below). The
@@ -114,7 +107,6 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 		s.live.Unlock()
 		return cur, true, nil
 	}
-	shardVers := s.store.ShardVersions()
 	d := s.store.Dataset()
 	journalStart := len(s.live.journal)
 	s.live.Unlock()
@@ -126,16 +118,16 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 
 	begin := time.Now()
 	endTrain := stage("train")
-	var fuser *corrfuse.ShardedFuser
+	var fuser *corrfuse.Fuser
 	var err error
 	if cur == nil {
 		opts := s.cfg.Options
 		if s.cfg.SubjectScope {
 			opts.Scope = corrfuse.NewScopeSubject(d)
 		}
-		fuser, err = corrfuse.NewSharded(d, opts)
+		fuser, err = corrfuse.New(d, opts)
 	} else {
-		fuser, err = cur.fuser.RebuildPartial(d, s.dirtyShards(cur, shardVers))
+		fuser, err = cur.fuser.Rebuild(d)
 	}
 	endTrain()
 	if err != nil {
@@ -147,14 +139,6 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 		// as a never-started rebuild would leave them.
 		return nil, false, fmt.Errorf("serve: rebuild canceled after train, results discarded: %w", err)
 	}
-	// The engine times its serial routing pass and its parallel per-shard
-	// dataset build internally; surface both as refresh stages alongside
-	// the aggregate train time they are part of.
-	pt := fuser.PartitionTimings()
-	tr.AddSpan("shard_route", 0, pt.Route)
-	s.rebuildStage.With("shard_route").Observe(pt.Route)
-	tr.AddSpan("shard_build", pt.Route, pt.Build)
-	s.rebuildStage.With("shard_build").Observe(pt.Build)
 	// Freeze the model: every probability and decision is computed once
 	// into the dense score tables that back all subsequent reads.
 	endFreeze := stage("freeze")
@@ -188,9 +172,9 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	idx := index.Build(d, probs, provided, accepted, version)
 	endIndex()
 
-	// Derive the next overlay's scorer from the new quality model (routed
-	// per shard). It starts empty — the snapshot is the record of the
-	// capture — so this stage times the derivation alone. The unsupervised
+	// Derive the next overlay's scorer from the new quality model. It
+	// starts empty — the snapshot is the record of the capture — so this
+	// stage times the derivation alone. The unsupervised
 	// baselines carry no quality model; the service then serves batch
 	// results only and inc stays nil — the log line and the online_disabled
 	// gauge tell that state apart from a healthy supervised deployment.
@@ -206,15 +190,13 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	endSeed()
 
 	next := &snapshot{
-		fuser:         fuser,
-		data:          d,
-		idx:           idx,
-		version:       version,
-		shardVersions: shardVers,
-		builtAt:       time.Now(),
-		triples:       nTriples,
-		accepted:      nAccepted,
-		shardStats:    fuser.ShardStats(),
+		fuser:    fuser,
+		data:     d,
+		idx:      idx,
+		version:  version,
+		builtAt:  time.Now(),
+		triples:  nTriples,
+		accepted: nAccepted,
 	}
 	if cur != nil {
 		next.seq = cur.seq + 1
@@ -246,40 +228,9 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	s.traces.Record(tr)
 
 	s.m.rebuilds.Add(1)
-	rebuilt, reused := next.rebuildCounts()
-	if reused > 0 {
-		// Counted by what happened, not by the path taken: a partial
-		// rebuild whose adoption degraded to zero reuse (say a new source
-		// changed the source table) was a full rebuild.
-		s.m.partialRebuilds.Add(1)
-	}
 	s.logger.Logf("serve: snapshot %d: %s over %d sources, %d triples → %d accepted in %v",
 		next.seq, fuser.MethodName(), d.NumSources(), next.triples, next.accepted, time.Since(begin).Round(time.Millisecond))
-	s.logger.Logf("serve: snapshot %d: %d shards rebuilt, %d reused", next.seq, rebuilt, reused)
-	for _, st := range next.shardStats {
-		if st.Reused {
-			continue
-		}
-		s.logger.Logf("serve: snapshot %d: shard %d: %d triples (%d labeled) built in %v",
-			next.seq, st.Shard, st.Triples, st.Labeled, st.Build.Round(time.Millisecond))
-	}
 	return next, false, nil
-}
-
-// dirtyShards returns the shards the next rebuild must retrain: those whose
-// store version moved since the current snapshot's capture — or every shard
-// (a full rebuild) when partial rebuilds are off or the snapshot carries no
-// per-shard version capture matching the tracked shard count.
-func (s *Server) dirtyShards(cur *snapshot, shardVers []uint64) []int {
-	n := cur.fuser.NumShards()
-	diffable := s.cfg.PartialRebuild && len(shardVers) == n && len(cur.shardVersions) == n
-	var dirty []int
-	for i := 0; i < n; i++ {
-		if !diffable || shardVers[i] != cur.shardVersions[i] {
-			dirty = append(dirty, i)
-		}
-	}
-	return dirty
 }
 
 // applyLive journals one claim and feeds it to the overlay. It is the only

@@ -1,15 +1,13 @@
 // Failure-injection tests for the refresh path: online-scorer failures must
 // degrade the service to batch-only instead of aborting a rebuild whose
-// results are already written back to the store, and the dirty-shard partial
-// path must reuse clean shards while producing the same probabilities as a
-// full rebuild.
+// results are already written back to the store, and the configuration
+// knobs the one-model engine ignores must change no answer.
 package serve
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -19,7 +17,6 @@ import (
 
 	"corrfuse"
 	"corrfuse/internal/obs"
-	"corrfuse/internal/shard"
 	"corrfuse/internal/triple"
 )
 
@@ -267,47 +264,29 @@ func TestReplayFailureCompletesSwap(t *testing.T) {
 	}
 }
 
-// TestPartialRebuildEndToEnd: with PartialRebuild enabled, a background
-// refresh after claims confined to one shard retrains exactly that shard,
-// reports the counts in /metrics and /v1/refuse, and serves the same
-// probabilities as a full-rebuild twin.
+// TestPartialRebuildEndToEnd: Config.PartialRebuild and Options.Shards are
+// inert. A refresh after a claim confined to one subject retrains the whole
+// model — on a server configured for three shards and partial rebuilds as on
+// a plain one — and both serve identical probabilities; /metrics and
+// /v1/refuse carry no shard families or fields.
 func TestPartialRebuildEndToEnd(t *testing.T) {
-	const shards = 3
-	mkServer := func(partial bool) *Server {
+	mkServer := func(partial bool, shards int) *Server {
 		cfg := corrConfig()
 		cfg.Options.Shards = shards
 		cfg.Options.Parallelism = 2
 		cfg.PartialRebuild = partial
 		return newServer(t, seedStoreWide(t, 48), cfg)
 	}
-	partial := mkServer(true)
-	full := mkServer(false)
+	partial := mkServer(true, 3)
+	full := mkServer(false, 0)
 
-	// Claims on one new subject dirty exactly one shard.
 	obs := Observation{Source: "good1", Subject: "fresh-subject", Predicate: "p", Object: "v"}
-	home := shard.Of(obs.Subject, shards)
-	partial.ingest(obs)
-	full.ingest(obs)
-
-	sn, skipped, err := partial.rebuild(context.Background(), false)
-	if err != nil || skipped {
-		t.Fatalf("partial rebuild: err=%v skipped=%v", err, skipped)
-	}
-	rebuilt, reused := sn.rebuildCounts()
-	if rebuilt != 1 || reused != shards-1 {
-		t.Fatalf("rebuilt %d / reused %d shards, want 1 / %d", rebuilt, reused, shards-1)
-	}
-	for _, st := range sn.shardStats {
-		if (st.Shard == home) == st.Reused {
-			t.Errorf("shard %d reused=%v, dirty shard is %d", st.Shard, st.Reused, home)
+	for _, srv := range []*Server{partial, full} {
+		srv.ingest(obs)
+		if _, skipped, err := srv.rebuild(context.Background(), false); err != nil || skipped {
+			t.Fatalf("rebuild: err=%v skipped=%v", err, skipped)
 		}
 	}
-	if _, _, err := full.rebuild(context.Background(), false); err != nil {
-		t.Fatal(err)
-	}
-
-	// The partial snapshot's probabilities match the full rebuild's, on
-	// clean-shard and dirty-shard triples alike.
 	for _, sub := range []string{"wt0", "wt1", "wt7", "wu3", "fresh-subject"} {
 		tt := tr(sub, "v")
 		pp, _, okP := partial.liveProbability(partial.snap.Load(), tt)
@@ -315,39 +294,29 @@ func TestPartialRebuildEndToEnd(t *testing.T) {
 		if !okP || !okF {
 			t.Fatalf("%s: unknown to a snapshot (partial %v, full %v)", sub, okP, okF)
 		}
-		if math.Abs(pp-fp) > 1e-9 {
-			t.Errorf("%s: partial %.12f != full %.12f", sub, pp, fp)
+		if pp != fp {
+			t.Errorf("%s: partial %v != full %v", sub, pp, fp)
 		}
 	}
 
-	if text := metricsText(t, partial); !strings.Contains(text, "corrfused_partial_rebuilds_total 1") ||
-		!strings.Contains(text, "corrfused_shards_rebuilt 1") ||
-		!strings.Contains(text, fmt.Sprintf("corrfused_shards_reused %d", shards-1)) ||
-		!strings.Contains(text, fmt.Sprintf("corrfused_shard_reused{shard=\"%d\"} 0", home)) {
-		t.Errorf("partial-rebuild metrics missing:\n%s", text)
+	if text := metricsText(t, partial); strings.Contains(text, "corrfused_shard") || strings.Contains(text, "corrfused_partial_rebuilds_total") {
+		t.Errorf("shard metric families still exposed:\n%s", text)
 	}
-
-	// /v1/refuse reports the counts of the rebuild it performed. The
-	// store is unchanged now, but refuse forces a rebuild: zero dirty
-	// shards, everything reused.
 	ts := httptest.NewServer(partial.Handler())
 	defer ts.Close()
 	out := postJSON(t, ts.URL+"/v1/refuse", map[string]any{})
-	if got, ok := out["reusedShards"].(float64); !ok || int(got) != shards {
-		t.Errorf("refuse reusedShards = %v, want %d", out["reusedShards"], shards)
-	}
-	if got, ok := out["rebuiltShards"].(float64); !ok || int(got) != 0 {
-		t.Errorf("refuse rebuiltShards = %v, want 0", out["rebuiltShards"])
+	for _, key := range []string{"shards", "rebuiltShards", "reusedShards"} {
+		if _, ok := out[key]; ok {
+			t.Errorf("refuse still reports %q: %v", key, out)
+		}
 	}
 }
 
 // TestPartialRebuildNewSourceFallsBackToFull: a claim from an unknown source
-// changes the source table, which partial adoption must refuse — the refresh
-// degrades to retraining every shard, and the new source joins the model.
+// joins the model at the next refresh, partial rebuilds configured or not.
 func TestPartialRebuildNewSourceFallsBackToFull(t *testing.T) {
-	const shards = 3
 	cfg := corrConfig()
-	cfg.Options.Shards = shards
+	cfg.Options.Shards = 3
 	cfg.Options.Parallelism = 2
 	cfg.PartialRebuild = true
 	srv := newServer(t, seedStoreWide(t, 48), cfg)
@@ -357,54 +326,16 @@ func TestPartialRebuildNewSourceFallsBackToFull(t *testing.T) {
 	if err != nil || skipped {
 		t.Fatalf("rebuild: err=%v skipped=%v", err, skipped)
 	}
-	rebuilt, reused := sn.rebuildCounts()
-	if reused != 0 || rebuilt != shards {
-		t.Fatalf("rebuilt %d / reused %d after a source-table change, want %d / 0", rebuilt, reused, shards)
-	}
 	if _, ok := sn.data.SourceID("newcomer"); !ok {
 		t.Fatal("new source missing from the rebuilt model")
 	}
-	// Nothing was adopted, so this was a full rebuild and is counted as one.
-	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_partial_rebuilds_total 0") {
-		t.Error("a partial rebuild that adopted no shard was counted as partial")
+	if _, ok := sn.fuser.Dataset().SourceID("newcomer"); !ok {
+		t.Fatal("new source missing from the rebuilt model's dataset")
 	}
 }
 
-// TestOneShardRebuildIsPartialOnlyWhenAdopted: with one shard a dirty store
-// is a full rebuild — the partial-rebuild counter counts adoptions, not the
-// path taken, so it stays 0 — while a forced re-fusion of the unchanged store
-// adopts the whole model and is counted.
-func TestOneShardRebuildIsPartialOnlyWhenAdopted(t *testing.T) {
-	cfg := corrConfig()
-	cfg.PartialRebuild = true
-	srv := newServer(t, seedStoreWide(t, 48), cfg)
-
-	srv.ingest(Observation{Source: "good1", Subject: "fresh-subject", Predicate: "p", Object: "v"})
-	sn, skipped, err := srv.rebuild(context.Background(), false)
-	if err != nil || skipped {
-		t.Fatalf("rebuild: err=%v skipped=%v", err, skipped)
-	}
-	if rebuilt, reused := sn.rebuildCounts(); rebuilt != 1 || reused != 0 {
-		t.Fatalf("dirty store: rebuilt %d / reused %d shards, want 1 / 0", rebuilt, reused)
-	}
-	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_partial_rebuilds_total 0") {
-		t.Error("a one-shard rebuild of a dirty store was counted as partial")
-	}
-
-	sn, _, err = srv.rebuild(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt, reused := sn.rebuildCounts(); rebuilt != 0 || reused != 1 {
-		t.Fatalf("unchanged store: rebuilt %d / reused %d shards, want 0 / 1", rebuilt, reused)
-	}
-	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_partial_rebuilds_total 1") {
-		t.Error("adopting the one shard was not counted as partial")
-	}
-}
-
-// TestShardsZeroAndOneAnswerIdentically: Options.Shards 0 and 1 are the same
-// one-shard engine, so two servers over the same store answer /v1/score,
+// TestShardsZeroAndOneAnswerIdentically: Options.Shards is ignored, so
+// servers over the same store with Shards 0, 1 and 8 answer /v1/score,
 // /v1/subject and /v1/refuse byte for byte (wall-clock durationMs aside).
 func TestShardsZeroAndOneAnswerIdentically(t *testing.T) {
 	durationMs := regexp.MustCompile(`"durationMs":\d+`)
@@ -438,13 +369,16 @@ func TestShardsZeroAndOneAnswerIdentically(t *testing.T) {
 			do("GET", "/v1/subject/wt3", ""),
 		}
 	}
-	zero, one := answers(0), answers(1)
-	for i := range zero {
-		if zero[i] != one[i] {
-			t.Errorf("Shards 0 and 1 disagree:\n0: %s\n1: %s", zero[i], one[i])
+	zero := answers(0)
+	for _, shards := range []int{1, 8} {
+		other := answers(shards)
+		for i := range zero {
+			if zero[i] != other[i] {
+				t.Errorf("Shards 0 and %d disagree:\n0: %s\n%d: %s", shards, zero[i], shards, other[i])
+			}
 		}
 	}
-	if !strings.Contains(zero[0], `"shards":1`) || !strings.Contains(zero[0], `"rebuiltShards":1`) {
-		t.Errorf("refuse does not report the one shard: %s", zero[0])
+	if strings.Contains(zero[0], "Shards") || strings.Contains(zero[0], `"shards"`) {
+		t.Errorf("refuse still reports shards: %s", zero[0])
 	}
 }

@@ -5,16 +5,15 @@
 //
 // Two models cooperate across one boundary:
 //
-//   - The snapshot: a batch corrfuse.ShardedFuser (any corrfuse.Method,
-//     typically a PrecRecCorr variant) trained over the whole store — the
-//     one engine, whatever Options.Shards says; one shard is the
-//     unpartitioned model — with the dataset it was trained on and the
-//     index of its results. It is immutable, reached through an atomic
-//     pointer, and the only record of who provided what at the capture and
-//     of every batch answer: no read consults the store's write-back copy.
+//   - The snapshot: a batch corrfuse.Fuser (any corrfuse.Method, typically
+//     a PrecRecCorr variant) trained over the whole store, with the dataset
+//     it was trained on and the index of its results. It is immutable,
+//     reached through an atomic pointer, and the only record of who
+//     provided what at the capture and of every batch answer: no read
+//     consults the store's write-back copy.
 //
-//   - The overlay: an online scorer (corrfuse.ShardedIncremental) derived
-//     from the same quality model, empty at each swap and holding only the
+//   - The overlay: an online scorer (corrfuse.Incremental) derived from
+//     the same quality model, empty at each swap and holding only the
 //     triples claimed since the snapshot's capture. A triple's first such
 //     claim copies its capture-time providers in from the snapshot, then
 //     every claim updates it in O(1), so queries between batch refreshes
@@ -60,10 +59,8 @@ const (
 type Config struct {
 	// Options are the fusion options for batch (re)builds. Supervised
 	// methods (the default PrecRecCorr) require gold labels in the store.
-	// The store is partitioned into Options.Shards subject-hash shards (0
-	// or 1: one shard, the unpartitioned model) whose models are rebuilt
-	// concurrently (Options.Parallelism goroutines), then swapped in
-	// atomically as one snapshot.
+	// Every rebuild trains one model over the whole store and scores it on
+	// Options.Parallelism goroutines; Options.Shards is ignored.
 	Options corrfuse.Options
 
 	// SubjectScope selects subject-scope accountability; the scope index
@@ -71,16 +68,9 @@ type Config struct {
 	// false, Options.Scope (default global) is used as-is.
 	SubjectScope bool
 
-	// PartialRebuild makes background refreshes and /v1/refuse retrain only
-	// the shards whose subjects changed since the current snapshot's
-	// capture (tracked by per-shard store version counters), adopting every
-	// clean shard's model verbatim — model retraining, the dominant
-	// superlinear cost of a refresh, then scales with the change rate
-	// rather than the store size (scoring, fusion write-back and online
-	// reseeding remain linear, parallelized passes over the store). See
-	// corrfuse.ShardedFuser.RebuildPartial for the exactness contract. With
-	// one shard it only spares retraining on a forced re-fusion of an
-	// unchanged store.
+	// PartialRebuild is accepted and ignored: every rebuild retrains the
+	// whole model (a refresh over an unmoved store version is skipped
+	// instead). It remains because the frozen bench/ package sets it.
 	PartialRebuild bool
 
 	// PenalizeSilence selects global-scope semantics for the incremental
@@ -234,9 +224,8 @@ type observation struct {
 // snapshot is one immutable generation of the batch model. Readers load it
 // through an atomic pointer and use it without locks.
 type snapshot struct {
-	// fuser is the trained batch model: the one engine, of
-	// Config.Options.Shards shards (one shard is the unpartitioned model).
-	fuser *corrfuse.ShardedFuser
+	// fuser is the trained batch model.
+	fuser *corrfuse.Fuser
 	// data is the dataset the fuser was trained on; it maps source names
 	// and triples to the IDs both models use. It is immutable.
 	data *corrfuse.Dataset
@@ -248,31 +237,11 @@ type snapshot struct {
 	idx *index.Index
 	// version is the store data version the snapshot was captured at.
 	version uint64
-	// shardVersions is the per-shard store version capture the snapshot
-	// was built from (nil unless partial rebuilds are enabled); the next
-	// rebuild diffs it against a fresh capture to find the dirty shards.
-	shardVersions []uint64
 	// seq numbers snapshots 1, 2, … ; /healthz and /metrics expose it.
 	seq      uint64
 	builtAt  time.Time
 	triples  int
 	accepted int
-	// shardStats holds the model's per-shard sizes and build timings;
-	// /metrics exposes them.
-	shardStats []corrfuse.ShardStat
-}
-
-// rebuildCounts reports how many shards the snapshot's build retrained vs
-// adopted from the previous model.
-func (sn *snapshot) rebuildCounts() (rebuilt, reused int) {
-	for _, st := range sn.shardStats {
-		if st.Reused {
-			reused++
-		} else {
-			rebuilt++
-		}
-	}
-	return rebuilt, reused
 }
 
 // Server is the online fusion service. Build one with New, mount Handler,
@@ -455,12 +424,6 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		if len(recs) > 0 {
 			s.logger.Logf("serve: wal: recovered %d acknowledged observations (through seq %d)", len(recs), recs[len(recs)-1].Seq)
 		}
-	}
-	if cfg.PartialRebuild {
-		// Per-shard version counters feed the dirty-shard diff of every
-		// subsequent rebuild; the initial build below records the first
-		// capture.
-		st.TrackShards(max(cfg.Options.Shards, 1))
 	}
 	//lint:ignore ctxflow startup fusion runs before any request exists; New has no caller deadline to inherit
 	if _, _, err := s.rebuild(context.Background(), true); err != nil {

@@ -12,8 +12,7 @@ import (
 // TestSoakIndexedServing soaks the indexed read path under full write
 // pressure (run under -race in CI): concurrent bulk /v1/score readers and
 // subject readers against concurrent /v1/observe writers, while the
-// background refresher performs dirty-shard partial rebuilds every few
-// milliseconds. The invariant under fire is snapshot consistency: every
+// background refresher retrains the model every few milliseconds. The invariant under fire is snapshot consistency: every
 // single response must carry an index version equal to its snapshot
 // version — a reader must never observe a mixed-generation result — with
 // every served probability in [0,1] and every subject listing pre-ranked.
@@ -37,7 +36,7 @@ func TestSoakIndexedServing(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// Writers: a stream of claims (some labeled) spread over the subject
-	// space, keeping shards continuously dirty.
+	// space, keeping the store version moving so every refresh retrains.
 	const writers = 3
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

@@ -29,7 +29,7 @@ var startupBench struct {
 
 // startupStore synthesizes the 52k-triple store the cold-start criterion
 // names: 13000 subjects x 4 predicates over 144 sources (the
-// shardBenchDataset shape), with fused probabilities on every entry —
+// storeBenchDataset shape), with fused probabilities on every entry —
 // exactly what a persist() writes after a rebuild.
 func startupStore() *Store {
 	const groups, subjects, preds = 48, 13000, 4

@@ -90,8 +90,8 @@ func v1Image() []byte {
 
 // TestBinaryVersionMatchesJSONLLoad: a binary load must produce the store
 // a JSONL load of the same data would — every field, including the data
-// version, so downstream version-compare logic (refreshers, shard
-// trackers) behaves identically whichever format served the cold start.
+// version, so downstream version-compare logic (the refresher) behaves
+// identically whichever format served the cold start.
 func TestBinaryVersionMatchesJSONLLoad(t *testing.T) {
 	s := snapStore()
 	var jbuf, bbuf bytes.Buffer
@@ -110,9 +110,8 @@ func TestBinaryVersionMatchesJSONLLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameEntries(t, viaJSONL, viaBinary)
-	if viaBinary.version != viaJSONL.version || !reflect.DeepEqual(viaBinary.shardVersions, viaJSONL.shardVersions) {
-		t.Fatalf("binary load version %d %v, JSONL load version %d %v",
-			viaBinary.version, viaBinary.shardVersions, viaJSONL.version, viaJSONL.shardVersions)
+	if viaBinary.version != viaJSONL.version {
+		t.Fatalf("binary load version %d, JSONL load version %d", viaBinary.version, viaJSONL.version)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"corrfuse/internal/shard"
 	"corrfuse/internal/triple"
 )
 
@@ -45,16 +44,6 @@ type Store struct {
 	// started from, letting a refresher skip rebuilds when nothing that
 	// feeds the model has changed.
 	version uint64
-
-	// shardVersions, when TrackShards enabled it, splits the data version
-	// by subject-hash shard: every mutation that advances version also
-	// advances the counter of the shard the mutated subject routes to
-	// (shard.Of — the same FNV-1a routing the sharded fusion engine uses).
-	// SetFusion never advances them: fusion writebacks are derived state,
-	// and the triples it interns carry no provenance or label, so they are
-	// invisible to Dataset. A refresher comparing two captures of these
-	// counters learns exactly which shards' local datasets may differ.
-	shardVersions []uint64
 }
 
 // New returns an empty store.
@@ -73,12 +62,12 @@ func (s *Store) Put(e Entry) {
 			if !slices.Contains(cur.Sources, src) {
 				cur.Sources = append(cur.Sources, src)
 				sort.Strings(cur.Sources)
-				s.bump(e.Triple.Subject)
+				s.version++
 			}
 		}
 		if e.Label != "" && e.Label != cur.Label {
 			cur.Label = e.Label
-			s.bump(e.Triple.Subject)
+			s.version++
 		}
 		if e.Probability != 0 {
 			cur.Probability = e.Probability
@@ -91,23 +80,14 @@ func (s *Store) Put(e Entry) {
 	sort.Strings(e.Sources)
 	s.byKey[e.Triple] = len(s.entries)
 	s.entries = append(s.entries, e)
-	s.bump(e.Triple.Subject)
-}
-
-// bump advances the data version and, when shard tracking is enabled, the
-// version of the shard the subject routes to. Callers hold the write lock.
-func (s *Store) bump(subject string) {
 	s.version++
-	if len(s.shardVersions) > 0 {
-		s.shardVersions[shard.Of(subject, len(s.shardVersions))]++
-	}
 }
 
 // SetFusion records the authoritative fusion result for a triple,
 // overwriting whatever is stored — unlike Put's merge, a zero probability or
 // a rejection sticks, so a batch re-fusion can demote a previously accepted
 // entry. The triple is interned if it is not stored yet. SetFusion never
-// advances the data version (global or per shard): fusion results are
+// advances the data version: fusion results are
 // derived state, not input, and an entry interned here carries no provenance
 // or label, so Dataset cannot see it — advancing the version would only
 // trigger rebuilds over unchanged data.
@@ -133,37 +113,14 @@ func (s *Store) Version() uint64 {
 	return s.version
 }
 
-// TrackShards starts (or resizes) per-shard version tracking over n
-// subject-hash shards. Counters restart at zero, so captures taken across a
-// TrackShards call compare as changed — a safe full rebuild, never a missed
-// one. n < 1 disables tracking.
-func (s *Store) TrackShards(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 1 {
-		s.shardVersions = nil
-		return
-	}
-	if len(s.shardVersions) != n {
-		s.shardVersions = make([]uint64, n)
-	}
-}
+// TrackShards does nothing, and ShardVersions always returns nil: the
+// fusion engine retrains one model on every rebuild, so nothing reads
+// per-shard versions. Both remain because the frozen bench/ package calls
+// them.
+func (s *Store) TrackShards(n int) {}
 
-// ShardVersions returns a copy of the per-shard data version counters, or
-// nil when TrackShards has not enabled tracking. A shard whose counter is
-// unchanged between two captures received no data mutation in between: its
-// slice of the store — and therefore its shard-local dataset under the same
-// shard count — is identical.
-func (s *Store) ShardVersions() []uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.shardVersions == nil {
-		return nil
-	}
-	out := make([]uint64, len(s.shardVersions))
-	copy(out, s.shardVersions)
-	return out
-}
+// ShardVersions returns nil; see TrackShards.
+func (s *Store) ShardVersions() []uint64 { return nil }
 
 // Get returns the entry for a triple.
 func (s *Store) Get(t triple.Triple) (Entry, bool) {

@@ -131,8 +131,8 @@ func NewDataset() *Dataset {
 }
 
 // NewDatasetCap returns an empty dataset with capacity hints for the number
-// of sources and distinct triples it will hold, so bulk loads (the shard
-// partitioner, store conversions) avoid incremental map and slice growth.
+// of sources and distinct triples it will hold, so bulk loads (file reads,
+// store conversions) avoid incremental map and slice growth.
 // The hints are not limits.
 func NewDatasetCap(sources, triples int) *Dataset {
 	return &Dataset{

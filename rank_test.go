@@ -33,17 +33,10 @@ func tiedDataset(t testing.TB) *corrfuse.Dataset {
 	return d
 }
 
-// fusedModel is what *corrfuse.Fuser and *corrfuse.ShardedFuser share.
-type fusedModel interface {
-	Fuse() (*corrfuse.Result, error)
-	FrozenScores() (probs []float64, provided, accepted []bool)
-	Dataset() *corrfuse.Dataset
-}
-
 // refRanked is the ranking Fuse used to build, kept as its reference: every
 // provided triple in ID order, then the accepted ones, each list sorted by
 // descending probability with a stable sort.
-func refRanked(m fusedModel) (all, accepted []corrfuse.ScoredTriple) {
+func refRanked(m *corrfuse.Fuser) (all, accepted []corrfuse.ScoredTriple) {
 	d := m.Dataset()
 	probs, provided, acc := m.FrozenScores()
 	for i, ok := range provided {
@@ -76,50 +69,44 @@ func refRanked(m fusedModel) (all, accepted []corrfuse.ScoredTriple) {
 // of the caller's own, and a repeat Fuse allocates those and nothing else.
 func TestRankingEqualsStableSort(t *testing.T) {
 	d := tiedDataset(t)
-	mono, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.PrecRecCorr})
+	m, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.PrecRecCorr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := corrfuse.NewSharded(d, corrfuse.Options{Method: corrfuse.PrecRecCorr, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
+	wantAll, wantAcc := refRanked(m)
+	distinct := make(map[float64]struct{})
+	for _, st := range wantAll {
+		distinct[st.Probability] = struct{}{}
 	}
-	for name, m := range map[string]fusedModel{"Fuser": mono, "ShardedFuser/8": sharded} {
-		wantAll, wantAcc := refRanked(m)
-		distinct := make(map[float64]struct{})
-		for _, st := range wantAll {
-			distinct[st.Probability] = struct{}{}
+	if len(wantAcc) == 0 || len(wantAcc) == len(wantAll) || 10*len(distinct) > len(wantAll) {
+		t.Fatalf("%d triples, %d accepted, %d distinct probabilities: not the tied shape this test is for",
+			len(wantAll), len(wantAcc), len(distinct))
+	}
+	for call := 0; call < 2; call++ {
+		res, err := m.Fuse()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(wantAcc) == 0 || len(wantAcc) == len(wantAll) || 10*len(distinct) > len(wantAll) {
-			t.Fatalf("%s: %d triples, %d accepted, %d distinct probabilities: not the tied shape this test is for",
-				name, len(wantAll), len(wantAcc), len(distinct))
+		if !slices.Equal(res.All, wantAll) || !slices.Equal(res.Accepted, wantAcc) {
+			t.Fatalf("call %d: ranking differs from the stable sort's", call)
 		}
-		for call := 0; call < 2; call++ {
-			res, err := m.Fuse()
-			if err != nil {
-				t.Fatal(err)
+		next := 0
+		for _, st := range res.All {
+			if next < len(res.Accepted) && res.Accepted[next] == st {
+				next++
 			}
-			if !slices.Equal(res.All, wantAll) || !slices.Equal(res.Accepted, wantAcc) {
-				t.Fatalf("%s, call %d: ranking differs from the stable sort's", name, call)
-			}
-			next := 0
-			for _, st := range res.All {
-				if next < len(res.Accepted) && res.Accepted[next] == st {
-					next++
-				}
-			}
-			if next != len(res.Accepted) {
-				t.Fatalf("%s: Accepted is not a subsequence of All (matched %d of %d)", name, next, len(res.Accepted))
-			}
-			// The lists are the caller's: the next call must not see this.
-			slices.Reverse(res.All)
-			slices.Reverse(res.Accepted)
 		}
-		// The Result and its two lists. The parent commit kept both lists
-		// for the model's life as well and copied them here: 3 allocations
-		// too, over 2 x 64 B per triple pinned instead of 4 B.
-		if allocs := testing.AllocsPerRun(5, func() { m.Fuse() }); allocs != 3 {
-			t.Errorf("%s: a repeat Fuse allocates %v times, want 3 (the Result and its two lists)", name, allocs)
+		if next != len(res.Accepted) {
+			t.Fatalf("Accepted is not a subsequence of All (matched %d of %d)", next, len(res.Accepted))
 		}
+		// The lists are the caller's: the next call must not see this.
+		slices.Reverse(res.All)
+		slices.Reverse(res.Accepted)
+	}
+	// The Result and its two lists. The parent commit kept both lists
+	// for the model's life as well and copied them here: 3 allocations
+	// too, over 2 x 64 B per triple pinned instead of 4 B.
+	if allocs := testing.AllocsPerRun(5, func() { m.Fuse() }); allocs != 3 {
+		t.Errorf("a repeat Fuse allocates %v times, want 3 (the Result and its two lists)", allocs)
 	}
 }

@@ -5,7 +5,7 @@
 //
 // Family names must be resolvable to compile-time constants. The one
 // indirection the repo uses is supported: an unexported helper (func or
-// closure, e.g. metrics.go's walGauge/perShard) that forwards a name
+// closure, e.g. metrics.go's walGauge/loadSample) that forwards a name
 // parameter into a registration call is resolved through its same-
 // package call sites, each contributing its constant argument.
 // Exported helpers (obs.RegisterBuildInfo) are skipped at declaration
