@@ -146,8 +146,9 @@ type clusterView struct {
 
 	// r and q are the cluster's dense joint table (quality.JointTable),
 	// indexed by member bitmask; nil for the algorithms that read no joint
-	// parameter per pattern and for a cluster wider than
-	// quality.MaxTableWidth.
+	// parameter per pattern, for a cluster wider than
+	// quality.MaxTableWidth, and for an Exact model under ScopeGlobal, which
+	// turns them into its µ table.
 	r, q []float64
 
 	// absent is µ of the all-absent pattern (no member provides, every

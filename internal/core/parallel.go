@@ -17,19 +17,24 @@ const scoreChunk = 64
 // (0 or negative means GOMAXPROCS). The paper notes that PrecRecCorr
 // parallelizes well because the per-pattern terms are independent; all
 // algorithms in this package are safe for concurrent scoring: the joint
-// tables and each cluster's member-position index are read-only after
-// construction, the all-absent pattern's µ is computed once under a
-// sync.Once, every other pattern read goes through a mutex-guarded memo,
-// and so does the estimator's joint-statistic memo that a cluster too wide
-// for a table still goes through.
+// tables, Exact's µ tables and each cluster's member-position index are
+// read-only after construction. Under ScopeGlobal, Exact scores a tabled
+// cluster with one read and takes no lock at all. The per-pattern paths —
+// Exact under other scopes or on a cluster too wide for a table,
+// Aggressive and Elastic — compute the all-absent pattern's µ once under a
+// sync.Once and read every other pattern through a mutex-guarded memo, as
+// does the estimator's joint-statistic memo a cluster too wide for a table
+// still goes through.
 //
 // What a second worker buys depends on where the time is (measured on 2
-// vCPUs, Fuser.Freeze, 1 worker → 2 workers). When the 2ⁿ sums dominate —
-// 20 sources in one cluster, 20k triples — 5.6 s → 2.6 s, linear. On the
-// batch-fuse shape — 12 sources, 50k triples, 3.4k distinct patterns — the
-// sums are 15–25 ms either way (bench's core.exact_score_ms reads 22–25),
-// about a sixth of what `fuse -method corr` takes on that file end to end;
-// README's "where fuse's wall goes" has the other stages.
+// vCPUs). When per-pattern 2ⁿ sums dominate, close to linear: they did on
+// the global path before the µ tables — 20 sources in one cluster, 20k
+// triples, Fuser.Freeze 5.6 s on 1 worker, 2.6 s on 2 — and they still do on
+// the per-pattern paths. With the µ tables that whole `fuse -method corr`
+// run takes 0.16 s, and on the batch-fuse shape — 12 sources, 50k triples,
+// one cluster — the exact Freeze takes about 4 ms, so a second worker has
+// little left to split; README's "where fuse's wall goes" has the other
+// stages.
 //
 // The work queue is a single atomic cursor rather than a mutex-guarded
 // counter: claiming a chunk is one lock-free fetch-add, so the queue never

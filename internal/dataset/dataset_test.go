@@ -2,12 +2,15 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"corrfuse/internal/quality"
 	"corrfuse/internal/store"
@@ -473,6 +476,62 @@ func TestReadEqualsObserveLoop(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
 		t.Error("ReadFile of a missing file should fail")
+	}
+}
+
+// TestReadPipelineErrors: a malformed line at the first row, at the last row
+// of the first batch, at the first row of the second and at the last row of
+// the file, and an over-long line, each make ReadFile and Read return the
+// error store.ReadRecords itself returns for that stream (wrapped as it always
+// was), and leave no decoder goroutine behind.
+func TestReadPipelineErrors(t *testing.T) {
+	d, err := Generate(benchShape(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	broken := map[string]string{}
+	for _, at := range []int{1, readBatch, readBatch + 1, len(lines)} {
+		bad := slices.Clone(lines)
+		bad[at-1] = `{"subject":"s","predicate":"p","object":"o","label":"maybe"}` + "\n"
+		broken[fmt.Sprintf("malformed row %d", at)] = strings.Join(bad, "")
+	}
+	long := slices.Clone(lines)
+	long[readBatch] = `{"subject":"` + strings.Repeat("x", 5<<20) + `","predicate":"p","object":"o"}` + "\n"
+	broken["over-long row 1025"] = strings.Join(long, "")
+
+	before := runtime.NumGoroutine()
+	for name, raw := range broken {
+		refErr := store.ReadRecords(strings.NewReader(raw), func(*store.Record) {})
+		if refErr == nil {
+			t.Fatalf("%s: the reader accepts the stream", name)
+		}
+		want := "dataset: " + refErr.Error()
+		path := filepath.Join(t.TempDir(), "in.jsonl")
+		if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, errFile := ReadFile(path)
+		fromStream, errStream := Read(strings.NewReader(raw))
+		for how, got := range map[string]error{"ReadFile": errFile, "Read": errStream} {
+			if got == nil || got.Error() != want {
+				t.Errorf("%s: %s returned %v, want %q", name, how, got, want)
+			}
+		}
+		if fromFile != nil || fromStream != nil {
+			t.Errorf("%s: a dataset came back with the error", name)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed reads, %d before", n, before)
 	}
 }
 

@@ -212,6 +212,13 @@ func TestPrintersProduceOutput(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
+	// Runtimes print at microsecond resolution: no method takes 0s.
+	fig4 := out[strings.Index(out, "Figure 4"):]
+	for _, line := range strings.Split(strings.TrimSpace(fig4), "\n")[2:] {
+		if f := strings.Fields(line); f[len(f)-1] == "0s" {
+			t.Errorf("Figure 4 prints a 0s runtime: %q", line)
+		}
+	}
 }
 
 func TestDatasetByName(t *testing.T) {

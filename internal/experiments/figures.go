@@ -300,7 +300,7 @@ func PrintMethodEvals(w io.Writer, evals []MethodEval) {
 	for _, e := range evals {
 		fmt.Fprintf(w, "%-18s %9.3f %9.3f %9.3f %8.3f %8.3f %12s\n",
 			e.Method, e.Metrics.Precision(), e.Metrics.Recall(), e.Metrics.F1(),
-			e.AUCPR, e.AUCROC, e.Elapsed.Round(time.Millisecond))
+			e.AUCPR, e.AUCROC, e.Elapsed.Round(time.Microsecond))
 	}
 }
 
@@ -389,6 +389,7 @@ func PrintFig5a(w io.Writer, seed int64, maxLevel int) error {
 		fmt.Fprintf(w, " %7s", fmt.Sprintf("lvl-%d", l))
 	}
 	fmt.Fprintf(w, " %8s\n", "exact")
+	marked := false
 	for _, name := range []string{"reverb", "restaurant", "book"} {
 		res, err := Fig5a(name, seed, maxLevel)
 		if err != nil {
@@ -401,10 +402,13 @@ func PrintFig5a(w io.Writer, seed int64, maxLevel int) error {
 		mark := ""
 		if !res.ExactRef {
 			mark = "*"
+			marked = true
 		}
 		fmt.Fprintf(w, " %7.3f%s\n", res.Reference, mark)
 	}
-	fmt.Fprintln(w, "(* deepest computed level; exact is infeasible at this width)")
+	if marked {
+		fmt.Fprintln(w, "(* deepest computed level; exact is infeasible at this width)")
+	}
 	return nil
 }
 
@@ -453,7 +457,7 @@ func PrintFig5b(w io.Writer, seed int64) error {
 	for _, m := range methods {
 		fmt.Fprintf(w, "%-18s", m)
 		for _, c := range columns {
-			fmt.Fprintf(w, " %12s", cells[m][c].Round(time.Millisecond))
+			fmt.Fprintf(w, " %12s", cells[m][c].Round(time.Microsecond))
 		}
 		fmt.Fprintln(w)
 	}

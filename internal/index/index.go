@@ -19,7 +19,10 @@
 package index
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"corrfuse/internal/triple"
 )
@@ -71,48 +74,55 @@ func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, versio
 	if n > len(provided) {
 		n = len(provided) // defensive: never read past the tables
 	}
-	count := 0
+	// One global ranking with a total, data-only tie-break: identical data
+	// always produces identical order, independent of input order or of
+	// sort-internal permutations. The sort moves 16-byte keys, not
+	// entries, and compares triple keys without building them; equal keys
+	// (distinct triples whose fields join to the same string) keep ID
+	// order, so the result is a stable sort's.
+	type rankKey struct {
+		p  float64
+		id int32
+	}
+	keys := make([]rankKey, 0, n)
 	for i := 0; i < n; i++ {
 		if provided[i] {
-			count++
+			keys = append(keys, rankKey{probs[i], int32(i)})
 		}
 	}
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		switch {
+		case a.p > b.p:
+			return -1
+		case a.p < b.p:
+			return 1
+		}
+		if c := compareKeys(d.Triple(triple.TripleID(a.id)), d.Triple(triple.TripleID(b.id))); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 	idx := &Index{
 		version:   version,
 		probs:     probs,
 		accepted:  accepted,
 		provided:  provided,
-		entries:   make([]Entry, 0, count),
+		entries:   make([]Entry, len(keys)),
 		bySubject: make(map[string][]*Entry),
 		bySource:  make(map[string][]*Entry),
 	}
-	for i := 0; i < n; i++ {
-		id := triple.TripleID(i)
-		if !provided[i] {
-			continue
-		}
-		e := Entry{Triple: d.Triple(id), Probability: probs[i], Accepted: accepted[i]}
-		provs := d.Providers(id)
-		if len(provs) > 0 {
+	for i, k := range keys {
+		id := triple.TripleID(k.id)
+		e := &idx.entries[i]
+		*e = Entry{Triple: d.Triple(id), Probability: k.p, Accepted: accepted[id], Label: d.Label(id).Gold()}
+		if provs := d.Providers(id); len(provs) > 0 {
 			e.Sources = make([]string, len(provs))
 			for j, s := range provs {
 				e.Sources[j] = d.SourceName(s)
 			}
 			sort.Strings(e.Sources)
 		}
-		e.Label = d.Label(id).Gold()
-		idx.entries = append(idx.entries, e)
 	}
-	// One global ranking with a total, data-only tie-break: identical data
-	// always produces identical order, independent of input order or of
-	// sort-internal permutations.
-	sort.Slice(idx.entries, func(a, b int) bool {
-		ea, eb := &idx.entries[a], &idx.entries[b]
-		if ea.Probability != eb.Probability {
-			return ea.Probability > eb.Probability
-		}
-		return ea.Triple.Key() < eb.Triple.Key()
-	})
 	// The per-subject and per-source slices append in global rank order,
 	// so every slice is born ranked — serving never sorts again.
 	for i := range idx.entries {
@@ -124,6 +134,36 @@ func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, versio
 	}
 	return idx
 }
+
+// compareKeys compares a.Key() with b.Key() — the fields joined by 0x1f —
+// byte for byte as the strings would compare, without building them.
+func compareKeys(a, b triple.Triple) int {
+	as := [...]string{a.Subject, sep, a.Predicate, sep, a.Object}
+	bs := [...]string{b.Subject, sep, b.Predicate, sep, b.Object}
+	i, j := 0, 0
+	x, y := as[0], bs[0]
+	for {
+		for x == "" && i < len(as)-1 {
+			i++
+			x = as[i]
+		}
+		for y == "" && j < len(bs)-1 {
+			j++
+			y = bs[j]
+		}
+		if x == "" || y == "" {
+			return cmp.Compare(len(x), len(y))
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
+}
+
+// sep is the separator triple.Triple.Key joins the fields with.
+const sep = "\x1f"
 
 // Version returns the store data version the index was built at. A response
 // assembled from one snapshot must carry an index version equal to the

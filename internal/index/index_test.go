@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"corrfuse"
@@ -266,5 +267,93 @@ func TestFrozenModelMatchesUnfrozen(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// refBuildOrder is Build's ranking as it was before the key sort, kept as
+// its reference: the provided entries in ID order, stable-sorted by
+// descending probability and then by the built Triple.Key strings.
+func refBuildOrder(d *triple.Dataset, probs []float64, provided []bool) []triple.Triple {
+	type entry struct {
+		t triple.Triple
+		p float64
+	}
+	var es []entry
+	for i, ok := range provided {
+		if ok {
+			es = append(es, entry{d.Triple(triple.TripleID(i)), probs[i]})
+		}
+	}
+	sort.SliceStable(es, func(a, b int) bool {
+		if es[a].p != es[b].p {
+			return es[a].p > es[b].p
+		}
+		return es[a].t.Key() < es[b].t.Key()
+	})
+	out := make([]triple.Triple, len(es))
+	for i, e := range es {
+		out[i] = e.t
+	}
+	return out
+}
+
+// TestBuildRankingEqualsStableSort: Build ranks == the stable sort on built
+// keys where almost every probability is tied and the fields hold what
+// makes a joined key compare unlike its parts — bytes below and at the 0x1f
+// separator, empty fields, subjects that are prefixes of other subjects, and
+// distinct triples whose keys are one string — and every entry carries its
+// own triple's provenance, label and decision.
+func TestBuildRankingEqualsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	parts := []string{"", "a", "ab", "a\x1f", "a\x1fb", "\x00", "a\x00", "b", "\x1e", "\x1f", "a\x1e", "ab\x1f", "é"}
+	d := triple.NewDataset()
+	src := []triple.SourceID{d.AddSource("x"), d.AddSource("y"), d.AddSource("z")}
+	for i := 0; i < 3000; i++ {
+		tr := triple.Triple{
+			Subject:   parts[rng.Intn(len(parts))] + parts[rng.Intn(len(parts))],
+			Predicate: parts[rng.Intn(len(parts))],
+			Object:    parts[rng.Intn(len(parts))],
+		}
+		if rng.Intn(6) > 0 {
+			d.Observe(src[rng.Intn(len(src))], tr)
+		}
+		if rng.Intn(2) == 0 {
+			d.SetLabel(tr, triple.True)
+		}
+	}
+	n := d.NumTriples()
+	probs, provided, accepted := make([]float64, n), make([]bool, n), make([]bool, n)
+	levels := []float64{0, 0.25, 0.5, 1}
+	for i := range probs {
+		provided[i] = len(d.Providers(triple.TripleID(i))) > 0
+		probs[i] = levels[rng.Intn(len(levels))]
+		accepted[i] = probs[i] > 0.5
+	}
+	keys := make(map[string]int)
+	collisions := 0
+	for i := 0; i < n; i++ {
+		if k := d.Triple(triple.TripleID(i)).Key(); provided[i] {
+			if keys[k]++; keys[k] == 2 {
+				collisions++
+			}
+		}
+	}
+	if collisions == 0 {
+		t.Fatal("no two provided triples share a key: the data no longer tests the ID tie-break")
+	}
+	idx := index.Build(d, probs, provided, accepted, 1)
+	want := refBuildOrder(d, probs, provided)
+	got := idx.Ranked()
+	if len(got) != len(want) {
+		t.Fatalf("%d entries, reference %d", len(got), len(want))
+	}
+	for i, e := range got {
+		if e.Triple != want[i] {
+			t.Fatalf("rank %d: %q, reference %q", i, e.Triple, want[i])
+		}
+		id, _ := d.TripleID(e.Triple)
+		if e.Probability != probs[id] || e.Accepted != accepted[id] || e.Label != d.Label(id).Gold() || len(e.Sources) != len(d.Providers(id)) {
+			t.Fatalf("rank %d (%q): entry %+v does not describe triple %d", i, e.Triple, e, id)
+		}
 	}
 }
