@@ -179,8 +179,9 @@ type Options struct {
 	// the exact computation to run from one dense joint table (more than
 	// 20 sources); ClusterAlways and ClusterNever force it. Under
 	// ClusterNever New fails when the single cluster is wider than the
-	// method accepts: 30 sources for PrecRecCorr, 64 for the aggressive
-	// and elastic approximations (PrecRec reads no cluster).
+	// method accepts: 30 sources for PrecRecCorr, 64 for the elastic
+	// approximation (PrecRec and the aggressive approximation take any
+	// width).
 	Clustering ClusterMode
 	// ClusterThreshold is the minimum significance (z-score of the
 	// observed co-provision count against its independence expectation)
@@ -189,8 +190,8 @@ type Options struct {
 	// MaxClusterSize caps correlation clusters. Default 20, the widest
 	// cluster that gets a dense joint table; the exact method accepts up
 	// to 30 on explicit request, at 2ⁿ map lookups per pattern, and the
-	// aggressive and elastic approximations up to 64. New fails when
-	// clustering produces a cluster over the method's limit.
+	// elastic approximation up to 64. New fails when clustering produces
+	// a cluster over the method's limit.
 	MaxClusterSize int
 
 	// Seed drives the stochastic methods (LTM). Default 1.

@@ -207,17 +207,26 @@ func TestClusteringModes(t *testing.T) {
 	if f.Clusters() == nil {
 		t.Error("auto mode should have produced clusters")
 	}
-	// One 333-wide cluster is past the approximations' 64-member limit
-	// too: refused at construction (it used to panic while scoring).
-	// PrecRec reads no cluster and takes any width.
-	for _, m := range []corrfuse.Method{corrfuse.PrecRecCorrAggressive, corrfuse.PrecRecCorrElastic} {
-		_, err := corrfuse.New(d, corrfuse.Options{Method: m, Clustering: corrfuse.ClusterNever, Smoothing: 0.5})
-		if err == nil || !strings.Contains(err.Error(), "max 64") {
-			t.Errorf("%v over 333 unclustered sources: err = %v, want the 64-member limit", m, err)
-		}
+	// One 333-wide cluster is past elastic's 64-member limit too: refused
+	// at construction (it used to panic while scoring). PrecRec and the
+	// aggressive approximation read one log-ratio pair per source, no
+	// pattern, and take any width.
+	_, err = corrfuse.New(d, corrfuse.Options{Method: corrfuse.PrecRecCorrElastic, Clustering: corrfuse.ClusterNever, Smoothing: 0.5})
+	if err == nil || !strings.Contains(err.Error(), "max 64") {
+		t.Errorf("elastic over 333 unclustered sources: err = %v, want the 64-member limit", err)
 	}
-	if _, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.PrecRec, Clustering: corrfuse.ClusterNever, Smoothing: 0.5}); err != nil {
-		t.Errorf("PrecRec without clustering: %v", err)
+	for _, m := range []corrfuse.Method{corrfuse.PrecRec, corrfuse.PrecRecCorrAggressive} {
+		f, err := corrfuse.New(d, corrfuse.Options{Method: m, Clustering: corrfuse.ClusterNever, Smoothing: 0.5})
+		if err != nil {
+			t.Errorf("%v without clustering: %v", m, err)
+			continue
+		}
+		res, err := f.Fuse()
+		if err != nil {
+			t.Errorf("%v over 333 unclustered sources: %v", m, err)
+		} else if len(res.All) == 0 {
+			t.Errorf("%v over 333 unclustered sources scored nothing", m)
+		}
 	}
 	// Within the limit an unclustered elastic model builds and scores.
 	wide, err := dataset.Generate(dataset.UniformSpec(24, 200, 0.5, 0.7, 0.5, 1))

@@ -91,9 +91,9 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// maxClusterWidth bounds the clusters of every correlation-aware algorithm: a
-// pattern holds a cluster's providers and in-scope members as stat.Set64
-// bitmasks over member positions, and a Set64 has 64 of them.
+// maxClusterWidth bounds the clusters Elastic walks: a pattern holds a
+// cluster's providers and in-scope members as stat.Set64 bitmasks over member
+// positions, and a Set64 has 64 of them.
 const maxClusterWidth = 64
 
 // checkWidth fails when a cluster of the normalized config has more than max
@@ -145,8 +145,7 @@ type clusterView struct {
 	full stat.Set64
 
 	// r and q are the cluster's dense joint table (quality.JointTable),
-	// indexed by member bitmask; nil for the algorithms that read no joint
-	// parameter per pattern, for a cluster wider than
+	// indexed by member bitmask; nil for a cluster wider than
 	// quality.MaxTableWidth, and for an Exact model under ScopeGlobal, which
 	// turns them into its µ table.
 	r, q []float64
@@ -189,19 +188,10 @@ func tabledViews(cfg Config) []*clusterView {
 }
 
 // patternFor computes the observation pattern of triple id within the
-// cluster under the given scope. Under ScopeGlobal every member is in scope
-// and the providers are the triple's provider list mapped through pos, one
-// read per provider; other scopes ask each member.
+// cluster under the given scope: one Provides search and one scope check per
+// member. Under ScopeGlobal clusterModel.providerMasks finds every cluster's
+// providers in one walk instead.
 func (cv *clusterView) patternFor(d *triple.Dataset, sc triple.Scope, id triple.TripleID) pattern {
-	if _, global := sc.(triple.ScopeGlobal); global {
-		p := pattern{inScope: cv.full}
-		for _, s := range d.Providers(id) {
-			if i := cv.pos[s]; i >= 0 {
-				p.providers = p.providers.Add(int(i))
-			}
-		}
-		return p
-	}
 	var p pattern
 	for i, s := range cv.members {
 		if d.Provides(s, id) {
@@ -214,11 +204,102 @@ func (cv *clusterView) patternFor(d *triple.Dataset, sc triple.Scope, id triple.
 	return p
 }
 
-// muCached returns the memoized µ for a pattern, computing it with f on miss.
-// The all-absent pattern is answered from absent without the lock.
-func (cv *clusterView) muCached(p pattern, f func(pattern) float64) float64 {
+// clusterModel is the cluster walk Exact and Elastic share: µ is the product
+// over the clusters, in cluster order, of µ_c for the triple's pattern in
+// each. A cluster with a µ table (Exact's, under ScopeGlobal) answers with
+// one read; any other computes µ_c per distinct pattern with patternMu, the
+// method's own part, behind the cluster's memo.
+type clusterModel struct {
+	cfg       Config
+	views     []*clusterView
+	patternMu func(ci int, p pattern) float64
+
+	// Under ScopeGlobal clusterOf maps a source to its cluster and mu has
+	// one entry per cluster: its µ indexed by provider mask, or nil where
+	// the method built none. Both are nil under other scopes.
+	clusterOf []int32
+	mu        [][]float64
+}
+
+// newClusterModel builds the walk over a normalized config; the caller sets
+// patternMu.
+func newClusterModel(cfg Config) clusterModel {
+	m := clusterModel{cfg: cfg, views: tabledViews(cfg)}
+	if _, global := cfg.Scope.(triple.ScopeGlobal); global {
+		m.mu = make([][]float64, len(m.views))
+		m.clusterOf = make([]int32, cfg.Dataset.NumSources())
+		for ci, cl := range cfg.Clusters {
+			for _, s := range cl {
+				m.clusterOf[s] = int32(ci)
+			}
+		}
+	}
+	return m
+}
+
+// clusterMask is one cluster's provider mask for a triple.
+type clusterMask struct {
+	c    int32
+	mask stat.Set64
+}
+
+// providerMasks appends to touched, sorted by cluster, the clusters triple
+// id's providers touch with their provider masks, in one walk over the
+// provider list: the ScopeGlobal patterns, every cluster missing from the
+// result being all-absent.
+func (m *clusterModel) providerMasks(id triple.TripleID, touched []clusterMask) []clusterMask {
+	for _, s := range m.cfg.Dataset.Providers(id) {
+		c := m.clusterOf[s]
+		bit := stat.Set64(1) << m.views[c].pos[s]
+		i := len(touched)
+		for i > 0 && touched[i-1].c > c {
+			i--
+		}
+		if i > 0 && touched[i-1].c == c {
+			touched[i-1].mask |= bit
+			continue
+		}
+		touched = append(touched, clusterMask{})
+		copy(touched[i+1:], touched[i:])
+		touched[i] = clusterMask{c, bit}
+	}
+	return touched
+}
+
+// Mu returns µ for a triple: the product of per-cluster ratios, in cluster
+// order.
+func (m *clusterModel) Mu(id triple.TripleID) float64 {
+	mu := 1.0
+	if m.clusterOf == nil {
+		for ci, cv := range m.views {
+			mu *= m.muCached(ci, cv.patternFor(m.cfg.Dataset, m.cfg.Scope, id))
+		}
+		return mu
+	}
+	var buf [16]clusterMask
+	touched := m.providerMasks(id, buf[:0])
+	for ci, cv := range m.views {
+		var mask stat.Set64
+		if len(touched) > 0 && touched[0].c == int32(ci) {
+			mask = touched[0].mask
+			touched = touched[1:]
+		}
+		if t := m.mu[ci]; t != nil {
+			mu *= t[mask]
+			continue
+		}
+		mu *= m.muCached(ci, pattern{providers: mask, inScope: cv.full})
+	}
+	return mu
+}
+
+// muCached returns the memoized µ_c of cluster ci's pattern p, computing it
+// with patternMu on miss. The all-absent pattern is answered from absent
+// without the lock.
+func (m *clusterModel) muCached(ci int, p pattern) float64 {
+	cv := m.views[ci]
 	if p.providers.Empty() && p.inScope == cv.full {
-		cv.absentOnce.Do(func() { cv.absent = f(p) })
+		cv.absentOnce.Do(func() { cv.absent = m.patternMu(ci, p) })
 		return cv.absent
 	}
 	cv.mu.Lock()
@@ -227,12 +308,20 @@ func (cv *clusterView) muCached(p pattern, f func(pattern) float64) float64 {
 	if ok {
 		return v
 	}
-	v = f(p)
+	v = m.patternMu(ci, p)
 	cv.mu.Lock()
 	cv.cache[p] = v
 	cv.mu.Unlock()
 	return v
 }
+
+// Probability implements Algorithm.
+func (m *clusterModel) Probability(id triple.TripleID) float64 {
+	return muToProb(m.cfg.Params.Alpha(), m.Mu(id))
+}
+
+// Score implements Algorithm.
+func (m *clusterModel) Score(ids []triple.TripleID) []float64 { return scoreAll(m.Probability, ids) }
 
 // subsetIDs converts a local-index set into global source IDs.
 func (cv *clusterView) subsetIDs(s stat.Set64) []triple.SourceID {
@@ -280,11 +369,11 @@ func (cv *clusterView) jointFPR(p quality.Params, s stat.Set64) float64 {
 	return quality.IndepJointFPR(p, ids)
 }
 
-// scoreAll runs Probability over ids.
-func scoreAll(a Algorithm, ids []triple.TripleID) []float64 {
+// scoreAll applies probability to each of ids.
+func scoreAll(probability func(triple.TripleID) float64, ids []triple.TripleID) []float64 {
 	out := make([]float64, len(ids))
 	for i, id := range ids {
-		out[i] = a.Probability(id)
+		out[i] = probability(id)
 	}
 	return out
 }

@@ -218,33 +218,31 @@ func TestExactWidthLimit(t *testing.T) {
 }
 
 // TestPatternWidthLimit: a pattern is a 64-bit mask over cluster members, so
-// the approximations refuse a 65-wide cluster at construction (it used to
-// panic inside Score); PrecRec reads no cluster and takes any width.
+// Elastic refuses a 65-wide cluster at construction (it used to panic inside
+// Score); PrecRec and Aggressive read one log-ratio table per source, no
+// pattern, and take any width.
 func TestPatternWidthLimit(t *testing.T) {
-	build := map[string]func(Config) error{
-		"aggressive": func(c Config) error { _, err := NewAggressive(c); return err },
-		"elastic":    func(c Config) error { _, err := NewElastic(c, 2); return err },
+	if _, err := NewElastic(wideConfig(maxClusterWidth), 2); err != nil {
+		t.Errorf("elastic: %d-wide cluster refused: %v", maxClusterWidth, err)
 	}
-	for name, newAlg := range build {
-		if err := newAlg(wideConfig(maxClusterWidth)); err != nil {
-			t.Errorf("%s: %d-wide cluster refused: %v", name, maxClusterWidth, err)
-		}
-		err := newAlg(wideConfig(maxClusterWidth + 1))
-		if err == nil || !strings.Contains(err.Error(), "max 64") {
-			t.Errorf("%s: %d-wide cluster: err = %v, want the 64-member limit", name, maxClusterWidth+1, err)
-		}
-		// The same 65 sources in two clusters are fine.
-		split := wideConfig(maxClusterWidth + 1)
-		split.Clusters = [][]triple.SourceID{nil, {maxClusterWidth}}
-		for s := 0; s < maxClusterWidth; s++ {
-			split.Clusters[0] = append(split.Clusters[0], triple.SourceID(s))
-		}
-		if err := newAlg(split); err != nil {
-			t.Errorf("%s: clusters of 64 and 1 refused: %v", name, err)
-		}
+	_, err := NewElastic(wideConfig(maxClusterWidth+1), 2)
+	if err == nil || !strings.Contains(err.Error(), "max 64") {
+		t.Errorf("elastic: %d-wide cluster: err = %v, want the 64-member limit", maxClusterWidth+1, err)
+	}
+	// The same 65 sources in two clusters are fine.
+	split := wideConfig(maxClusterWidth + 1)
+	split.Clusters = [][]triple.SourceID{nil, {maxClusterWidth}}
+	for s := 0; s < maxClusterWidth; s++ {
+		split.Clusters[0] = append(split.Clusters[0], triple.SourceID(s))
+	}
+	if _, err := NewElastic(split, 2); err != nil {
+		t.Errorf("elastic: clusters of 64 and 1 refused: %v", err)
 	}
 	if _, err := NewPrecRec(wideConfig(maxClusterWidth + 1)); err != nil {
 		t.Errorf("PrecRec refused %d sources: %v", maxClusterWidth+1, err)
+	}
+	if _, err := NewAggressive(wideConfig(maxClusterWidth + 1)); err != nil {
+		t.Errorf("Aggressive refused a %d-wide cluster: %v", maxClusterWidth+1, err)
 	}
 }
 
@@ -384,30 +382,6 @@ func TestMemoization(t *testing.T) {
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("memoized rescoring diverged at %d", i)
-		}
-	}
-}
-
-// TestAggressiveFactorsExposed: the Factors accessor matches the quality
-// package's computation.
-func TestAggressiveFactorsExposed(t *testing.T) {
-	d, est, _ := randomSetup(t, 41)
-	ag, err := NewAggressive(Config{Dataset: d, Params: est})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, cm := ag.Factors()
-	if len(cp) != 1 || len(cp[0]) != d.NumSources() || len(cm[0]) != d.NumSources() {
-		t.Fatalf("factor shape: %d clusters × %d", len(cp), len(cp[0]))
-	}
-	group := make([]triple.SourceID, d.NumSources())
-	for i := range group {
-		group[i] = triple.SourceID(i)
-	}
-	wantP, wantM := quality.AggressiveFactors(est, group)
-	for i := range wantP {
-		if cp[0][i] != wantP[i] || cm[0][i] != wantM[i] {
-			t.Errorf("factor[%d] mismatch", i)
 		}
 	}
 }

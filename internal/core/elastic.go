@@ -6,7 +6,6 @@ import (
 
 	"corrfuse/internal/quality"
 	"corrfuse/internal/stat"
-	"corrfuse/internal/triple"
 )
 
 // Elastic is Algorithm 1 of the paper: it starts from the aggressive
@@ -23,13 +22,16 @@ import (
 //
 // µ = R/Q. At λ = |St̄| every coefficient is exact and the result equals the
 // exact solution; the cost and the number of required joint parameters are
-// O(n^λ) per triple (Proposition 4.11).
+// O(n^λ) per distinct pattern (Proposition 4.11), behind the cluster walk's
+// memo. A µ table over every provider mask, as Exact keeps, was measured and
+// rejected: each entry costs O(n^λ) terms, and at level 3 over 20k uniform
+// triples on one Xeon core it scored in 245 ms against the memo's 70 ms at
+// width 16, and in 7.2 s against 0.32 s at width 20 (README, "Methods and
+// what they cost").
 type Elastic struct {
-	cfg    Config
-	level  int
-	views  []*clusterView
-	cplus  [][]float64
-	cminus [][]float64
+	clusterModel
+	level         int
+	cplus, cminus [][]float64
 }
 
 // NewElastic builds the elastic approximation at adjustment level λ ≥ 0.
@@ -46,7 +48,8 @@ func NewElastic(cfg Config, level int) (*Elastic, error) {
 	if level < 0 {
 		return nil, fmt.Errorf("core: elastic level must be >= 0, got %d", level)
 	}
-	e := &Elastic{cfg: cfg, level: level, views: tabledViews(cfg)}
+	e := &Elastic{clusterModel: newClusterModel(cfg), level: level}
+	e.patternMu = e.clusterMu
 	for _, cl := range cfg.Clusters {
 		cp, cm := quality.AggressiveFactors(cfg.Params, cl)
 		e.cplus = append(e.cplus, cp)
@@ -110,31 +113,5 @@ func (a *Elastic) clusterMu(ci int, p pattern) float64 {
 		})
 	}
 
-	r, q := rAcc.Sum(), qAcc.Sum()
-	if r < sumEps {
-		r = sumEps
-	}
-	if q < sumEps {
-		q = sumEps
-	}
-	return r / q
+	return clampedRatio(rAcc.Sum(), qAcc.Sum())
 }
-
-// Mu returns the elastic µ for a triple.
-func (a *Elastic) Mu(id triple.TripleID) float64 {
-	mu := 1.0
-	for ci, cv := range a.views {
-		pat := cv.patternFor(a.cfg.Dataset, a.cfg.Scope, id)
-		c := ci
-		mu *= cv.muCached(pat, func(p pattern) float64 { return a.clusterMu(c, p) })
-	}
-	return mu
-}
-
-// Probability implements Algorithm.
-func (a *Elastic) Probability(id triple.TripleID) float64 {
-	return muToProb(a.cfg.Params.Alpha(), a.Mu(id))
-}
-
-// Score implements Algorithm.
-func (a *Elastic) Score(ids []triple.TripleID) []float64 { return scoreAll(a, ids) }

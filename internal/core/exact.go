@@ -1,9 +1,6 @@
 package core
 
-import (
-	"corrfuse/internal/stat"
-	"corrfuse/internal/triple"
-)
+import "corrfuse/internal/stat"
 
 // MaxExactCluster bounds the cluster width the exact algorithm accepts: the
 // inclusion–exclusion sum ranges over 2^|St̄| subsets per cluster. Up to
@@ -31,17 +28,8 @@ const MaxExactCluster = 30
 // for every provider mask, 8·2ⁿ bytes per cluster; scoring a triple is then
 // one walk over its provider list plus one read per cluster, with no memo
 // and no lock. Other scopes, and clusters too wide for a table, evaluate the
-// expansion per distinct pattern behind a memo.
-type Exact struct {
-	cfg   Config
-	views []*clusterView
-
-	// mu[c] is cluster c's µ indexed by provider mask, under ScopeGlobal
-	// and for a tabled cluster; nil otherwise. mu itself is nil outside
-	// ScopeGlobal. clusterOf maps a source to its cluster.
-	mu        [][]float64
-	clusterOf []int32
-}
+// expansion per distinct pattern behind a memo (clusterModel).
+type Exact struct{ clusterModel }
 
 // NewExact builds the exact model. It fails if any cluster is wider than
 // MaxExactCluster, because the computation is exponential in cluster width.
@@ -52,8 +40,9 @@ func NewExact(cfg Config) (*Exact, error) {
 	if err := cfg.checkWidth("exact solution", MaxExactCluster, "use Elastic or a finer clustering"); err != nil {
 		return nil, err
 	}
-	a := &Exact{cfg: cfg, views: tabledViews(cfg)}
-	if _, global := cfg.Scope.(triple.ScopeGlobal); global {
+	a := &Exact{newClusterModel(cfg)}
+	a.patternMu = a.clusterMu
+	if a.mu != nil {
 		a.buildMuTables()
 	}
 	return a, nil
@@ -67,12 +56,7 @@ func (a *Exact) buildMuTables() {
 		total += len(cv.r)
 	}
 	buf := make([]float64, total)
-	a.mu = make([][]float64, len(a.views))
-	a.clusterOf = make([]int32, a.cfg.Dataset.NumSources())
 	for ci, cv := range a.views {
-		for _, s := range cv.members {
-			a.clusterOf[s] = int32(ci)
-		}
 		if cv.r == nil {
 			continue
 		}
@@ -121,7 +105,8 @@ func (a *Exact) Name() string { return "PrecRecCorr" }
 
 // clusterMu computes µ_c for one cluster/pattern by full
 // inclusion–exclusion over the in-scope non-providers.
-func (a *Exact) clusterMu(cv *clusterView, p pattern) float64 {
+func (a *Exact) clusterMu(ci int, p pattern) float64 {
+	cv := a.views[ci]
 	nonProviders := p.inScope.Minus(p.providers)
 	var rSum, qSum stat.KahanSum
 	nonProviders.Subsets(func(sub stat.Set64) bool {
@@ -136,64 +121,3 @@ func (a *Exact) clusterMu(cv *clusterView, p pattern) float64 {
 	})
 	return clampedRatio(rSum.Sum(), qSum.Sum())
 }
-
-// clusterMask is one cluster's provider mask for a triple.
-type clusterMask struct {
-	c    int32
-	mask stat.Set64
-}
-
-// Mu returns µ for a triple: the product of per-cluster ratios, in cluster
-// order.
-func (a *Exact) Mu(id triple.TripleID) float64 {
-	if a.mu == nil {
-		mu := 1.0
-		for _, cv := range a.views {
-			pat := cv.patternFor(a.cfg.Dataset, a.cfg.Scope, id)
-			mu *= cv.muCached(pat, func(p pattern) float64 { return a.clusterMu(cv, p) })
-		}
-		return mu
-	}
-	// The clusters the providers touch, with their masks, sorted by
-	// cluster; every other cluster reads its all-absent entry.
-	var buf [16]clusterMask
-	touched := buf[:0]
-	for _, s := range a.cfg.Dataset.Providers(id) {
-		c := a.clusterOf[s]
-		bit := stat.Set64(1) << a.views[c].pos[s]
-		i := len(touched)
-		for i > 0 && touched[i-1].c > c {
-			i--
-		}
-		if i > 0 && touched[i-1].c == c {
-			touched[i-1].mask |= bit
-			continue
-		}
-		touched = append(touched, clusterMask{})
-		copy(touched[i+1:], touched[i:])
-		touched[i] = clusterMask{c, bit}
-	}
-	mu := 1.0
-	for ci, cv := range a.views {
-		var mask stat.Set64
-		if len(touched) > 0 && touched[0].c == int32(ci) {
-			mask = touched[0].mask
-			touched = touched[1:]
-		}
-		if t := a.mu[ci]; t != nil {
-			mu *= t[mask]
-			continue
-		}
-		pat := pattern{providers: mask, inScope: cv.full}
-		mu *= cv.muCached(pat, func(p pattern) float64 { return a.clusterMu(cv, p) })
-	}
-	return mu
-}
-
-// Probability implements Algorithm.
-func (a *Exact) Probability(id triple.TripleID) float64 {
-	return muToProb(a.cfg.Params.Alpha(), a.Mu(id))
-}
-
-// Score implements Algorithm.
-func (a *Exact) Score(ids []triple.TripleID) []float64 { return scoreAll(a, ids) }

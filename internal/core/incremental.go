@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"corrfuse/internal/quality"
 	"corrfuse/internal/stat"
@@ -20,20 +19,16 @@ import (
 // (1−ri)/(1−qi) (if Si was in scope) to the provider factor ri/qi.
 // Correlation-aware maintenance would need the full pattern and is not
 // incremental; use the batch algorithms for that.
+//
+// The log ratios come from the table PrecRec reads (logRatios). Incremental
+// streams have no subject index, so scope is either global (every registered
+// source is accountable for every triple) or provider-only.
 type Incremental struct {
-	params quality.Params
-	// scopeAll reports whether non-providing sources count by default.
-	// Incremental streams have no subject index, so scope is either
-	// global (every registered source is accountable for every triple)
-	// or provider-only.
-	penalizeSilence bool
-
 	nSources int
-	// baseline log-odds of a triple no source provides: prior + every
-	// source silent (if penalizeSilence).
-	baseLogOdds float64
-	// silentContribution[s] = log((1−r)/(1−q)); providerDelta[s] converts
-	// a silent source into a provider.
+	// baseLogOdds is the log-odds of a triple no source provides: the prior,
+	// plus Σ log((1−r)/(1−q)) over every source if silence is penalized.
+	// providerDelta[s] is what s providing adds to it.
+	baseLogOdds   float64
 	providerDelta []float64
 
 	logOdds   map[triple.Triple]float64
@@ -51,25 +46,17 @@ func NewIncremental(params quality.Params, nSources int, penalizeSilence bool) (
 		return nil, fmt.Errorf("core: need at least one source")
 	}
 	inc := &Incremental{
-		params:          params,
-		penalizeSilence: penalizeSilence,
-		nSources:        nSources,
-		providerDelta:   make([]float64, nSources),
-		logOdds:         make(map[triple.Triple]float64),
-		providers:       make(map[triple.Triple]map[triple.SourceID]bool),
+		nSources:    nSources,
+		baseLogOdds: stat.Logit(params.Alpha()),
+		logOdds:     make(map[triple.Triple]float64),
+		providers:   make(map[triple.Triple]map[triple.SourceID]bool),
 	}
-	inc.baseLogOdds = stat.Logit(params.Alpha())
-	for s := 0; s < nSources; s++ {
-		sid := triple.SourceID(s)
-		r := stat.Clamp(params.Recall(sid), probEps, 1-probEps)
-		q := stat.Clamp(params.FPR(sid), probEps, 1-probEps)
-		provide := math.Log(r) - math.Log(q)
-		silent := math.Log(1-r) - math.Log(1-q)
-		if penalizeSilence {
-			inc.baseLogOdds += silent
-			inc.providerDelta[s] = provide - silent
-		} else {
-			inc.providerDelta[s] = provide
+	lp, ls := logRatios(nSources, sourceRates(params))
+	inc.providerDelta = lp
+	if penalizeSilence {
+		for s := range lp {
+			inc.baseLogOdds += ls[s]
+			lp[s] -= ls[s]
 		}
 	}
 	return inc, nil
@@ -113,14 +100,3 @@ func (inc *Incremental) Providers(t Triple) int { return len(inc.providers[t]) }
 
 // Len returns the number of distinct triples observed.
 func (inc *Incremental) Len() int { return len(inc.logOdds) }
-
-// Accepted returns all triples whose current probability exceeds 0.5.
-func (inc *Incremental) Accepted() []Triple {
-	var out []Triple
-	for t, lo := range inc.logOdds {
-		if stat.Sigmoid(lo) > 0.5 {
-			out = append(out, t)
-		}
-	}
-	return out
-}

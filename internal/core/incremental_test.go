@@ -10,7 +10,8 @@ import (
 )
 
 // TestIncrementalMatchesBatch: streaming all observations of the Obama
-// dataset reproduces PrecRec's batch probabilities exactly.
+// dataset reproduces PrecRec's batch probabilities: both read the same
+// log-ratio table and differ only in the order they add it up.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	d := dataset.Obama()
 	est, err := quality.NewEstimator(d, quality.Options{Alpha: 0.5})
@@ -42,7 +43,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		if !ok {
 			t.Fatalf("triple %d unobserved", i)
 		}
-		if !stat.ApproxEqual(got, want, 1e-9) {
+		if !stat.ApproxEqual(got, want, 1e-12) {
 			t.Errorf("triple %d: incremental %v, batch %v", i, got, want)
 		}
 	}
@@ -103,9 +104,6 @@ func TestIncrementalScopeModes(t *testing.T) {
 	}
 	if pNo <= 0.5 {
 		t.Errorf("one good provider without penalties should exceed the prior: %v", pNo)
-	}
-	if len(noPenalty.Accepted()) != 1 {
-		t.Error("accepted set should contain the provided triple")
 	}
 }
 

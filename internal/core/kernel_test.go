@@ -244,7 +244,7 @@ func TestExactKernelMatchesEnumeration(t *testing.T) {
 			for _, id := range ids {
 				refMu := 1.0
 				for ci, cv := range ref.views {
-					pat := refPatternFor(cv, d, sc, id)
+					pat := cv.patternFor(d, sc, id)
 					want, q, c := ref.clusterMu(ci, pat)
 					if c && global {
 						clamped++
@@ -282,21 +282,36 @@ func TestExactKernelMatchesEnumeration(t *testing.T) {
 }
 
 // TestMuTableAllocatesNothing: scoring a triple off the µ tables allocates
-// nothing, on one cluster and on several.
+// nothing, on one cluster and on several, and neither does a PrecRec or an
+// Aggressive Probability off the log-ratio table.
 func TestMuTableAllocatesNothing(t *testing.T) {
 	for _, tc := range tableCases(t)[:2] {
-		ex, err := NewExact(tc.cfg(t))
+		cfg := tc.cfg(t)
+		ex, err := NewExact(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := NewPrecRec(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ag, err := NewAggressive(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids := providedIDs(ex.cfg.Dataset)
 		var sink float64
-		if n := testing.AllocsPerRun(10, func() {
-			for _, id := range ids {
-				sink += ex.Mu(id)
+		for _, f := range []struct {
+			what string
+			eval func(triple.TripleID) float64
+		}{{"Exact.Mu", ex.Mu}, {"PrecRec.Probability", pr.Probability}, {"Aggressive.Probability", ag.Probability}} {
+			if n := testing.AllocsPerRun(10, func() {
+				for _, id := range ids {
+					sink += f.eval(id)
+				}
+			}); n != 0 {
+				t.Errorf("%s: %s over %d triples: %v allocations per run, want 0", tc.name, f.what, len(ids), n)
 			}
-		}); n != 0 {
-			t.Errorf("%s: Exact.Mu over %d triples: %v allocations per run, want 0", tc.name, len(ids), n)
 		}
 		_ = sink
 	}

@@ -16,15 +16,15 @@ const scoreChunk = 64
 // ParallelScore scores ids with the given number of worker goroutines
 // (0 or negative means GOMAXPROCS). The paper notes that PrecRecCorr
 // parallelizes well because the per-pattern terms are independent; all
-// algorithms in this package are safe for concurrent scoring: the joint
-// tables, Exact's µ tables and each cluster's member-position index are
-// read-only after construction. Under ScopeGlobal, Exact scores a tabled
-// cluster with one read and takes no lock at all. The per-pattern paths —
-// Exact under other scopes or on a cluster too wide for a table,
-// Aggressive and Elastic — compute the all-absent pattern's µ once under a
-// sync.Once and read every other pattern through a mutex-guarded memo, as
-// does the estimator's joint-statistic memo a cluster too wide for a table
-// still goes through.
+// algorithms in this package are safe for concurrent scoring: PrecRec's and
+// Aggressive's per-source log-ratio table, the joint tables, Exact's µ tables
+// and each cluster's member-position index are read-only after
+// construction. PrecRec and Aggressive take no lock at all, and neither does
+// Exact under ScopeGlobal on a tabled cluster. The per-pattern paths — Exact
+// under other scopes or on a cluster too wide for a table, and Elastic —
+// compute the all-absent pattern's µ once under a sync.Once and read every
+// other pattern through a mutex-guarded memo, as does the estimator's
+// joint-statistic memo a cluster too wide for a table still goes through.
 //
 // What a second worker buys depends on where the time is (measured on 2
 // vCPUs). When per-pattern 2ⁿ sums dominate, close to linear: they did on

@@ -18,7 +18,7 @@ func (cheapAlg) Name() string { return "cheap" }
 func (cheapAlg) Probability(id triple.TripleID) float64 {
 	return 1 / (1 + float64(id))
 }
-func (cheapAlg) Score(ids []triple.TripleID) []float64 { return scoreAll(cheapAlg{}, ids) }
+func (cheapAlg) Score(ids []triple.TripleID) []float64 { return scoreAll(cheapAlg{}.Probability, ids) }
 
 // mutexDispatch is the work queue ParallelScore used before the atomic
 // cursor: a counter guarded by a mutex. Kept here as the benchmark baseline.
