@@ -38,8 +38,12 @@
 // stages are timed into per-endpoint and per-stage latency histograms, and
 // the last 256 finished traces sit in the /debug/traces ring buffer
 // (?min_ms= filters at read time). Requests slower than 1s are logged as
-// structured warnings carrying the trace ID.
-// -log-format json switches logs to one JSON object per line.
+// warnings carrying the trace ID (traceId).
+//
+// Every component logs through one log/slog logger on stderr:
+// -log-format text (slog's key=value lines) or json (one object per line:
+// time, level, msg and the record's attributes; any other format is
+// refused), at -log-level debug, info, warn or error.
 //
 // With -debug-addr the service additionally serves net/http/pprof profiles,
 // /debug/traces and /metrics on a SEPARATE listener — bind it to localhost
@@ -103,6 +107,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -224,11 +229,20 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	if o.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", o.shards)
 	}
-	level, err := obs.ParseLevel(o.logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(o.logLevel)); err != nil {
+		return fmt.Errorf("-log-level: %w", err)
 	}
-	logger := obs.NewLogger(os.Stderr, level, o.logFormat)
+	hopts := &slog.HandlerOptions{Level: level}
+	var logger *slog.Logger
+	switch o.logFormat {
+	case "text":
+		logger = slog.New(slog.NewTextHandler(os.Stderr, hopts))
+	case "json":
+		logger = slog.New(slog.NewJSONHandler(os.Stderr, hopts))
+	default:
+		return fmt.Errorf("unknown -log-format %q (want text or json)", o.logFormat)
+	}
 
 	if o.follow != "" {
 		if o.walDir == "" {
@@ -251,11 +265,11 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		return err
 	}
 	if loadInfo.FallbackReason != "" {
-		logger.Warn(ctx, "binary snapshot rejected, loaded JSONL store",
+		logger.Warn("binary snapshot rejected, loaded JSONL store",
 			"store", o.storePath, "reason", loadInfo.FallbackReason)
 	}
-	logger.Info(ctx, "store loaded", "store", o.storePath, "format", loadInfo.Format,
-		"bytes", loadInfo.Bytes, "triples", st.Len(), "duration", loadInfo.Duration.String())
+	logger.Info("store loaded", "store", o.storePath, "format", loadInfo.Format,
+		"bytes", loadInfo.Bytes, "triples", st.Len(), "duration", loadInfo.Duration)
 	if st.Len() == 0 {
 		return fmt.Errorf("store %s is empty", o.storePath)
 	}
@@ -335,10 +349,10 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		if o.follow == "" && srv.WAL() != nil {
 			// Leaders ship their WAL (and a bootstrap snapshot) from the
 			// debug listener; followers don't re-ship (no chaining yet).
-			if err := mountLeader(ctx, dmux, srv, logger); err != nil {
+			if err := mountLeader(dmux, srv, logger); err != nil {
 				return err
 			}
-			logger.Info(ctx, "replication leader endpoints up", "addr", dln.Addr().String())
+			logger.Info("replication leader endpoints up", "addr", dln.Addr().String())
 		}
 		ds = httpServer(dmux)
 		// Replication long-polls ride this listener and hold connections
@@ -346,7 +360,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		// unwind at shutdown instead of stalling Shutdown's drain.
 		ds.BaseContext = func(net.Listener) context.Context { return ctx }
 		go ds.Serve(dln)
-		logger.Info(ctx, "debug listener up", "addr", dln.Addr().String())
+		logger.Info("debug listener up", "addr", dln.Addr().String())
 	}
 
 	if o.follow != "" {
@@ -364,7 +378,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	bi := obs.GetBuildInfo()
-	logger.Info(ctx, "fused: serving",
+	logger.Info("fused: serving",
 		"triples", st.Len(), "addr", ln.Addr().String(),
 		"version", bi.Version, "commit", bi.Commit, "go", bi.GoVersion)
 	if ready != nil {
@@ -376,7 +390,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		return err
 	case <-ctx.Done():
 	}
-	logger.Info(ctx, "fused: shutting down")
+	logger.Info("fused: shutting down")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if ds != nil {

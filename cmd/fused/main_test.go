@@ -73,6 +73,7 @@ func testServeLifecycle(t *testing.T, shards, parallelism int) (map[string]any, 
 			storePath: path, addr: "127.0.0.1:0", method: "corr", scope: "global",
 			smoothing: 0.1, refresh: time.Hour,
 			shards: shards, parallelism: parallelism, partialRebuild: true,
+			logFormat: "text", logLevel: "info",
 		}, ready)
 	}()
 	var base string
@@ -167,6 +168,7 @@ func TestDatagenFileServesEveryTriple(t *testing.T) {
 		errc <- run(ctx, options{
 			storePath: path, addr: "127.0.0.1:0", method: "corr", scope: "global",
 			refresh: time.Hour, shards: 1, persist: "-",
+			logFormat: "text", logLevel: "info",
 		}, ready)
 	}()
 	var base string
@@ -215,7 +217,8 @@ func TestDatagenFileServesEveryTriple(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	ctx := context.Background()
 	base := func(path string) options {
-		return options{storePath: path, addr: ":0", method: "corr", scope: "global", persist: "-", shards: 1}
+		return options{storePath: path, addr: ":0", method: "corr", scope: "global", persist: "-", shards: 1,
+			logFormat: "text", logLevel: "info"}
 	}
 	if err := run(ctx, base(""), nil); err == nil {
 		t.Error("missing store should fail")
@@ -270,6 +273,11 @@ func TestRunErrors(t *testing.T) {
 	o.logLevel = "loud"
 	if err := run(ctx, o, nil); err == nil {
 		t.Error("unknown log level should fail")
+	}
+	o = base(path)
+	o.logFormat = "jsno"
+	if err := run(ctx, o, nil); err == nil {
+		t.Error("unknown log format should fail")
 	}
 }
 
@@ -386,7 +394,7 @@ func TestServeLifecycleWAL(t *testing.T) {
 		storePath: path, addr: "127.0.0.1:0", method: "corr", scope: "global",
 		smoothing: 0.1, refresh: time.Hour, shards: 1,
 		walDir: walDir, walSync: "always", walSyncInterval: 100 * time.Millisecond,
-		walSegmentBytes: 1 << 20,
+		walSegmentBytes: 1 << 20, logFormat: "text", logLevel: "info",
 	}
 	boot := func() (string, context.CancelFunc, chan error) {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -8,35 +8,27 @@ package main
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
 	"time"
 
-	"corrfuse/internal/obs"
 	"corrfuse/internal/repl"
 	"corrfuse/internal/serve"
 	"corrfuse/internal/store"
 	"corrfuse/internal/wal"
 )
 
-// loggerf bridges the structured logger onto the printf-style Logf sinks
-// repl and wal expect.
-func loggerf(ctx context.Context, logger *obs.Logger) func(format string, args ...any) {
-	return func(format string, args ...any) {
-		logger.Info(ctx, fmt.Sprintf(format, args...))
-	}
-}
-
 // mountLeader exposes GET /repl/wal and GET /repl/snapshot on the debug mux
 // — replication is an operator surface, so it rides the debug listener, not
 // the public one.
-func mountLeader(ctx context.Context, dmux *http.ServeMux, srv *serve.Server, logger *obs.Logger) error {
+func mountLeader(dmux *http.ServeMux, srv *serve.Server, logger *slog.Logger) error {
 	leader, err := repl.NewLeader(repl.LeaderOptions{
 		WAL:           srv.WAL(),
 		CoveredSeq:    srv.CoveredSeq,
 		WriteSnapshot: srv.WriteSnapshot,
-		Logf:          loggerf(ctx, logger),
+		Logger:        logger,
 	})
 	if err != nil {
 		return err
@@ -51,7 +43,7 @@ func mountLeader(ctx context.Context, dmux *http.ServeMux, srv *serve.Server, lo
 // WAL to the first uncovered sequence. With existing local history it does
 // nothing: the normal WAL replay resumes from it. It reports whether a
 // bootstrap happened.
-func bootstrapFollower(ctx context.Context, o options, logger *obs.Logger) (bool, error) {
+func bootstrapFollower(ctx context.Context, o options, logger *slog.Logger) (bool, error) {
 	has, err := wal.HasSegments(o.walDir)
 	if err != nil || has {
 		return false, err
@@ -71,7 +63,7 @@ func bootstrapFollower(ctx context.Context, o options, logger *obs.Logger) (bool
 	if err := wal.WriteBootstrapSegment(o.walDir, covered+1); err != nil {
 		return false, fmt.Errorf("follower bootstrap: %w", err)
 	}
-	logger.Info(ctx, "follower bootstrapped from leader snapshot",
+	logger.Info("follower bootstrapped from leader snapshot",
 		"leader", o.follow, "coveredSeq", covered, "store", o.storePath)
 	return true, nil
 }
@@ -80,7 +72,7 @@ func bootstrapFollower(ctx context.Context, o options, logger *obs.Logger) (bool
 // status into the server's health/metrics surfaces, and runs it until ctx
 // ends. A leader outage degrades to stale reads with backoff — the loop
 // never takes the process down.
-func startFollower(ctx context.Context, o options, srv *serve.Server, logger *obs.Logger) error {
+func startFollower(ctx context.Context, o options, srv *serve.Server, logger *slog.Logger) error {
 	follower, err := repl.NewFollower(repl.FollowerOptions{
 		LeaderURL: o.follow,
 		WAL:       srv.WAL(),
@@ -96,7 +88,7 @@ func startFollower(ctx context.Context, o options, srv *serve.Server, logger *ob
 			defer body.Close()
 			return srv.Rebootstrap(covered, body)
 		},
-		Logf: loggerf(ctx, logger),
+		Logger: logger,
 	})
 	if err != nil {
 		return err
@@ -107,7 +99,7 @@ func startFollower(ctx context.Context, o options, srv *serve.Server, logger *ob
 		// only ctx's error at shutdown — nothing to report here.
 		follower.Run(ctx)
 	}()
-	logger.Info(ctx, "follower replication started", "leader", o.follow)
+	logger.Info("follower replication started", "leader", o.follow)
 
 	// Give the first fetch a moment so a freshly booted follower usually
 	// reports connected on its first health probe; serving does not depend

@@ -103,7 +103,7 @@ func leaderOptions(t *testing.T, dir, debugAddr string) options {
 		smoothing: 0.1, refresh: time.Hour, shards: 1,
 		walDir: filepath.Join(dir, "wal"), walSync: "always",
 		walSyncInterval: 100 * time.Millisecond, walSegmentBytes: 1 << 20,
-		walRetain: 4, debugAddr: debugAddr, logLevel: "warn",
+		walRetain: 4, debugAddr: debugAddr, logFormat: "text", logLevel: "warn",
 	}
 }
 
@@ -113,7 +113,7 @@ func followerOptions(dir, leaderURL string) options {
 		method: "corr", scope: "global", smoothing: 0.1, refresh: time.Hour,
 		shards: 1, walDir: filepath.Join(dir, "wal"), walSync: "interval",
 		walSyncInterval: 50 * time.Millisecond, walSegmentBytes: 1 << 20,
-		follow: leaderURL, logLevel: "info",
+		follow: leaderURL, logFormat: "text", logLevel: "info",
 	}
 }
 

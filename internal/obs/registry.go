@@ -1,11 +1,10 @@
 // Package obs is the service's zero-dependency observability core: a
 // Prometheus-text metric registry (counters, gauges, fixed-bucket latency
 // histograms), lightweight request tracing with a ring buffer of recent
-// traces, a leveled JSON/text logger that stamps trace IDs, and build
-// metadata injected at link time. Everything is stdlib-only and safe for
-// concurrent use; the hot-path primitives (counter adds, histogram
-// observations, span records) are lock-free or near-free so instrumentation
-// can stay on in production.
+// traces, and build metadata injected at link time (logging is log/slog's).
+// Everything is stdlib-only and safe for concurrent use; the hot-path
+// primitives (counter adds, histogram observations, span records) are
+// lock-free or near-free so instrumentation can stay on in production.
 package obs
 
 import (

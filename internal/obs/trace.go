@@ -164,41 +164,38 @@ func TraceFrom(ctx context.Context) *Trace {
 	return t
 }
 
-// TraceRecorder keeps the most recent finished traces at or above a
-// duration threshold in a fixed-size ring. With Threshold 0 every finished
-// trace is kept (the default: the acceptance path needs any traced request
-// retrievable); operators raise the threshold to keep only slow ones.
+// TraceRecorder keeps the most recent finished traces in a fixed-size ring:
+// every trace is retained until the ring wraps.
 type TraceRecorder struct {
-	mu        sync.Mutex
-	ring      []TraceSnapshot
-	next      int
-	total     uint64 // traces recorded (not just retained)
-	threshold time.Duration
+	mu    sync.Mutex
+	ring  []TraceSnapshot
+	next  int
+	total uint64 // traces recorded (not just retained)
+
+	// encodeFailures counts /debug/traces responses whose encode broke
+	// mid-write. The status is already sent by then, so the failure is
+	// counted (serve exposes it as corrfused_obs_encode_failures_total).
+	encodeFailures atomic.Uint64
 }
 
-// NewTraceRecorder builds a recorder retaining up to n traces of duration
-// ≥ threshold. n < 1 defaults to 256.
-func NewTraceRecorder(n int, threshold time.Duration) *TraceRecorder {
+// NewTraceRecorder builds a recorder retaining up to n traces. n < 1
+// defaults to 256.
+func NewTraceRecorder(n int) *TraceRecorder {
 	if n < 1 {
 		n = 256
 	}
-	return &TraceRecorder{ring: make([]TraceSnapshot, 0, n), threshold: threshold}
+	return &TraceRecorder{ring: make([]TraceSnapshot, 0, n)}
 }
 
-// Record retains a finished trace if it meets the threshold. Nil-safe on
-// both receiver and trace.
+// Record retains a finished trace. Nil-safe on both receiver and trace.
 func (r *TraceRecorder) Record(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
-	d := t.Duration()
+	snap := t.snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if d < r.threshold {
-		return
-	}
-	snap := t.snapshot()
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, snap)
 		r.next = len(r.ring) % cap(r.ring)
@@ -226,7 +223,11 @@ func (r *TraceRecorder) Total() uint64 {
 	return r.total
 }
 
-// Handler serves the recorder as JSON: {"thresholdMs":…,"recorded":…,
+// EncodeFailures returns the number of Handler responses whose JSON encode
+// failed mid-write.
+func (r *TraceRecorder) EncodeFailures() uint64 { return r.encodeFailures.Load() }
+
+// Handler serves the recorder as JSON: {"recorded":…,"retained":…,
 // "traces":[…]} with traces most recent first. An optional ?min_ms=N query
 // filters to traces at least that slow.
 func (r *TraceRecorder) Handler() http.Handler {
@@ -253,14 +254,13 @@ func (r *TraceRecorder) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		if err := enc.Encode(map[string]any{
-			"thresholdMs": float64(r.threshold.Microseconds()) / 1000,
-			"recorded":    r.Total(),
-			"retained":    len(all),
-			"traces":      traces,
+			"recorded": r.Total(),
+			"retained": len(all),
+			"traces":   traces,
 		}); err != nil {
 			// Mid-write failure (usually the debugging client went
 			// away); too late to change the status, so count it.
-			noteEncodeFailure()
+			r.encodeFailures.Add(1)
 		}
 	})
 }

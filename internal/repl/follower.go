@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -72,8 +73,8 @@ type FollowerOptions struct {
 	// acknowledged records the leader lost, and silently discarding them
 	// is a data-loss decision only an operator should make.
 	Rebootstrap func(ctx context.Context) error
-	// Logf receives operational log lines; nil silences them.
-	Logf func(format string, args ...any)
+	// Logger receives operational log lines; nil silences them.
+	Logger *slog.Logger
 	// FetchWait is the long-poll wait requested per fetch (default 10s).
 	FetchWait time.Duration
 	// MinBackoff..MaxBackoff bound the reconnect backoff (defaults 500ms
@@ -114,13 +115,10 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.MaxBackoff <= 0 {
 		opts.MaxBackoff = 8 * time.Second
 	}
-	return &Follower{opts: opts, base: strings.TrimRight(opts.LeaderURL, "/")}, nil
-}
-
-func (f *Follower) logf(format string, args ...any) {
-	if f.opts.Logf != nil {
-		f.opts.Logf(format, args...)
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
 	}
+	return &Follower{opts: opts, base: strings.TrimRight(opts.LeaderURL, "/")}, nil
 }
 
 // Status returns the current replication position. LagSeconds is computed
@@ -159,10 +157,10 @@ func (f *Follower) Run(ctx context.Context) error {
 			return ctx.Err()
 		default:
 			if IsTruncated(err) && f.opts.Rebootstrap != nil {
-				f.logf("repl: follower: leader truncated our position; re-bootstrapping from a fresh snapshot")
+				f.opts.Logger.Warn("repl: follower: leader truncated our position; re-bootstrapping from a fresh snapshot")
 				if rerr := f.opts.Rebootstrap(ctx); rerr == nil {
 					f.noteRebootstrapped()
-					f.logf("repl: follower: re-bootstrap complete; resuming from seq %d", f.opts.WAL.Seq()+1)
+					f.opts.Logger.Info("repl: follower: re-bootstrap complete", "resumeSeq", f.opts.WAL.Seq()+1)
 					backoff = f.opts.MinBackoff
 					wait = 0
 					continue
@@ -176,7 +174,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			}
 			wait = 0
 			f.noteError(err)
-			f.logf("repl: follower: fetch failed (retrying in %s): %v", backoff, err)
+			f.opts.Logger.Warn("repl: follower: fetch failed", "retryIn", backoff, "err", err)
 			t := time.NewTimer(backoff)
 			select {
 			case <-ctx.Done():
@@ -249,7 +247,7 @@ func (f *Follower) fetchOnce(ctx context.Context, wait time.Duration) (int, erro
 		// Deliberately fatal-looking but survived by Run's backoff: the
 		// operator must wipe and re-bootstrap; until then we serve stale.
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		f.logf("repl: follower: leader returned 410 for seq %d: %s", from, strings.TrimSpace(string(body)))
+		f.opts.Logger.Warn("repl: follower: leader returned 410", "from", from, "body", strings.TrimSpace(string(body)))
 		return 0, errTruncated
 	case http.StatusOK:
 	default:
@@ -351,8 +349,8 @@ func (f *Follower) noteApplied(leaderSeq, applied uint64) {
 // noteDiverged latches the sticky diverged state and returns errDiverged
 // (Run's error path then marks the link down and keeps serving stale reads).
 func (f *Follower) noteDiverged(leaderLimit, applied uint64) error {
-	f.logf("repl: follower: DIVERGED: local log holds seq %d but the leader's durable history ends at %d; "+
-		"refusing to fetch — wipe this follower's state and re-bootstrap", applied, leaderLimit)
+	f.opts.Logger.Error("repl: follower: DIVERGED: refusing to fetch; wipe this follower's state and re-bootstrap",
+		"appliedSeq", applied, "leaderDurableSeq", leaderLimit)
 	f.mu.Lock()
 	f.st.Diverged = true
 	f.mu.Unlock()

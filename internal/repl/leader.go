@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
@@ -50,8 +51,8 @@ type LeaderOptions struct {
 	// disables /repl/snapshot (404).
 	CoveredSeq    func() uint64
 	WriteSnapshot func(io.Writer) error
-	// Logf receives operational log lines; nil silences them.
-	Logf func(format string, args ...any)
+	// Logger receives operational log lines; nil silences them.
+	Logger *slog.Logger
 	// MaxBatchBytes caps one shipment (default 1 MiB).
 	MaxBatchBytes int64
 	// MaxWait caps the long-poll wait a follower may request (default 25s).
@@ -92,6 +93,9 @@ func NewLeader(opts LeaderOptions) (*Leader, error) {
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 50 * time.Millisecond
 	}
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
+	}
 	l := &Leader{opts: opts, mux: http.NewServeMux()}
 	l.mux.HandleFunc("GET /repl/wal", l.handleWAL)
 	if opts.WriteSnapshot != nil {
@@ -102,12 +106,6 @@ func NewLeader(opts LeaderOptions) (*Leader, error) {
 
 func (l *Leader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	l.mux.ServeHTTP(w, r)
-}
-
-func (l *Leader) logf(format string, args ...any) {
-	if l.opts.Logf != nil {
-		l.opts.Logf(format, args...)
-	}
 }
 
 func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
@@ -146,11 +144,11 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 				"error":       fmt.Sprintf("history from seq %d truncated; re-bootstrap from /repl/snapshot", from),
 				"earliestSeq": te.Earliest,
 			}); err != nil {
-				l.logf("repl: leader: 410 body encode failed: %v", err)
+				l.opts.Logger.Warn("repl: leader: 410 body encode failed", "err", err)
 			}
 			return
 		case err != nil:
-			l.logf("repl: leader: ReadFrom(%d) failed: %v", from, err)
+			l.opts.Logger.Error("repl: leader: ReadFrom failed", "from", from, "err", err)
 			replError(w, http.StatusInternalServerError, "log read failed: %v", err)
 			return
 		}
@@ -162,7 +160,7 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 			h.Set(HdrHeadSeq, strconv.FormatUint(sh.HeadSeq, 10))
 			h.Set(HdrDurableSeq, strconv.FormatUint(sh.DurableSeq, 10))
 			if _, err := w.Write(sh.Lines); err != nil {
-				l.logf("repl: leader: shipment [%d,%d] write failed mid-body: %v", sh.First, sh.Last, err)
+				l.opts.Logger.Warn("repl: leader: shipment write failed mid-body", "first", sh.First, "last", sh.Last, "err", err)
 			}
 			return
 		}
@@ -211,7 +209,7 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 	}
 	if err := l.opts.WriteSnapshot(w); err != nil {
-		l.logf("repl: leader: snapshot stream failed mid-body: %v", err)
+		l.opts.Logger.Error("repl: leader: snapshot stream failed mid-body", "err", err)
 		// Headers are gone, so the status can't change — and a store stream
 		// that fails at a line boundary leaves a truncated-but-parseable
 		// body. Returning normally would end the chunked response CLEANLY

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -65,13 +66,25 @@ func (a *applied) len() int {
 	return len(a.recs)
 }
 
+// testLogger routes a component's log lines into the test's output.
+func testLogger(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
 func newLeaderServer(t *testing.T, w *wal.WAL, snapshot func(io.Writer) error, covered func() uint64) *httptest.Server {
 	t.Helper()
 	l, err := NewLeader(LeaderOptions{
 		WAL:           w,
 		CoveredSeq:    covered,
 		WriteSnapshot: snapshot,
-		Logf:          t.Logf,
+		Logger:        testLogger(t),
 		PollInterval:  5 * time.Millisecond,
 	})
 	if err != nil {
@@ -88,7 +101,7 @@ func newTestFollower(t *testing.T, leaderURL string, fw *wal.WAL, sink *applied)
 		LeaderURL:  leaderURL,
 		WAL:        fw,
 		Apply:      sink.apply,
-		Logf:       t.Logf,
+		Logger:     testLogger(t),
 		FetchWait:  200 * time.Millisecond,
 		MinBackoff: 10 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,
@@ -331,7 +344,7 @@ func TestFollowerAutoRebootstrap(t *testing.T) {
 			snapMu.Unlock()
 			return fw.Rebase(covered + 1)
 		},
-		Logf:       t.Logf,
+		Logger:     testLogger(t),
 		FetchWait:  200 * time.Millisecond,
 		MinBackoff: 10 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,
@@ -392,7 +405,7 @@ func TestDivergedNeverRebootstraps(t *testing.T) {
 			hookCalls.Add(1)
 			return nil
 		},
-		Logf:       t.Logf,
+		Logger:     testLogger(t),
 		FetchWait:  200 * time.Millisecond,
 		MinBackoff: 10 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,

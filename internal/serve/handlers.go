@@ -84,7 +84,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
 		s.m.encodeFailures.Inc()
-		s.logger.Logf("serve: response encode failed before write (status %d became 500): %v", code, err)
+		s.logger.Error("serve: response encode failed before write; answered 500", "status", code, "err", err)
 		s.writeBody(w, http.StatusInternalServerError, errEncodeBody)
 		return
 	}
@@ -434,7 +434,7 @@ func (s *Server) handleRefuse(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		if err := s.persist(); err != nil {
-			s.logger.Logf("%v", err)
+			s.logger.Error("serve: persist failed", "err", err)
 		}
 		return s.refuseSummary(sn, skipped), nil
 	})

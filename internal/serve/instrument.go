@@ -102,7 +102,8 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 		}
 		s.traces.Record(tr)
 		if d >= slowRequestThreshold {
-			s.logger.Warn(ctx, "slow request",
+			s.logger.Warn("slow request",
+				"traceId", tr.ID,
 				"endpoint", endpoint,
 				"method", r.Method,
 				"path", r.URL.Path,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"log/slog"
 	"net/http"
 	"sync/atomic"
 
@@ -68,8 +69,10 @@ var shedEndpoints = []string{
 // Families are registered in presentation order; HELP/TYPE headers are
 // emitted by Registry.WriteTo, declared exactly once here.
 func (s *Server) initObs() {
-	s.traces = obs.NewTraceRecorder(s.cfg.TraceBufferSize, 0)
-	s.logger = s.cfg.Logger
+	s.traces = obs.NewTraceRecorder(s.cfg.TraceBufferSize)
+	if s.logger = s.cfg.Logger; s.logger == nil {
+		s.logger = slog.New(slog.DiscardHandler)
+	}
 
 	r := obs.NewRegistry()
 	s.reg = r
@@ -104,8 +107,8 @@ func (s *Server) initObs() {
 		})
 	s.m.refuseCoalesced = r.Counter("corrfused_refuse_coalesced_total", "Concurrent /v1/refuse requests that joined an in-flight rebuild instead of starting another.")
 	s.m.encodeFailures = r.Counter("corrfused_response_encode_failures_total", "Responses whose JSON encoding failed (answered with a 500; the encode happens before any bytes hit the wire).")
-	r.SampleFunc("corrfused_obs_encode_failures_total", "JSON encodings that failed inside the observability layer itself (unmarshalable log records, broken /debug/traces writes).", "counter",
-		func() []obs.Sample { return []obs.Sample{{Value: float64(obs.EncodeFailures())}} })
+	r.SampleFunc("corrfused_obs_encode_failures_total", "JSON encodings that failed inside the observability layer itself (broken /debug/traces writes).", "counter",
+		func() []obs.Sample { return []obs.Sample{{Value: float64(s.traces.EncodeFailures())}} })
 
 	snap := func(f func(sn *snapshot) float64) func() float64 {
 		return func() float64 { return f(s.snap.Load()) }

@@ -3,14 +3,17 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"corrfuse/internal/obs"
 )
@@ -157,7 +160,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 	cfg.WALDir = dir + "/wal"
 	cfg.PersistPath = dir + "/store.jsonl"
 	// The two fault counters: a crash leftover in the WAL directory at boot,
-	// and a log record the observability layer cannot marshal.
+	// and a /debug/traces response whose write fails mid-body.
 	if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +170,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 	srv := newServer(t, seedStore(t), cfg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	encodeFailures := obs.EncodeFailures()
-	obs.NewLogger(io.Discard, obs.LevelInfo, "json").Info(context.Background(), "unmarshalable", "value", make(chan int))
+	srv.TracesHandler().ServeHTTP(brokenWriter{httptest.NewRecorder()}, httptest.NewRequest("GET", "/debug/traces", nil))
 
 	// Touch every kind of path so the document is as populated as it gets:
 	// ingest (stage histograms + WAL commit wait), a read, a router 404 and
@@ -195,12 +197,48 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"corrfused_wal_commit_wait_seconds_count 1",
 		"corrfused_build_info{",
 		"corrfused_wal_ignored_files 1\n",
-		fmt.Sprintf("corrfused_obs_encode_failures_total %d\n", encodeFailures+1),
+		"corrfused_obs_encode_failures_total 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// brokenWriter is a ResponseWriter whose body writes fail, like a client
+// that went away mid-response.
+type brokenWriter struct{ *httptest.ResponseRecorder }
+
+func (brokenWriter) Write([]byte) (int, error) { return 0, errors.New("client went away") }
+
+// TestSlowRequestLogged: a request slower than slowRequestThreshold is
+// logged at warn, as one JSON record carrying its trace ID and endpoint.
+func TestSlowRequestLogged(t *testing.T) {
+	var lc logCollector
+	cfg := corrConfig()
+	cfg.Logger = slog.New(slog.NewJSONHandler(&lc, nil))
+	srv := newServer(t, seedStore(t), cfg)
+	slow := srv.instrument(srv.route("score", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(slowRequestThreshold)
+	})))
+	req := httptest.NewRequest("POST", "/v1/score", nil)
+	req.Header.Set(obs.TraceHeader, "slow-trace-1")
+	slow.ServeHTTP(httptest.NewRecorder(), req)
+
+	for _, line := range lc.lines() {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %q: %v", line, err)
+		}
+		if rec["msg"] != "slow request" {
+			continue
+		}
+		if rec["level"] != "WARN" || rec["traceId"] != "slow-trace-1" || rec["endpoint"] != "score" {
+			t.Errorf("slow-request record = %v", rec)
+		}
+		return
+	}
+	t.Fatalf("no slow-request record; lines: %v", lc.lines())
 }
 
 // TestConcurrentScrapeAndIngest hammers /metrics, /debug/traces, ingestion

@@ -26,10 +26,10 @@ func (s *Server) refresher() {
 		case <-ticker.C:
 			//lint:ignore ctxflow the background refresher has no request to inherit a deadline from
 			if _, skipped, err := s.rebuild(context.Background(), false); err != nil {
-				s.logger.Logf("serve: background re-fusion failed: %v", err)
+				s.logger.Error("serve: background re-fusion failed", "err", err)
 			} else if !skipped {
 				if err := s.persist(); err != nil {
-					s.logger.Logf("%v", err)
+					s.logger.Error("serve: persist failed", "err", err)
 				}
 			}
 		}
@@ -185,7 +185,7 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	}
 	if incErr != nil {
 		inc = nil
-		s.logger.Logf("serve: online scorer unavailable, serving batch results only: %v", incErr)
+		s.logger.Warn("serve: online scorer unavailable, serving batch results only", "err", incErr)
 	}
 	endSeed()
 
@@ -228,8 +228,8 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	s.traces.Record(tr)
 
 	s.m.rebuilds.Add(1)
-	s.logger.Logf("serve: snapshot %d: %s over %d sources, %d triples → %d accepted in %v",
-		next.seq, fuser.MethodName(), d.NumSources(), next.triples, next.accepted, time.Since(begin).Round(time.Millisecond))
+	s.logger.Info("serve: snapshot built", "seq", next.seq, "method", fuser.MethodName(), "sources", d.NumSources(),
+		"triples", next.triples, "accepted", next.accepted, "duration", time.Since(begin))
 	return next, false, nil
 }
 
@@ -275,7 +275,8 @@ func (s *Server) applyLive(source string, t triple.Triple) (p float64, ok bool) 
 	}
 	if err != nil {
 		s.live.inc = nil
-		s.logger.Logf("serve: live scorer failed on %s's claim of %v, serving batch results only until the next rebuild: %v", source, t, err)
+		s.logger.Warn("serve: live scorer failed, serving batch results only until the next rebuild",
+			"source", source, "triple", t, "err", err)
 		return 0, false
 	}
 	return p, true

@@ -5,18 +5,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"corrfuse"
-	"corrfuse/internal/obs"
 	"corrfuse/internal/triple"
 )
 
@@ -39,30 +41,63 @@ func (f *failingScorer) Probability(t triple.Triple) (float64, bool) { return f.
 func (f *failingScorer) Providers(t triple.Triple) int               { return f.inner.Providers(t) }
 func (f *failingScorer) Len() int                                    { return f.inner.Len() }
 
-// logCollector captures the server's log lines for assertions.
+// logCollector captures the server's log lines for assertions: the
+// Config.Logger it hands out is a text handler writing to it.
 type logCollector struct {
-	mu    sync.Mutex
-	lines []string
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (lc *logCollector) Write(p []byte) (int, error) {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	return lc.buf.Write(p)
 }
 
 // logger is the Config.Logger that feeds the collector.
-func (lc *logCollector) logger() *obs.Logger {
-	return obs.NewLoggerFunc(func(line string) {
-		lc.mu.Lock()
-		defer lc.mu.Unlock()
-		lc.lines = append(lc.lines, line)
-	}, obs.LevelInfo, "text")
+func (lc *logCollector) logger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(lc, nil))
 }
 
-func (lc *logCollector) contains(sub string) bool {
+// lines returns the captured lines in order.
+func (lc *logCollector) lines() []string {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	for _, l := range lc.lines {
+	return strings.Split(strings.TrimSpace(lc.buf.String()), "\n")
+}
+
+// count returns how many captured lines contain sub.
+func (lc *logCollector) count(sub string) int {
+	n := 0
+	for _, l := range lc.lines() {
 		if strings.Contains(l, sub) {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
+}
+
+// rebuildLine matches the per-rebuild line's unrounded duration attribute.
+var rebuildLine = regexp.MustCompile(`msg="serve: snapshot built" .* duration=(\S+)`)
+
+// checkRebuildsTimed asserts that every rebuild line carries a non-zero
+// duration (they used to round sub-millisecond rebuilds to "0s").
+func (lc *logCollector) checkRebuildsTimed(t *testing.T) {
+	t.Helper()
+	seen := 0
+	for _, l := range lc.lines() {
+		m := rebuildLine.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		seen++
+		if d, err := time.ParseDuration(m[1]); err != nil || d <= 0 {
+			t.Errorf("rebuild line has duration %q, want > 0: %s", m[1], l)
+		}
+	}
+	if seen == 0 {
+		t.Errorf("no rebuild line logged; lines: %v", lc.lines())
+	}
 }
 
 func metricsText(t *testing.T, srv *Server) string {
@@ -111,9 +146,10 @@ func TestOnlineUnavailableIsSignalled(t *testing.T) {
 	if liveInc(srv) != nil {
 		t.Fatal("unsupervised method produced an online scorer")
 	}
-	if !lc.contains("online scorer unavailable") {
-		t.Errorf("degradation not logged; lines: %v", lc.lines)
+	if lc.count("online scorer unavailable") == 0 {
+		t.Errorf("degradation not logged; lines: %v", lc.lines())
 	}
+	lc.checkRebuildsTimed(t)
 	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 1") {
 		t.Error("online_disabled gauge not raised")
 	}
@@ -170,17 +206,10 @@ func TestIngestFailureDegradesToBatch(t *testing.T) {
 	}
 	// A second claim finds no scorer to fail: the cause is logged once.
 	postJSON(t, ts.URL+"/v1/observe", claim)
-	lc.mu.Lock()
-	logged := 0
-	for _, l := range lc.lines {
-		if strings.Contains(l, "live scorer failed") {
-			logged++
-		}
+	if logged := lc.count("live scorer failed"); logged != 1 {
+		t.Errorf("failure logged %d times, want once; lines: %v", logged, lc.lines())
 	}
-	lc.mu.Unlock()
-	if logged != 1 {
-		t.Errorf("failure logged %d times, want once; lines: %v", logged, lc.lines)
-	}
+	lc.checkRebuildsTimed(t)
 	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 1") {
 		t.Error("online_disabled gauge not raised after the ingest failure")
 	}
@@ -238,9 +267,10 @@ func TestReplayFailureCompletesSwap(t *testing.T) {
 	if liveInc(srv) != nil {
 		t.Fatal("scorer that failed replay left installed")
 	}
-	if !lc.contains("live scorer failed") {
-		t.Errorf("replay failure not logged; lines: %v", lc.lines)
+	if lc.count("live scorer failed") == 0 {
+		t.Errorf("replay failure not logged; lines: %v", lc.lines())
 	}
+	lc.checkRebuildsTimed(t)
 	// Journal truncation stays correct: only the suffix (the mid-build
 	// claim) survives; the pre-build claim was captured and dropped.
 	srv.live.RLock()

@@ -123,7 +123,7 @@ func (s *Server) Rebootstrap(covered uint64, r io.Reader) error {
 	s.live.Lock()
 	if s.live.inc != nil {
 		s.live.inc = nil
-		s.logger.Logf("serve: rebootstrap: live scorer reset; serving batch results until the next rebuild")
+		s.logger.Info("serve: rebootstrap: live scorer reset; serving batch results until the next rebuild")
 	}
 	s.live.Unlock()
 	if err := s.wal.Rebase(covered + 1); err != nil {

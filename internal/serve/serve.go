@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -149,10 +150,10 @@ type Config struct {
 	// is included in write-rejection errors and health output.
 	LeaderURL string
 
-	// Logger, when non-nil, is the structured logger every operational
-	// line and slow-request record goes through, the latter stamped with
-	// the request's trace ID. Nil silences logging.
-	Logger *obs.Logger
+	// Logger, when non-nil, is the logger every operational line and
+	// slow-request record goes through, the latter carrying the request's
+	// trace ID. Nil silences logging.
+	Logger *slog.Logger
 
 	// TraceBufferSize is the capacity of the /debug/traces ring buffer of
 	// recent request and refresh traces. 0 means 256, the only value in
@@ -335,7 +336,7 @@ type Server struct {
 	// Observability (built by initObs before the WAL opens and the initial
 	// rebuild runs, so every instrument exists for the server's whole life).
 	reg          *obs.Registry
-	logger       *obs.Logger
+	logger       *slog.Logger
 	traces       *obs.TraceRecorder
 	reqCounts    *obs.CounterVec   // corrfused_requests_total{endpoint}
 	reqHist      *obs.HistogramVec // corrfused_request_seconds{endpoint}
@@ -405,7 +406,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 			SyncInterval:   cfg.WALSyncInterval,
 			SegmentBytes:   cfg.WALSegmentBytes,
 			RetainSegments: cfg.WALRetainSegments,
-			Logf:           s.logger.Logf,
+			Logger:         s.logger,
 			OnCommitWait:   s.onCommitWait,
 		}
 		w, recs, err := wal.Open(cfg.WALDir, walOpts)
@@ -422,7 +423,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		s.wal = w
 		s.walRecovered = len(recs)
 		if len(recs) > 0 {
-			s.logger.Logf("serve: wal: recovered %d acknowledged observations (through seq %d)", len(recs), recs[len(recs)-1].Seq)
+			s.logger.Info("serve: wal: recovered acknowledged observations", "records", len(recs), "throughSeq", recs[len(recs)-1].Seq)
 		}
 	}
 	//lint:ignore ctxflow startup fusion runs before any request exists; New has no caller deadline to inherit
@@ -556,7 +557,7 @@ func (s *Server) persist() error {
 	}
 	res, err := s.store.Persist(s.cfg.PersistPath)
 	if res.SnapshotErr != nil {
-		s.logger.Logf("serve: persist: binary snapshot: %v", res.SnapshotErr)
+		s.logger.Error("serve: persist: binary snapshot failed", "err", res.SnapshotErr)
 	} else {
 		s.rebuildStage.With("snapshot_save_binary").Observe(res.SnapshotTime)
 	}
@@ -574,7 +575,7 @@ func (s *Server) persist() error {
 		if err := s.wal.TruncateThrough(capSeq); err != nil {
 			// Non-fatal: an untruncated segment only costs replay time on
 			// the next startup, never correctness (replay is idempotent).
-			s.logger.Logf("serve: wal truncate: %v", err)
+			s.logger.Warn("serve: wal truncate failed", "err", err)
 		}
 	}
 	return nil

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -104,9 +105,9 @@ type Options struct {
 	// truncates everything a snapshot covers, the pre-replication behavior.
 	RetainSegments int
 
-	// Logf receives operational log lines (ignored leftover files found by
-	// Open, and nothing on the hot path). Nil silences them.
-	Logf func(format string, args ...any)
+	// Logger receives operational log lines (ignored leftover files found
+	// by Open, and nothing on the hot path). Nil silences them.
+	Logger *slog.Logger
 }
 
 // Stats is a point-in-time snapshot of the log's state.
@@ -201,6 +202,9 @@ func Open(dir string, opts Options) (*WAL, []Record, error) {
 	if opts.SyncInterval <= 0 {
 		opts.SyncInterval = DefaultSyncInterval
 	}
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
@@ -231,7 +235,7 @@ func Open(dir string, opts Options) (*WAL, []Record, error) {
 			continue
 		}
 		w.ignoredFiles++
-		w.logf("wal: ignoring non-segment entry %s in log directory (leftover from an interrupted write?)", name)
+		w.opts.Logger.Warn("wal: ignoring non-segment entry in log directory (leftover from an interrupted write?)", "entry", name)
 	}
 	sort.Strings(paths) // zero-padded first-seq names sort chronologically
 
@@ -481,13 +485,6 @@ func isSegmentName(name string) bool {
 		}
 	}
 	return true
-}
-
-// logf emits one operational log line through Options.Logf (silent when nil).
-func (w *WAL) logf(format string, args ...any) {
-	if w.opts.Logf != nil {
-		w.opts.Logf(format, args...)
-	}
 }
 
 // parseSegmentFirst recovers the first sequence number a segment was named

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -523,10 +525,8 @@ func TestForeignSegmentNameIgnoredLoudly(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000042.jsonl.tmp"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var logged []string
-	w, recs, err := Open(dir, Options{Logf: func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}})
+	var buf bytes.Buffer
+	w, recs, err := Open(dir, Options{Logger: slog.New(slog.NewTextHandler(&buf, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,6 +537,7 @@ func TestForeignSegmentNameIgnoredLoudly(t *testing.T) {
 	if got := w.Stats().IgnoredFiles; got != 2 {
 		t.Fatalf("IgnoredFiles = %d, want 2", got)
 	}
+	logged := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(logged) != 2 {
 		t.Fatalf("ignored files logged %d times, want 2: %q", len(logged), logged)
 	}
