@@ -1,17 +1,22 @@
-// Package codec holds the hand-rolled JSON fast paths of the serving data
-// plane: pooled []byte buffers, allocation-free append-style encoders for
-// the /v1/score, /v1/observe, /v1/subject and /v1/source response shapes,
-// and strict decoders for the two request shapes — replacing reflection-
-// based encoding/json on every function annotated //corrfuse:hotpath.
+// Package codec holds the hand-rolled JSON fast paths of the data plane:
+// pooled []byte buffers, allocation-free append-style encoders for the
+// /v1/score, /v1/observe, /v1/subject and /v1/source response shapes,
+// strict decoders for the two request shapes, and the Decoder primitives
+// and HTML-safe string encoder that internal/store's JSONL lines and
+// internal/wal's log lines are read and written with — replacing
+// reflection-based encoding/json on every function annotated
+// //corrfuse:hotpath and on every line a store load or a WAL replay reads.
 //
-// The encoders are byte-compatible with encoding/json (EscapeHTML
-// disabled): identical string escaping (including invalid-UTF-8 coercion
-// to U+FFFD and the \u2028/\u2029 escapes), identical float formatting
-// ('f' shortest form, switching to exponent form below 1e-6 and at 1e21,
-// with the exponent's leading zero stripped). The decoders implement the
-// full JSON grammar with encoding/json's semantics where they matter to
-// the wire: case-insensitive field matching, unknown fields skipped,
-// null no-ops, last duplicate wins, invalid UTF-8 coerced.
+// The encoders are byte-compatible with encoding/json: identical string
+// escaping (including invalid-UTF-8 coercion to U+FFFD and the
+// \u2028/\u2029 escapes; AppendString has EscapeHTML off, as the wire
+// does, AppendStringHTML on, as json.Marshal does), identical float
+// formatting ('f' shortest form, switching to exponent form below 1e-6 and
+// at 1e21, with the exponent's leading zero stripped). The decoders
+// implement the full JSON grammar, nesting limit included, with
+// encoding/json's semantics where they matter to the wire: case-insensitive
+// field matching, unknown fields skipped, null no-ops, last duplicate wins,
+// invalid UTF-8 coerced.
 //
 // Encode-path functions carry //corrfuse:hotpath so corrfuselint's
 // hotpathalloc analyzer rejects any future encoding/json, fmt.*, map or

@@ -26,9 +26,9 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("invalid JSON at byte %d: %s", e.Offset, e.Msg)
 }
 
-// maxNestingDepth caps how deep skipped values may nest, mirroring
-// encoding/json's scanner limit so the strict and reflective paths agree
-// on what parses.
+// maxNestingDepth caps how many objects and arrays may be open at once,
+// mirroring encoding/json's scanner limit so the strict and reflective
+// paths agree on what parses.
 const maxNestingDepth = 10000
 
 // DecodeScoreRequest parses a /v1/score body into req, with
@@ -46,10 +46,10 @@ func DecodeScoreRequest(data []byte, req *ScoreRequest) error {
 		return d.End()
 	}
 	if err := d.Object(func(key []byte) error {
-		if keyIs(key, "triples") {
+		if KeyIs(key, "triples") {
 			return d.tripleArray(&req.Triples)
 		}
-		return d.skipValue(0)
+		return d.skipValue()
 	}); err != nil {
 		return err
 	}
@@ -71,20 +71,20 @@ func DecodeObserveRequest(data []byte, req *ObserveRequest) error {
 	}
 	if err := d.Object(func(key []byte) error {
 		switch {
-		case keyIs(key, "source"):
+		case KeyIs(key, "source"):
 			return d.stringField(&req.Source)
-		case keyIs(key, "subject"):
+		case KeyIs(key, "subject"):
 			return d.stringField(&req.Subject)
-		case keyIs(key, "predicate"):
+		case KeyIs(key, "predicate"):
 			return d.stringField(&req.Predicate)
-		case keyIs(key, "object"):
+		case KeyIs(key, "object"):
 			return d.stringField(&req.Object)
-		case keyIs(key, "label"):
+		case KeyIs(key, "label"):
 			return d.stringField(&req.Label)
-		case keyIs(key, "observations"):
+		case KeyIs(key, "observations"):
 			return d.observationArray(&req.Observations)
 		}
-		return d.skipValue(0)
+		return d.skipValue()
 	}); err != nil {
 		return err
 	}
@@ -93,12 +93,15 @@ func DecodeObserveRequest(data []byte, req *ObserveRequest) error {
 
 // Decoder is a cursor over one JSON document. The request decoders above
 // layer encoding/json's lenient field semantics on it; internal/store's
-// strict line codec uses the exported methods, which decode exactly the
-// value asked for — no coercion, and null only where documented — so the
-// repo has one string unescaper and one number grammar.
+// strict line codec and internal/wal's line codec use the exported
+// methods, which decode exactly the value asked for — no coercion, and
+// null only where documented — so the repo has one string unescaper and
+// one number grammar. The WAL rebuilds encoding/json's field semantics
+// from Null and KeyIs.
 type Decoder struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	depth int // objects and arrays open at pos
 }
 
 // NewDecoder returns a Decoder at the start of data.
@@ -140,7 +143,7 @@ func (in *Interner) get(b []byte) string {
 // Strings parses an array of strings, each read as InternedString reads it;
 // null or an empty array yields nil. The returned slice is the caller's.
 func (d *Decoder) Strings(in *Interner) ([]string, error) {
-	if isNull, err := d.nullOr(); err != nil || isNull {
+	if isNull, err := d.Null(); err != nil || isNull {
 		return nil, err
 	}
 	var list []string
@@ -169,6 +172,38 @@ func (d *Decoder) Number() (float64, error) {
 		return 0, err
 	}
 	return strconv.ParseFloat(string(d.data[start:d.pos]), 64)
+}
+
+// Uint parses a JSON number that is an exact unsigned integer of at most
+// bitSize bits, the numbers encoding/json stores in a uint field of that
+// size: a sign, a fraction, an exponent or an overflow is an error.
+func (d *Decoder) Uint(bitSize int) (uint64, error) {
+	d.skipSpace()
+	start := d.pos
+	if err := d.skipNumber(); err != nil {
+		return 0, err
+	}
+	max := uint64(1)<<bitSize - 1 // bitSize 64: the shift is 0, so max wraps to all ones
+	var v uint64
+	for _, c := range d.data[start:d.pos] {
+		if c < '0' || c > '9' || v > (max-uint64(c-'0'))/10 {
+			return 0, &SyntaxError{Offset: start, Msg: fmt.Sprintf("number %s is not a uint%d", d.data[start:d.pos], bitSize)}
+		}
+		v = v*10 + uint64(c-'0')
+	}
+	return v, nil
+}
+
+// Raw consumes one well-formed value and returns its exact bytes, without
+// the whitespace around it — what json.RawMessage would hold. The bytes
+// alias the decoder's input.
+func (d *Decoder) Raw() ([]byte, error) {
+	d.skipSpace()
+	start := d.pos
+	if err := d.skipValue(); err != nil {
+		return nil, err
+	}
+	return d.data[start:d.pos], nil
 }
 
 // Bool parses true or false.
@@ -232,13 +267,12 @@ func (d *Decoder) literal(want string) error {
 // callback's to judge).
 func (d *Decoder) Object(field func(key []byte) error) error {
 	d.skipSpace()
-	if err := d.advance('{'); err != nil {
+	if err := d.enter('{'); err != nil {
 		return err
 	}
 	d.skipSpace()
 	if d.eat('}') {
-		d.pos++
-		return nil
+		return d.leave('}')
 	}
 	for {
 		d.skipSpace()
@@ -258,20 +292,19 @@ func (d *Decoder) Object(field func(key []byte) error) error {
 			d.pos++
 			continue
 		}
-		return d.advance('}')
+		return d.leave('}')
 	}
 }
 
 // array parses [value, ...], dispatching each element to elem.
 func (d *Decoder) array(elem func() error) error {
 	d.skipSpace()
-	if err := d.advance('['); err != nil {
+	if err := d.enter('['); err != nil {
 		return err
 	}
 	d.skipSpace()
 	if d.eat(']') {
-		d.pos++
-		return nil
+		return d.leave(']')
 	}
 	for {
 		if err := elem(); err != nil {
@@ -283,13 +316,32 @@ func (d *Decoder) array(elem func() error) error {
 			d.skipSpace()
 			continue
 		}
-		return d.advance(']')
+		return d.leave(']')
 	}
 }
 
-// nullOr consumes a null (returning true) or leaves the position for a
-// real value.
-func (d *Decoder) nullOr() (bool, error) {
+// enter consumes the opening byte of an object or array, refusing the
+// container past encoding/json's nesting limit.
+func (d *Decoder) enter(c byte) error {
+	if err := d.advance(c); err != nil {
+		return err
+	}
+	if d.depth++; d.depth > maxNestingDepth {
+		return d.errf("exceeded max nesting depth")
+	}
+	return nil
+}
+
+// leave consumes the closing byte of an object or array.
+func (d *Decoder) leave(c byte) error {
+	d.depth--
+	return d.advance(c)
+}
+
+// Null consumes a null (returning true) or leaves the position for a real
+// value, which is how a field keeps encoding/json's "null leaves it
+// unchanged".
+func (d *Decoder) Null() (bool, error) {
 	d.skipSpace()
 	if d.eat('n') {
 		if err := d.literal("null"); err != nil {
@@ -302,7 +354,7 @@ func (d *Decoder) nullOr() (bool, error) {
 
 // stringField decodes a string value into dst; null leaves dst unchanged.
 func (d *Decoder) stringField(dst *string) error {
-	isNull, err := d.nullOr()
+	isNull, err := d.Null()
 	if err != nil || isNull {
 		return err
 	}
@@ -317,7 +369,7 @@ func (d *Decoder) stringField(dst *string) error {
 // tripleArray decodes [{"subject":...}, ...] into dst (replacing it, as
 // encoding/json does for slices); null leaves dst unchanged.
 func (d *Decoder) tripleArray(dst *[]triple.Triple) error {
-	isNull, err := d.nullOr()
+	isNull, err := d.Null()
 	if err != nil || isNull {
 		return err
 	}
@@ -346,27 +398,27 @@ func (d *Decoder) tripleArray(dst *[]triple.Triple) error {
 }
 
 func (d *Decoder) tripleValue(t *triple.Triple) error {
-	isNull, err := d.nullOr()
+	isNull, err := d.Null()
 	if err != nil || isNull {
 		return err
 	}
 	return d.Object(func(key []byte) error {
 		switch {
-		case keyIs(key, "subject"):
+		case KeyIs(key, "subject"):
 			return d.stringField(&t.Subject)
-		case keyIs(key, "predicate"):
+		case KeyIs(key, "predicate"):
 			return d.stringField(&t.Predicate)
-		case keyIs(key, "object"):
+		case KeyIs(key, "object"):
 			return d.stringField(&t.Object)
 		}
-		return d.skipValue(0)
+		return d.skipValue()
 	})
 }
 
 // observationArray decodes [{"source":...}, ...] into dst; null leaves
 // dst unchanged.
 func (d *Decoder) observationArray(dst *[]Observation) error {
-	isNull, err := d.nullOr()
+	isNull, err := d.Null()
 	if err != nil || isNull {
 		return err
 	}
@@ -378,25 +430,25 @@ func (d *Decoder) observationArray(dst *[]Observation) error {
 		if len(out) < len(prev) {
 			o = prev[len(out)]
 		}
-		isNull, err := d.nullOr()
+		isNull, err := d.Null()
 		if err != nil {
 			return err
 		}
 		if !isNull {
 			err = d.Object(func(key []byte) error {
 				switch {
-				case keyIs(key, "source"):
+				case KeyIs(key, "source"):
 					return d.stringField(&o.Source)
-				case keyIs(key, "subject"):
+				case KeyIs(key, "subject"):
 					return d.stringField(&o.Subject)
-				case keyIs(key, "predicate"):
+				case KeyIs(key, "predicate"):
 					return d.stringField(&o.Predicate)
-				case keyIs(key, "object"):
+				case KeyIs(key, "object"):
 					return d.stringField(&o.Object)
-				case keyIs(key, "label"):
+				case KeyIs(key, "label"):
 					return d.stringField(&o.Label)
 				}
-				return d.skipValue(0)
+				return d.skipValue()
 			})
 			if err != nil {
 				return err
@@ -421,7 +473,7 @@ func (d *Decoder) key() ([]byte, error) {
 		return nil, err
 	}
 	start := d.pos
-	for d.pos < len(d.data) {
+	for d.pos = plainASCII(d.data, d.pos); d.pos < len(d.data); d.pos = plainASCII(d.data, d.pos) {
 		switch c := d.data[d.pos]; {
 		case c == '"':
 			raw := d.data[start:d.pos]
@@ -459,22 +511,12 @@ func (d *Decoder) InternedString(in *Interner) (string, error) {
 	start := d.pos
 	// Fast path: plain ASCII without escapes aliases no memory and costs
 	// at most one string allocation.
-	for d.pos < len(d.data) {
-		c := d.data[d.pos]
-		if c == '"' {
-			s := in.get(d.data[start:d.pos])
-			d.pos++
-			return s, nil
-		}
-		if c == '\\' || c >= utf8.RuneSelf {
-			break
-		}
-		if c < 0x20 {
-			return "", d.errf("control character in string")
-		}
+	if d.pos = plainASCII(d.data, start); d.eat('"') {
+		s := in.get(d.data[start:d.pos])
 		d.pos++
+		return s, nil
 	}
-	// Slow path: escapes or non-ASCII bytes.
+	// Slow path: escapes, non-ASCII or control bytes.
 	buf := append([]byte(nil), d.data[start:d.pos]...)
 	for d.pos < len(d.data) {
 		switch c := d.data[d.pos]; {
@@ -576,19 +618,16 @@ func (d *Decoder) hex4() (rune, error) {
 }
 
 // skipValue consumes any well-formed JSON value without decoding it.
-func (d *Decoder) skipValue(depth int) error {
-	if depth > maxNestingDepth {
-		return d.errf("exceeded max nesting depth")
-	}
+func (d *Decoder) skipValue() error {
 	d.skipSpace()
 	if d.pos >= len(d.data) {
 		return d.errf("unexpected end of input")
 	}
 	switch c := d.data[d.pos]; {
 	case c == '{':
-		return d.Object(func([]byte) error { return d.skipValue(depth + 1) })
+		return d.Object(func([]byte) error { return d.skipValue() })
 	case c == '[':
-		return d.array(func() error { return d.skipValue(depth + 1) })
+		return d.array(d.skipValue)
 	case c == '"':
 		return d.skipString()
 	case c == 't':
@@ -608,7 +647,7 @@ func (d *Decoder) skipString() error {
 	if err := d.advance('"'); err != nil {
 		return err
 	}
-	for d.pos < len(d.data) {
+	for d.pos = plainASCII(d.data, d.pos); d.pos < len(d.data); d.pos = plainASCII(d.data, d.pos) {
 		switch c := d.data[d.pos]; {
 		case c == '"':
 			d.pos++
@@ -667,11 +706,23 @@ func (d *Decoder) skipNumber() error {
 	return nil
 }
 
-// keyIs reports whether a raw key matches a field name the way
-// encoding/json folds: ASCII case-insensitively, plus the two Unicode
-// runes whose simple fold lands in ASCII (U+017F long s, U+212A kelvin).
-// name must be ASCII lowercase.
-func keyIs(key []byte, name string) bool {
+// plainASCII returns the index of the first byte from i on that a string
+// scan must look at: a quote, a backslash, a control or a non-ASCII byte.
+func plainASCII(data []byte, i int) int {
+	for i < len(data) && data[i] < utf8.RuneSelf && safeASCII[data[i]] {
+		i++
+	}
+	return i
+}
+
+// KeyIs reports whether a raw object key (as Object hands it over) names
+// the field name the way encoding/json matches keys to fields: ASCII
+// case-insensitively, plus the two Unicode runes whose simple fold lands
+// in ASCII (U+017F long s, U+212A kelvin). name must be ASCII lowercase.
+func KeyIs(key []byte, name string) bool {
+	if len(key) < len(name) {
+		return false // each byte of name needs a rune, at least a byte, of key
+	}
 	i := 0
 	for j := 0; j < len(name); j++ {
 		if i >= len(key) {

@@ -176,8 +176,9 @@ func FuzzDecodeObserveRequest(f *testing.F) {
 	})
 }
 
-// FuzzAppendStringRoundTrip checks the encoder against encoding/json on
-// arbitrary (including invalid-UTF-8) inputs: identical bytes out.
+// FuzzAppendStringRoundTrip checks the encoders against encoding/json on
+// arbitrary (including invalid-UTF-8) inputs: identical bytes out, with
+// EscapeHTML off and on.
 func FuzzAppendStringRoundTrip(f *testing.F) {
 	for _, s := range trickyStrings {
 		f.Add(s)
@@ -192,6 +193,10 @@ func FuzzAppendStringRoundTrip(f *testing.F) {
 		want := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 		if got := AppendString(nil, s); !bytes.Equal(got, want) {
 			t.Fatalf("AppendString(%q) = %s, want %s", s, got, want)
+		}
+		want, _ = json.Marshal(s)
+		if got := AppendStringHTML(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("AppendStringHTML(%q) = %s, want %s", s, got, want)
 		}
 	})
 }
@@ -234,5 +239,44 @@ func TestInternerBoundedAndTransparent(t *testing.T) {
 	}
 	if len(in.tab) != internCap {
 		t.Fatalf("table grew to %d past the cap", len(in.tab))
+	}
+}
+
+// TestNestingLimitMatchesJSON: encoding/json refuses a document with more
+// than 10000 objects and arrays open at once, wherever they are; the
+// decoders refuse exactly those.
+func TestNestingLimitMatchesJSON(t *testing.T) {
+	for _, open := range []int{9998, 9999, 10000} {
+		deep := strings.Repeat("[", open) + strings.Repeat("]", open)
+		for _, body := range []string{
+			`{"x":` + deep + `}`,
+			`{"triples":[{"x":` + deep[2:len(deep)-2] + `}]}`,
+		} {
+			wantErr := refDecode([]byte(body), new(ScoreRequest))
+			gotErr := DecodeScoreRequest([]byte(body), new(ScoreRequest))
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Errorf("%d open arrays: encoding/json=%v codec=%v", open, wantErr, gotErr)
+			}
+		}
+	}
+}
+
+// TestUint: exact unsigned integers of the asked size, and nothing else.
+func TestUint(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		bits int
+		want uint64
+		ok   bool
+	}{
+		{"0", 32, 0, true}, {" 4294967295", 32, 1<<32 - 1, true}, {"4294967296", 32, 0, false},
+		{"18446744073709551615", 64, 1<<64 - 1, true}, {"18446744073709551616", 64, 0, false},
+		{"99999999999999999999", 64, 0, false}, {"-0", 64, 0, false}, {"1.0", 64, 0, false},
+		{"1e2", 64, 0, false}, {"", 64, 0, false}, {`"1"`, 64, 0, false}, {"null", 64, 0, false},
+	} {
+		got, err := NewDecoder([]byte(c.in)).Uint(c.bits)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("Uint(%d) of %q = %d, %v; want %d, ok %v", c.bits, c.in, got, err, c.want, c.ok)
+		}
 	}
 }

@@ -14,16 +14,42 @@ const hexDigits = "0123456789abcdef"
 // AppendString appends s as a JSON string, byte-identical to what
 // encoding/json emits with EscapeHTML disabled: quotes and backslashes
 // escaped, control bytes as \u00XX (\b, \f, \n, \r, \t named), invalid
-// UTF-8
-// coerced to �, and U+2028/U+2029 escaped for JS embedding.
+// UTF-8 coerced to \ufffd, and U+2028/U+2029 escaped for JS embedding.
+// It is the wire encoder's string form.
 //
 //corrfuse:hotpath
 func AppendString(dst []byte, s string) []byte {
+	return appendString(dst, s, &safeASCII)
+}
+
+// AppendStringHTML is AppendString with encoding/json's default
+// EscapeHTML on, as json.Marshal and json.Encoder write strings: <, > and &
+// also become \u003c, \u003e and \u0026. Store files and WAL lines are
+// written with it, so their bytes are what encoding/json wrote.
+//
+//corrfuse:hotpath
+func AppendStringHTML(dst []byte, s string) []byte {
+	return appendString(dst, s, &htmlSafeASCII)
+}
+
+// safeASCII[b] reports whether AppendString copies the ASCII byte b
+// through unescaped; htmlSafeASCII is the same for AppendStringHTML.
+var safeASCII, htmlSafeASCII [utf8.RuneSelf]bool
+
+func init() {
+	for b := byte(0x20); b < utf8.RuneSelf; b++ {
+		safeASCII[b] = b != '"' && b != '\\'
+		htmlSafeASCII[b] = safeASCII[b] && b != '<' && b != '>' && b != '&'
+	}
+}
+
+//corrfuse:hotpath
+func appendString(dst []byte, s string, safe *[utf8.RuneSelf]bool) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' {
+			if safe[b] {
 				i++
 				continue
 			}
@@ -41,7 +67,7 @@ func AppendString(dst []byte, s string) []byte {
 				dst = append(dst, '\\', 'r')
 			case '\t':
 				dst = append(dst, '\\', 't')
-			default:
+			default: // the other control bytes, and <, > and & when escaping HTML
 				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
 			}
 			i++

@@ -52,6 +52,10 @@ func TestAppendStringMatchesJSON(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("AppendString(%q) = %s, want %s", s, got, want)
 		}
+		want, _ = json.Marshal(s)
+		if got := AppendStringHTML(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("AppendStringHTML(%q) = %s, want %s", s, got, want)
+		}
 	}
 }
 

@@ -409,6 +409,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 			Logger:         s.logger,
 			OnCommitWait:   s.onCommitWait,
 		}
+		begin := time.Now()
 		w, recs, err := wal.Open(cfg.WALDir, walOpts)
 		if err != nil {
 			return nil, fmt.Errorf("serve: wal: %w", err)
@@ -423,7 +424,8 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		s.wal = w
 		s.walRecovered = len(recs)
 		if len(recs) > 0 {
-			s.logger.Info("serve: wal: recovered acknowledged observations", "records", len(recs), "throughSeq", recs[len(recs)-1].Seq)
+			s.logger.Info("serve: wal: recovered acknowledged observations", "records", len(recs), "throughSeq", recs[len(recs)-1].Seq,
+				"duration", time.Since(begin))
 		}
 	}
 	//lint:ignore ctxflow startup fusion runs before any request exists; New has no caller deadline to inherit

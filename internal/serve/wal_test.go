@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +74,9 @@ func TestPersistUnremovableSnapshotKeepsWAL(t *testing.T) {
 		t.Fatalf("recovered %d WAL records, want the 1 the failed persist must not truncate", srv2.walRecovered)
 	}
 }
+
+// recoveredLine matches the WAL recovery line's duration attribute.
+var recoveredLine = regexp.MustCompile(`msg="serve: wal: recovered acknowledged observations" .* duration=(\S+)`)
 
 // postObserve posts one observation and returns the decoded body and status.
 func postObserve(t *testing.T, base string, o Observation) (map[string]any, int) {
@@ -149,9 +153,17 @@ func TestWALRecoveryAfterCrash(t *testing.T) {
 			t.Fatalf("%s already in the stale snapshot; test is vacuous", o.Subject)
 		}
 	}
+	var lc logCollector
+	cfg.Logger = lc.logger()
 	srv2 := newServer(t, st2, cfg)
 	if srv2.walRecovered != len(acked) {
 		t.Fatalf("recovered %d records, want %d", srv2.walRecovered, len(acked))
+	}
+	// The recovery line says how long the replay took, unrounded.
+	if m := recoveredLine.FindStringSubmatch(strings.Join(lc.lines(), "\n")); m == nil {
+		t.Errorf("no timed recovery line; lines: %v", lc.lines())
+	} else if d, err := time.ParseDuration(m[1]); err != nil || d <= 0 {
+		t.Errorf("recovery line has duration %q, want > 0", m[1])
 	}
 	for _, o := range acked {
 		e, ok := st2.Get(tr(o.Subject, "v"))

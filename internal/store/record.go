@@ -89,24 +89,24 @@ func WriteRecords(w io.Writer, n int, fill func(i int, rec *Record)) error {
 // appendRecord appends rec as one JSONL line.
 func appendRecord(dst []byte, rec *Record) []byte {
 	dst = append(dst, `{"subject":`...)
-	dst = appendString(dst, rec.Subject)
+	dst = codec.AppendStringHTML(dst, rec.Subject)
 	dst = append(dst, `,"predicate":`...)
-	dst = appendString(dst, rec.Predicate)
+	dst = codec.AppendStringHTML(dst, rec.Predicate)
 	dst = append(dst, `,"object":`...)
-	dst = appendString(dst, rec.Object)
+	dst = codec.AppendStringHTML(dst, rec.Object)
 	if len(rec.Sources) > 0 {
 		dst = append(dst, `,"sources":[`...)
 		for i, src := range rec.Sources {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendString(dst, src)
+			dst = codec.AppendStringHTML(dst, src)
 		}
 		dst = append(dst, ']')
 	}
 	if rec.Label != "" {
 		dst = append(dst, `,"label":`...)
-		dst = appendString(dst, rec.Label)
+		dst = codec.AppendStringHTML(dst, rec.Label)
 	}
 	if rec.Probability != 0 {
 		dst = append(dst, `,"probability":`...)
@@ -116,41 +116,6 @@ func appendRecord(dst []byte, rec *Record) []byte {
 		dst = append(dst, `,"accepted":true`...)
 	}
 	return append(dst, '}', '\n')
-}
-
-// appendString is codec.AppendString plus the three escapes json.Encoder
-// applies by default and AppendString (the wire encoder, which has
-// EscapeHTML off) does not: <, > and & become \u003c, \u003e and \u0026.
-// AppendString emits those bytes only where the value holds them, so the
-// appended region is rewritten in place, back to front.
-func appendString(dst []byte, s string) []byte {
-	start := len(dst)
-	dst = codec.AppendString(dst, s)
-	n := 0
-	for _, c := range dst[start:] {
-		if c == '<' || c == '>' || c == '&' {
-			n++
-		}
-	}
-	if n == 0 {
-		return dst
-	}
-	r := len(dst) - 1 // next byte to read
-	dst = append(dst, make([]byte, 5*n)...)
-	for w := len(dst) - 1; r >= start; r-- { // w: next byte to write
-		switch c := dst[r]; c {
-		case '<':
-			w -= copy(dst[w-5:], `\u003c`)
-		case '>':
-			w -= copy(dst[w-5:], `\u003e`)
-		case '&':
-			w -= copy(dst[w-5:], `\u0026`)
-		default:
-			dst[w] = c
-			w--
-		}
-	}
-	return dst
 }
 
 // maxLineBytes is the longest line ReadRecords accepts.

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+
+	"corrfuse/internal/codec"
 )
 
 // TruncatedError is returned by ReadFrom when the requested position
@@ -144,6 +146,7 @@ func shipLines(path string, next *uint64, limit uint64, maxBytes int64, buf *byt
 	defer f.Close()
 	sc := newLineScanner("ship "+path, f, *next)
 	sc.skipBelow = true // the range may start mid-segment
+	sc.verify = true    // lines ship verbatim: only their Seq is read
 	for *next <= limit {
 		raw, _, _, why := sc.scan()
 		if why == scanEOF || why == scanTorn {
@@ -180,8 +183,7 @@ func (w *WAL) AppendShipped(raw []byte) (uint64, error) {
 	if len(bytes.TrimSpace(raw)) == 0 {
 		return 0, errors.New("wal: shipped line is blank: rejecting corrupt shipment")
 	}
-	var env envelope
-	rec, err := decodeLine(raw, &env)
+	seq, err := decodeLine(raw, nil, nil)
 	if err != nil {
 		return 0, fmt.Errorf("wal: shipped line: %w", err)
 	}
@@ -190,22 +192,23 @@ func (w *WAL) AppendShipped(raw []byte) (uint64, error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
-	if rec.Seq != w.seq+1 {
-		return 0, fmt.Errorf("wal: shipped record seq %d does not continue the log at %d", rec.Seq, w.seq+1)
+	if seq != w.seq+1 {
+		return 0, fmt.Errorf("wal: shipped record seq %d does not continue the log at %d", seq, w.seq+1)
 	}
 	if w.segBytes >= w.opts.SegmentBytes && w.seq >= w.segFirst {
 		if err := w.rotate(); err != nil {
 			return 0, err
 		}
 	}
-	line := make([]byte, 0, len(raw)+1)
-	line = append(append(line, raw...), '\n')
-	if _, err := w.bw.Write(line); err != nil {
+	if _, err := w.bw.Write(raw); err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	w.seq = rec.Seq
-	w.segBytes += int64(len(line))
-	return rec.Seq, nil
+	if err := w.bw.WriteByte('\n'); err != nil {
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	w.seq = seq
+	w.segBytes += int64(len(raw)) + 1
+	return seq, nil
 }
 
 // SplitShipment splits a Shipment's Lines back into individual raw lines
@@ -215,6 +218,7 @@ func (w *WAL) AppendShipped(raw []byte) (uint64, error) {
 // line anywhere in a shipment is corruption and rejects the whole batch.
 func SplitShipment(lines []byte, first uint64) (raws [][]byte, recs []Record, err error) {
 	sc := newLineScanner("shipment", bytes.NewReader(lines), first)
+	sc.in = new(codec.Interner)
 	for {
 		raw, rec, _, why := sc.scan()
 		if why == scanEOF {
@@ -223,7 +227,7 @@ func SplitShipment(lines []byte, first uint64) (raws [][]byte, recs []Record, er
 		if why != scanRecord {
 			return nil, nil, sc.err // scanTorn: the transfer was truncated mid-line
 		}
-		raws = append(raws, raw)
+		raws = append(raws, append([]byte(nil), raw...)) // raw is valid only until the next scan
 		recs = append(recs, rec)
 	}
 }

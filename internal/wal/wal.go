@@ -4,6 +4,18 @@
 // monotone sequence number before the acknowledgment is sent, so a crash
 // between two snapshot saves loses nothing that was acknowledged.
 //
+// Each record is one line:
+//
+//	{"crc":1779265981,"rec":{"seq":42,"source":"s1","subject":"x","predicate":"p","object":"o","label":"true"}}
+//
+// "rec" is the Record as json.Marshal writes it (label omitted when empty,
+// <, > and & escaped as \u003c, \u003e and \u0026), and "crc" is the IEEE
+// CRC32 of exactly those bytes, from the opening brace of "rec" to its
+// closing brace; the envelope around them is not covered. The newline ends
+// the line, so a line without one is torn. The hand-rolled codec in line.go
+// writes these bytes and reads them with encoding/json's rules, so logs
+// written before it replaced encoding/json replay unchanged.
+//
 // Durability is group-committed: concurrent writers append to a shared
 // buffer under a short mutex and then wait on a commit ticket; a single
 // syncer goroutine flushes and fsyncs once for every batch of waiters and
@@ -23,10 +35,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -37,6 +47,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"corrfuse/internal/codec"
 )
 
 // Sync policies. Always is the durable default: Commit returns only after
@@ -69,14 +81,6 @@ type Record struct {
 	Predicate string `json:"predicate"`
 	Object    string `json:"object"`
 	Label     string `json:"label,omitempty"`
-}
-
-// envelope is the on-disk line: the marshaled record plus an IEEE CRC32
-// over its exact bytes, so a torn or bit-flipped line never replays as a
-// plausible observation.
-type envelope struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
 }
 
 // Options configures a WAL. The zero value means SyncAlways, a 4 MiB
@@ -158,6 +162,7 @@ type WAL struct {
 	segBytes int64
 	segs     []segment // closed segments, ascending
 	closed   bool
+	scratch  []byte // Append's encoded record and line
 
 	// dmu guards the durability state commit waiters block on.
 	dmu       sync.Mutex
@@ -239,14 +244,20 @@ func Open(dir string, opts Options) (*WAL, []Record, error) {
 	}
 	sort.Strings(paths) // zero-padded first-seq names sort chronologically
 
-	var records []Record
+	var (
+		records []Record
+		in      codec.Interner // one table for the whole replay
+	)
 	next := uint64(0) // expected seq of the next record; 0 = any (first retained)
 	for i, path := range paths {
 		last := i == len(paths)-1
-		recs, good, size, err := readSegment(path, next, last)
+		before := len(records)
+		var good, size int64
+		records, good, size, err = readSegment(path, next, last, &in, records)
 		if err != nil {
 			return nil, nil, err
 		}
+		recs := records[before:]
 		if last && good < size {
 			// Torn tail: trim the file to the last good record boundary so
 			// a future replay never walks past garbage.
@@ -277,7 +288,6 @@ func Open(dir string, opts Options) (*WAL, []Record, error) {
 			sg.first, sg.last = first, first-1
 		}
 		w.segs = append(w.segs, sg)
-		records = append(records, recs...)
 	}
 	if next > 0 {
 		w.seq = next - 1
@@ -347,14 +357,18 @@ const (
 type lineScanner struct {
 	what string // names the source in errors: a segment path or "shipment"
 	br   *bufio.Reader
+	long []byte // a line longer than br's buffer, gathered
 	// next is the sequence number the next record must carry, advanced past
 	// every yielded record; 0 accepts any.
 	next uint64
 	// skipBelow makes records sequenced below next skipped instead of out of
 	// sequence (shipping starts mid-segment).
 	skipBelow bool
+	// in interns the decoded records' strings. With verify set, scan checks
+	// each line without building its record and yields just the Seq.
+	in     *codec.Interner
+	verify bool
 
-	env  envelope
 	line int   // 1-based number of the last line read
 	err  error // the loud error for the last stop, for callers that do not forgive it
 }
@@ -363,12 +377,29 @@ func newLineScanner(what string, r io.Reader, next uint64) *lineScanner {
 	return &lineScanner{what: what, br: bufio.NewReaderSize(r, 64<<10), next: next}
 }
 
-// scan yields the next record — its line without the terminator, the decoded
-// record, the line's length in the source — or stops at a line of length
-// lineLen for the reason it returns, leaving the error for it in sc.err.
+// readLine returns the next line with its terminator, or what is left of
+// the source before io.EOF, as bufio.Reader.ReadBytes does — but without
+// its copy: the line is valid until the next call.
+func (sc *lineScanner) readLine() ([]byte, error) {
+	b, err := sc.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return b, err
+	}
+	sc.long = append(sc.long[:0], b...)
+	for err == bufio.ErrBufferFull {
+		b, err = sc.br.ReadSlice('\n')
+		sc.long = append(sc.long, b...)
+	}
+	return sc.long, err
+}
+
+// scan yields the next record — its line without the terminator (valid as
+// readLine's), the decoded record, the line's length in the source — or
+// stops at a line of length lineLen for the reason it returns, leaving the
+// error for it in sc.err.
 func (sc *lineScanner) scan() (raw []byte, rec Record, lineLen int64, why scanStop) {
 	for {
-		b, err := sc.br.ReadBytes('\n')
+		b, err := sc.readLine()
 		lineLen = int64(len(b))
 		switch {
 		case err == io.EOF && len(b) == 0:
@@ -386,7 +417,11 @@ func (sc *lineScanner) scan() (raw []byte, rec Record, lineLen int64, why scanSt
 			sc.err = fmt.Errorf("wal: %s line %d: blank line (corruption, not a torn tail)", sc.what, sc.line)
 			return nil, rec, lineLen, scanBlank
 		}
-		if rec, err = decodeLine(raw, &sc.env); err != nil {
+		dst := &rec
+		if sc.verify {
+			dst = nil
+		}
+		if rec.Seq, err = decodeLine(raw, sc.in, dst); err != nil {
 			sc.err = fmt.Errorf("wal: %s line %d: %w", sc.what, sc.line, err)
 			return nil, rec, lineLen, scanBad
 		}
@@ -402,17 +437,18 @@ func (sc *lineScanner) scan() (raw []byte, rec Record, lineLen int64, why scanSt
 	}
 }
 
-// readSegment replays one segment file. next is the expected sequence
-// number of its first record (0 = accept any); last marks the final
-// segment, whose tail may be torn. It returns the records, the byte offset
-// just past the last good record, and the file size.
+// readSegment replays one segment file, appending its records to recs and
+// interning their strings through in. next is the expected sequence number
+// of its first record (0 = accept any); last marks the final segment, whose
+// tail may be torn. It returns the extended recs, the byte offset just past
+// the segment's last good record, and the file size.
 //
 // Only the last segment forgives anything: a torn or undecodable tail is a
 // crash mid-append (everything after the tear was written later and is
 // equally suspect), and a blank line is trimmed like any other tear when —
 // and only when — it IS the file's final content. Everywhere else each stop
 // fails loudly.
-func readSegment(path string, next uint64, last bool) (recs []Record, good, size int64, err error) {
+func readSegment(path string, next uint64, last bool, in *codec.Interner, recs []Record) (_ []Record, good, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("wal: %w", err)
@@ -424,6 +460,7 @@ func readSegment(path string, next uint64, last bool) (recs []Record, good, size
 	}
 	size = fi.Size()
 	sc := newLineScanner(path, f, next)
+	sc.in = in
 	for {
 		_, rec, lineLen, why := sc.scan()
 		if why != scanRecord {
@@ -436,24 +473,6 @@ func readSegment(path string, next uint64, last bool) (recs []Record, good, size
 		recs = append(recs, rec)
 		good += lineLen
 	}
-}
-
-// decodeLine parses and verifies one JSONL envelope.
-func decodeLine(raw []byte, env *envelope) (Record, error) {
-	if err := json.Unmarshal(raw, env); err != nil {
-		return Record{}, fmt.Errorf("parse: %w", err)
-	}
-	if crc32.ChecksumIEEE(env.Rec) != env.CRC {
-		return Record{}, errors.New("crc mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal(env.Rec, &rec); err != nil {
-		return Record{}, fmt.Errorf("record: %w", err)
-	}
-	if rec.Seq == 0 {
-		return Record{}, errors.New("record without sequence number")
-	}
-	return rec, nil
 }
 
 // segmentPath names a segment by the first sequence number it will hold.
@@ -584,17 +603,11 @@ func (w *WAL) Append(r Record) (uint64, error) {
 	}
 	w.seq++
 	r.Seq = w.seq
-	rec, err := json.Marshal(r)
-	if err != nil {
-		w.seq--
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	line, err := json.Marshal(envelope{CRC: crc32.ChecksumIEEE(rec), Rec: rec})
-	if err != nil {
-		w.seq--
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	line = append(line, '\n')
+	// The record's bytes, then its line, in one reused buffer.
+	w.scratch = appendRecord(w.scratch[:0], &r)
+	n := len(w.scratch)
+	w.scratch = appendLine(w.scratch, w.scratch[:n])
+	line := w.scratch[n:]
 	if _, err := w.bw.Write(line); err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
