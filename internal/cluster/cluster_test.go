@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"corrfuse/internal/dataset"
@@ -110,6 +111,41 @@ func TestIndependentSourcesStaySingleton(t *testing.T) {
 		if len(c) > 1 {
 			t.Errorf("independent sources clustered together: %v", c)
 		}
+	}
+}
+
+// TestClusterFindsBothCorrelationSides: one group shares its true triples
+// only (sources that copy each other's facts), one shares its false triples
+// only (the paper's shared extraction rule: one rule, the same mistakes),
+// and two sources are independent. Cluster must return exactly the two
+// groups and two singletons, so it scores both sides of a pair: without the
+// true-side z-score the first group is lost, without the false-side one the
+// second.
+func TestClusterFindsBothCorrelationSides(t *testing.T) {
+	spec := dataset.SyntheticSpec{
+		NumTrue: 400, NumFalse: 400, Seed: 8,
+		Sources: []dataset.SourceSpec{
+			{Precision: 0.7, Recall: 0.5}, {Precision: 0.7, Recall: 0.5}, {Precision: 0.7, Recall: 0.5},
+			{Precision: 0.6, Recall: 0.5}, {Precision: 0.6, Recall: 0.5},
+			{Precision: 0.7, Recall: 0.5}, {Precision: 0.7, Recall: 0.5},
+		},
+		Groups: []dataset.GroupSpec{
+			{Members: []int{0, 1, 2}, OnTrue: true, Strength: 0.9},
+			{Members: []int{3, 4}, OnTrue: false, Strength: 0.9},
+		},
+	}
+	d, err := dataset.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := quality.NewEstimator(d, quality.Options{Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Cluster(est, Options{})
+	want := [][]triple.SourceID{{0, 1, 2}, {3, 4}, {5}, {6}}
+	if !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("clusters = %v, want %v", got, want)
 	}
 }
 

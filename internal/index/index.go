@@ -21,7 +21,6 @@ package index
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 
 	"corrfuse/internal/triple"
@@ -74,70 +73,140 @@ func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, versio
 	if n > len(provided) {
 		n = len(provided) // defensive: never read past the tables
 	}
-	// One global ranking with a total, data-only tie-break: identical data
-	// always produces identical order, independent of input order or of
-	// sort-internal permutations. The sort moves 16-byte keys, not
-	// entries, and compares triple keys without building them; equal keys
-	// (distinct triples whose fields join to the same string) keep ID
-	// order, so the result is a stable sort's.
-	type rankKey struct {
-		p  float64
-		id int32
-	}
-	keys := make([]rankKey, 0, n)
-	for i := 0; i < n; i++ {
-		if provided[i] {
-			keys = append(keys, rankKey{probs[i], int32(i)})
+	// One global ranking with a total, data-only tie-break — descending
+	// probability, then triple key, then ID — so identical data always
+	// produces identical order, independent of input order.
+	ids := Rank(probs[:n], provided[:n])
+	sortTies(d, probs, ids)
+
+	// Counting pass: every entry's source names are cut from one backing
+	// array, and the per-subject and per-source slices from two more, each
+	// at its exact size.
+	numSources := d.NumSources()
+	srcCount := make([]int, numSources)
+	subjSlot := make(map[string]int32)
+	var subjNames []string
+	var subjCount []int
+	slots := make([]int32, len(ids))
+	names := 0
+	for i, id := range ids {
+		tr := d.Triple(triple.TripleID(id))
+		slot, ok := subjSlot[tr.Subject]
+		if !ok {
+			slot = int32(len(subjNames))
+			subjSlot[tr.Subject] = slot
+			subjNames = append(subjNames, tr.Subject)
+			subjCount = append(subjCount, 0)
+		}
+		slots[i] = slot
+		subjCount[slot]++
+		for _, s := range d.Providers(triple.TripleID(id)) {
+			srcCount[s]++
+			names++
 		}
 	}
-	slices.SortFunc(keys, func(a, b rankKey) int {
-		switch {
-		case a.p > b.p:
-			return -1
-		case a.p < b.p:
-			return 1
-		}
-		if c := compareKeys(d.Triple(triple.TripleID(a.id)), d.Triple(triple.TripleID(b.id))); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	subjLists := cutLists(subjCount, len(ids))
+	srcLists := cutLists(srcCount, names)
+
 	idx := &Index{
-		version:   version,
-		probs:     probs,
-		accepted:  accepted,
-		provided:  provided,
-		entries:   make([]Entry, len(keys)),
-		bySubject: make(map[string][]*Entry),
-		bySource:  make(map[string][]*Entry),
+		version:  version,
+		probs:    probs,
+		accepted: accepted,
+		provided: provided,
+		entries:  make([]Entry, len(ids)),
 	}
-	for i, k := range keys {
-		id := triple.TripleID(k.id)
-		e := &idx.entries[i]
-		*e = Entry{Triple: d.Triple(id), Probability: k.p, Accepted: accepted[id], Label: d.Label(id).Gold()}
-		if provs := d.Providers(id); len(provs) > 0 {
-			e.Sources = make([]string, len(provs))
-			for j, s := range provs {
-				e.Sources[j] = d.SourceName(s)
-			}
-			sort.Strings(e.Sources)
-		}
-	}
+	nameBack := make([]string, names)
 	// The per-subject and per-source slices append in global rank order,
 	// so every slice is born ranked — serving never sorts again.
-	for i := range idx.entries {
+	for i, id32 := range ids {
+		id := triple.TripleID(id32)
 		e := &idx.entries[i]
-		idx.bySubject[e.Triple.Subject] = append(idx.bySubject[e.Triple.Subject], e)
-		for _, src := range e.Sources {
-			idx.bySource[src] = append(idx.bySource[src], e)
+		*e = Entry{Triple: d.Triple(id), Probability: probs[id], Accepted: accepted[id], Label: d.Label(id).Gold()}
+		if provs := d.Providers(id); len(provs) > 0 {
+			e.Sources = nameBack[:len(provs):len(provs)]
+			nameBack = nameBack[len(provs):]
+			for j, s := range provs {
+				e.Sources[j] = d.SourceName(s)
+				srcLists[s] = append(srcLists[s], e)
+			}
+			slices.Sort(e.Sources)
+		}
+		subjLists[slots[i]] = append(subjLists[slots[i]], e)
+	}
+	idx.bySubject = make(map[string][]*Entry, len(subjNames))
+	for slot, name := range subjNames {
+		idx.bySubject[name] = subjLists[slot]
+	}
+	idx.bySource = make(map[string][]*Entry, numSources)
+	for s, list := range srcLists {
+		if len(list) > 0 {
+			idx.bySource[d.SourceName(triple.SourceID(s))] = list
 		}
 	}
 	return idx
 }
 
+// cutLists cuts one empty slice per count from one backing array of the
+// counts' total, each with capacity exactly its count.
+func cutLists(counts []int, total int) [][]*Entry {
+	back := make([]*Entry, total)
+	lists := make([][]*Entry, len(counts))
+	for i, c := range counts {
+		lists[i], back = back[:0:c], back[c:]
+	}
+	return lists
+}
+
+// sortTies sorts each run of equal probability in ids, which Rank left in
+// ascending ID order, by triple key. The run's triples are copied once into
+// a scratch slice and a permutation of it is sorted, so no comparison copies
+// a Triple; equal keys (distinct triples whose fields join to the same
+// string) keep ID order, so the result is a stable sort's.
+func sortTies(d *triple.Dataset, probs []float64, ids []int32) {
+	// runEnd returns the end of the run that starts at lo.
+	runEnd := func(lo int) int {
+		key, hi := rankBits(probs[ids[lo]]), lo+1
+		for hi < len(ids) && rankBits(probs[ids[hi]]) == key {
+			hi++
+		}
+		return hi
+	}
+	longest := 0
+	for lo, hi := 0, 0; lo < len(ids); lo = hi {
+		hi = runEnd(lo)
+		longest = max(longest, hi-lo)
+	}
+	if longest < 2 {
+		return
+	}
+	run := make([]triple.Triple, longest)
+	perm := make([]int32, longest)
+	for lo, hi := 0, 0; lo < len(ids); lo = hi {
+		hi = runEnd(lo)
+		if hi-lo < 2 {
+			continue
+		}
+		run, perm := run[:hi-lo], perm[:hi-lo]
+		for i, id := range ids[lo:hi] {
+			run[i] = d.Triple(triple.TripleID(id))
+			perm[i] = int32(i)
+		}
+		slices.SortFunc(perm, func(a, b int32) int {
+			if c := compareKeys(&run[a], &run[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		for i, j := range perm {
+			perm[i] = ids[lo+int(j)]
+		}
+		copy(ids[lo:hi], perm)
+	}
+}
+
 // compareKeys compares a.Key() with b.Key() — the fields joined by 0x1f —
 // byte for byte as the strings would compare, without building them.
-func compareKeys(a, b triple.Triple) int {
+func compareKeys(a, b *triple.Triple) int {
 	as := [...]string{a.Subject, sep, a.Predicate, sep, a.Object}
 	bs := [...]string{b.Subject, sep, b.Predicate, sep, b.Object}
 	i, j := 0, 0

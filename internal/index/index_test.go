@@ -1,9 +1,11 @@
 package index_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -297,12 +299,70 @@ func refBuildOrder(d *triple.Dataset, probs []float64, provided []bool) []triple
 	return out
 }
 
-// TestBuildRankingEqualsStableSort: Build ranks == the stable sort on built
-// keys where almost every probability is tied and the fields hold what
-// makes a joined key compare unlike its parts — bytes below and at the 0x1f
-// separator, empty fields, subjects that are prefixes of other subjects, and
-// distinct triples whose keys are one string — and every entry carries its
-// own triple's provenance, label and decision.
+// checkBuildOrder builds an Index over the tables and asserts that Ranked,
+// every Subject listing and every Source listing equal, entry by entry with
+// ==, the reference order refBuildOrder gives (filtered to the subject or
+// source), that every listed entry is the Ranked entry of its triple, and
+// that every entry carries its own triple's provenance, label and decision.
+func checkBuildOrder(t *testing.T, d *triple.Dataset, probs []float64, provided, accepted []bool) {
+	t.Helper()
+	idx := index.Build(d, probs, provided, accepted, 1)
+	want := refBuildOrder(d, probs, provided)
+	got := idx.Ranked()
+	if len(got) != len(want) {
+		t.Fatalf("%d entries, reference %d", len(got), len(want))
+	}
+	rank := make(map[triple.Triple]*index.Entry, len(got))
+	wantSubject := make(map[string][]triple.Triple)
+	wantSource := make(map[string][]triple.Triple)
+	for i := range got {
+		e := &got[i]
+		if e.Triple != want[i] {
+			t.Fatalf("rank %d: %q, reference %q", i, e.Triple, want[i])
+		}
+		id, _ := d.TripleID(e.Triple)
+		sources := make([]string, 0, len(d.Providers(id)))
+		for _, s := range d.Providers(id) {
+			sources = append(sources, d.SourceName(s))
+			wantSource[d.SourceName(s)] = append(wantSource[d.SourceName(s)], e.Triple)
+		}
+		sort.Strings(sources)
+		if e.Probability != probs[id] || e.Accepted != accepted[id] || e.Label != d.Label(id).Gold() || !slices.Equal(e.Sources, sources) {
+			t.Fatalf("rank %d (%q): entry %+v does not describe triple %d", i, e.Triple, e, id)
+		}
+		rank[e.Triple] = e
+		wantSubject[e.Triple.Subject] = append(wantSubject[e.Triple.Subject], e.Triple)
+	}
+	checkListing := func(kind, name string, got []*index.Entry, want []triple.Triple) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s %q: %d entries, reference %d", kind, name, len(got), len(want))
+		}
+		for i, e := range got {
+			if e.Triple != want[i] || e != rank[want[i]] {
+				t.Fatalf("%s %q rank %d: %q, reference %q", kind, name, i, e.Triple, want[i])
+			}
+		}
+	}
+	for sub, w := range wantSubject {
+		checkListing("subject", sub, idx.Subject(sub), w)
+	}
+	if idx.Subjects() != len(wantSubject) {
+		t.Fatalf("%d subjects indexed, reference %d", idx.Subjects(), len(wantSubject))
+	}
+	for _, src := range d.Sources() {
+		checkListing("source", src.Name, idx.Source(src.Name), wantSource[src.Name])
+	}
+}
+
+// TestBuildRankingEqualsStableSort: Build's ranking and every subject and
+// source listing == the stable sort on built keys, where almost every
+// probability is tied — 0 and −0 (which rank as one value), and a run of
+// more than 1 000 triples at 0.5 — and the fields hold what makes a joined
+// key compare unlike its parts: bytes below and at the 0x1f separator, empty
+// fields, subjects that are prefixes of other subjects, and distinct triples
+// whose keys are one string. NaN stays out: the reference comparator gives
+// it no place in the order.
 func TestBuildRankingEqualsStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parts := []string{"", "a", "ab", "a\x1f", "a\x1fb", "\x00", "a\x00", "b", "\x1e", "\x1f", "a\x1e", "ab\x1f", "é"}
@@ -314,8 +374,10 @@ func TestBuildRankingEqualsStableSort(t *testing.T) {
 			Predicate: parts[rng.Intn(len(parts))],
 			Object:    parts[rng.Intn(len(parts))],
 		}
-		if rng.Intn(6) > 0 {
-			d.Observe(src[rng.Intn(len(src))], tr)
+		for _, s := range src {
+			if rng.Intn(3) == 0 {
+				d.Observe(s, tr)
+			}
 		}
 		if rng.Intn(2) == 0 {
 			d.SetLabel(tr, triple.True)
@@ -323,11 +385,21 @@ func TestBuildRankingEqualsStableSort(t *testing.T) {
 	}
 	n := d.NumTriples()
 	probs, provided, accepted := make([]float64, n), make([]bool, n), make([]bool, n)
-	levels := []float64{0, 0.25, 0.5, 1}
+	levels := []float64{0, math.Copysign(0, -1), 0.25, 1}
+	tied := 0
 	for i := range probs {
 		provided[i] = len(d.Providers(triple.TripleID(i))) > 0
 		probs[i] = levels[rng.Intn(len(levels))]
+		if i%2 == 0 {
+			probs[i] = 0.5
+			if provided[i] {
+				tied++
+			}
+		}
 		accepted[i] = probs[i] > 0.5
+	}
+	if tied <= 1000 {
+		t.Fatalf("only %d provided triples at 0.5: the data no longer has a run of more than 1 000", tied)
 	}
 	keys := make(map[string]int)
 	collisions := 0
@@ -341,19 +413,82 @@ func TestBuildRankingEqualsStableSort(t *testing.T) {
 	if collisions == 0 {
 		t.Fatal("no two provided triples share a key: the data no longer tests the ID tie-break")
 	}
-	idx := index.Build(d, probs, provided, accepted, 1)
-	want := refBuildOrder(d, probs, provided)
-	got := idx.Ranked()
-	if len(got) != len(want) {
-		t.Fatalf("%d entries, reference %d", len(got), len(want))
+	checkBuildOrder(t, d, probs, provided, accepted)
+}
+
+// fuzzLevels are the probabilities FuzzBuildRanking draws from: few, so
+// ties are common, and the ends of the order (±0, negative, subnormal, 1,
+// ±Inf) are reached. NaN is left out, as in TestBuildRankingEqualsStableSort.
+var fuzzLevels = []float64{0, math.Copysign(0, -1), 5e-324, 0.25, math.Nextafter(0.5, 0), 0.5, 1, -0.5, math.Inf(1), math.Inf(-1)}
+
+// FuzzBuildRanking: on fuzzer-chosen field bytes, provenance and
+// probabilities, Build's ranking and listings equal refBuildOrder's. The
+// fields are the 0xff-separated pieces of the first input, three to a
+// triple; each byte of the second gives its triple's probability level, its
+// providers and its label.
+func FuzzBuildRanking(f *testing.F) {
+	f.Add([]byte("a\xffp\xffo\xffa\x1f\xff\xffo\xffa\xff\x1fp\xffo"), []byte{0x10, 0x21, 0x32})
+	f.Add([]byte("\xff\xff\xffab\xff\xff\xffa\xffb\xff"), []byte{0x01, 0x41, 0x81})
+	f.Fuzz(func(t *testing.T, fields, meta []byte) {
+		pieces := bytes.Split(fields, []byte{0xff})
+		d := triple.NewDataset()
+		src := []triple.SourceID{d.AddSource("x"), d.AddSource("y"), d.AddSource("z")}
+		var levels []float64
+		for i := 0; i+2 < len(pieces) && i/3 < len(meta); i += 3 {
+			tr := triple.Triple{Subject: string(pieces[i]), Predicate: string(pieces[i+1]), Object: string(pieces[i+2])}
+			b := meta[i/3]
+			id := d.SetLabel(tr, triple.Label(b>>6%3))
+			for j, s := range src {
+				if b>>(4+j)&1 != 0 {
+					d.Observe(s, tr)
+				}
+			}
+			if int(id) == len(levels) {
+				levels = append(levels, 0)
+			}
+			levels[id] = fuzzLevels[int(b&0x0f)%len(fuzzLevels)]
+		}
+		n := d.NumTriples()
+		provided, accepted := make([]bool, n), make([]bool, n)
+		for i := range provided {
+			provided[i] = len(d.Providers(triple.TripleID(i))) > 0
+			accepted[i] = levels[i] > 0.5
+		}
+		checkBuildOrder(t, d, levels, provided, accepted)
+	})
+}
+
+// TestBuildAllocationsIndependentOfEntries: Build allocates per subject,
+// per source and per distinct structure, never per entry: a fixture and the
+// same fixture with four times the triples per subject (same subjects, same
+// sources, the same probability levels) cost the same number of allocations.
+func TestBuildAllocationsIndependentOfEntries(t *testing.T) {
+	fixture := func(perSubject int) (d *triple.Dataset, probs []float64, provided, accepted []bool) {
+		rng := rand.New(rand.NewSource(5))
+		d = triple.NewDataset()
+		src := []triple.SourceID{d.AddSource("x"), d.AddSource("y"), d.AddSource("z"), d.AddSource("w")}
+		for s := 0; s < 40; s++ {
+			for k := 0; k < perSubject; k++ {
+				tr := triple.Triple{Subject: fmt.Sprintf("s%d", s), Predicate: "p", Object: fmt.Sprintf("o%d", k)}
+				d.Observe(src[k%len(src)], tr)
+				d.Observe(src[(k+1+rng.Intn(3))%len(src)], tr)
+			}
+		}
+		n := d.NumTriples()
+		probs, provided, accepted = make([]float64, n), make([]bool, n), make([]bool, n)
+		for i := range probs {
+			probs[i] = float64(rng.Intn(8)) / 8
+			provided[i] = true
+			accepted[i] = probs[i] > 0.5
+		}
+		return d, probs, provided, accepted
 	}
-	for i, e := range got {
-		if e.Triple != want[i] {
-			t.Fatalf("rank %d: %q, reference %q", i, e.Triple, want[i])
-		}
-		id, _ := d.TripleID(e.Triple)
-		if e.Probability != probs[id] || e.Accepted != accepted[id] || e.Label != d.Label(id).Gold() || len(e.Sources) != len(d.Providers(id)) {
-			t.Fatalf("rank %d (%q): entry %+v does not describe triple %d", i, e.Triple, e, id)
-		}
+	allocs := func(perSubject int) float64 {
+		d, probs, provided, accepted := fixture(perSubject)
+		return testing.AllocsPerRun(5, func() { index.Build(d, probs, provided, accepted, 1) })
+	}
+	small, large := allocs(25), allocs(100)
+	if small != large {
+		t.Fatalf("Build made %v allocations on 1 000 triples and %v on 4 000 over the same subjects and sources: something is allocated per entry", small, large)
 	}
 }

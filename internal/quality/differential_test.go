@@ -1,6 +1,8 @@
 package quality
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"corrfuse/internal/dataset"
@@ -269,6 +271,100 @@ func TestSinglesPopcountEqualsScan(t *testing.T) {
 						if e.prec[s] != prec[s] || e.rec[s] != rec[s] || e.fpr[s] != fpr[s] {
 							t.Fatalf("dataset %d scope %d smoothing %v train %d source %d: (p, r, q) = (%v, %v, %v), scan (%v, %v, %v)",
 								di, si, smoothing, ti, s, e.prec[s], e.rec[s], e.fpr[s], prec[s], rec[s], fpr[s])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPairCountsAllocatesNothing: PairCounts is one pass over two provider
+// bitsets and makes no allocation, so clustering n sources costs n(n−1)/2
+// passes and no garbage.
+func TestPairCountsAllocatesNothing(t *testing.T) {
+	d, err := dataset.SimulatedReVerb(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEstimator(d, Options{Alpha: 0.26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.PairCounts(0, 1) }); n != 0 {
+		t.Fatalf("PairCounts made %v allocations, want 0", n)
+	}
+}
+
+// everyScope holds every source accountable for every triple, as
+// triple.ScopeGlobal does, but is not ScopeGlobal, so the estimator builds
+// one scope bitset per source from InScope.
+type everyScope struct{}
+
+func (everyScope) InScope(*triple.Dataset, triple.SourceID, triple.TripleID) bool { return true }
+
+// TestGlobalScopeEqualsEveryScope: the one scope bitset global scope shares
+// across sources gives == the statistics of per-source bitsets that put
+// every source in scope: single rates, pair counts, joint recall and FPR on
+// random subsets, and the joint tables, with and without smoothing and a
+// training subset.
+func TestGlobalScopeEqualsEveryScope(t *testing.T) {
+	rng := stat.NewRNG(47)
+	for di, d := range tableDatasets(t) {
+		var half []triple.TripleID
+		for i, id := range d.Labeled() {
+			if i%2 == 1 {
+				half = append(half, id)
+			}
+		}
+		for _, smoothing := range []float64{0, 0.5} {
+			for ti, train := range [][]triple.TripleID{nil, half} {
+				opts := Options{Alpha: 0.4, Smoothing: smoothing, MinJointSupport: 2, Train: train}
+				global, err := NewEstimator(d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Scope = everyScope{}
+				every, err := NewEstimator(d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("dataset %d smoothing %v train %d", di, smoothing, ti)
+				n := d.NumSources()
+				for s := 0; s < n; s++ {
+					sid := triple.SourceID(s)
+					if global.Recall(sid) != every.Recall(sid) || global.FPR(sid) != every.FPR(sid) || global.Precision(sid) != every.Precision(sid) {
+						t.Fatalf("%s source %d: global (p, r, q) = (%v, %v, %v), every-source scope (%v, %v, %v)", name, s,
+							global.Precision(sid), global.Recall(sid), global.FPR(sid), every.Precision(sid), every.Recall(sid), every.FPR(sid))
+					}
+					for b := s + 1; b < n; b++ {
+						g0, g1, g2, g3, g4, g5, g6, g7 := global.PairCounts(sid, triple.SourceID(b))
+						e0, e1, e2, e3, e4, e5, e6, e7 := every.PairCounts(sid, triple.SourceID(b))
+						if [8]int{g0, g1, g2, g3, g4, g5, g6, g7} != [8]int{e0, e1, e2, e3, e4, e5, e6, e7} {
+							t.Fatalf("%s PairCounts(%d, %d) differ", name, s, b)
+						}
+					}
+				}
+				for k := 0; k < 30; k++ {
+					size := 2 + rng.Intn(n-1)
+					subset := make([]triple.SourceID, size)
+					for i, v := range rng.SampleWithoutReplacement(n, size) {
+						subset[i] = triple.SourceID(v)
+					}
+					gr, grOK := global.JointRecall(subset)
+					er, erOK := every.JointRecall(subset)
+					gq, gqOK := global.JointFPR(subset)
+					eq, eqOK := every.JointFPR(subset)
+					if gr != er || grOK != erOK || gq != eq || gqOK != eqOK {
+						t.Fatalf("%s subset %v: global (r, q) = (%v %v, %v %v), every-source scope (%v %v, %v %v)",
+							name, subset, gr, grOK, gq, gqOK, er, erOK, eq, eqOK)
+					}
+				}
+				for _, clusters := range tableClusterings {
+					gt, et := JointTables(global, clusters), JointTables(every, clusters)
+					for ci := range gt {
+						if !slices.Equal(gt[ci].R, et[ci].R) || !slices.Equal(gt[ci].Q, et[ci].Q) {
+							t.Fatalf("%s cluster %v: tables differ", name, clusters[ci])
 						}
 					}
 				}

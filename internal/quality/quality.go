@@ -89,10 +89,18 @@ type Estimator struct {
 	// provLab[s] is a bitset over positions of e.labelled marking the
 	// labeled triples source s provides; scopeLab[s] marks the labeled
 	// triples in s's scope; labTrue marks the true ones. They make joint
-	// statistics O(sources · labeled/64) per subset.
+	// statistics O(sources · labeled/64) per subset. Under global scope every
+	// scopeLab[s] is one shared bitset; none of them is ever written after
+	// buildBitsets.
 	provLab  [][]uint64
 	scopeLab [][]uint64
 	labTrue  []uint64
+
+	// provAll[s] and provTrue[s] count the labeled triples source s
+	// provides, and the true ones among them, regardless of scope: the
+	// per-source half of PairCounts, counted once.
+	provAll  []int
+	provTrue []int
 
 	jointRec  map[string]jointStat
 	jointPrec map[string]jointStat
@@ -161,17 +169,32 @@ func checkTrain(d *triple.Dataset, train []triple.TripleID) error {
 }
 
 // buildBitsets indexes provider membership and scope over the labeled
-// triples.
+// triples. Under global scope every source is accountable for every labeled
+// triple, so all sources share one scope bitset.
 func (e *Estimator) buildBitsets() {
 	words := (len(e.labelled) + 63) / 64
+	n := e.d.NumSources()
 	e.labTrue = make([]uint64, words)
-	e.provLab = make([][]uint64, e.d.NumSources())
-	e.scopeLab = make([][]uint64, e.d.NumSources())
+	e.provLab = make([][]uint64, n)
+	e.scopeLab = make([][]uint64, n)
+	prov := make([]uint64, n*words)
 	for s := range e.provLab {
-		e.provLab[s] = make([]uint64, words)
-		e.scopeLab[s] = make([]uint64, words)
+		e.provLab[s] = prov[s*words : (s+1)*words : (s+1)*words]
 	}
 	_, global := e.opts.Scope.(triple.ScopeGlobal)
+	if global {
+		all := make([]uint64, words)
+		for pos := range e.labelled {
+			all[pos/64] |= 1 << uint(pos%64)
+		}
+		for s := range e.scopeLab {
+			e.scopeLab[s] = all
+		}
+	} else {
+		for s := range e.scopeLab {
+			e.scopeLab[s] = make([]uint64, words)
+		}
+	}
 	for pos, id := range e.labelled {
 		w, b := pos/64, uint(pos%64)
 		if e.d.Label(id) == triple.True {
@@ -180,8 +203,11 @@ func (e *Estimator) buildBitsets() {
 		for _, s := range e.d.Providers(id) {
 			e.provLab[s][w] |= 1 << b
 		}
-		for s := 0; s < e.d.NumSources(); s++ {
-			if global || e.opts.Scope.InScope(e.d, triple.SourceID(s), id) {
+		if global {
+			continue
+		}
+		for s := 0; s < n; s++ {
+			if e.opts.Scope.InScope(e.d, triple.SourceID(s), id) {
 				e.scopeLab[s][w] |= 1 << b
 			}
 		}
@@ -229,17 +255,22 @@ func popcountAnd(a, b []uint64) int {
 // computeSingles fills the per-source precision/recall/FPR tables from the
 // bitsets buildBitsets indexed: a source's three counts are popcounts over
 // the labeled triples in its scope — those it provides, those it provides
-// that are true, and the true ones.
+// that are true, and the true ones. The same pass counts what the source
+// provides regardless of scope, for PairCounts.
 func (e *Estimator) computeSingles() {
 	n := e.d.NumSources()
 	e.prec = make([]float64, n)
 	e.rec = make([]float64, n)
 	e.fpr = make([]float64, n)
+	e.provAll = make([]int, n)
+	e.provTrue = make([]int, n)
 	k := e.opts.Smoothing
 	for s := 0; s < n; s++ {
 		prov, scope := e.provLab[s], e.scopeLab[s]
 		var provided, providedTrue, inScopeTrue int
 		for w, sc := range scope {
+			e.provAll[s] += onesCount64(prov[w])
+			e.provTrue[s] += onesCount64(prov[w] & e.labTrue[w])
 			ps := prov[w] & sc
 			provided += onesCount64(ps)
 			providedTrue += onesCount64(ps & e.labTrue[w])
@@ -577,19 +608,25 @@ func AggressiveFactors(p Params, group []triple.SourceID) (cplus, cminus []float
 // PairCounts reports the raw co-provision counts of two sources over the
 // training data: how many true and false labeled triples each provides and
 // both provide, plus the totals. The cluster package uses these to score the
-// statistical significance of a pairwise correlation.
+// statistical significance of a pairwise correlation. It is one pass over
+// the two provider bitsets, O(labeled/64) word operations, and allocates
+// nothing: the per-source counts were taken once by NewEstimator.
 func (e *Estimator) PairCounts(a, b triple.SourceID) (bothTrue, bothFalse, aTrue, aFalse, bTrue, bFalse, totTrue, totFalse int) {
-	inter := make([]uint64, len(e.labTrue))
-	e.intersectProviders([]triple.SourceID{a, b}, inter)
-	both := popcount(inter)
-	bothTrue = popcountAnd(inter, e.labTrue)
+	pa, pb := e.provLab[a], e.provLab[b]
+	pb = pb[:len(pa)]
+	labTrue := e.labTrue[:len(pa)]
+	both := 0
+	for w, x := range pa {
+		x &= pb[w]
+		if x == 0 {
+			continue
+		}
+		both += onesCount64(x)
+		bothTrue += onesCount64(x & labTrue[w])
+	}
 	bothFalse = both - bothTrue
-	aAll := popcount(e.provLab[a])
-	aTrue = popcountAnd(e.provLab[a], e.labTrue)
-	aFalse = aAll - aTrue
-	bAll := popcount(e.provLab[b])
-	bTrue = popcountAnd(e.provLab[b], e.labTrue)
-	bFalse = bAll - bTrue
+	aTrue, aFalse = e.provTrue[a], e.provAll[a]-e.provTrue[a]
+	bTrue, bFalse = e.provTrue[b], e.provAll[b]-e.provTrue[b]
 	totTrue = len(e.trueIDs)
 	totFalse = len(e.labelled) - totTrue
 	return

@@ -1,9 +1,10 @@
 package corrfuse
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
+
+	"corrfuse/internal/index"
 )
 
 // frozen is a model's immutable score index: every provided triple's
@@ -47,20 +48,11 @@ type frozen struct {
 // dataset the tables are dense over.
 func (fr *frozen) rankedResult(d *Dataset) *Result {
 	fr.rankOnce.Do(func() {
-		keys := make([]rankKey, 0, len(fr.provided))
-		for i, ok := range fr.provided {
-			if !ok {
-				continue
-			}
-			keys = append(keys, rankKey{rankBits(fr.probs[i]), int32(i)})
-			if fr.accepted[i] {
+		fr.order = index.Rank(fr.probs, fr.provided)
+		for _, id := range fr.order {
+			if fr.accepted[id] {
 				fr.numAccepted++
 			}
-		}
-		keys = radixSort(keys)
-		fr.order = make([]int32, len(keys))
-		for i, k := range keys {
-			fr.order[i] = k.id
 		}
 	})
 	all := make([]ScoredTriple, len(fr.order))
@@ -73,60 +65,6 @@ func (fr *frozen) rankedResult(d *Dataset) *Result {
 		}
 	}
 	return &Result{All: all, Accepted: acc}
-}
-
-// rankKey is one provided triple in the ranking: rankBits of its
-// probability and its ID.
-type rankKey struct {
-	key uint64
-	id  int32
-}
-
-// rankBits maps a probability to a key that ascends as the probability
-// descends: the complement of its bits, which order as the value does for
-// the non-negative floats. −0 is read as 0.
-func rankBits(p float64) uint64 {
-	if p == 0 {
-		p = 0
-	}
-	return ^math.Float64bits(p)
-}
-
-// radixSort sorts keys ascending by key with a stable LSD radix sort, one
-// pass per byte of the key, and returns the sorted slice (keys or its
-// scratch twin). Stability keeps equal probabilities in input order, which
-// is ascending ID. A byte every key shares would leave the order as it is,
-// so its pass is skipped: far fewer distinct probabilities than triples
-// leave most of the eight bytes shared.
-func radixSort(keys []rankKey) []rankKey {
-	var counts [8][256]int
-	for _, k := range keys {
-		for b := range counts {
-			counts[b][byte(k.key>>(8*b))]++
-		}
-	}
-	var tmp []rankKey
-	for b := range counts {
-		c := &counts[b]
-		if len(keys) == 0 || c[byte(keys[0].key>>(8*b))] == len(keys) {
-			continue
-		}
-		if tmp == nil {
-			tmp = make([]rankKey, len(keys))
-		}
-		sum := 0
-		for i, n := range c {
-			c[i] = sum
-			sum += n
-		}
-		for _, k := range keys {
-			d := byte(k.key >> (8 * b))
-			tmp[c[d]] = k
-			c[d]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return keys
 }
 
 // lookup reads one ID from the frozen tables. ok is false while the tables
