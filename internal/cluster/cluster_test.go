@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -165,5 +166,76 @@ func TestUnionFind(t *testing.T) {
 	}
 	if uf.size[uf.find(0)] != 4 {
 		t.Errorf("size = %d, want 4", uf.size[uf.find(0)])
+	}
+}
+
+// plantedPair builds 100 true and 20 false labelled triples over three
+// sources: a provides the true triples [0, aN), b provides [0, both) and
+// [aN, aN+bN-both), and c provides every other triple, so c shares no
+// triple with a or b and the pair (a, b) is the only one with support.
+func plantedPair(t *testing.T, aN, bN, both int) *quality.Estimator {
+	t.Helper()
+	d := triple.NewDataset()
+	a, b, c := d.AddSource("a"), d.AddSource("b"), d.AddSource("c")
+	for i := 0; i < 100; i++ {
+		tt := triple.Triple{Subject: fmt.Sprintf("t%d", i), Predicate: "p", Object: "v"}
+		d.SetLabel(tt, triple.True)
+		inA, inB := i < aN, i < both || (i >= aN && i < aN+bN-both)
+		if inA {
+			d.Observe(a, tt)
+		}
+		if inB {
+			d.Observe(b, tt)
+		}
+		if !inA && !inB {
+			d.Observe(c, tt)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		tt := triple.Triple{Subject: fmt.Sprintf("f%d", i), Predicate: "p", Object: "v"}
+		d.SetLabel(tt, triple.False)
+		d.Observe(c, tt)
+	}
+	est, err := quality.NewEstimator(d, quality.Options{Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// defaults are the options Cluster runs with when given none.
+func defaults() Options {
+	var o Options
+	o.normalize()
+	return o
+}
+
+// TestDefaultThresholdMergesModeratePair pins the default Threshold: a pair
+// co-providing 17 of 100 true triples where independence expects 6.25 has
+// z = 4.3, in [3, 6), and must be merged at the default options.
+func TestDefaultThresholdMergesModeratePair(t *testing.T) {
+	est := plantedPair(t, 25, 25, 17)
+	o := defaults()
+	if z := pairStrength(est, 0, 1, o.MinSupport); z < 3 || z >= 6 {
+		t.Fatalf("planted pair scores %v, want a z-score in [3, 6)", z)
+	}
+	got := Cluster(est, Options{})
+	if want := [][]triple.SourceID{{0, 1}, {2}}; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("clusters = %v, want %v at the default threshold", got, want)
+	}
+}
+
+// TestDefaultMinSupportScoresSmallPair pins the default MinSupport: a pair
+// co-providing 12 labelled triples, in [8, 16), must be scored (z = 8.8)
+// and merged at the default options.
+func TestDefaultMinSupportScoresSmallPair(t *testing.T) {
+	est := plantedPair(t, 12, 12, 12)
+	o := defaults()
+	if z := pairStrength(est, 0, 1, o.MinSupport); z < o.Threshold {
+		t.Fatalf("pair with co-support 12 scores %v at the default MinSupport, want at least %v", z, o.Threshold)
+	}
+	got := Cluster(est, Options{})
+	if want := [][]triple.SourceID{{0, 1}, {2}}; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("clusters = %v, want %v at the default MinSupport", got, want)
 	}
 }

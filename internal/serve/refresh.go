@@ -59,11 +59,11 @@ func (s *Server) refresher() {
 // Cancellation: ctx bounds the rebuild (the refresher and New pass
 // context.Background(); /v1/refuse passes the coalesced clients' budget).
 // It is checked at the points of no side effects — on entry, after the
-// capture, and after the model trains but BEFORE SetFusion writes anything
+// capture, and after the model trains but BEFORE anything is written
 // back. Once write-back begins the rebuild runs to completion regardless:
 // no read endpoint consults the write-back copy (every batch answer comes
 // from the snapshot's index), but persist saves it, so aborting between
-// SetFusion and the snapshot swap would let the next persist write
+// the write-back and the snapshot swap would let the next persist write
 // probability/accepted columns from a model that never served a request.
 func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, error) {
 	s.rebuildMu.Lock()
@@ -107,7 +107,7 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 		s.live.Unlock()
 		return cur, true, nil
 	}
-	d := s.store.Dataset()
+	d, rows := s.store.Capture()
 	journalStart := len(s.live.journal)
 	s.live.Unlock()
 	endCapture()
@@ -145,23 +145,12 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	probs, provided, accepted := fuser.FrozenScores()
 	endFreeze()
 
-	// Write the batch results back as the authoritative fusion state.
-	// SetFusion overwrites unconditionally, so demotions stick, and it
-	// does not advance the data version, so this very rebuild does not
-	// make the next one think the data changed.
+	// Write the batch results back as the authoritative fusion state, by
+	// capture row. Like SetFusion it overwrites unconditionally, so
+	// demotions stick, and it does not advance the data version, so this
+	// very rebuild does not make the next one think the data changed.
 	endWriteback := stage("writeback")
-	nTriples, nAccepted := 0, 0
-	for i, ok := range provided {
-		if !ok {
-			continue
-		}
-		id := corrfuse.TripleID(i)
-		s.store.SetFusion(d.Triple(id), probs[i], accepted[i])
-		nTriples++
-		if accepted[i] {
-			nAccepted++
-		}
-	}
+	nTriples, nAccepted := s.store.SetFusionRows(rows, probs, provided, accepted)
 	endWriteback()
 	// Freeze the fused results into the snapshot's read index, sharing the
 	// model's score tables (no copies — the index only adds the pre-ranked

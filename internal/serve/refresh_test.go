@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"corrfuse"
+	"corrfuse/internal/store"
 	"corrfuse/internal/triple"
 )
 
@@ -410,5 +411,61 @@ func TestShardsZeroAndOneAnswerIdentically(t *testing.T) {
 	}
 	if strings.Contains(zero[0], "Shards") || strings.Contains(zero[0], `"shards"`) {
 		t.Errorf("refuse still reports shards: %s", zero[0])
+	}
+}
+
+// TestWritebackByRowEqualsSetFusionLoop: after a rebuild, every store entry
+// equals what the per-triple SetFusion loop writes on a clone of the store,
+// including entries that arrive while the model trains: those are not in
+// the capture and keep their earlier fusion fields.
+func TestWritebackByRowEqualsSetFusionLoop(t *testing.T) {
+	srv := newServer(t, seedStore(t), corrConfig())
+	srv.ingest(Observation{Source: "good1", Subject: "u2", Predicate: "p", Object: "v"})
+	midBuild := tr("mid-build", "v")
+	ref := store.New()
+	srv.testStageHook = func(stage string) {
+		if stage != "train" {
+			return
+		}
+		srv.ingest(Observation{Source: "good2", Subject: "u2", Predicate: "p", Object: "v"})
+		srv.ingest(Observation{Source: "bad", Subject: "u3", Predicate: "p", Object: "v"})
+		srv.store.Put(store.Entry{Triple: midBuild, Sources: []string{"good1"}, Probability: 0.42, Accepted: true})
+		var buf bytes.Buffer
+		if err := srv.store.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Read(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn, skipped, err := srv.rebuild(context.Background(), false)
+	srv.testStageHook = nil
+	if err != nil || skipped {
+		t.Fatalf("rebuild: skipped=%v err=%v", skipped, err)
+	}
+	if ref.Len() == 0 {
+		t.Fatal("the train stage hook never ran")
+	}
+	probs, provided, accepted := sn.fuser.FrozenScores()
+	for i, ok := range provided {
+		if ok {
+			ref.SetFusion(sn.data.Triple(triple.TripleID(i)), probs[i], accepted[i])
+		}
+	}
+	var got, want bytes.Buffer
+	if err := srv.store.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("store after the rebuild:\n%s\nthe SetFusion loop on a clone:\n%s", got.String(), want.String())
+	}
+	if e, _ := srv.store.Get(midBuild); e.Probability != 0.42 || !e.Accepted {
+		t.Errorf("mid-build entry lost its fusion fields: %+v", e)
+	}
+	if e, _ := srv.store.Get(tr("stale", "v")); e.Probability == 0.99 {
+		t.Errorf("captured entry not written back: %+v", e)
 	}
 }

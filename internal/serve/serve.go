@@ -24,10 +24,11 @@
 //
 // A background refresher (and POST /v1/refuse) rebuilds the batch model
 // from the accumulated store, writes its results back for the next persist
-// (store.SetFusion, so demotions stick), derives a fresh empty overlay,
-// replays onto it the journal of claims that raced the build, and swaps
-// the new snapshot in atomically. A store data-version counter lets the
-// refresher skip rebuilds when nothing that feeds the model has changed.
+// (store.SetFusionRows, by capture row, so demotions stick), derives a fresh
+// empty overlay, replays onto it the journal of claims that raced the build,
+// and swaps the new snapshot in atomically. A store data-version counter
+// lets the refresher skip rebuilds when nothing that feeds the model has
+// changed.
 package serve
 
 import (

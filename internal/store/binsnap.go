@@ -85,9 +85,10 @@ func arenaString(b []byte) string {
 
 // intern deduplicates strings into the arena during WriteBinary.
 type intern struct {
-	idx   map[string]uint32
-	strs  []string
-	bytes uint64
+	idx     map[string]uint32
+	strs    []string
+	bytes   uint64
+	longest int
 }
 
 func newIntern() *intern {
@@ -96,6 +97,8 @@ func newIntern() *intern {
 	return in
 }
 
+// of returns s's index. Past MaxUint32 strings the index wraps; WriteBinary
+// checks binLimits before it emits one.
 func (in *intern) of(s string) uint32 {
 	if i, ok := in.idx[s]; ok {
 		return i
@@ -104,46 +107,63 @@ func (in *intern) of(s string) uint32 {
 	in.idx[s] = i
 	in.strs = append(in.strs, s)
 	in.bytes += uint64(len(s))
+	in.longest = max(in.longest, len(s))
 	return i
 }
 
-// WriteBinary streams the store as a CFSN binary snapshot.
+// binLimits reports the first count a CFSN image's u32 fields cannot hold:
+// the entry count, string indices, source-ref offsets and string lengths.
+// A wrapped value would still pass the CRC and load the wrong strings.
+func binLimits(entries, strs, refs, longest uint64) error {
+	for _, c := range [...]struct {
+		n    uint64
+		what string
+	}{{entries, "entries"}, {strs, "distinct strings"}, {refs, "source refs"}, {longest, "bytes in one string"}} {
+		if c.n > math.MaxUint32 {
+			return fmt.Errorf("store: %d %s exceed the binary snapshot's u32 space", c.n, c.what)
+		}
+	}
+	return nil
+}
+
+// WriteBinary streams the store as a CFSN binary snapshot. One pass interns
+// every string and records each entry's four string indices and its source
+// refs; the second emits the image from those records through one buffer.
 func (s *Store) WriteBinary(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	if len(s.entries) > math.MaxUint32 {
-		return fmt.Errorf("store: %d entries exceed the binary snapshot's u32 space", len(s.entries))
+	nRefs := 0
+	for i := range s.entries {
+		nRefs += len(s.entries[i].Sources)
 	}
 	in := newIntern()
-	var nRefs uint64
+	strIdx := make([][4]uint32, len(s.entries)) // subject, predicate, object, label
+	refs := make([]uint32, 0, nRefs)
 	for i := range s.entries {
 		e := &s.entries[i]
-		in.of(e.Triple.Subject)
-		in.of(e.Triple.Predicate)
-		in.of(e.Triple.Object)
-		in.of(e.Label)
+		strIdx[i] = [4]uint32{in.of(e.Triple.Subject), in.of(e.Triple.Predicate), in.of(e.Triple.Object), in.of(e.Label)}
 		for _, src := range e.Sources {
-			in.of(src)
+			refs = append(refs, in.of(src))
 		}
-		nRefs += uint64(len(e.Sources))
+	}
+	if err := binLimits(uint64(len(s.entries)), uint64(len(in.strs)), uint64(nRefs), uint64(in.longest)); err != nil {
+		return err
 	}
 
-	crc := crc32.NewIEEE()
-	bw := newBinWriter(io.MultiWriter(w, crc))
-
+	bw := newBinWriter(w)
 	var hdr [binHeaderLen]byte
 	copy(hdr[0:4], binMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], binVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(s.entries)))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(in.strs)))
-	binary.LittleEndian.PutUint64(hdr[24:32], nRefs)
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(nRefs))
 	binary.LittleEndian.PutUint64(hdr[32:40], in.bytes)
-	bw.write(hdr[:])
+	bw.str(string(hdr[:]))
 
 	// Arena and string table.
 	for _, str := range in.strs {
-		bw.write([]byte(str))
+		bw.str(str)
 	}
 	var off uint64
 	for _, str := range in.strs {
@@ -156,10 +176,9 @@ func (s *Store) WriteBinary(w io.Writer) error {
 	var srcOff uint32
 	for i := range s.entries {
 		e := &s.entries[i]
-		bw.u32(in.of(e.Triple.Subject))
-		bw.u32(in.of(e.Triple.Predicate))
-		bw.u32(in.of(e.Triple.Object))
-		bw.u32(in.of(e.Label))
+		for _, si := range strIdx[i] {
+			bw.u32(si)
+		}
 		bw.u32(srcOff)
 		bw.u32(uint32(len(e.Sources)))
 		srcOff += uint32(len(e.Sources))
@@ -170,49 +189,57 @@ func (s *Store) WriteBinary(w io.Writer) error {
 		}
 		bw.u64(flags)
 	}
-	for i := range s.entries {
-		for _, src := range s.entries[i].Sources {
-			bw.u32(in.of(src))
-		}
+	for _, si := range refs {
+		bw.u32(si)
 	}
 
-	if err := bw.flush(); err != nil {
-		return fmt.Errorf("store: write binary snapshot: %w", err)
-	}
-	// Footer: CRC over everything written so far (not through crc —
-	// write it to w alone).
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
-	if _, err := w.Write(foot[:]); err != nil {
+	if err := bw.finish(); err != nil {
 		return fmt.Errorf("store: write binary snapshot: %w", err)
 	}
 	return nil
 }
 
-// binWriter batches small fixed-width writes with sticky error handling.
+// binBufLen is the size of every write binWriter makes but the last.
+const binBufLen = 1 << 16
+
+// binWriter streams an image through one buffer, folding each flushed byte
+// into the CRC the footer carries, with sticky error handling.
 type binWriter struct {
 	w   io.Writer
+	crc uint32
 	buf []byte
 	err error
 }
 
 func newBinWriter(w io.Writer) *binWriter {
-	return &binWriter{w: w, buf: make([]byte, 0, 1<<16)}
+	// The slack holds what a fixed-width append carries past binBufLen.
+	return &binWriter{w: w, buf: make([]byte, 0, binBufLen+8)}
 }
 
+func (b *binWriter) emit(p []byte) {
+	if b.err == nil {
+		b.crc = crc32.Update(b.crc, crc32.IEEETable, p)
+		_, b.err = b.w.Write(p)
+	}
+}
+
+// flushIfFull writes a full buffer out, binBufLen bytes exactly, and keeps
+// the rest.
 func (b *binWriter) flushIfFull() {
-	if len(b.buf) < cap(b.buf)-16 {
+	if len(b.buf) < binBufLen {
 		return
 	}
-	if b.err == nil {
-		_, b.err = b.w.Write(b.buf)
-	}
-	b.buf = b.buf[:0]
+	b.emit(b.buf[:binBufLen])
+	b.buf = b.buf[:copy(b.buf, b.buf[binBufLen:])]
 }
 
-func (b *binWriter) write(p []byte) {
-	if b.flush() == nil {
-		_, b.err = b.w.Write(p)
+// str appends s, flushing each time the buffer fills.
+func (b *binWriter) str(s string) {
+	for len(s) > 0 {
+		n := copy(b.buf[len(b.buf):binBufLen], s)
+		b.buf = b.buf[:len(b.buf)+n]
+		s = s[n:]
+		b.flushIfFull()
 	}
 }
 
@@ -226,10 +253,13 @@ func (b *binWriter) u64(v uint64) {
 	b.flushIfFull()
 }
 
-func (b *binWriter) flush() error {
-	if b.err == nil && len(b.buf) > 0 {
+// finish appends the footer, the CRC of everything before it, and writes
+// what the buffer holds.
+func (b *binWriter) finish() error {
+	b.crc = crc32.Update(b.crc, crc32.IEEETable, b.buf)
+	b.buf = binary.LittleEndian.AppendUint32(b.buf, b.crc)
+	if b.err == nil {
 		_, b.err = b.w.Write(b.buf)
-		b.buf = b.buf[:0]
 	}
 	return b.err
 }

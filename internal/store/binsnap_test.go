@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -405,5 +406,257 @@ func FuzzJSONLToBinary(f *testing.F) {
 			t.Fatalf("binary round trip rejected: %v", err)
 		}
 		sameEntries(t, s, got)
+	})
+}
+
+// refWriteBinary is the encoder WriteBinary replaced, kept as the byte
+// oracle: it interns every string twice (once for the table, once per
+// emitted index) and writes the arena one string at a time.
+func refWriteBinary(s *Store, w io.Writer) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+
+	idx := map[string]uint32{}
+	var strs []string
+	var arenaBytes uint64
+	of := func(str string) uint32 {
+		if i, ok := idx[str]; ok {
+			return i
+		}
+		i := uint32(len(strs))
+		idx[str] = i
+		strs = append(strs, str)
+		arenaBytes += uint64(len(str))
+		return i
+	}
+	of("")
+	var nRefs uint64
+	for i := range s.entries {
+		e := &s.entries[i]
+		of(e.Triple.Subject)
+		of(e.Triple.Predicate)
+		of(e.Triple.Object)
+		of(e.Label)
+		for _, src := range e.Sources {
+			of(src)
+		}
+		nRefs += uint64(len(e.Sources))
+	}
+
+	crc := crc32.NewIEEE()
+	bw := &refBinWriter{w: io.MultiWriter(w, crc), buf: make([]byte, 0, 1<<16)}
+	var hdr [binHeaderLen]byte
+	copy(hdr[0:4], binMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], binVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(s.entries)))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(strs)))
+	binary.LittleEndian.PutUint64(hdr[24:32], nRefs)
+	binary.LittleEndian.PutUint64(hdr[32:40], arenaBytes)
+	bw.write(hdr[:])
+	for _, str := range strs {
+		bw.write([]byte(str))
+	}
+	var off uint64
+	for _, str := range strs {
+		bw.u64(off)
+		bw.u32(uint32(len(str)))
+		off += uint64(len(str))
+	}
+	var srcOff uint32
+	for i := range s.entries {
+		e := &s.entries[i]
+		bw.u32(of(e.Triple.Subject))
+		bw.u32(of(e.Triple.Predicate))
+		bw.u32(of(e.Triple.Object))
+		bw.u32(of(e.Label))
+		bw.u32(srcOff)
+		bw.u32(uint32(len(e.Sources)))
+		srcOff += uint32(len(e.Sources))
+		bw.u64(math.Float64bits(e.Probability))
+		var flags uint64
+		if e.Accepted {
+			flags |= flagAccepted
+		}
+		bw.u64(flags)
+	}
+	for i := range s.entries {
+		for _, src := range s.entries[i].Sources {
+			bw.u32(of(src))
+		}
+	}
+	if err := bw.flush(); err != nil {
+		return err
+	}
+	var foot [4]byte
+	binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
+	_, err := w.Write(foot[:])
+	return err
+}
+
+// refBinWriter is refWriteBinary's writer: fixed-width fields are batched,
+// and every write call flushes the batch and then writes its bytes alone.
+type refBinWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (b *refBinWriter) write(p []byte) {
+	if b.flush() == nil {
+		_, b.err = b.w.Write(p)
+	}
+}
+
+func (b *refBinWriter) u32(v uint32) {
+	b.buf = binary.LittleEndian.AppendUint32(b.buf, v)
+	b.flushIfFull()
+}
+
+func (b *refBinWriter) u64(v uint64) {
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, v)
+	b.flushIfFull()
+}
+
+func (b *refBinWriter) flushIfFull() {
+	if len(b.buf) >= cap(b.buf)-16 {
+		b.flush()
+	}
+}
+
+func (b *refBinWriter) flush() error {
+	if b.err == nil && len(b.buf) > 0 {
+		_, b.err = b.w.Write(b.buf)
+		b.buf = b.buf[:0]
+	}
+	return b.err
+}
+
+// boundaryStore holds the shapes that stress a buffered encoder: its first
+// arena string ends exactly at the first 64 KiB buffer boundary of the
+// image (the arena starts after the 40-byte header and the empty string),
+// another is longer than the buffer, and the rest are non-ASCII strings, a
+// label-only entry, p = 0, accepted and rejected entries, and source names
+// shared across entries.
+func boundaryStore() *Store {
+	s := New()
+	s.Put(Entry{Triple: triple.Triple{Subject: strings.Repeat("b", binBufLen-binHeaderLen), Predicate: "p", Object: "o"},
+		Sources: []string{"shared"}, Label: "true"})
+	s.Put(Entry{Triple: triple.Triple{Subject: "long", Predicate: "p", Object: strings.Repeat("éx", binBufLen)},
+		Sources: []string{"shared", "other"}, Probability: 0.75, Accepted: true})
+	s.Put(Entry{Triple: triple.Triple{Subject: "label-only", Predicate: "p", Object: "o"}, Label: "false"})
+	s.Put(Entry{Triple: triple.Triple{Subject: "日本", Predicate: "\U0001f600", Object: "o"},
+		Sources: []string{"søurce", "shared"}, Probability: 0, Accepted: false})
+	for i := 0; i < 3000; i++ {
+		s.Put(Entry{Triple: triple.Triple{Subject: fmt.Sprintf("subject-%d", i%97), Predicate: "p", Object: fmt.Sprintf("object-%d", i)},
+			Sources: []string{fmt.Sprintf("src-%d", i%7), "shared"}, Probability: float64(i%5) / 4, Accepted: i%5 > 2})
+	}
+	s.SetFusion(triple.Triple{Subject: "ghost", Predicate: "p", Object: "o"}, 0, false)
+	return s
+}
+
+// TestWriteBinaryMatchesReference: the buffered one-pass encoder writes the
+// same bytes as the encoder it replaced.
+func TestWriteBinaryMatchesReference(t *testing.T) {
+	for name, s := range map[string]*Store{"empty": New(), "snap": snapStore(), "boundary": boundaryStore()} {
+		var got, want bytes.Buffer
+		if err := s.WriteBinary(&got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := refWriteBinary(s, &want); err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: %d bytes differ from the reference's %d", name, got.Len(), want.Len())
+		}
+	}
+}
+
+// countingWriter counts Write calls and bytes.
+type countingWriter struct{ calls, n int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.calls++
+	c.n += len(p)
+	return len(p), nil
+}
+
+// TestWriteBinaryWriteCount: the image goes out in 64 KiB writes, not one
+// write per distinct string.
+func TestWriteBinaryWriteCount(t *testing.T) {
+	var cw countingWriter
+	if err := boundaryStore().WriteBinary(&cw); err != nil {
+		t.Fatal(err)
+	}
+	if limit := (cw.n+binBufLen-1)/binBufLen + 2; cw.calls > limit {
+		t.Fatalf("%d-byte image took %d writes, want at most %d", cw.n, cw.calls, limit)
+	}
+}
+
+// TestBinLimits: every count a u32 field carries is refused one past its
+// range, by name, rather than wrapped.
+func TestBinLimits(t *testing.T) {
+	const lim = math.MaxUint32
+	if err := binLimits(lim, lim, lim, lim); err != nil {
+		t.Fatalf("counts at the u32 limit refused: %v", err)
+	}
+	for _, c := range []struct {
+		entries, strs, refs, longest uint64
+		what                         string
+	}{
+		{lim + 1, 1, 0, 0, "entries"},
+		{1, lim + 1, 0, 0, "distinct strings"},
+		{1, 1, lim + 1, 0, "source refs"},
+		{1, 1, 0, lim + 1, "bytes in one string"},
+	} {
+		err := binLimits(c.entries, c.strs, c.refs, c.longest)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d %s", uint64(lim)+1, c.what)) {
+			t.Errorf("%s past the limit: got %v", c.what, err)
+		}
+	}
+}
+
+// FuzzWriteBinary: for fuzzer-chosen entries the encoder writes the
+// reference's bytes, and LoadBinary reads them back as the same store.
+// data is split at 0xff into strings; each entry takes three of them as its
+// triple and up to nSrc more as sources, and pad stretches one string past
+// buffer boundaries.
+func FuzzWriteBinary(f *testing.F) {
+	f.Add([]byte("s\xffp\xffo\xffa\xffb"), uint8(2), uint16(0), 0.25)
+	f.Add([]byte("é\xff\xff\xffx\xffs\xffp\xffo"), uint8(1), uint16(16400), 0.0)
+	f.Add([]byte("a\xffb\xffc\xffd\xffe\xfff\xffg\xffh\xffi"), uint8(0), uint16(65535), 1.0)
+	f.Fuzz(func(t *testing.T, data []byte, nSrc uint8, pad uint16, p float64) {
+		strs := strings.Split(string(data), "\xff")
+		if len(strs) > 0 {
+			strs[0] += strings.Repeat("z", int(pad)*4)
+		}
+		s := New()
+		for i := 0; len(strs) >= 3; i++ {
+			e := Entry{Triple: triple.Triple{Subject: strs[0], Predicate: strs[1], Object: strs[2]}, Probability: p, Accepted: i%2 == 0}
+			strs = strs[3:]
+			k := min(int(nSrc)%4, len(strs))
+			e.Sources, strs = append([]string(nil), strs[:k]...), strs[k:]
+			switch i % 3 {
+			case 1:
+				e.Label = "true"
+			case 2:
+				e.Label = "false"
+			}
+			s.Put(e)
+		}
+		var got, want bytes.Buffer
+		if err := s.WriteBinary(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteBinary(s, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d bytes differ from the reference's %d", got.Len(), want.Len())
+		}
+		back, err := loadBinary(got.Bytes())
+		if err != nil {
+			t.Fatalf("LoadBinary rejected the image: %v", err)
+		}
+		sameEntries(t, s, back)
 	})
 }

@@ -32,6 +32,10 @@ type Entry struct {
 
 // Store is an in-memory triple store, keyed by triple, with JSONL
 // persistence. It is safe for concurrent use.
+//
+// Entries are append-only: Put and SetFusion merge into an entry in place or
+// append a new one, and nothing removes or reorders entries, so an entry's
+// index never changes. Capture's rows rely on it.
 type Store struct {
 	mu sync.RWMutex
 
@@ -178,16 +182,56 @@ func FromDataset(d *triple.Dataset) *Store {
 // their IDs in order of first appearance in the store. An entry with neither
 // (interned by SetFusion alone) is no evidence and is left out.
 func (s *Store) Dataset() *triple.Dataset {
+	d, _ := s.Capture()
+	return d
+}
+
+// Capture is Dataset that also returns, for each triple ID, the index of the
+// entry the triple was captured from. Entries are append-only, so rows stays
+// valid for the life of the store and SetFusionRows can write a result back
+// by it. Entries are unique by key, so each row is interned with one map
+// operation, and every provider list is cut from one backing array.
+func (s *Store) Capture() (d *triple.Dataset, rows []int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d := triple.NewDatasetCap(0, len(s.entries))
+	rows = make([]int, 0, len(s.entries))
+	refs := 0
 	for i := range s.entries {
 		e := &s.entries[i]
 		if l, _ := triple.ParseGold(e.Label); len(e.Sources) > 0 || l != triple.Unknown {
-			d.InsertNamedRow(e.Triple, e.Sources, l)
+			rows = append(rows, i)
+			refs += len(e.Sources)
 		}
 	}
-	return d
+	d = triple.NewDatasetRows(len(rows), refs, func(id int) (triple.Triple, []string, triple.Label) {
+		e := &s.entries[rows[id]]
+		l, _ := triple.ParseGold(e.Label)
+		return e.Triple, e.Sources, l
+	})
+	return d, rows
+}
+
+// SetFusionRows writes a batch fusion result back by capture row: for every
+// triple ID with provided[id], the entry rows[id] takes probs[id] and
+// accepted[id], exactly as SetFusion(d.Triple(id), …) would, under one write
+// lock and without a key lookup. rows must come from this store's Capture;
+// entries appended since, and IDs not provided, are left untouched. It
+// returns how many IDs it wrote and how many of those are accepted.
+func (s *Store) SetFusionRows(rows []int, probs []float64, provided, accepted []bool) (triples, nAccepted int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, ok := range provided {
+		if !ok {
+			continue
+		}
+		e := &s.entries[rows[id]]
+		e.Probability, e.Accepted = probs[id], accepted[id]
+		triples++
+		if accepted[id] {
+			nAccepted++
+		}
+	}
+	return triples, nAccepted
 }
 
 // CountLabels returns how many entries carry a true and a false gold label:

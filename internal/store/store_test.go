@@ -3,8 +3,12 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -412,5 +416,156 @@ func TestDatasetEqualsObserveLoop(t *testing.T) {
 		if !slices.Equal(got.Output(src.ID), want.Output(src.ID)) {
 			t.Fatalf("output of %s: %v, the loop built %v", src.Name, got.Output(src.ID), want.Output(src.ID))
 		}
+	}
+}
+
+// refCapture is the capture Capture replaced: one InsertNamedRow per entry
+// with a source or a label, each row interned by lookup-then-insert.
+func refCapture(s *Store) *triple.Dataset {
+	d := triple.NewDatasetCap(0, len(s.entries))
+	for i := range s.entries {
+		e := &s.entries[i]
+		if l, _ := triple.ParseGold(e.Label); len(e.Sources) > 0 || l != triple.Unknown {
+			d.InsertNamedRow(e.Triple, e.Sources, l)
+		}
+	}
+	return d
+}
+
+// randomStore applies a random Put/SetFusion sequence: merges, label
+// changes, label-only entries, repeated sources within one Put, and
+// evidence-less entries interned by SetFusion.
+func randomStore(rng *rand.Rand, ops int) *Store {
+	s := New()
+	key := func() triple.Triple {
+		return mk(fmt.Sprintf("s%d", rng.Intn(12)), "p", fmt.Sprintf("o%d", rng.Intn(9)))
+	}
+	labels := []string{"", "", "true", "false"}
+	for i := 0; i < ops; i++ {
+		switch rng.Intn(6) {
+		case 0:
+			s.SetFusion(key(), rng.Float64(), rng.Intn(2) == 0)
+		case 1:
+			s.Put(Entry{Triple: key(), Label: labels[rng.Intn(len(labels))]})
+		default:
+			var srcs []string
+			for k := rng.Intn(4); k > 0; k-- {
+				srcs = append(srcs, fmt.Sprintf("src%d", rng.Intn(7)))
+			}
+			s.Put(Entry{Triple: key(), Sources: srcs, Label: labels[rng.Intn(len(labels))]})
+		}
+	}
+	return s
+}
+
+// TestCaptureEqualsInsertRowLoop: over random Put sequences, Capture builds
+// the dataset the per-entry InsertNamedRow loop built, field for field, and
+// rows[id] is the entry each triple was captured from.
+func TestCaptureEqualsInsertRowLoop(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		s := randomStore(rand.New(rand.NewSource(seed)), 1+int(seed)%80)
+		got, rows := s.Capture()
+		want := refCapture(s)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(rows) != got.NumTriples() || got.NumTriples() != want.NumTriples() || !slices.Equal(got.Sources(), want.Sources()) {
+			t.Fatalf("seed %d: %d triples, %d rows, sources %v; the loop built %d triples, sources %v",
+				seed, got.NumTriples(), len(rows), got.Sources(), want.NumTriples(), want.Sources())
+		}
+		for i := 0; i < want.NumTriples(); i++ {
+			id := triple.TripleID(i)
+			if s.entries[rows[i]].Triple != got.Triple(id) {
+				t.Fatalf("seed %d: rows[%d] = %d holds %v, the dataset %v", seed, i, rows[i], s.entries[rows[i]].Triple, got.Triple(id))
+			}
+			if got.Triple(id) != want.Triple(id) || got.Label(id) != want.Label(id) || !slices.Equal(got.Providers(id), want.Providers(id)) {
+				t.Fatalf("seed %d triple %d: %v %v %v, the loop built %v %v %v", seed, id,
+					got.Triple(id), got.Label(id), got.Providers(id), want.Triple(id), want.Label(id), want.Providers(id))
+			}
+			if provs := got.Providers(id); cap(provs) != len(provs) {
+				t.Fatalf("seed %d triple %d: provider list has cap %d > len %d", seed, id, cap(provs), len(provs))
+			}
+		}
+		for _, src := range want.Sources() {
+			if out := got.Output(src.ID); !slices.Equal(out, want.Output(src.ID)) || cap(out) != len(out) {
+				t.Fatalf("seed %d: output of %s: %v (cap %d), the loop built %v", seed, src.Name, out, cap(out), want.Output(src.ID))
+			}
+		}
+	}
+}
+
+// TestSetFusionRowsEqualsSetFusion: writing a result back by capture row
+// leaves every entry as the per-triple SetFusion loop leaves it on a clone,
+// with an entry appended after the capture and unprovided IDs untouched.
+func TestSetFusionRowsEqualsSetFusion(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomStore(rng, 1+int(seed)%60)
+		d, rows := s.Capture()
+		s.Put(Entry{Triple: mk("late", "p", "o"), Sources: []string{"src1"}, Probability: 0.3, Accepted: true})
+		n := d.NumTriples()
+		probs, provided, accepted := make([]float64, n), make([]bool, n), make([]bool, n)
+		for i := range probs {
+			probs[i], provided[i], accepted[i] = rng.Float64(), rng.Intn(4) > 0, rng.Intn(2) == 0
+		}
+		ref := New()
+		ref.entries = slices.Clone(s.entries)
+		ref.byKey = maps.Clone(s.byKey)
+		wantTriples, wantAccepted := 0, 0
+		for i, ok := range provided {
+			if ok {
+				ref.SetFusion(d.Triple(triple.TripleID(i)), probs[i], accepted[i])
+				wantTriples++
+				if accepted[i] {
+					wantAccepted++
+				}
+			}
+		}
+		nt, na := s.SetFusionRows(rows, probs, provided, accepted)
+		if nt != wantTriples || na != wantAccepted {
+			t.Fatalf("seed %d: counted %d triples, %d accepted; want %d, %d", seed, nt, na, wantTriples, wantAccepted)
+		}
+		if len(s.entries) != len(ref.entries) {
+			t.Fatalf("seed %d: %d entries, the SetFusion loop left %d", seed, len(s.entries), len(ref.entries))
+		}
+		for i := range ref.entries {
+			if !reflect.DeepEqual(s.entries[i], ref.entries[i]) {
+				t.Fatalf("seed %d entry %d: %+v, the SetFusion loop left %+v", seed, i, s.entries[i], ref.entries[i])
+			}
+		}
+	}
+}
+
+// TestSetFusionRowsAllocatesNothing: the row-indexed writeback makes no
+// allocation.
+func TestSetFusionRowsAllocatesNothing(t *testing.T) {
+	s := randomStore(rand.New(rand.NewSource(3)), 200)
+	d, rows := s.Capture()
+	n := d.NumTriples()
+	probs, provided, accepted := make([]float64, n), make([]bool, n), make([]bool, n)
+	for i := range provided {
+		probs[i], provided[i], accepted[i] = 0.5, true, i%2 == 0
+	}
+	if a := testing.AllocsPerRun(10, func() { s.SetFusionRows(rows, probs, provided, accepted) }); a != 0 {
+		t.Fatalf("SetFusionRows made %v allocations", a)
+	}
+}
+
+// TestCaptureAllocationsIndependentOfEntries: a capture allocates per
+// source and per structure, never per entry: a store and one with four
+// times the entries over the same sources cost the same allocations. Both
+// sizes stay under one Go map table (896 keys), whose layout is the map's
+// own business.
+func TestCaptureAllocationsIndependentOfEntries(t *testing.T) {
+	allocs := func(n int) float64 {
+		s := New()
+		for i := 0; i < n; i++ {
+			s.Put(Entry{Triple: mk(fmt.Sprintf("s%d", i%20), "p", fmt.Sprintf("o%d", i)),
+				Sources: []string{fmt.Sprintf("src%d", i%6), fmt.Sprintf("src%d", (i+1+i%4)%6)}, Label: []string{"", "true", "false"}[i%3]})
+		}
+		return testing.AllocsPerRun(5, func() { s.Capture() })
+	}
+	if small, large := allocs(200), allocs(800); small != large {
+		t.Fatalf("Capture made %v allocations on 200 entries and %v on 800 over the same sources: something is allocated per entry", small, large)
 	}
 }

@@ -146,6 +146,65 @@ func NewDatasetCap(sources, triples int) *Dataset {
 	}
 }
 
+// NewDatasetRows returns the dataset that n InsertNamedRow calls build from
+// an empty dataset, row(i) giving the i-th row's triple, source names and
+// label, when the rows' triples are pairwise distinct — a store keyed by
+// triple vouches for that. Sources take IDs in first-appearance order and
+// triples in row order; provider lists are sorted and deduplicated, and a
+// label-only row keeps a nil list. Each triple is interned with one map
+// operation; a repeated triple panics.
+//
+// refs must be at least the total number of names over all rows. Every
+// provider list is cut from one backing array of that length and every
+// output list from a second, sized by a count, each list with capacity
+// equal to its length, so a later insertSorted never writes into a
+// neighbour. The names slices are not retained.
+func NewDatasetRows(n, refs int, row func(i int) (Triple, []string, Label)) *Dataset {
+	d := NewDatasetCap(0, n)
+	d.triples = d.triples[:n]
+	d.providers = d.providers[:n]
+	d.labels = d.labels[:n]
+	backing := make([]SourceID, refs)
+	var counts []int
+	off := 0
+	for i := 0; i < n; i++ {
+		t, names, l := row(i)
+		d.triples[i], d.labels[i] = t, l
+		if d.tripleByKey[t] = TripleID(i); len(d.tripleByKey) != i+1 {
+			panic(fmt.Sprintf("triple: NewDatasetRows: triple %v repeats", t))
+		}
+		if len(names) == 0 {
+			continue
+		}
+		provs := backing[off : off+len(names)]
+		for j, name := range names {
+			provs[j] = d.AddSource(name)
+		}
+		slices.Sort(provs)
+		provs = slices.Compact(provs)
+		d.providers[i] = provs[:len(provs):len(provs)]
+		off += len(provs)
+		for len(counts) < len(d.sources) {
+			counts = append(counts, 0)
+		}
+		for _, s := range provs {
+			counts[s]++
+		}
+	}
+	outBacking := make([]TripleID, off)
+	off = 0
+	for s, c := range counts {
+		d.outputs[s] = outBacking[off : off : off+c]
+		off += c
+	}
+	for i, provs := range d.providers {
+		for _, s := range provs {
+			d.outputs[s] = append(d.outputs[s], TripleID(i))
+		}
+	}
+	return d
+}
+
 // AddSource registers a source by name and returns its ID. Registering the
 // same name twice returns the existing ID.
 func (d *Dataset) AddSource(name string) SourceID {

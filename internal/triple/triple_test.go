@@ -339,3 +339,16 @@ func TestInsertRowPanicsOnUnknownSource(t *testing.T) {
 	}()
 	d.InsertRow(tr("e", "p", "v"), []SourceID{0, 3}, True)
 }
+
+// TestNewDatasetRowsRepeatPanics: NewDatasetRows interns each row with one
+// map operation, so a repeated triple must fail loudly rather than leave two
+// IDs for one key.
+func TestNewDatasetRowsRepeatPanics(t *testing.T) {
+	tt := Triple{Subject: "s", Predicate: "p", Object: "o"}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a repeated triple did not panic")
+		}
+	}()
+	NewDatasetRows(2, 0, func(int) (Triple, []string, Label) { return tt, nil, True })
+}
