@@ -20,6 +20,7 @@ package index
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 
@@ -55,8 +56,10 @@ type Index struct {
 	// probability, ties broken by triple key so identical data always
 	// ranks identically). The per-subject and per-source slices point into
 	// it, inheriting the order.
-	entries   []Entry
-	bySubject map[string][]*Entry
+	entries []Entry
+	// bySubject maps a subject to its slot in subjLists.
+	bySubject map[string]int32
+	subjLists [][]*Entry
 	bySource  map[string][]*Entry
 }
 
@@ -73,77 +76,168 @@ func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, versio
 	if n > len(provided) {
 		n = len(provided) // defensive: never read past the tables
 	}
+	c := newCatalog(d, provided[:n])
 	// One global ranking with a total, data-only tie-break — descending
 	// probability, then triple key, then ID — so identical data always
 	// produces identical order, independent of input order.
 	ids := Rank(probs[:n], provided[:n])
-	sortTies(d, probs, ids)
+	c.sortTies(d, probs, ids)
 
-	// Counting pass: every entry's source names are cut from one backing
-	// array, and the per-subject and per-source slices from two more, each
-	// at its exact size.
-	numSources := d.NumSources()
-	srcCount := make([]int, numSources)
-	subjSlot := make(map[string]int32)
-	var subjNames []string
-	var subjCount []int
-	slots := make([]int32, len(ids))
-	names := 0
-	for i, id := range ids {
-		tr := d.Triple(triple.TripleID(id))
-		slot, ok := subjSlot[tr.Subject]
-		if !ok {
-			slot = int32(len(subjNames))
-			subjSlot[tr.Subject] = slot
-			subjNames = append(subjNames, tr.Subject)
-			subjCount = append(subjCount, 0)
-		}
-		slots[i] = slot
-		subjCount[slot]++
-		for _, s := range d.Providers(triple.TripleID(id)) {
-			srcCount[s]++
-			names++
-		}
-	}
-	subjLists := cutLists(subjCount, len(ids))
-	srcLists := cutLists(srcCount, names)
-
+	// The per-subject and per-source slices are cut from two backing
+	// arrays, each at its exact size, and append in global rank order, so
+	// every slice is born ranked — serving never sorts again.
 	idx := &Index{
-		version:  version,
-		probs:    probs,
-		accepted: accepted,
-		provided: provided,
-		entries:  make([]Entry, len(ids)),
+		version:   version,
+		probs:     probs,
+		accepted:  accepted,
+		provided:  provided,
+		entries:   make([]Entry, len(ids)),
+		bySubject: c.subjSlot,
+		subjLists: cutLists(c.subjCount, len(ids)),
 	}
-	nameBack := make([]string, names)
-	// The per-subject and per-source slices append in global rank order,
-	// so every slice is born ranked — serving never sorts again.
+	srcLists := cutLists(c.srcCount, c.refs)
 	for i, id32 := range ids {
 		id := triple.TripleID(id32)
+		at := c.at[id]
 		e := &idx.entries[i]
-		*e = Entry{Triple: d.Triple(id), Probability: probs[id], Accepted: accepted[id], Label: d.Label(id).Gold()}
-		if provs := d.Providers(id); len(provs) > 0 {
-			e.Sources = nameBack[:len(provs):len(provs)]
-			nameBack = nameBack[len(provs):]
-			for j, s := range provs {
-				e.Sources[j] = d.SourceName(s)
-				srcLists[s] = append(srcLists[s], e)
-			}
-			slices.Sort(e.Sources)
+		*e = Entry{Triple: d.Triple(id), Sources: c.sets[at.set], Probability: probs[id], Accepted: accepted[id], Label: d.Label(id).Gold()}
+		for _, s := range d.Providers(id) {
+			srcLists[s] = append(srcLists[s], e)
 		}
-		subjLists[slots[i]] = append(subjLists[slots[i]], e)
+		idx.subjLists[at.subj] = append(idx.subjLists[at.subj], e)
 	}
-	idx.bySubject = make(map[string][]*Entry, len(subjNames))
-	for slot, name := range subjNames {
-		idx.bySubject[name] = subjLists[slot]
-	}
-	idx.bySource = make(map[string][]*Entry, numSources)
+	idx.bySource = make(map[string][]*Entry, len(srcLists))
 	for s, list := range srcLists {
 		if len(list) > 0 {
 			idx.bySource[d.SourceName(triple.SourceID(s))] = list
 		}
 	}
 	return idx
+}
+
+// catalog is what Build learns in one pass over the provided triple IDs:
+// each triple's subject slot and provider-set slot, the provided triples per
+// subject and per source, and each distinct provider set's source names,
+// sorted once and shared by every entry with that set. The subject map
+// becomes the index's own.
+type catalog struct {
+	at        []slots // by TripleID
+	subjSlot  map[string]int32
+	subjects  []string // by subject slot
+	subjCount []int
+	srcCount  []int // by SourceID
+	refs      int   // provider references over all provided triples
+	sets      [][]string
+}
+
+// setHashPrime is the FNV-1a prime newCatalog hashes provider sets with; a
+// variable only so that a test can make every set collide.
+var setHashPrime uint64 = 1099511628211
+
+// slots locates one triple in the catalog: its subject and its provider
+// set (0 is the empty set, whose names are nil).
+type slots struct{ subj, set int32 }
+
+func newCatalog(d *triple.Dataset, provided []bool) *catalog {
+	c := &catalog{
+		at:       make([]slots, len(provided)),
+		subjSlot: make(map[string]int32),
+		srcCount: make([]int, d.NumSources()),
+	}
+	// Provider sets are keyed by a hash of their IDs; a collision moves on
+	// to the next key until the set or a free key is found.
+	setSlot := make(map[uint64]int32)
+	setProvs := [][]triple.SourceID{nil} // a representative provider list per set slot
+	names := 0
+	prevSubj, prevSlot := "", int32(-1)
+	for i, ok := range provided {
+		if !ok {
+			continue
+		}
+		id := triple.TripleID(i)
+		// Triples of one subject usually sit side by side in ID order, so
+		// most of them skip the map.
+		if sub := d.Triple(id).Subject; prevSlot < 0 || sub != prevSubj {
+			slot, seen := c.subjSlot[sub]
+			if !seen {
+				slot = int32(len(c.subjects))
+				c.subjSlot[sub] = slot
+				c.subjects = append(c.subjects, sub)
+				c.subjCount = append(c.subjCount, 0)
+			}
+			prevSubj, prevSlot = sub, slot
+		}
+		c.at[i].subj = prevSlot
+		c.subjCount[prevSlot]++
+		provs := d.Providers(id)
+		if len(provs) == 0 {
+			continue
+		}
+		key := uint64(14695981039346656037) // FNV-1a over the IDs
+		for _, s := range provs {
+			key = (key ^ uint64(s)) * setHashPrime
+			c.srcCount[s]++
+		}
+		c.refs += len(provs)
+		for {
+			set, seen := setSlot[key]
+			if !seen {
+				set = int32(len(setProvs))
+				setSlot[key] = set
+				setProvs = append(setProvs, provs)
+				names += len(provs)
+			} else if !slices.Equal(setProvs[set], provs) {
+				key++
+				continue
+			}
+			c.at[i].set = set
+			break
+		}
+	}
+	back := make([]string, names)
+	c.sets = make([][]string, len(setProvs))
+	for i, provs := range setProvs[1:] {
+		list := back[:len(provs):len(provs)]
+		back = back[len(provs):]
+		for j, s := range provs {
+			list[j] = d.SourceName(s)
+		}
+		slices.Sort(list)
+		c.sets[i+1] = list
+	}
+	return c
+}
+
+// rankSubjects returns each subject slot's rank in the order of
+// subject+sep, which decides the joined-key order of two triples with
+// different subjects, or nil when ranking costs more comparisons than work,
+// the comparisons a plain key sort of the tie runs makes, or when some
+// subject holds sep (then subject+sep decides nothing).
+func (c *catalog) rankSubjects(work float64) []uint32 {
+	s := float64(len(c.subjects))
+	if s*math.Log2(s) >= work || slices.ContainsFunc(c.subjects, func(sub string) bool { return strings.Contains(sub, sep) }) {
+		return nil
+	}
+	order := make([]int32, len(c.subjects))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		x, y := c.subjects[a], c.subjects[b]
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 || len(x) == len(y) {
+			return c
+		}
+		if len(x) < len(y) {
+			return cmp.Compare(sep[0], y[n])
+		}
+		return cmp.Compare(x[n], sep[0])
+	})
+	rank := make([]uint32, len(order))
+	for r, slot := range order {
+		rank[slot] = uint32(r)
+	}
+	return rank
 }
 
 // cutLists cuts one empty slice per count from one backing array of the
@@ -158,11 +252,11 @@ func cutLists(counts []int, total int) [][]*Entry {
 }
 
 // sortTies sorts each run of equal probability in ids, which Rank left in
-// ascending ID order, by triple key. The run's triples are copied once into
-// a scratch slice and a permutation of it is sorted, so no comparison copies
-// a Triple; equal keys (distinct triples whose fields join to the same
-// string) keep ID order, so the result is a stable sort's.
-func sortTies(d *triple.Dataset, probs []float64, ids []int32) {
+// ascending ID order, by triple key, keeping ID order among equal keys, so
+// the result is a stable sort's. With a subject rank, a run is sorted by
+// rank and ID as integers, and only triples of one subject are then compared
+// by whole key; without one, the whole run is.
+func (c *catalog) sortTies(d *triple.Dataset, probs []float64, ids []int32) {
 	// runEnd returns the end of the run that starts at lo.
 	runEnd := func(lo int) int {
 		key, hi := rankBits(probs[ids[lo]]), lo+1
@@ -171,37 +265,64 @@ func sortTies(d *triple.Dataset, probs []float64, ids []int32) {
 		}
 		return hi
 	}
-	longest := 0
+	longest, work := 0, 0.0
 	for lo, hi := 0, 0; lo < len(ids); lo = hi {
 		hi = runEnd(lo)
 		longest = max(longest, hi-lo)
+		work += float64(hi-lo) * math.Log2(float64(hi-lo))
 	}
 	if longest < 2 {
 		return
 	}
-	run := make([]triple.Triple, longest)
-	perm := make([]int32, longest)
+	rank := c.rankSubjects(work)
+	keys := make([]uint64, longest)
+	run, perm := make([]triple.Triple, longest), make([]int32, longest)
 	for lo, hi := 0, 0; lo < len(ids); lo = hi {
 		hi = runEnd(lo)
-		if hi-lo < 2 {
+		if rank == nil {
+			sortByKey(d, ids[lo:hi], run, perm)
 			continue
 		}
-		run, perm := run[:hi-lo], perm[:hi-lo]
+		keys := keys[:hi-lo]
 		for i, id := range ids[lo:hi] {
-			run[i] = d.Triple(triple.TripleID(id))
-			perm[i] = int32(i)
+			keys[i] = uint64(rank[c.at[id].subj])<<32 | uint64(id)
 		}
-		slices.SortFunc(perm, func(a, b int32) int {
-			if c := compareKeys(&run[a], &run[b]); c != 0 {
-				return c
+		slices.Sort(keys)
+		for i, k := range keys {
+			ids[lo+i] = int32(uint32(k))
+		}
+		for a, b := lo, lo; a < hi; a = b {
+			for b = a + 1; b < hi && keys[b-lo]>>32 == keys[a-lo]>>32; b++ {
 			}
-			return cmp.Compare(a, b)
-		})
-		for i, j := range perm {
-			perm[i] = ids[lo+int(j)]
+			sortByKey(d, ids[a:b], run, perm)
 		}
-		copy(ids[lo:hi], perm)
 	}
+}
+
+// sortByKey sorts ids, which are in ascending order, by triple key, equal
+// keys (distinct triples whose fields join to the same string) keeping ID
+// order. The triples are copied once into run and a permutation of them is
+// sorted in perm (both scratch of at least len(ids)), so no comparison
+// copies a Triple.
+func sortByKey(d *triple.Dataset, ids []int32, run []triple.Triple, perm []int32) {
+	if len(ids) < 2 {
+		return
+	}
+	run, perm = run[:len(ids)], perm[:len(ids)]
+	for i, id := range ids {
+		run[i] = d.Triple(triple.TripleID(id))
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := compareKeys(&run[a], &run[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for i, j := range perm {
+		perm[i] = ids[j]
+	}
+	copy(ids, perm)
 }
 
 // compareKeys compares a.Key() with b.Key() — the fields joined by 0x1f —
@@ -260,7 +381,11 @@ func (idx *Index) Lookup(id triple.TripleID) (p float64, accepted, ok bool) {
 // Subject returns the fused results about a subject, pre-ranked by
 // descending probability. The slice is shared: callers must not mutate it.
 func (idx *Index) Subject(subject string) []*Entry {
-	return idx.bySubject[subject]
+	slot, ok := idx.bySubject[subject]
+	if !ok {
+		return nil
+	}
+	return idx.subjLists[slot]
 }
 
 // Source returns the fused results a source contributed to, pre-ranked by
@@ -268,7 +393,3 @@ func (idx *Index) Subject(subject string) []*Entry {
 func (idx *Index) Source(name string) []*Entry {
 	return idx.bySource[name]
 }
-
-// Ranked returns every fused result in global rank order. The slice is
-// shared: callers must not mutate it.
-func (idx *Index) Ranked() []Entry { return idx.entries }

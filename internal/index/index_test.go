@@ -416,6 +416,60 @@ func TestBuildRankingEqualsStableSort(t *testing.T) {
 	checkBuildOrder(t, d, probs, provided, accepted)
 }
 
+// TestBuildRankingBySubjectRank: with no separator inside any subject,
+// Build orders the ties of different subjects by a rank of the subjects and
+// compares whole keys only within one subject. Both shapes hold subjects
+// that are prefixes of others and bytes below, at and above 0x1f after a
+// prefix; separators stay in predicates and objects. The first shape is
+// many ties over few subjects, which ranks them; the second is one triple
+// per subject and short runs, where ranking would cost more than the
+// plain key sort of each run, which Build falls back to.
+func TestBuildRankingBySubjectRank(t *testing.T) {
+	parts := []string{"", "a", "ab", "\x00", "a\x00", "b", "\x1e", "a\x1e", "a\x20", "é"}
+	fields := []string{"", "a", "a\x1f", "\x1f", "b", "a\x1fb"}
+	for _, shape := range []struct {
+		name             string
+		triples, levels  int
+		subjectPerTriple bool
+	}{{"few subjects", 3000, 4, false}, {"one triple per subject", 3000, 1000, true}} {
+		t.Run(shape.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			d := triple.NewDataset()
+			src := []triple.SourceID{d.AddSource("x"), d.AddSource("y"), d.AddSource("z")}
+			for i := 0; i < shape.triples; i++ {
+				sub := parts[rng.Intn(len(parts))] + parts[rng.Intn(len(parts))]
+				if shape.subjectPerTriple {
+					sub += fmt.Sprint(i)
+				}
+				tr := triple.Triple{Subject: sub, Predicate: fields[rng.Intn(len(fields))], Object: fields[rng.Intn(len(fields))]}
+				d.Observe(src[rng.Intn(len(src))], tr)
+				if rng.Intn(2) == 0 {
+					d.Observe(src[rng.Intn(len(src))], tr)
+				}
+			}
+			n := d.NumTriples()
+			probs, provided, accepted := make([]float64, n), make([]bool, n), make([]bool, n)
+			for i := range probs {
+				probs[i] = float64(rng.Intn(shape.levels)) / float64(shape.levels)
+				provided[i] = true
+				accepted[i] = probs[i] > 0.5
+			}
+			checkBuildOrder(t, d, probs, provided, accepted)
+		})
+	}
+}
+
+// TestBuildProviderSetCollisions: entries with equal provider sets share
+// one sorted name list, found by a hash of the set; with a hash that sends
+// every set to one key, each entry still gets its own set's names.
+func TestBuildProviderSetCollisions(t *testing.T) {
+	defer func(p uint64) { *index.SetHashPrime = p }(*index.SetHashPrime)
+	*index.SetHashPrime = 0
+	d := randomDataset(3)
+	probs, provided, accepted := buildModel(t, d, corrfuse.PrecRecCorr, 0).FrozenScores()
+	checkBuildOrder(t, d, probs, provided, accepted)
+}
+
 // fuzzLevels are the probabilities FuzzBuildRanking draws from: few, so
 // ties are common, and the ends of the order (±0, negative, subnormal, 1,
 // ±Inf) are reached. NaN is left out, as in TestBuildRankingEqualsStableSort.

@@ -152,31 +152,17 @@ func (s *Server) decodeError(w http.ResponseWriter, err error) {
 	s.httpError(w, http.StatusBadRequest, "malformed body: %v", err)
 }
 
-// decodeScore parses a /v1/score body through the codec fast path,
-// answering 413/400 itself. It reports whether decoding succeeded.
-func (s *Server) decodeScore(w http.ResponseWriter, r *http.Request, req *ScoreRequest) bool {
+// decodeBody reads a request body under the byte cap and parses it with a
+// codec fast-path decoder, answering 413/400 itself. It reports whether
+// decoding succeeded.
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, req *T, decode func([]byte, *T) error) bool {
 	defer s.span(r.Context(), "decode")()
 	buf := codec.GetBuffer()
 	defer codec.PutBuffer(buf)
 	if !s.readCapped(w, r, buf) {
 		return false
 	}
-	if err := codec.DecodeScoreRequest(buf.B, req); err != nil {
-		s.decodeError(w, err)
-		return false
-	}
-	return true
-}
-
-// decodeObserve is decodeScore's twin for the /v1/observe body.
-func (s *Server) decodeObserve(w http.ResponseWriter, r *http.Request, req *codec.ObserveRequest) bool {
-	defer s.span(r.Context(), "decode")()
-	buf := codec.GetBuffer()
-	defer codec.PutBuffer(buf)
-	if !s.readCapped(w, r, buf) {
-		return false
-	}
-	if err := codec.DecodeObserveRequest(buf.B, req); err != nil {
+	if err := decode(buf.B, req); err != nil {
 		s.decodeError(w, err)
 		return false
 	}
@@ -210,7 +196,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch codec.ObserveRequest
-	if !s.decodeObserve(w, r, &batch) {
+	if !decodeBody(s, w, r, &batch, codec.DecodeObserveRequest) {
 		return
 	}
 	single := batch.Observation
@@ -379,7 +365,7 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 //corrfuse:hotpath
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req ScoreRequest
-	if !s.decodeScore(w, r, &req) {
+	if !decodeBody(s, w, r, &req, codec.DecodeScoreRequest) {
 		return
 	}
 	if len(req.Triples) == 0 {
@@ -429,12 +415,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRefuse(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	v, shared, err := s.refuseFlight.Do(r.Context(), func(ctx context.Context) (any, error) {
-		sn, skipped, err := s.rebuild(ctx, true)
+		sn, skipped, err := s.rebuild(ctx, true, true)
 		if err != nil {
 			return nil, err
-		}
-		if err := s.persist(); err != nil {
-			s.logger.Error("serve: persist failed", "err", err)
 		}
 		return s.refuseSummary(sn, skipped), nil
 	})

@@ -28,7 +28,7 @@ func TestIndexMatchesModel(t *testing.T) {
 			cfg.Options.Shards = shards
 			srv := newServer(t, st, cfg)
 			srv.ingest(Observation{Source: "good1", Subject: "wnew", Predicate: "p", Object: "v"})
-			if _, skipped, err := srv.rebuild(context.Background(), false); err != nil || skipped {
+			if _, skipped, err := srv.rebuild(context.Background(), false, false); err != nil || skipped {
 				t.Fatalf("rebuild: skipped=%v err=%v", skipped, err)
 			}
 			sn := srv.snap.Load()

@@ -275,7 +275,7 @@ func TestConcurrentScrapeAndIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, _, err := srv.rebuild(context.Background(), true); err != nil {
+			if _, _, err := srv.rebuild(context.Background(), true, false); err != nil {
 				errs <- err
 				return
 			}
@@ -344,7 +344,7 @@ func TestLiveTriplesCountsTheDelta(t *testing.T) {
 			srv.ingest(Observation{Source: "bad", Subject: "mid-build", Predicate: "p", Object: "v"})
 		}
 	}
-	if _, _, err := srv.rebuild(context.Background(), false); err != nil {
+	if _, _, err := srv.rebuild(context.Background(), false, false); err != nil {
 		t.Fatal(err)
 	}
 	srv.testStageHook = nil
@@ -359,7 +359,7 @@ func TestLiveTriplesCountsTheDelta(t *testing.T) {
 	}
 	wantLive("after a rebuild with a mid-build claim", len(suffix))
 
-	if _, _, err := srv.rebuild(context.Background(), false); err != nil {
+	if _, _, err := srv.rebuild(context.Background(), false, false); err != nil {
 		t.Fatal(err)
 	}
 	wantLive("after a quiet rebuild", 0)

@@ -255,7 +255,7 @@ func TestDeltaOverlayEqualsSeededScorer(t *testing.T) {
 				}
 			}
 		}
-		_, skipped, err := srv.rebuild(context.Background(), false)
+		_, skipped, err := srv.rebuild(context.Background(), false, false)
 		srv.testStageHook = nil
 		if err != nil || skipped || len(suffix) != 8 {
 			t.Fatalf("round %d: rebuild skipped=%v err=%v with %d mid-build claims, want a rebuild with 8", round, skipped, err, len(suffix))

@@ -25,12 +25,8 @@ func (s *Server) refresher() {
 			return
 		case <-ticker.C:
 			//lint:ignore ctxflow the background refresher has no request to inherit a deadline from
-			if _, skipped, err := s.rebuild(context.Background(), false); err != nil {
+			if _, _, err := s.rebuild(context.Background(), false, true); err != nil {
 				s.logger.Error("serve: background re-fusion failed", "err", err)
-			} else if !skipped {
-				if err := s.persist(); err != nil {
-					s.logger.Error("serve: persist failed", "err", err)
-				}
 			}
 		}
 	}
@@ -38,7 +34,10 @@ func (s *Server) refresher() {
 
 // rebuild re-fuses the accumulated store with the batch model and swaps the
 // result in. Unless force is set, it is skipped (skipped=true) when the
-// store's data version has not moved since the current snapshot.
+// store's data version has not moved since the current snapshot. With
+// persist set (not at boot), a rebuild that is not skipped saves the store
+// beside the index build, online seed and swap, and joins the save before
+// it returns, so a refuse answers after its own persist.
 //
 // Concurrency protocol: the store capture happens under the live write lock,
 // so every journal entry recorded before the capture is already in the
@@ -65,7 +64,9 @@ func (s *Server) refresher() {
 // from the snapshot's index), but persist saves it, so aborting between
 // the write-back and the snapshot swap would let the next persist write
 // probability/accepted columns from a model that never served a request.
-func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, error) {
+// Nothing after the write-back can fail or be canceled, so the persist may
+// start there: it saves the columns of the snapshot about to serve.
+func (s *Server) rebuild(ctx context.Context, force, persist bool) (*snapshot, bool, error) {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
 	s.rebuildActive.Store(true)
@@ -152,6 +153,15 @@ func (s *Server) rebuild(ctx context.Context, force bool) (*snapshot, bool, erro
 	endWriteback := stage("writeback")
 	nTriples, nAccepted := s.store.SetFusionRows(rows, probs, provided, accepted)
 	endWriteback()
+	if persist {
+		saved := make(chan error, 1)
+		go func() { saved <- s.persist() }()
+		defer func() {
+			if err := <-saved; err != nil {
+				s.logger.Error("serve: persist failed", "err", err)
+			}
+		}()
+	}
 	// Freeze the fused results into the snapshot's read index, sharing the
 	// model's score tables (no copies — the index only adds the pre-ranked
 	// listing structures). Built here, once per rebuild and before the

@@ -12,6 +12,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -157,7 +159,7 @@ func TestOnlineUnavailableIsSignalled(t *testing.T) {
 	// Rebuilds keep working batch-only, and ingests fall back to stored
 	// batch probabilities.
 	srv.ingest(Observation{Source: "good1", Subject: "t0", Predicate: "p", Object: "v"})
-	sn, _, err := srv.rebuild(context.Background(), true)
+	sn, _, err := srv.rebuild(context.Background(), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +260,7 @@ func TestReplayFailureCompletesSwap(t *testing.T) {
 		return &failingScorer{inner: inc, failOn: poison}, nil
 	}
 	srv.ingest(Observation{Source: "good2", Subject: "pre-build", Predicate: "p", Object: "v"})
-	sn, skipped, err := srv.rebuild(context.Background(), false)
+	sn, skipped, err := srv.rebuild(context.Background(), false, false)
 	if err != nil {
 		t.Fatalf("replay failure aborted the rebuild: %v", err)
 	}
@@ -284,7 +286,7 @@ func TestReplayFailureCompletesSwap(t *testing.T) {
 	// The mid-build claim's provenance is in the store (ingest writes the
 	// store first), so the next rebuild folds it in and recovers.
 	srv.testOnlineHook = nil
-	if _, _, err := srv.rebuild(context.Background(), true); err != nil {
+	if _, _, err := srv.rebuild(context.Background(), true, false); err != nil {
 		t.Fatal(err)
 	}
 	if liveInc(srv) == nil {
@@ -314,7 +316,7 @@ func TestPartialRebuildEndToEnd(t *testing.T) {
 	obs := Observation{Source: "good1", Subject: "fresh-subject", Predicate: "p", Object: "v"}
 	for _, srv := range []*Server{partial, full} {
 		srv.ingest(obs)
-		if _, skipped, err := srv.rebuild(context.Background(), false); err != nil || skipped {
+		if _, skipped, err := srv.rebuild(context.Background(), false, false); err != nil || skipped {
 			t.Fatalf("rebuild: err=%v skipped=%v", err, skipped)
 		}
 	}
@@ -353,7 +355,7 @@ func TestPartialRebuildNewSourceFallsBackToFull(t *testing.T) {
 	srv := newServer(t, seedStoreWide(t, 48), cfg)
 
 	srv.ingest(Observation{Source: "newcomer", Subject: "wt0", Predicate: "p", Object: "v"})
-	sn, skipped, err := srv.rebuild(context.Background(), false)
+	sn, skipped, err := srv.rebuild(context.Background(), false, false)
 	if err != nil || skipped {
 		t.Fatalf("rebuild: err=%v skipped=%v", err, skipped)
 	}
@@ -438,7 +440,7 @@ func TestWritebackByRowEqualsSetFusionLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sn, skipped, err := srv.rebuild(context.Background(), false)
+	sn, skipped, err := srv.rebuild(context.Background(), false, false)
 	srv.testStageHook = nil
 	if err != nil || skipped {
 		t.Fatalf("rebuild: skipped=%v err=%v", skipped, err)
@@ -467,5 +469,82 @@ func TestWritebackByRowEqualsSetFusionLoop(t *testing.T) {
 	}
 	if e, _ := srv.store.Get(tr("stale", "v")); e.Probability == 0.99 {
 		t.Errorf("captured entry not written back: %+v", e)
+	}
+}
+
+// TestPersistOverlapsIndexBuild: a rebuild that persists starts the persist
+// as soon as the write-back is done, so the save runs while the index is
+// still being built. The index_build hook waits for the persist to begin:
+// a persist made after the rebuild never gets there. Boot persists nothing;
+// /v1/refuse and a refresher tick both take the overlapped path, and each
+// has saved its claim by the time the rebuild returns.
+func TestPersistOverlapsIndexBuild(t *testing.T) {
+	dir := t.TempDir()
+	cfg := corrConfig()
+	cfg.PersistPath = filepath.Join(dir, "store.jsonl")
+	cfg.RefreshInterval = 10 * time.Millisecond
+	srv := newServer(t, seedStore(t), cfg)
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("boot wrote %v (%v), want no file", files, err)
+	}
+
+	persisting := make(chan struct{}, 1)
+	overlapped := make(chan bool, 2)
+	srv.testStageHook = func(stage string) {
+		switch stage {
+		case "persist":
+			select {
+			case persisting <- struct{}{}:
+			default:
+			}
+		case "index_build":
+			select {
+			case <-persisting:
+				overlapped <- true
+			case <-time.After(10 * time.Second):
+				overlapped <- false
+			}
+		}
+	}
+	saved := func(path, subject string) bool {
+		raw, err := os.ReadFile(path)
+		return err == nil && strings.Contains(string(raw), `"subject":"`+subject+`"`)
+	}
+
+	srv.ingest(Observation{Source: "good1", Subject: "by-refuse", Predicate: "p", Object: "v"})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/refuse", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("refuse: %d %s", rec.Code, rec.Body)
+	}
+	if !<-overlapped {
+		t.Fatal("refuse: the persist did not begin before index_build ended")
+	}
+	if !saved(cfg.PersistPath, "by-refuse") {
+		t.Fatal("refuse answered before its persist saved the JSONL store")
+	}
+	img, _, err := store.LoadBinary(store.BinaryPath(cfg.PersistPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := img.Get(tr("by-refuse", "v")); !ok {
+		t.Fatal("refuse answered before its persist saved the image")
+	}
+
+	srv.ingest(Observation{Source: "good2", Subject: "by-tick", Predicate: "p", Object: "v"})
+	srv.Start()
+	select {
+	case ok := <-overlapped:
+		if !ok {
+			t.Fatal("refresher: the persist did not begin before index_build ended")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no refresher tick rebuilt the store")
+	}
+	// The tick's rebuild holds rebuildMu until it has joined its persist.
+	srv.rebuildMu.Lock()
+	srv.rebuildMu.Unlock()
+	if !saved(cfg.PersistPath, "by-tick") {
+		t.Fatal("the refresher tick did not persist the store")
 	}
 }

@@ -203,7 +203,7 @@ func TestServerRebootstrap(t *testing.T) {
 	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 1") {
 		t.Error("online_disabled gauge reads 0 on a re-bootstrapped follower serving batch-only")
 	}
-	if _, _, err := srv.rebuild(context.Background(), false); err != nil {
+	if _, _, err := srv.rebuild(context.Background(), false, false); err != nil {
 		t.Fatal(err)
 	}
 	if text := metricsText(t, srv); !strings.Contains(text, "corrfused_online_disabled 0") {

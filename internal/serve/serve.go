@@ -352,8 +352,9 @@ type Server struct {
 	testOnlineHook func(corrfuse.OnlineScorer, error) (corrfuse.OnlineScorer, error)
 
 	// testStageHook, when non-nil, runs at the end of every rebuild stage
-	// with the stage's name. Tests use it to gate or slow a stage (proving
-	// deadline propagation and single-flight coalescing deterministically);
+	// with the stage's name, and with "persist" as a persist begins. Tests
+	// use it to gate or slow a stage (proving deadline propagation,
+	// single-flight coalescing and the persist overlap deterministically);
 	// production code never sets it.
 	testStageHook func(stage string)
 
@@ -430,7 +431,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		}
 	}
 	//lint:ignore ctxflow startup fusion runs before any request exists; New has no caller deadline to inherit
-	if _, _, err := s.rebuild(context.Background(), true); err != nil {
+	if _, _, err := s.rebuild(context.Background(), true, false); err != nil {
 		if s.wal != nil {
 			//lint:ignore errswallow best-effort cleanup; the initial-fusion error is returned
 			s.wal.Close()
@@ -538,22 +539,28 @@ func (s *Server) Snapshot() (seq, version uint64, age time.Duration) {
 	return sn.seq, sn.version, time.Since(sn.builtAt)
 }
 
-// persist saves the store (store.Persist owns the file formats, their
-// ordering and what makes truncation safe) and then truncates the WAL
+// persist saves the store (store.Persist owns the file formats, what runs
+// at once and what makes truncation safe) and then truncates the WAL
 // segments the saved state covers. The WAL sequence is captured BEFORE the
-// save: every record at or below the capture finished its Append, and ingest
-// writes the store before appending, so the saved state is guaranteed to
-// contain all of them — truncating through the capture can never drop an
-// acknowledged observation the save missed. A failure of either save is
-// counted (corrfused_persist_failures_total, at most once per call) and the
-// latest error is surfaced in /v1/refuse so operators can alert on a service
-// that can no longer save.
+// saves: every record at or below the capture finished its Append, and
+// ingest writes the store before appending, so the saved state is
+// guaranteed to contain all of them — truncating through the capture can
+// never drop an acknowledged observation the save missed. That holds when a
+// rebuild starts persist right after its write-back: the index build and
+// swap running beside the saves never write the store, and a claim ingested
+// after the capture has a higher sequence, so the log keeps it.
+// A failure of either save is counted (corrfused_persist_failures_total, at
+// most once per call) and the latest error is surfaced in /v1/refuse so
+// operators can alert on a service that can no longer save.
 func (s *Server) persist() error {
 	if s.cfg.PersistPath == "" {
 		return nil
 	}
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
+	if s.testStageHook != nil {
+		s.testStageHook("persist")
+	}
 	var capSeq uint64
 	if s.wal != nil {
 		capSeq = s.wal.Seq()

@@ -254,18 +254,18 @@ func TestSubjectSourceAndScore(t *testing.T) {
 // must not count as data changes.
 func TestRefreshSkipsUnchangedStore(t *testing.T) {
 	srv := newServer(t, seedStore(t), corrConfig())
-	if _, skipped, err := srv.rebuild(context.Background(), false); err != nil || !skipped {
+	if _, skipped, err := srv.rebuild(context.Background(), false, false); err != nil || !skipped {
 		t.Fatalf("rebuild over unchanged store: skipped=%v err=%v", skipped, err)
 	}
 	srv.ingest(Observation{Source: "good1", Subject: "new", Predicate: "p", Object: "v"})
-	sn, skipped, err := srv.rebuild(context.Background(), false)
+	sn, skipped, err := srv.rebuild(context.Background(), false, false)
 	if err != nil || skipped {
 		t.Fatalf("rebuild after ingest: skipped=%v err=%v", skipped, err)
 	}
 	if sn.seq != 2 {
 		t.Fatalf("seq = %d, want 2", sn.seq)
 	}
-	if _, skipped, _ := srv.rebuild(context.Background(), false); !skipped {
+	if _, skipped, _ := srv.rebuild(context.Background(), false, false); !skipped {
 		t.Fatal("rebuild immediately after rebuild not skipped")
 	}
 }
@@ -282,7 +282,7 @@ func TestUnknownSourcePending(t *testing.T) {
 	if e, ok := st.Get(tr("x", "v")); !ok || len(e.Sources) != 1 {
 		t.Fatalf("claim from unknown source not stored: %+v", e)
 	}
-	if _, skipped, err := srv.rebuild(context.Background(), false); err != nil || skipped {
+	if _, skipped, err := srv.rebuild(context.Background(), false, false); err != nil || skipped {
 		t.Fatalf("rebuild: skipped=%v err=%v", skipped, err)
 	}
 	res, _, _ = srv.ingest(Observation{Source: "newcomer", Subject: "y", Predicate: "p", Object: "v"})
@@ -684,7 +684,7 @@ func TestSkippedRebuildTrimsJournal(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("journal = %d entries, want 5", n)
 	}
-	if _, skipped, err := srv.rebuild(context.Background(), false); err != nil || !skipped {
+	if _, skipped, err := srv.rebuild(context.Background(), false, false); err != nil || !skipped {
 		t.Fatalf("duplicate claims must not force a rebuild: skipped=%v err=%v", skipped, err)
 	}
 	srv.live.RLock()

@@ -82,6 +82,7 @@ func (s *Store) Put(e Entry) {
 		return
 	}
 	sort.Strings(e.Sources)
+	e.Sources = slices.Compact(e.Sources)
 	s.byKey[e.Triple] = len(s.entries)
 	s.entries = append(s.entries, e)
 	s.version++
@@ -298,28 +299,36 @@ type PersistResult struct {
 	SnapshotTime, JSONLTime time.Duration
 }
 
-// Persist saves the store next to path in both on-disk forms: the binary
-// snapshot (the cold-start format LoadPreferred prefers) first, then the
+// Persist saves the store next to path in both on-disk forms at once: the
+// binary snapshot (the cold-start format LoadPreferred prefers) and the
 // JSONL file (the recovery copy LoadPreferred falls back to when the
 // snapshot is rejected). A nil error means a restart from these files sees
 // at least the state the store held when Persist was called, so a WAL may
-// drop the records that state covers. That is why a failed snapshot save
-// deletes the stale snapshot, and why failing even that is an error: a
-// stale snapshot surviving past a truncation would resurrect a
-// pre-truncation state on the next start and lose acknowledged writes.
+// drop the records that state covers. That is why Persist returns only once
+// both saves have, why a failed snapshot save deletes the stale snapshot,
+// and why failing even that is an error: a stale snapshot surviving past a
+// truncation would resurrect a pre-truncation state on the next start and
+// lose acknowledged writes.
 func (s *Store) Persist(path string) (PersistResult, error) {
 	var res PersistResult
 	var staleErr error
+	snapshotDone := make(chan struct{})
+	go func() {
+		defer close(snapshotDone)
+		start := time.Now()
+		if res.SnapshotErr = s.SaveBinary(BinaryPath(path)); res.SnapshotErr != nil {
+			staleErr = removeSnapshot(path)
+		}
+		res.SnapshotTime = time.Since(start)
+	}()
 	start := time.Now()
-	if res.SnapshotErr = s.SaveBinary(BinaryPath(path)); res.SnapshotErr != nil {
-		staleErr = removeSnapshot(path)
-	}
-	res.SnapshotTime = time.Since(start)
-	start = time.Now()
-	if err := s.Save(path); err != nil {
+	err := s.Save(path)
+	jsonlTime := time.Since(start)
+	<-snapshotDone
+	if err != nil {
 		return res, err
 	}
-	res.JSONLTime = time.Since(start)
+	res.JSONLTime = jsonlTime
 	return res, staleErr
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"corrfuse/internal/triple"
 )
@@ -41,6 +43,33 @@ func TestPutGetMerge(t *testing.T) {
 	}
 	if _, ok := s.Get(mk("x", "y", "z")); ok {
 		t.Error("missing triple reported present")
+	}
+}
+
+// TestPutCompactsRepeatedSources: a new entry that names a source twice
+// holds it once, so the JSONL file writes it back once and the image holds
+// one ref, as Capture and fuse count it.
+func TestPutCompactsRepeatedSources(t *testing.T) {
+	s := New()
+	line := `{"subject":"s","predicate":"p","object":"o","sources":["a","a"]}` + "\n"
+	if err := s.Read(strings.NewReader(line)); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := s.Get(mk("s", "p", "o")); !slices.Equal(e.Sources, []string{"a"}) {
+		t.Fatalf("entry sources %q, want [a]", e.Sources)
+	}
+	var jsonl, img bytes.Buffer
+	if err := s.Write(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(jsonl.String(), `"sources":["a"]`) {
+		t.Fatalf("JSONL %q does not hold [\"a\"]", jsonl.String())
+	}
+	if err := s.WriteBinary(&img); err != nil {
+		t.Fatal(err)
+	}
+	if refs := binary.LittleEndian.Uint64(img.Bytes()[24:32]); refs != 1 {
+		t.Fatalf("image holds %d source refs, want 1", refs)
 	}
 }
 
@@ -284,9 +313,10 @@ func TestSaveFsyncFailureAborts(t *testing.T) {
 	}
 }
 
-// TestPersistOrderAndTruncateSafety pins the one persist path: snapshot
-// first, JSONL second, and success (= the WAL may be truncated) only while
-// no stale snapshot can shadow the JSONL on the next LoadPreferred.
+// TestPersistOrderAndTruncateSafety pins the one persist path: the snapshot
+// and the JSONL file are saved at once, and success (= the WAL may be
+// truncated) comes only after both, and only while no stale snapshot can
+// shadow the JSONL on the next LoadPreferred.
 func TestPersistOrderAndTruncateSafety(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.jsonl")
@@ -301,12 +331,23 @@ func TestPersistOrderAndTruncateSafety(t *testing.T) {
 
 	s := New()
 	s.Put(Entry{Triple: mk("new", "p", "v"), Sources: []string{"S1"}})
-	var synced []string
+	// The snapshot's fsync waits for the JSONL's to begin: saves made one
+	// after the other never get there, and the failure is injected after.
+	jsonlSyncing := make(chan struct{})
+	var jsonlOnce sync.Once
+	overlapped := false
 	orig := fsyncFile
 	defer func() { fsyncFile = orig }()
 	fsyncFile = func(f *os.File) error {
-		synced = append(synced, filepath.Ext(f.Name()))
-		if filepath.Ext(f.Name()) == ".cfsn" {
+		switch filepath.Ext(f.Name()) {
+		case ".jsonl":
+			jsonlOnce.Do(func() { close(jsonlSyncing) })
+		case ".cfsn":
+			select {
+			case <-jsonlSyncing:
+				overlapped = true
+			case <-time.After(10 * time.Second):
+			}
 			return errors.New("injected snapshot fsync failure")
 		}
 		return orig(f)
@@ -318,8 +359,8 @@ func TestPersistOrderAndTruncateSafety(t *testing.T) {
 	if res.SnapshotErr == nil {
 		t.Fatal("snapshot failure not reported")
 	}
-	if len(synced) < 2 || synced[0] != ".cfsn" || synced[1] != ".jsonl" {
-		t.Fatalf("save order = %v, want the snapshot before the JSONL file", synced)
+	if !overlapped {
+		t.Fatal("the snapshot save was never fsyncing while the JSONL save was: the saves did not run at once")
 	}
 	// The stale snapshot is gone, so the restart reads the new JSONL.
 	got, info, err := LoadPreferred(path)
