@@ -42,7 +42,11 @@ func (s *Server) refresher() {
 // Concurrency protocol: the store capture happens under the live write lock,
 // so every journal entry recorded before the capture is already in the
 // store (ingest writes the store before journaling, and journaling needs
-// the same lock). The long model build then runs without any lock. At swap
+// the same lock). The capture derives from the current snapshot's
+// (store.CaptureFrom): it re-reads only the entries stamped after that
+// capture's version and those appended since, and consumes nothing, so a
+// rebuild canceled after its capture leaves the next one the same base.
+// The long model build then runs without any lock. At swap
 // time the journal suffix — claims ingested during the build, which the
 // capture may have missed — is replayed onto the new, empty overlay through
 // applyLive; replaying a claim the capture did include is harmless because
@@ -108,7 +112,12 @@ func (s *Server) rebuild(ctx context.Context, force, persist bool) (*snapshot, b
 		s.live.Unlock()
 		return cur, true, nil
 	}
-	d, rows := s.store.Capture()
+	var prev *store.Captured
+	if cur != nil {
+		prev = cur.capture
+	}
+	c := s.store.CaptureFrom(prev)
+	d := c.Data
 	journalStart := len(s.live.journal)
 	s.live.Unlock()
 	endCapture()
@@ -151,7 +160,7 @@ func (s *Server) rebuild(ctx context.Context, force, persist bool) (*snapshot, b
 	// demotions stick, and it does not advance the data version, so this
 	// very rebuild does not make the next one think the data changed.
 	endWriteback := stage("writeback")
-	nTriples, nAccepted := s.store.SetFusionRows(rows, probs, provided, accepted)
+	nTriples, nAccepted := s.store.SetFusionRows(c.Rows, probs, provided, accepted)
 	endWriteback()
 	if persist {
 		saved := make(chan error, 1)
@@ -191,6 +200,7 @@ func (s *Server) rebuild(ctx context.Context, force, persist bool) (*snapshot, b
 	next := &snapshot{
 		fuser:    fuser,
 		data:     d,
+		capture:  c,
 		idx:      idx,
 		version:  version,
 		builtAt:  time.Now(),

@@ -231,6 +231,9 @@ type snapshot struct {
 	// data is the dataset the fuser was trained on; it maps source names
 	// and triples to the IDs both models use. It is immutable.
 	data *corrfuse.Dataset
+	// capture is the store capture data came from: its rows write the
+	// results back, and the next rebuild derives its capture from it.
+	capture *store.Captured
 	// idx is the immutable fused-result index built from this snapshot's
 	// batch results: triple-ID point reads and pre-ranked per-subject and
 	// per-source slices, all O(1) and lock-free. idx.Version() always

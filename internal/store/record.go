@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"corrfuse/internal/codec"
 	"corrfuse/internal/triple"
@@ -62,8 +63,12 @@ const writeChunk = 64 << 10
 // writes for the Record (key order, omitempty, HTML-safe string escapes,
 // float spelling, trailing newline) — files written before and after the
 // encoder was replaced compare equal — appended into one reused buffer.
+//
+// Each distinct probability is formatted once per call (floatCache), up to
+// floatCacheValues of them; the rest are formatted where they occur.
 func WriteRecords(w io.Writer, n int, fill func(i int, rec *Record)) error {
 	buf := make([]byte, 0, writeChunk+4<<10)
+	floats := new(floatCache)
 	var rec Record
 	for i := 0; i < n; i++ {
 		rec = Record{}
@@ -71,7 +76,7 @@ func WriteRecords(w io.Writer, n int, fill func(i int, rec *Record)) error {
 		if err := rec.validate(); err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
-		buf = appendRecord(buf, &rec)
+		buf = floats.appendRecord(buf, &rec)
 		if len(buf) >= writeChunk {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -88,6 +93,12 @@ func WriteRecords(w io.Writer, n int, fill func(i int, rec *Record)) error {
 
 // appendRecord appends rec as one JSONL line.
 func appendRecord(dst []byte, rec *Record) []byte {
+	return (*floatCache)(nil).appendRecord(dst, rec)
+}
+
+// appendRecord is appendRecord formatting the probability through c; a nil
+// c formats it afresh.
+func (c *floatCache) appendRecord(dst []byte, rec *Record) []byte {
 	dst = append(dst, `{"subject":`...)
 	dst = codec.AppendStringHTML(dst, rec.Subject)
 	dst = append(dst, `,"predicate":`...)
@@ -110,13 +121,57 @@ func appendRecord(dst []byte, rec *Record) []byte {
 	}
 	if rec.Probability != 0 {
 		dst = append(dst, `,"probability":`...)
-		dst = codec.AppendFloat(dst, rec.Probability)
+		dst = c.appendFloat(dst, rec.Probability)
 	}
 	if rec.Accepted {
 		dst = append(dst, `,"accepted":true`...)
 	}
 	return append(dst, '}', '\n')
 }
+
+// floatCacheSlots is the size of a floatCache's table, and
+// floatCacheValues how many values it holds before it stops adding: half
+// full, so a probe that misses ends within a few slots.
+const (
+	floatCacheSlots  = 1024
+	floatCacheValues = floatCacheSlots / 2
+)
+
+// floatCache holds the spelling of each float64 a save has written, by bit
+// pattern, in an open-addressed table of fixed size: a store holds few
+// distinct probabilities, and formatting one is most of a line's cost.
+type floatCache struct {
+	bits  [floatCacheSlots]uint64
+	n     [floatCacheSlots]uint8 // spelling length; 0 marks a free slot
+	text  [floatCacheSlots][24]byte
+	count int
+}
+
+// appendFloat appends f's spelling, copied from the cache when this save
+// has formatted f before; a nil c formats f afresh. Every finite float64's
+// spelling fits in 24 bytes.
+func (c *floatCache) appendFloat(dst []byte, f float64) []byte {
+	if c == nil {
+		return appendFloat(dst, f)
+	}
+	b := math.Float64bits(f)
+	slot := int(b * 0x9e3779b97f4a7c15 >> 54) // the top 10 bits: floatCacheSlots
+	for ; c.n[slot] != 0; slot = (slot + 1) % floatCacheSlots {
+		if c.bits[slot] == b {
+			return append(dst, c.text[slot][:c.n[slot]]...)
+		}
+	}
+	start := len(dst)
+	dst = appendFloat(dst, f)
+	if c.count < floatCacheValues && len(dst)-start <= len(c.text[slot]) {
+		c.bits[slot], c.n[slot] = b, uint8(copy(c.text[slot][:], dst[start:]))
+		c.count++
+	}
+	return dst
+}
+
+// appendFloat formats a probability; tests count its calls.
+var appendFloat = codec.AppendFloat
 
 // maxLineBytes is the longest line ReadRecords accepts.
 const maxLineBytes = 4 << 20

@@ -256,3 +256,40 @@ func TestStoreWriteAllocatesNothingPerEntry(t *testing.T) {
 		t.Fatalf("Store.Write allocates %v times for 10 entries and %v for 2000; want the same fixed set-up (<= 3) for both", small, large)
 	}
 }
+
+// TestWriteFormatsEachProbabilityOnce: a save formats each distinct
+// probability once, however many entries repeat it, and writes the bytes
+// appendRecord writes line by line — also past the cache's capacity, where
+// the values it cannot hold are formatted where they occur.
+func TestWriteFormatsEachProbabilityOnce(t *testing.T) {
+	calls := 0
+	defer func(f func([]byte, float64) []byte) { appendFloat = f }(appendFloat)
+	appendFloat = func(dst []byte, f float64) []byte {
+		calls++
+		return codec.AppendFloat(dst, f)
+	}
+	for _, distinct := range []int{1, 283, floatCacheValues, floatCacheValues + 300} {
+		s := New()
+		for i := 0; i < 3*distinct+50; i++ {
+			s.Put(Entry{Triple: mk(fmt.Sprintf("fact-%06d", i), "value", "v"), Sources: []string{"S1"},
+				Probability: float64(i%distinct+1) / float64(distinct+7), Accepted: i%2 == 0})
+		}
+		calls = 0
+		var got bytes.Buffer
+		if err := s.Write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if distinct <= floatCacheValues && calls != distinct {
+			t.Fatalf("%d distinct probabilities over %d entries: formatted %d times", distinct, s.Len(), calls)
+		}
+		var want []byte
+		for i := range s.entries {
+			e := &s.entries[i]
+			want = appendRecord(want, &Record{Subject: e.Triple.Subject, Predicate: e.Triple.Predicate, Object: e.Triple.Object,
+				Sources: e.Sources, Probability: e.Probability, Accepted: e.Accepted})
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%d distinct probabilities: the cached save differs from appendRecord's lines", distinct)
+		}
+	}
+}

@@ -36,11 +36,22 @@ type Entry struct {
 // Entries are append-only: Put and SetFusion merge into an entry in place or
 // append a new one, and nothing removes or reorders entries, so an entry's
 // index never changes. Capture's rows rely on it.
+//
+// From the first capture on, every entry carries a stamp: the data version
+// of its last source or label change since (of its creation, for an entry
+// Put creates). An entry whose stamp is at most a capture's Version looks to
+// the dataset exactly as it did at that capture, and sources are never
+// removed, so CaptureFrom re-reads only the entries stamped after its
+// previous capture and those appended since.
 type Store struct {
 	mu sync.RWMutex
 
 	entries []Entry
 	byKey   map[triple.Triple]int
+	// stamps[i] is entry i's stamp. It is nil until the first capture: a
+	// capture with no previous one reads every entry, so a store loaded
+	// and replayed at boot stamps nothing before it.
+	stamps []uint64
 
 	// version counts data mutations — new entries, new provenance, label
 	// changes — but not fusion-result writebacks (SetFusion, or Put merging
@@ -64,14 +75,18 @@ func (s *Store) Put(e Entry) {
 		cur := &s.entries[i]
 		for _, src := range e.Sources {
 			if !slices.Contains(cur.Sources, src) {
-				cur.Sources = append(cur.Sources, src)
+				// Into a new array: Get and Accepted hand the old one to
+				// readers outside the lock.
+				cur.Sources = append(slices.Clip(cur.Sources), src)
 				sort.Strings(cur.Sources)
 				s.version++
+				s.stamp(i)
 			}
 		}
 		if e.Label != "" && e.Label != cur.Label {
 			cur.Label = e.Label
 			s.version++
+			s.stamp(i)
 		}
 		if e.Probability != 0 {
 			cur.Probability = e.Probability
@@ -86,6 +101,19 @@ func (s *Store) Put(e Entry) {
 	s.byKey[e.Triple] = len(s.entries)
 	s.entries = append(s.entries, e)
 	s.version++
+	s.stamp(len(s.entries) - 1)
+}
+
+// stamp stamps entry i, changed or just appended, with the current version
+// once stamping has started.
+func (s *Store) stamp(i int) {
+	switch {
+	case s.stamps == nil:
+	case i == len(s.stamps):
+		s.stamps = append(s.stamps, s.version)
+	default:
+		s.stamps[i] = s.version
+	}
 }
 
 // SetFusion records the authoritative fusion result for a triple,
@@ -103,6 +131,7 @@ func (s *Store) SetFusion(t triple.Triple, prob float64, accepted bool) {
 	if !ok {
 		i = len(s.entries)
 		s.entries = append(s.entries, Entry{Triple: t})
+		s.stamp(i)
 		s.byKey[t] = i
 	}
 	s.entries[i].Probability = prob
@@ -183,33 +212,122 @@ func FromDataset(d *triple.Dataset) *Store {
 // their IDs in order of first appearance in the store. An entry with neither
 // (interned by SetFusion alone) is no evidence and is left out.
 func (s *Store) Dataset() *triple.Dataset {
-	d, _ := s.Capture()
-	return d
+	return s.CaptureFrom(nil).Data
 }
 
-// Capture is Dataset that also returns, for each triple ID, the index of the
-// entry the triple was captured from. Entries are append-only, so rows stays
-// valid for the life of the store and SetFusionRows can write a result back
-// by it. Entries are unique by key, so each row is interned with one map
-// operation, and every provider list is cut from one backing array.
+// Capture is CaptureFrom(nil)'s dataset and rows.
 func (s *Store) Capture() (d *triple.Dataset, rows []int) {
+	c := s.CaptureFrom(nil)
+	return c.Data, c.Rows
+}
+
+// Captured is one capture of the store.
+type Captured struct {
+	// Data is the dataset Dataset describes.
+	Data *triple.Dataset
+	// Rows[id] is the index of the entry triple id was captured from.
+	// Entries are append-only, so Rows stays valid for the life of the
+	// store and SetFusionRows can write a result back by it.
+	Rows []int
+	// Version is the data version the capture reflects: every entry is
+	// captured as it stood once its stamp was at most Version.
+	Version uint64
+	// entries is how many entries the capture read.
+	entries int
+}
+
+// CaptureFrom captures the store under one read lock. Given prev, an
+// earlier capture of this store, it derives the dataset from prev's: only
+// the entries stamped after prev.Version and those appended since are read,
+// and every other row keeps prev's provider list. Without prev, or when the
+// derivation cannot keep prev's numbering or should not share prev's
+// memory (see triple.Dataset.DeriveRows), it folds: it builds the dataset
+// from every entry with triple.NewDatasetRows. An entry prev skipped for
+// having no evidence that has since gained some would take an ID before
+// later rows, and one prev captured whose only evidence, its label, no
+// longer parses would give its ID up, so those cases fold too. Either way
+// the result is field for field what a fold would build now.
+//
+// Nothing is consumed: a capture that is thrown away leaves prev as good a
+// base for the next one as it was. The store's first capture also starts
+// the stamps, under a brief write lock.
+func (s *Store) CaptureFrom(prev *Captured) *Captured {
 	s.mu.RLock()
+	if s.stamps == nil {
+		s.mu.RUnlock()
+		s.mu.Lock()
+		if s.stamps == nil {
+			s.stamps = make([]uint64, len(s.entries)) // 0: this capture folds, reading every entry
+		}
+		s.mu.Unlock()
+		s.mu.RLock()
+	}
 	defer s.mu.RUnlock()
-	rows = make([]int, 0, len(s.entries))
-	refs := 0
-	for i := range s.entries {
-		e := &s.entries[i]
-		if l, _ := triple.ParseGold(e.Label); len(e.Sources) > 0 || l != triple.Unknown {
-			rows = append(rows, i)
-			refs += len(e.Sources)
+	c := &Captured{Version: s.version, entries: len(s.entries)}
+	if prev != nil {
+		if changed, ok := s.changedSince(prev); ok {
+			c.Rows = make([]int, len(prev.Rows), len(prev.Rows)+len(s.entries)-prev.entries)
+			copy(c.Rows, prev.Rows)
+			for i := prev.entries; i < len(s.entries); i++ {
+				if s.evidence(i) {
+					c.Rows = append(c.Rows, i)
+				}
+			}
+			if c.Data = prev.Data.DeriveRows(len(c.Rows), changed, s.rowFunc(c.Rows)); c.Data != nil {
+				return c
+			}
 		}
 	}
-	d = triple.NewDatasetRows(len(rows), refs, func(id int) (triple.Triple, []string, triple.Label) {
+	c.Rows = make([]int, 0, len(s.entries))
+	refs := 0
+	for i := range s.entries {
+		if s.evidence(i) {
+			c.Rows = append(c.Rows, i)
+			refs += len(s.entries[i].Sources)
+		}
+	}
+	c.Data = triple.NewDatasetRows(len(c.Rows), refs, s.rowFunc(c.Rows))
+	return c
+}
+
+// changedSince returns, ascending, the IDs in prev of the entries stamped
+// after prev.Version; ok is false when such an entry has gained its first
+// evidence since prev skipped it, or lost its only evidence (a label
+// relabeled to one ParseGold reads as Unknown): only a fold can renumber
+// the rows after it.
+func (s *Store) changedSince(prev *Captured) (changed []triple.TripleID, ok bool) {
+	id := 0
+	for i, stamp := range s.stamps[:prev.entries] {
+		if stamp <= prev.Version {
+			continue
+		}
+		id += sort.SearchInts(prev.Rows[id:], i)
+		captured := id < len(prev.Rows) && prev.Rows[id] == i
+		if captured != s.evidence(i) {
+			return nil, false
+		}
+		if captured {
+			changed = append(changed, triple.TripleID(id))
+		}
+	}
+	return changed, true
+}
+
+// evidence reports whether entry i has a source or a label, which is what
+// puts it in a captured dataset.
+func (s *Store) evidence(i int) bool {
+	e := &s.entries[i]
+	l, _ := triple.ParseGold(e.Label)
+	return len(e.Sources) > 0 || l != triple.Unknown
+}
+
+// rowFunc returns the dataset row of triple id, the entry rows[id].
+func (s *Store) rowFunc(rows []int) func(id int) (triple.Triple, []string, triple.Label) {
+	return func(id int) (triple.Triple, []string, triple.Label) {
 		e := &s.entries[rows[id]]
 		l, _ := triple.ParseGold(e.Label)
 		return e.Triple, e.Sources, l
-	})
-	return d, rows
+	}
 }
 
 // SetFusionRows writes a batch fusion result back by capture row: for every

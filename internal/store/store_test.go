@@ -610,3 +610,22 @@ func TestCaptureAllocationsIndependentOfEntries(t *testing.T) {
 		t.Fatalf("Capture made %v allocations on 200 entries and %v on 800 over the same sources: something is allocated per entry", small, large)
 	}
 }
+
+// TestPutLeavesReturnedSourcesAlone: an entry Get returned keeps its source
+// list when a later Put adds a source, even one that sorts first into a list
+// with spare capacity; readers use the list outside the store's lock.
+func TestPutLeavesReturnedSourcesAlone(t *testing.T) {
+	s := New()
+	tt := mk("s", "p", "o")
+	for _, src := range []string{"b", "c", "d"} {
+		s.Put(Entry{Triple: tt, Sources: []string{src}})
+	}
+	got, _ := s.Get(tt)
+	s.Put(Entry{Triple: tt, Sources: []string{"a"}})
+	if !slices.Equal(got.Sources, []string{"b", "c", "d"}) {
+		t.Fatalf("a returned entry's sources changed under a later Put: %v", got.Sources)
+	}
+	if now, _ := s.Get(tt); !slices.Equal(now.Sources, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("sources after the Put: %v", now.Sources)
+	}
+}

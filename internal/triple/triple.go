@@ -11,6 +11,7 @@ package triple
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -108,7 +109,19 @@ type Dataset struct {
 	triples []Triple
 
 	sourceByName map[string]SourceID
-	tripleByKey  map[Triple]TripleID
+	// tripleByKey maps the base's triples, IDs [0, len(tripleByKey)), to
+	// their IDs; appended holds one map per later ID range, oldest first.
+	// A derived dataset shares both read-only with the dataset it derives
+	// from (sharedKeys), so interning into it first copies them (ownKeys).
+	tripleByKey map[Triple]TripleID
+	appended    []map[Triple]TripleID
+	sharedKeys  bool
+
+	// refs is the total length of the provider lists NewDatasetRows or
+	// DeriveRows built. stale counts the SourceIDs of the lists DeriveRows
+	// has replaced since the last NewDatasetRows: the arrays those lists
+	// were cut from stay alive while any other list cut from them is.
+	refs, stale int
 
 	// providers[t] lists, in ascending order, the sources that provide t.
 	providers [][]SourceID
@@ -191,10 +204,156 @@ func NewDatasetRows(n, refs int, row func(i int) (Triple, []string, Label)) *Dat
 			counts[s]++
 		}
 	}
-	outBacking := make([]TripleID, off)
-	off = 0
+	d.fillOutputs(counts, off)
+	return d
+}
+
+// maxKeyMaps bounds how many maps a derived dataset's TripleID probes after
+// its base: a derivation that would add one more folds instead. With eight,
+// a miss costs about 0.2 µs (BenchmarkTripleIDKeyMaps), far below what a
+// claim costs the server, while each fold re-hashes every triple.
+const maxKeyMaps = 8
+
+// DeriveRows returns the dataset NewDatasetRows(n, refs, row) builds, field
+// for field — the same SourceIDs, TripleIDs, providers, outputs, labels and
+// TripleID answers — given that d is what NewDatasetRows or DeriveRows built
+// from the first d.NumTriples() of those rows, that no row lost a name, and
+// that changed lists, ascending, every such row whose names or label
+// differ since. It re-derives only the changed rows and the rows appended
+// after d's; every other row keeps d's provider list, which it shares.
+// Outputs are recounted from the providers, and the triples appended after
+// d's get one new key map, so nothing before them is hashed again.
+//
+// It returns nil when the result cannot keep d's numbering or should not
+// share d's memory; the caller then builds it with NewDatasetRows. That
+// happens when a changed row names a source before the row where the source
+// first appeared (or a new source before the last source's first row); when
+// the rows appended since the base reach the base's size, which keeps the
+// hashing amortised over the rows appended; when one more key map would
+// follow maxKeyMaps; and when the provider lists replaced since the base
+// would outnumber, in SourceIDs, the lists d holds, which keeps the arrays
+// a derived dataset pins under twice its own lists.
+//
+// d and the result share key maps and provider lists, so neither may be
+// mutated afterwards except through the copying paths (an intern into the
+// result copies its keys first); concurrent reads of d are fine.
+func (d *Dataset) DeriveRows(n int, changed []TripleID, row func(i int) (Triple, []string, Label)) *Dataset {
+	m, base := len(d.triples), len(d.tripleByKey)
+	if n < m || n-base >= base || n > m && len(d.appended) == maxKeyMaps {
+		return nil
+	}
+	stale := d.stale
+	for _, id := range changed {
+		stale += len(d.providers[id])
+	}
+	if stale > d.refs {
+		return nil
+	}
+	nd := &Dataset{
+		sources:      slices.Clip(d.sources),
+		sourceByName: maps.Clone(d.sourceByName),
+		tripleByKey:  d.tripleByKey,
+		sharedKeys:   true,
+		stale:        stale,
+		triples:      make([]Triple, n),
+		providers:    make([][]SourceID, n),
+		labels:       make([]Label, n),
+	}
+	copy(nd.triples, d.triples)
+	copy(nd.providers, d.providers)
+	copy(nd.labels, d.labels)
+
+	refs := 0
+	for _, id := range changed {
+		_, names, _ := row(int(id))
+		refs += len(names)
+	}
+	for i := m; i < n; i++ {
+		_, names, _ := row(i)
+		refs += len(names)
+	}
+	backing := make([]SourceID, refs)
+	// lastFirst is the row where d's newest source first appeared: a source
+	// new to d keeps its place in the numbering only after that row.
+	lastFirst := TripleID(-1)
+	if k := len(d.sources); k > 0 {
+		lastFirst = d.outputs[k-1][0]
+	}
+	off := 0
+	provide := func(id TripleID, names []string) bool {
+		if len(names) == 0 {
+			nd.providers[id] = nil
+			return true
+		}
+		provs := backing[off : off+len(names)]
+		for j, name := range names {
+			s, known := nd.sourceByName[name]
+			switch {
+			case !known && id <= lastFirst:
+				return false
+			case !known:
+				s = nd.AddSource(name)
+			case int(s) < len(d.sources) && id < d.outputs[s][0]:
+				return false
+			}
+			provs[j] = s
+		}
+		slices.Sort(provs)
+		provs = slices.Compact(provs)
+		nd.providers[id] = provs[:len(provs):len(provs)]
+		off += len(provs)
+		return true
+	}
+	for _, id := range changed {
+		_, names, l := row(int(id))
+		nd.labels[id] = l
+		if !provide(id, names) {
+			return nil
+		}
+	}
+	for i := m; i < n; i++ {
+		t, names, l := row(i)
+		nd.triples[i], nd.labels[i] = t, l
+		provide(TripleID(i), names)
+	}
+	nd.outputs = make([][]TripleID, len(nd.sources))
+	counts := make([]int, len(nd.sources))
+	refs = 0
+	for _, provs := range nd.providers {
+		for _, s := range provs {
+			counts[s]++
+		}
+		refs += len(provs)
+	}
+	nd.fillOutputs(counts, refs)
+
+	nd.appended = d.appended
+	if n > m {
+		nd.appended = append(slices.Clip(d.appended), keyMap(nd.triples, m, n))
+	}
+	return nd
+}
+
+// keyMap maps triples[lo:hi] to their IDs; a repeated triple panics.
+func keyMap(triples []Triple, lo, hi int) map[Triple]TripleID {
+	m := make(map[Triple]TripleID, hi-lo)
+	for i := lo; i < hi; i++ {
+		if m[triples[i]] = TripleID(i); len(m) != i-lo+1 {
+			panic(fmt.Sprintf("triple: triple %v repeats", triples[i]))
+		}
+	}
+	return m
+}
+
+// fillOutputs builds every output list from the provider lists, given how
+// many lists name each source (counts) and their total length (refs): each
+// list is cut from one backing array with capacity equal to its length.
+func (d *Dataset) fillOutputs(counts []int, refs int) {
+	d.refs = refs
+	backing := make([]TripleID, refs)
+	off := 0
 	for s, c := range counts {
-		d.outputs[s] = outBacking[off : off : off+c]
+		d.outputs[s] = backing[off : off : off+c]
 		off += c
 	}
 	for i, provs := range d.providers {
@@ -202,7 +361,6 @@ func NewDatasetRows(n, refs int, row func(i int) (Triple, []string, Label)) *Dat
 			d.outputs[s] = append(d.outputs[s], TripleID(i))
 		}
 	}
-	return d
 }
 
 // AddSource registers a source by name and returns its ID. Registering the
@@ -223,11 +381,14 @@ func (d *Dataset) AddSource(name string) SourceID {
 
 // internTriple returns the ID for t, registering it if new.
 func (d *Dataset) internTriple(t Triple) TripleID {
+	if d.sharedKeys {
+		d.ownKeys()
+	}
+	if id, ok := d.TripleID(t); ok {
+		return id
+	}
 	if d.tripleByKey == nil {
 		d.tripleByKey = make(map[Triple]TripleID)
-	}
-	if id, ok := d.tripleByKey[t]; ok {
-		return id
 	}
 	id := TripleID(len(d.triples))
 	d.triples = append(d.triples, t)
@@ -339,9 +500,30 @@ func (d *Dataset) SourceName(s SourceID) string { return d.sources[s].Name }
 func (d *Dataset) Triple(id TripleID) Triple { return d.triples[id] }
 
 // TripleID returns the ID of t if it has been observed or labeled.
+//
+// A dataset with no key map after its base, which every dataset but a
+// derived one is, answers with one map probe.
 func (d *Dataset) TripleID(t Triple) (TripleID, bool) {
-	id, ok := d.tripleByKey[t]
-	return id, ok
+	if id, ok := d.tripleByKey[t]; ok || d.appended == nil {
+		return id, ok
+	}
+	return d.appendedID(t)
+}
+
+// appendedID looks t up in the key maps after the base.
+func (d *Dataset) appendedID(t Triple) (TripleID, bool) {
+	for _, m := range d.appended {
+		if id, ok := m[t]; ok {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// ownKeys replaces shared key maps with one private map of every triple.
+func (d *Dataset) ownKeys() {
+	d.tripleByKey = keyMap(d.triples, 0, len(d.triples))
+	d.appended, d.sharedKeys = nil, false
 }
 
 // Label returns the gold label of triple id (Unknown if none).
@@ -441,9 +623,7 @@ func (d *Dataset) Clone() *Dataset {
 	for name, id := range d.sourceByName {
 		c.sourceByName[name] = id
 	}
-	for t, id := range d.tripleByKey {
-		c.tripleByKey[t] = id
-	}
+	c.tripleByKey = keyMap(c.triples, 0, len(c.triples))
 	c.providers = make([][]SourceID, len(d.providers))
 	for i, p := range d.providers {
 		c.providers[i] = append([]SourceID(nil), p...)

@@ -352,3 +352,97 @@ func TestNewDatasetRowsRepeatPanics(t *testing.T) {
 	}()
 	NewDatasetRows(2, 0, func(int) (Triple, []string, Label) { return tt, nil, True })
 }
+
+// TestDerivedDatasetMutatesPrivately: interning into a derived dataset copies
+// the key maps it shares first, so the dataset it derives from still
+// answers as before, and the derived one finds every triple, old and new.
+func TestDerivedDatasetMutatesPrivately(t *testing.T) {
+	rows := []struct {
+		t     Triple
+		names []string
+	}{{tr("a", "p", "v"), []string{"s1"}}, {tr("b", "p", "v"), []string{"s1", "s2"}}, {tr("c", "p", "v"), []string{"s2"}}}
+	row := func(i int) (Triple, []string, Label) { return rows[i].t, rows[i].names, Unknown }
+	prev := NewDatasetRows(2, 3, row)
+	d := prev.DeriveRows(3, nil, row)
+	if d == nil {
+		t.Fatal("one row appended to two folded: DeriveRows refolded")
+	}
+	if id, ok := d.TripleID(tr("c", "p", "v")); !ok || id != 2 {
+		t.Fatalf("TripleID(c) = %d, %v on the derived dataset", id, ok)
+	}
+	d.Observe(0, tr("x", "p", "v"))
+	if _, ok := prev.TripleID(tr("x", "p", "v")); ok {
+		t.Fatal("interning into the derived dataset reached the one it derives from")
+	}
+	for i, want := range []Triple{tr("a", "p", "v"), tr("b", "p", "v"), tr("c", "p", "v"), tr("x", "p", "v")} {
+		if id, ok := d.TripleID(want); !ok || id != TripleID(i) {
+			t.Fatalf("TripleID(%v) = %d, %v after the intern; want %d", want, id, ok, i)
+		}
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeriveRowsFoldsStaleProviders: a derivation that only changes rows
+// replaces their provider lists, but the arrays the old lists were cut from
+// stay alive while unchanged rows point into them. DeriveRows keeps the
+// replaced SourceIDs at most the live ones and folds past that, so a store
+// that only adds sources to its triples does not pin ever more arrays.
+func TestDeriveRowsFoldsStaleProviders(t *testing.T) {
+	const n, extra = 20, 6
+	names := make([][]string, n)
+	for i := range names {
+		names[i] = []string{"s0"}
+	}
+	for k := 1; k <= extra; k++ {
+		names[0] = append(names[0], fmt.Sprintf("s%d", k)) // every source first appears on row 0
+	}
+	row := func(i int) (Triple, []string, Label) { return tr(fmt.Sprint(i), "p", "v"), names[i], Unknown }
+	d := NewDatasetRows(n, n+extra, row)
+	for step := 0; ; step++ {
+		id := 1 + step%(n-1)
+		names[id] = append(slices.Clip(names[id]), fmt.Sprintf("s%d", 1+step/(n-1)))
+		next := d.DeriveRows(n, []TripleID{TripleID(id)}, row)
+		if next == nil {
+			if d.stale+len(d.providers[id]) <= d.refs {
+				t.Fatalf("step %d folded with %d stale SourceIDs of %d live", step, d.stale+len(d.providers[id]), d.refs)
+			}
+			return
+		}
+		if next.stale > next.refs {
+			t.Fatalf("step %d: %d stale SourceIDs of %d live", step, next.stale, next.refs)
+		}
+		if step > n*extra {
+			t.Fatalf("%d derivations that only change rows never folded", step)
+		}
+		d = next
+	}
+}
+
+// BenchmarkTripleIDKeyMaps times TripleID on a 90 000-triple base followed
+// by k key maps of 5 000 triples each, the shape of ingest-refuse's store
+// after k derived captures: a miss probes every map, which is what
+// maxKeyMaps trades against a fold.
+func BenchmarkTripleIDKeyMaps(b *testing.B) {
+	const base, step = 90000, 5000
+	for _, k := range []int{0, 1, 2, 4, 8} {
+		n := base + k*step
+		row := func(i int) (Triple, []string, Label) {
+			return tr(fmt.Sprintf("item-%06d", i/7), "value", fmt.Sprintf("v%d", i%7)), []string{"s"}, Unknown
+		}
+		d := NewDatasetRows(base, base, row)
+		for m := base + step; m <= n; m += step {
+			d = d.DeriveRows(m, nil, row)
+		}
+		if len(d.appended) != k {
+			b.Fatalf("%d key maps after the base, want %d", len(d.appended), k)
+		}
+		miss := tr("item-999999", "value", "v0")
+		b.Run(fmt.Sprintf("maps=%d/miss", k), func(b *testing.B) {
+			for b.Loop() {
+				d.TripleID(miss)
+			}
+		})
+	}
+}
