@@ -77,8 +77,6 @@ func queryBench(b *testing.B) *queryBenchState {
 		Options: opts, PenalizeSilence: true,
 		// Generous enough that no benchmark request is ever refused: the
 		// measurement is the chain's bookkeeping, not its rejections.
-		RateLimit:      1e9,
-		RateBurst:      1 << 30,
 		RequestTimeout: time.Hour,
 		MaxInFlight:    1 << 20,
 	})
@@ -180,7 +178,7 @@ func BenchmarkQueryBulk64Indexed(b *testing.B) {
 }
 
 // BenchmarkQueryBulk64IndexedAdmission re-runs the acceptance benchmark
-// with the full admission chain enabled (rate limit, shed gate, deadline)
+// with the full admission chain enabled (shed gate, deadline)
 // at thresholds it never trips: the delta against
 // BenchmarkQueryBulk64Indexed is the admission overhead on the read path —
 // budgeted at ≤ 5%. CI records both in BENCH_admission.json.

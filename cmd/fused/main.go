@@ -18,8 +18,7 @@
 //	      [-wal-retain-segments 0] [-follow http://leader:6060]
 //	      [-log-format text|json] [-log-level info]
 //	      [-debug-addr localhost:6060]
-//	      [-rate-limit 0] [-rate-burst 0] [-request-timeout 0]
-//	      [-max-inflight 0]
+//	      [-request-timeout 0] [-max-inflight 0]
 //
 // Endpoints (all JSON):
 //
@@ -82,12 +81,10 @@
 // from retained segments instead of re-bootstrapping (HTTP 410).
 //
 // Admission control (all off by default; see the README's "Admission
-// control" section): -rate-limit gives every API key (X-Api-Key header) a
-// token bucket of -rate-burst depth and refuses over-budget /v1 requests
-// with 429 + Retry-After; -request-timeout bounds each /v1 request's
-// context, and the deadline propagates into WAL commit waits and rebuild
-// stages (-request-timeout×10 for /v1/refuse); -max-inflight caps
-// concurrently executing /v1 requests, shedding reads with 503 before
+// control" section): -request-timeout bounds each /v1 request's context,
+// and the deadline propagates into WAL commit waits and rebuild stages
+// (-request-timeout×10 for /v1/refuse); -max-inflight caps concurrently
+// executing /v1 requests, shedding reads with 503 + Retry-After before
 // durable writes — earlier still while fsyncs stall or a rebuild runs.
 // Concurrent /v1/refuse requests always coalesce into one rebuild. Both
 // listeners carry fixed, finite connection-level http.Server timeouts (the
@@ -153,8 +150,6 @@ type options struct {
 	logLevel  string
 	debugAddr string
 
-	rateLimit      float64
-	rateBurst      int
 	requestTimeout time.Duration
 	maxInFlight    int
 }
@@ -205,8 +200,6 @@ func main() {
 	flag.StringVar(&o.logFormat, "log-format", "text", "log format: text or json (one object per line)")
 	flag.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof, /debug/traces and /metrics on this separate address (empty disables; bind to localhost)")
-	flag.Float64Var(&o.rateLimit, "rate-limit", 0, "sustained /v1 requests per second per API key (X-Api-Key header; keyless requests share one bucket; 0 disables)")
-	flag.IntVar(&o.rateBurst, "rate-burst", 0, "token-bucket burst on top of -rate-limit (0 = twice the rate)")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 0, "per-request deadline budget for /v1 endpoints, propagated into WAL commits and rebuilds; /v1/refuse gets 10x (0 disables)")
 	flag.IntVar(&o.maxInFlight, "max-inflight", 0, "max concurrently executing /v1 requests; past it reads are shed with 503 before durable writes (0 disables)")
 	flag.Parse()
@@ -287,8 +280,6 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 		ReadOnly:          o.follow != "",
 		LeaderURL:         o.follow,
 		Logger:            logger,
-		RateLimit:         o.rateLimit,
-		RateBurst:         o.rateBurst,
 		RequestTimeout:    o.requestTimeout,
 		MaxInFlight:       o.maxInFlight,
 		PartialRebuild:    o.partialRebuild,

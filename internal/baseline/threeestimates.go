@@ -211,9 +211,3 @@ func (a *ThreeEstimates) Score(ids []triple.TripleID) []float64 {
 	}
 	return out
 }
-
-// SourceError returns the converged error factor ε_s of a source.
-func (a *ThreeEstimates) SourceError(s triple.SourceID) float64 { return a.eps[s] }
-
-// Difficulty returns the converged difficulty φ_f of a triple.
-func (a *ThreeEstimates) Difficulty(id triple.TripleID) float64 { return a.phi[id] }

@@ -61,9 +61,6 @@ func NewElastic(cfg Config, level int) (*Elastic, error) {
 // Name implements Algorithm.
 func (a *Elastic) Name() string { return fmt.Sprintf("PrecRecCorr-Lvl%d", a.level) }
 
-// Level returns the adjustment level λ.
-func (a *Elastic) Level() int { return a.level }
-
 // clusterMu evaluates Algorithm 1 within one cluster for one pattern.
 func (a *Elastic) clusterMu(ci int, p pattern) float64 {
 	cv := a.views[ci]

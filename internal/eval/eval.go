@@ -34,15 +34,6 @@ func (m BinaryMetrics) Recall() float64 {
 // F1 returns the harmonic mean of precision and recall.
 func (m BinaryMetrics) F1() float64 { return stat.HarmonicMean(m.Precision(), m.Recall()) }
 
-// Accuracy returns (TP+TN)/total.
-func (m BinaryMetrics) Accuracy() float64 {
-	total := m.TP + m.FP + m.TN + m.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(m.TP+m.TN) / float64(total)
-}
-
 // String implements fmt.Stringer.
 func (m BinaryMetrics) String() string {
 	return fmt.Sprintf("P=%.3f R=%.3f F1=%.3f", m.Precision(), m.Recall(), m.F1())

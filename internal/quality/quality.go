@@ -114,7 +114,8 @@ type jointStat struct {
 // NewEstimator builds an estimator for d. It panics if Alpha is outside
 // (0, 1); it returns an error if Train names a triple ID outside d or names
 // one twice (it would be counted once per occurrence), and if the training
-// set contains no true triples (recall would be undefined).
+// set lacks true or false triples: with no true triple recall is undefined,
+// and with no false triple every triple would score p = 1.
 func NewEstimator(d *triple.Dataset, opts Options) (*Estimator, error) {
 	if opts.Alpha <= 0 || opts.Alpha >= 1 {
 		panic(fmt.Sprintf("quality: Alpha %v outside (0,1)", opts.Alpha))
@@ -144,8 +145,8 @@ func NewEstimator(d *triple.Dataset, opts Options) (*Estimator, error) {
 			e.labelled = append(e.labelled, id)
 		}
 	}
-	if len(e.trueIDs) == 0 {
-		return nil, fmt.Errorf("quality: training set has no true triples")
+	if nt, nf := len(e.trueIDs), len(e.labelled)-len(e.trueIDs); nt == 0 || nf == 0 {
+		return nil, fmt.Errorf("quality: training set has %d true and %d false triples; it needs at least one of each", nt, nf)
 	}
 	e.buildBitsets()
 	e.computeSingles()
@@ -323,10 +324,6 @@ func (e *Estimator) Recall(s triple.SourceID) float64 { return e.rec[s] }
 
 // FPR implements Params.
 func (e *Estimator) FPR(s triple.SourceID) float64 { return e.fpr[s] }
-
-// Good reports whether s is a good source in the paper's sense (ri > qi): it
-// is more likely to provide a true triple than a false one.
-func (e *Estimator) Good(s triple.SourceID) bool { return e.rec[s] > e.fpr[s] }
 
 // subsetKey builds a canonical cache key for a source subset.
 func subsetKey(subset []triple.SourceID) string {

@@ -2,6 +2,7 @@ package quality
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,7 @@ func TestJointNoSupport(t *testing.T) {
 	d.Observe(b, tr("2"))
 	d.SetLabel(tr("1"), triple.True)
 	d.SetLabel(tr("2"), triple.True)
+	d.SetLabel(tr("3"), triple.False) // unprovided: a training set needs both labels
 	e, err := NewEstimator(d, Options{Alpha: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -126,13 +128,31 @@ func TestMinJointSupport(t *testing.T) {
 	}
 }
 
-func TestNoTrueTriples(t *testing.T) {
+// oneSidedDataset labels two triples l and leaves a third unlabeled.
+func oneSidedDataset(l triple.Label) *triple.Dataset {
 	d := triple.NewDataset()
 	a := d.AddSource("A")
-	d.Observe(a, tr("1"))
-	d.SetLabel(tr("1"), triple.False)
-	if _, err := NewEstimator(d, Options{Alpha: 0.5}); err == nil {
-		t.Error("expected error with no true training triples")
+	for _, o := range []string{"1", "2"} {
+		d.Observe(a, tr(o))
+		d.SetLabel(tr(o), l)
+	}
+	d.Observe(a, tr("unlabeled"))
+	return d
+}
+
+func TestNoTrueTriples(t *testing.T) {
+	_, err := NewEstimator(oneSidedDataset(triple.False), Options{Alpha: 0.5})
+	if err == nil || !strings.Contains(err.Error(), "0 true and 2 false") {
+		t.Errorf("all-false training set: err = %v, want it refused naming both counts", err)
+	}
+}
+
+// TestNoFalseTriples: an all-true training set is refused the way an
+// all-false one is. It used to be accepted and scored every triple p = 1.
+func TestNoFalseTriples(t *testing.T) {
+	_, err := NewEstimator(oneSidedDataset(triple.True), Options{Alpha: 0.5})
+	if err == nil || !strings.Contains(err.Error(), "2 true and 0 false") {
+		t.Errorf("all-true training set: err = %v, want it refused naming both counts", err)
 	}
 }
 
@@ -302,6 +322,9 @@ func TestScopedRecall(t *testing.T) {
 	d.SetLabel(x1, triple.True)
 	d.SetLabel(x2, triple.True)
 	d.SetLabel(y1, triple.True)
+	// An unprovided false triple about a third subject: a training set needs
+	// both labels, and this one moves no recall below.
+	d.SetLabel(triple.Triple{Subject: "z", Predicate: "p", Object: "1"}, triple.False)
 
 	global, err := NewEstimator(d, Options{Alpha: 0.5})
 	if err != nil {

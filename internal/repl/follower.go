@@ -421,14 +421,6 @@ func Snapshot(ctx context.Context, client *http.Client, leaderURL string) (cover
 	return covered, resp.Body, nil
 }
 
-// LastError returns the most recent fetch error line ("" when none) — a
-// debugging convenience for health output.
-func (f *Follower) LastError() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lastErr
-}
-
 // IsTruncated reports whether err is the leader-truncated-our-history
 // condition (HTTP 410) that requires an operator re-bootstrap.
 func IsTruncated(err error) bool {

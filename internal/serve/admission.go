@@ -10,39 +10,20 @@ import (
 	"corrfuse/internal/serve/middleware"
 )
 
-// APIKeyHeader carries the client's API key for per-key rate limiting.
-// Requests without it draw from one shared fallback bucket.
-const APIKeyHeader = "X-Api-Key"
-
-// rateKeyLabelMax caps the distinct key labels corrfused_ratelimited_total
-// may grow: past it, further keys are counted under "other" so a
-// key-spraying client cannot blow up the metric cardinality (the limiter
-// itself still gives every key its own bucket).
-const rateKeyLabelMax = 64
-
 // admit builds the admission-control chain for one /v1 endpoint, innermost
-// handler last: rate limit → load shed → deadline → h. Order matters: an
-// over-budget request is refused before it can occupy an in-flight slot,
-// and a shed request never starts a deadline it would not use. Disabled
-// knobs contribute nil middlewares, which Chain skips, so the fully
-// disabled configuration serves h bare — zero overhead, byte-identical
-// behavior to the pre-admission service.
+// handler last: load shed → deadline → h. Order matters: a shed request
+// never starts a deadline it would not use. Disabled knobs contribute nil
+// middlewares, which Chain skips, so the fully disabled configuration
+// serves h bare — zero overhead, byte-identical behavior to the
+// pre-admission service.
 //
 // The instrumentation middleware sits outside this chain (see routes), so
-// 429s and 503s are traced, latency-sampled and status-counted exactly like
-// served requests.
+// 503s are traced, latency-sampled and status-counted exactly like served
+// requests.
 func (s *Server) admit(endpoint string, class middleware.Class, h http.Handler) http.Handler {
-	var limit, shed, deadline middleware.Middleware
-	if s.limiter != nil {
-		limit = s.limiter.LimitFunc(apiKey, func(w http.ResponseWriter, r *http.Request, key string, retryAfter time.Duration) {
-			s.m.rateLimited.With(s.rateKeyLabel(key)).Inc()
-			s.rejectRetryable(w, http.StatusTooManyRequests, retryAfter,
-				"rate limit exceeded: retry after %gs", retrySeconds(retryAfter))
-		})
-	}
+	var shed, deadline middleware.Middleware
 	if s.shedder != nil {
 		shed = s.shedder.ShedFunc(class, func(w http.ResponseWriter, r *http.Request) {
-			//lint:ignore labelbound endpoint is a route constant at every admit call site (see routes)
 			s.m.shed.With(endpoint).Inc()
 			s.rejectRetryable(w, http.StatusServiceUnavailable, time.Second,
 				"overloaded: too many requests in flight, %s shed", endpoint)
@@ -55,12 +36,8 @@ func (s *Server) admit(endpoint string, class middleware.Class, h http.Handler) 
 		}
 		deadline = middleware.WithTimeout(budget)
 	}
-	return middleware.Chain(h, limit, shed, deadline)
+	return middleware.Chain(h, shed, deadline)
 }
-
-// apiKey extracts the client's rate-limit identity; "" selects the shared
-// fallback bucket.
-func apiKey(r *http.Request) string { return r.Header.Get(APIKeyHeader) }
 
 // rejectRetryable writes a structured admission refusal: the Retry-After
 // header (whole seconds, at least 1 — the header does not admit fractions)
@@ -91,28 +68,4 @@ func retrySeconds(d time.Duration) float64 {
 		d = 0
 	}
 	return math.Round(d.Seconds()*1000) / 1000
-}
-
-// rateKeyLabel maps an API key to its metric label: "anon" for the shared
-// fallback bucket, the key itself (truncated to 64 bytes) for the first
-// rateKeyLabelMax distinct keys, then "other".
-//
-//corrfuse:labelcap
-func (s *Server) rateKeyLabel(key string) string {
-	if key == "" {
-		return "anon"
-	}
-	if len(key) > 64 {
-		key = key[:64]
-	}
-	s.rateKeys.Lock()
-	defer s.rateKeys.Unlock()
-	if s.rateKeys.seen[key] {
-		return key
-	}
-	if len(s.rateKeys.seen) >= rateKeyLabelMax {
-		return "other"
-	}
-	s.rateKeys.seen[key] = true
-	return key
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -15,9 +14,9 @@ import (
 	"time"
 )
 
-// doJSON issues a request with an optional API key and decodes the JSON
-// body, returning it with the status code and response headers.
-func doJSON(t *testing.T, method, url, apiKey string, body any) (map[string]any, int, http.Header) {
+// doJSON issues a request and decodes the JSON body, returning it with the
+// status code and response headers.
+func doJSON(t *testing.T, method, url string, body any) (map[string]any, int, http.Header) {
 	t.Helper()
 	var rd *bytes.Reader
 	if body != nil {
@@ -35,9 +34,6 @@ func doJSON(t *testing.T, method, url, apiKey string, body any) (map[string]any,
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if apiKey != "" {
-		req.Header.Set(APIKeyHeader, apiKey)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -110,59 +106,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRateLimitEndToEnd: bursting past a key's bucket sees linted 429s —
-// Retry-After header plus structured body — while the in-budget durable
-// writes before it are fully acknowledged (walSeq present), and other keys
-// are untouched. Exercises the acceptance scenario for the admission chain.
-func TestRateLimitEndToEnd(t *testing.T) {
-	cfg := walConfig(t.TempDir())
-	cfg.RateLimit = 1
-	cfg.RateBurst = 2
-	srv := newServer(t, seedStore(t), cfg)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Two in-budget durable writes acknowledge with a WAL sequence.
-	for i := 0; i < 2; i++ {
-		o := Observation{Source: "good1", Subject: fmt.Sprintf("rl%d", i), Predicate: "p", Object: "v"}
-		body, code, _ := doJSON(t, "POST", ts.URL+"/v1/observe", "alice", o)
-		if code != http.StatusOK {
-			t.Fatalf("in-budget observe %d: status %d, body %v", i, code, body)
-		}
-		if _, ok := body["walSeq"]; !ok {
-			t.Fatalf("in-budget observe %d acknowledged without walSeq: %v", i, body)
-		}
-	}
-
-	// The third request in the same second exceeds the burst.
-	body, code, hdr := doJSON(t, "POST", ts.URL+"/v1/observe", "alice",
-		Observation{Source: "good1", Subject: "rl2", Predicate: "p", Object: "v"})
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("burst request: status %d, want 429 (body %v)", code, body)
-	}
-	ra, err := strconv.Atoi(hdr.Get("Retry-After"))
-	if err != nil || ra < 1 {
-		t.Fatalf("Retry-After = %q, want whole seconds >= 1", hdr.Get("Retry-After"))
-	}
-	if msg, _ := body["error"].(string); !strings.Contains(msg, "rate limit") {
-		t.Fatalf("429 body error = %v, want a rate-limit message", body["error"])
-	}
-	if secs, ok := body["retryAfterSeconds"].(float64); !ok || secs <= 0 {
-		t.Fatalf("429 body retryAfterSeconds = %v, want > 0", body["retryAfterSeconds"])
-	}
-	if got := srv.m.rateLimited.With("alice").Load(); got != 1 {
-		t.Fatalf("corrfused_ratelimited_total{alice} = %d, want 1", got)
-	}
-
-	// A different key — and the anonymous fallback — have their own buckets.
-	if _, code, _ := doJSON(t, "GET", ts.URL+"/v1/subject/t0", "bob", nil); code != http.StatusOK {
-		t.Fatalf("other key caught by alice's bucket: status %d", code)
-	}
-	if _, code, _ := doJSON(t, "GET", ts.URL+"/v1/subject/t0", "", nil); code != http.StatusOK {
-		t.Fatalf("anonymous request caught by alice's bucket: status %d", code)
-	}
-}
-
 // TestShedReadsBeforeWrites: with an in-flight rebuild signalling pressure,
 // reads are shed with a retryable 503 while a durable write through the
 // same gate is still admitted and acknowledged — the shed order the gate
@@ -179,25 +122,28 @@ func TestShedReadsBeforeWrites(t *testing.T) {
 	// rebuildActive signals pressure.
 	refuseDone := make(chan int, 1)
 	go func() {
-		_, code, _ := doJSON(t, "POST", ts.URL+"/v1/refuse", "", nil)
+		_, code, _ := doJSON(t, "POST", ts.URL+"/v1/refuse", nil)
 		refuseDone <- code
 	}()
 	gate.WaitEntered(t)
 
 	// Reads now shed before reaching their handler.
-	body, code, hdr := doJSON(t, "GET", ts.URL+"/v1/triple?subject=t0&predicate=p&object=v", "", nil)
+	body, code, hdr := doJSON(t, "GET", ts.URL+"/v1/triple?subject=t0&predicate=p&object=v", nil)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("read under pressure: status %d, want 503 (body %v)", code, body)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("shed 503 carries no Retry-After header")
+	if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 1 {
+		t.Fatalf("shed 503 Retry-After = %q, want whole seconds >= 1", hdr.Get("Retry-After"))
+	}
+	if secs, ok := body["retryAfterSeconds"].(float64); !ok || secs <= 0 {
+		t.Fatalf("shed 503 body retryAfterSeconds = %v, want > 0", body["retryAfterSeconds"])
 	}
 	if got := srv.m.shed.With("triple").Load(); got != 1 {
 		t.Fatalf("corrfused_shed_total{triple} = %d, want 1", got)
 	}
 
 	// A write through the same gate is still admitted and acknowledged.
-	obody, ocode, _ := doJSON(t, "POST", ts.URL+"/v1/observe", "",
+	obody, ocode, _ := doJSON(t, "POST", ts.URL+"/v1/observe",
 		Observation{Source: "good1", Subject: "shed1", Predicate: "p", Object: "v"})
 	if ocode != http.StatusOK {
 		t.Fatalf("write under read-shedding pressure: status %d, body %v", ocode, obody)
@@ -212,7 +158,7 @@ func TestShedReadsBeforeWrites(t *testing.T) {
 	}
 	// Pressure clears once the rebuild lands: reads flow again.
 	waitFor(t, "pressure to clear", func() bool { return !srv.rebuildActive.Load() })
-	if _, code, _ := doJSON(t, "GET", ts.URL+"/v1/triple?subject=t0&predicate=p&object=v", "", nil); code != http.StatusOK {
+	if _, code, _ := doJSON(t, "GET", ts.URL+"/v1/triple?subject=t0&predicate=p&object=v", nil); code != http.StatusOK {
 		t.Fatalf("read after pressure cleared: status %d", code)
 	}
 }
@@ -230,7 +176,7 @@ func TestDeadlineCancelsSlowRebuild(t *testing.T) {
 	defer ts.Close()
 
 	base := srv.m.rebuilds.Load()
-	body, code, _ := doJSON(t, "POST", ts.URL+"/v1/refuse", "", nil)
+	body, code, _ := doJSON(t, "POST", ts.URL+"/v1/refuse", nil)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("over-budget refuse: status %d, want 503 (body %v)", code, body)
 	}
@@ -247,7 +193,7 @@ func TestDeadlineCancelsSlowRebuild(t *testing.T) {
 	}
 
 	// The gate is open now: the next refuse fits its budget and succeeds.
-	body, code, _ = doJSON(t, "POST", ts.URL+"/v1/refuse", "", nil)
+	body, code, _ = doJSON(t, "POST", ts.URL+"/v1/refuse", nil)
 	if code != http.StatusOK {
 		t.Fatalf("refuse after recovery: status %d, body %v", code, body)
 	}
@@ -331,7 +277,7 @@ func TestRefuseCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, code, _ := doJSON(t, "POST", ts.URL+"/v1/refuse", "", nil)
+			body, code, _ := doJSON(t, "POST", ts.URL+"/v1/refuse", nil)
 			results <- result{body, code}
 		}()
 	}
@@ -376,17 +322,17 @@ func TestRefuseCoalescing(t *testing.T) {
 }
 
 // TestAdmissionDisabledByDefault: the zero Config wires no admission
-// middleware at all — no limiter, no shedder, no deadline on the request
+// middleware at all — no shedder, no deadline on the request
 // context — so existing deployments see byte-identical behavior.
 func TestAdmissionDisabledByDefault(t *testing.T) {
 	srv := newServer(t, seedStore(t), corrConfig())
-	if srv.limiter != nil || srv.shedder != nil {
+	if srv.shedder != nil {
 		t.Fatal("zero config built admission state")
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for i := 0; i < 50; i++ {
-		if _, code, _ := doJSON(t, "GET", ts.URL+"/v1/subject/t0", "", nil); code != http.StatusOK {
+		if _, code, _ := doJSON(t, "GET", ts.URL+"/v1/subject/t0", nil); code != http.StatusOK {
 			t.Fatalf("request %d refused with admission disabled: %d", i, code)
 		}
 	}
@@ -409,31 +355,5 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	var body map[string]string
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
 		t.Fatalf("error body not well-formed JSON: %q (err=%v)", rec.Body.String(), err)
-	}
-}
-
-// TestRateKeyLabelCardinality: the 429 metric's key label is capped — keys
-// past rateKeyLabelMax collapse into "other", long keys are truncated, and
-// the empty key reads "anon" — so a key-spraying client cannot blow up the
-// metric's cardinality.
-func TestRateKeyLabelCardinality(t *testing.T) {
-	cfg := corrConfig()
-	cfg.RateLimit = 1000
-	srv := newServer(t, seedStore(t), cfg)
-	if got := srv.rateKeyLabel(""); got != "anon" {
-		t.Fatalf("label(\"\") = %q, want anon", got)
-	}
-	long := strings.Repeat("k", 200)
-	if got := srv.rateKeyLabel(long); got != long[:64] {
-		t.Fatalf("long key label length = %d, want 64", len(got))
-	}
-	for i := 0; i < rateKeyLabelMax+10; i++ {
-		srv.rateKeyLabel(fmt.Sprintf("key-%d", i))
-	}
-	if got := srv.rateKeyLabel("key-one-more"); got != "other" {
-		t.Fatalf("label past cap = %q, want other", got)
-	}
-	if got := srv.rateKeyLabel("key-0"); got != "key-0" {
-		t.Fatalf("seen key lost its label past the cap: %q", got)
 	}
 }

@@ -51,9 +51,9 @@ type ScoreResult = codec.ScoreResult
 var acceptedTrue, acceptedFalse = true, false
 
 // routes mounts the API. The /v1 endpoints sit behind the admission-control
-// chain (rate limit → load shed → deadline; see admit): durable writes and
-// the refresh control ride the write class so they are shed last, queries
-// ride the read class and are shed first. The operational endpoints
+// chain (load shed → deadline; see admit): durable writes and the refresh
+// control ride the write class so they are shed last, queries ride the
+// read class and are shed first. The operational endpoints
 // (/healthz, /metrics, /debug/traces) bypass admission entirely — an
 // overloaded service must stay observable, or operators are blind exactly
 // when they need the signals.

@@ -24,11 +24,9 @@ type metrics struct {
 	observations *obs.Counter // claims ingested
 	rebuilds     *obs.Counter
 
-	// Admission control: rateLimited counts 429s by API-key label (capped
-	// cardinality, see rateKeyLabel), shed counts 503s by endpoint, and
-	// refuseCoalesced counts /v1/refuse requests that joined another
-	// request's rebuild instead of starting their own.
-	rateLimited     *obs.CounterVec
+	// Admission control: shed counts 503s by endpoint, and refuseCoalesced
+	// counts /v1/refuse requests that joined another request's rebuild
+	// instead of starting their own.
 	shed            *obs.CounterVec
 	refuseCoalesced *obs.Counter
 
@@ -93,7 +91,6 @@ func (s *Server) initObs() {
 
 	// Admission control. The families exist (at zero) even when the knobs
 	// are disabled, so dashboards and alerts can rely on the series.
-	s.m.rateLimited = r.CounterVec("corrfused_ratelimited_total", "Requests refused with 429 by the per-API-key rate limiter, by key (\"anon\" = keyless fallback bucket; \"other\" past the label cap).", "key")
 	s.m.shed = r.CounterVec("corrfused_shed_total", "Requests shed with 503 by the max-in-flight gate, by endpoint (reads shed before durable writes).", "endpoint")
 	for _, e := range shedEndpoints {
 		s.m.shed.With(e)

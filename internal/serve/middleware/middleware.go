@@ -9,9 +9,6 @@
 // The primitives are deliberately independent of the serve package so they
 // can be unit-tested (and reused) in isolation:
 //
-//   - Limiter: per-API-key token buckets with a shared fallback bucket for
-//     keyless clients. Over-budget requests are rejected up front (429),
-//     with the exact wait until a token frees.
 //   - Shedder: a max-in-flight gate with priority classes — reads are shed
 //     before durable writes, and earlier still while the service is under
 //     pressure (WAL fsync stalls, a rebuild in progress).
@@ -21,7 +18,7 @@
 //   - WithTimeout: a per-endpoint deadline budget propagated through the
 //     request context into ingest, WAL commit waits and rebuilds.
 //
-// Policy (which endpoint gets which class, budget and bucket) and
+// Policy (which endpoint gets which class and budget) and
 // presentation (the structured JSON error bodies, the Prometheus counters)
 // stay in the serve package; this package only answers "may this request
 // proceed, and for how long".

@@ -92,7 +92,6 @@ func (s *Server) rebuild(ctx context.Context, force, persist bool) (*snapshot, b
 		return func() {
 			d := time.Since(begin)
 			tr.AddSpan(name, begin.Sub(tr.Start), d)
-			//lint:ignore labelbound name is a stage-name constant at every stage call site below
 			s.rebuildStage.With(name).Observe(d)
 			if s.testStageHook != nil {
 				s.testStageHook(name)

@@ -162,20 +162,6 @@ type Config struct {
 	// only because the frozen bench/ still names it.
 	TraceBufferSize int
 
-	// RateLimit, when positive, rate-limits the /v1 endpoints: each API
-	// key (the X-Api-Key request header) sustains RateLimit requests per
-	// second from its own token bucket, and every keyless request draws
-	// from one shared fallback bucket. Over-budget requests are refused
-	// with 429, a Retry-After header and a structured error before any
-	// handler work runs. /healthz, /metrics and /debug/traces are exempt.
-	// Zero disables rate limiting.
-	RateLimit float64
-
-	// RateBurst is the token-bucket depth under RateLimit — the instant
-	// burst a key may spend on top of the sustained rate. 0 defaults to
-	// twice RateLimit (at least 1).
-	RateBurst int
-
 	// RequestTimeout, when positive, is the per-request deadline budget:
 	// each /v1 request's context is bounded by it, and the deadline
 	// propagates into ingest validation, WAL commit waits and rebuild
@@ -295,20 +281,11 @@ type Server struct {
 	slowCommitAt atomic.Int64
 
 	// Admission control (nil members when the corresponding Config knob is
-	// zero): the limiter guards the /v1 endpoints per API key, the shedder
-	// caps in-flight work shedding reads before durable writes, and
-	// refuseFlight coalesces concurrent /v1/refuse rebuilds into one.
-	limiter      *middleware.Limiter
+	// zero): the shedder caps in-flight work shedding reads before durable
+	// writes, and refuseFlight coalesces concurrent /v1/refuse rebuilds
+	// into one.
 	shedder      *middleware.Shedder
 	refuseFlight middleware.Flight
-
-	// rateKeys caps the label cardinality of corrfused_ratelimited_total:
-	// past rateKeyLabelMax distinct API keys, further keys are counted
-	// under the label "other" (the limiter itself still isolates them).
-	rateKeys struct {
-		sync.Mutex
-		seen map[string]bool
-	}
 
 	// wal is the durable write-ahead log, nil when Config.WALDir is empty.
 	// Ingests append to it before they are acknowledged; persist()
@@ -440,10 +417,6 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 			s.wal.Close()
 		}
 		return nil, fmt.Errorf("serve: initial fusion: %w", err)
-	}
-	if cfg.RateLimit > 0 {
-		s.limiter = middleware.NewLimiter(cfg.RateLimit, cfg.RateBurst)
-		s.rateKeys.seen = make(map[string]bool)
 	}
 	if cfg.MaxInFlight > 0 {
 		s.shedder = middleware.NewShedder(cfg.MaxInFlight, s.underPressure)

@@ -39,14 +39,6 @@ func (s Set64) Add(e int) Set64 {
 	return s | 1<<uint(e)
 }
 
-// Remove returns s with element e removed.
-func (s Set64) Remove(e int) Set64 {
-	if e < 0 || e >= 64 {
-		panic(fmt.Sprintf("stat: Set64 element %d out of range", e))
-	}
-	return s &^ (1 << uint(e))
-}
-
 // Contains reports whether e is in s.
 func (s Set64) Contains(e int) bool {
 	if e < 0 || e >= 64 {

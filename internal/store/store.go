@@ -215,12 +215,6 @@ func (s *Store) Dataset() *triple.Dataset {
 	return s.CaptureFrom(nil).Data
 }
 
-// Capture is CaptureFrom(nil)'s dataset and rows.
-func (s *Store) Capture() (d *triple.Dataset, rows []int) {
-	c := s.CaptureFrom(nil)
-	return c.Data, c.Rows
-}
-
 // Captured is one capture of the store.
 type Captured struct {
 	// Data is the dataset Dataset describes.

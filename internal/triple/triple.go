@@ -98,10 +98,9 @@ func ParseGold(s string) (l Label, ok bool) {
 // labels. The zero value is an empty dataset ready for use.
 //
 // IDs are assigned in first-appearance order whichever call registers the
-// name or the triple first (AddSource, Observe, SetLabel, InsertRow,
-// InsertNamedRow): a row-at-a-time build and the equivalent per-pair
-// Observe/SetLabel loop yield the same SourceIDs, TripleIDs, provider lists
-// and output lists.
+// name or the triple first (AddSource, Observe, SetLabel, InsertNamedRow):
+// a row-at-a-time build and the equivalent per-pair Observe/SetLabel loop
+// yield the same SourceIDs, TripleIDs, provider lists and output lists.
 //
 // Dataset is not safe for concurrent mutation; concurrent reads are fine.
 type Dataset struct {
@@ -130,7 +129,7 @@ type Dataset struct {
 
 	labels []Label
 
-	// row is InsertRow's scratch: the row's providers, sorted and
+	// row is InsertNamedRow's scratch: the row's providers, sorted and
 	// deduplicated, before the triple's own list is cut at its exact size.
 	row []SourceID
 }
@@ -417,27 +416,16 @@ func (d *Dataset) observeID(s SourceID, id TripleID) {
 	}
 }
 
-// InsertRow records one row of a source-by-triple file in a single step:
-// every source of provs provides t, and t takes label l when l is not Unknown
-// or the row names no provider (a label-only row: its label, Unknown included,
-// replaces the stored one). It equals calling Observe(s, t) for each s and
-// then SetLabel under that rule, but interns t once, and for a new triple —
-// the common case in a file with one row per triple — cuts the provider list
-// at its exact size and appends to each source's output list, the new ID
-// being the largest. provs may repeat a source and need not be sorted; it is
-// not retained.
-func (d *Dataset) InsertRow(t Triple, provs []SourceID, l Label) TripleID {
-	for _, s := range provs {
-		if int(s) < 0 || int(s) >= len(d.sources) {
-			panic(fmt.Sprintf("triple: InsertRow with unregistered source %d", s))
-		}
-	}
-	d.row = append(d.row[:0], provs...)
-	return d.insertRow(t, l)
-}
-
-// InsertNamedRow is InsertRow for a row that names its sources, registering
-// each name on first sight, in row order.
+// InsertNamedRow records one row of a source-by-triple file in a single
+// step: every named source provides t, each name registered on first sight
+// in row order, and t takes label l when l is not Unknown or the row names
+// no provider (a label-only row: its label, Unknown included, replaces the
+// stored one). It equals calling Observe(s, t) for each s and then SetLabel
+// under that rule, but interns t once, and for a new triple — the common
+// case in a file with one row per triple — cuts the provider list at its
+// exact size and appends to each source's output list, the new ID being the
+// largest. names may repeat a source and need not be sorted; it is not
+// retained.
 func (d *Dataset) InsertNamedRow(t Triple, names []string, l Label) TripleID {
 	d.row = d.row[:0]
 	for _, name := range names {
@@ -552,17 +540,6 @@ func (d *Dataset) Labeled() []TripleID {
 	out := make([]TripleID, 0, len(d.labels))
 	for id, l := range d.labels {
 		if l != Unknown {
-			out = append(out, TripleID(id))
-		}
-	}
-	return out
-}
-
-// FalseTriples returns the IDs of all triples labeled False.
-func (d *Dataset) FalseTriples() []TripleID {
-	out := make([]TripleID, 0, len(d.labels))
-	for id, l := range d.labels {
-		if l == False {
 			out = append(out, TripleID(id))
 		}
 	}

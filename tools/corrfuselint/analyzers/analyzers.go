@@ -4,6 +4,7 @@
 package analyzers
 
 import (
+	"corrfuselint/analyzers/consumer"
 	"corrfuselint/analyzers/ctxflow"
 	"corrfuselint/analyzers/errswallow"
 	"corrfuselint/analyzers/hotpathalloc"
@@ -16,6 +17,7 @@ import (
 // All returns the full suite in stable order.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
+		consumer.Analyzer,
 		ctxflow.Analyzer,
 		errswallow.Analyzer,
 		hotpathalloc.Analyzer,

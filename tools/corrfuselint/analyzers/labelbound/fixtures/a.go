@@ -1,6 +1,6 @@
-// Package fix exercises labelbound: the three bounded forms pass, raw
-// request data and local enumerations are flagged, and the suppression
-// path works.
+// Package fix exercises labelbound: the bounded forms pass, raw request
+// data, local enumerations and helpers with an unbounded call site are
+// flagged, and the suppression path works.
 package fix
 
 import "labelboundfix/obs"
@@ -26,18 +26,52 @@ func enumeration() {
 	}
 }
 
-// capKey caps cardinality the way serve's rateKeyLabel does.
-//
-//corrfuse:labelcap
-func capKey(key string) string {
-	if len(key) > 8 {
-		return "other"
+// count is accepted: every call site passes a constant or an enumeration
+// value, directly or through another such helper's parameter.
+func count(endpoint string) { vec.With(endpoint).Inc() }
+
+type server struct{}
+
+func (s *server) route(name string) { count(name) }
+
+func routes(s *server) {
+	s.route("observe")
+	for _, e := range endpoints {
+		s.route(e)
 	}
-	return key
+	stage := func(name string) { hist.With(name).Observe(1) }
+	stage("capture")
+	stage(fixed)
 }
 
-func capped(key string) {
-	vec.With(capKey(key)).Inc()
+// record is rejected: one call site passes request data.
+func record(label string) {
+	vec.With(label).Inc() // want "label value label is not provably bounded"
+}
+
+func recordAll(userInput string) {
+	record("observe")
+	record(userInput)
+}
+
+// escapes is rejected: referenced as a value, its callers are out of sight.
+func escapes(label string) {
+	vec.With(label).Inc() // want "label value label is not provably bounded"
+}
+
+var handlers = []func(string){escapes}
+
+// reassigned is rejected: the parameter no longer holds what callers passed.
+func reassigned(label string, userInput string) {
+	label = userInput
+	vec.With(label).Inc() // want "label value label is not provably bounded"
+}
+
+func callReassigned(userInput string) { reassigned("observe", userInput) }
+
+// Exported is rejected: callers outside the package are out of sight.
+func Exported(label string) {
+	vec.With(label).Inc() // want "label value label is not provably bounded"
 }
 
 func unbounded(userInput string) {

@@ -52,6 +52,9 @@ type Pass struct {
 	// //corrfuse:<marker> directive in its doc comment, program-wide
 	// (annotations on any loaded target package are visible).
 	Marked func(obj types.Object, marker string) bool
+	// Program is the whole loaded graph, for analyzers whose question
+	// (who references this?) spans packages.
+	Program *Program
 
 	report func(Diagnostic)
 }
@@ -89,6 +92,7 @@ func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				Marked:   prog.Marked,
+				Program:  prog,
 			}
 			pass.report = func(d Diagnostic) {
 				if ignores.match(d) {

@@ -20,7 +20,10 @@ type Package struct {
 	Path  string
 	Dir   string
 	Files []*ast.File
-	Types *types.Package
+	// TestFiles are the package's _test.go files, in-package and external,
+	// parsed without comments and never typechecked (target packages only).
+	TestFiles []*ast.File
+	Types     *types.Package
 	// Info is populated for target (pattern-matched) packages only;
 	// dependency packages are typechecked API-only.
 	Info   *types.Info
@@ -37,6 +40,8 @@ type Program struct {
 	// marked holds the objects whose declaration doc carries a
 	// //corrfuse:<marker> directive, keyed by marker name.
 	marked map[string]map[types.Object]bool
+	// memo holds program-wide facts analyzers build once (see Memo).
+	memo map[string]any
 }
 
 // Targets returns the pattern-matched packages in load order.
@@ -55,18 +60,32 @@ func (prog *Program) Marked(obj types.Object, marker string) bool {
 	return obj != nil && prog.marked[marker][obj]
 }
 
+// Memo returns the value stored under key, calling build to make it on the
+// first request. An analyzer whose facts span packages builds them once per
+// program instead of once per pass.
+func (prog *Program) Memo(key string, build func() any) any {
+	v, ok := prog.memo[key]
+	if !ok {
+		v = build()
+		prog.memo[key] = v
+	}
+	return v
+}
+
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	Imports    []string
-	ImportMap  map[string]string
-	Standard   bool
-	DepOnly    bool
-	Incomplete bool
-	Error      *struct{ Err string }
+	ImportPath   string
+	Dir          string
+	Name         string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Imports      []string
+	ImportMap    map[string]string
+	Standard     bool
+	DepOnly      bool
+	Incomplete   bool
+	Error        *struct{ Err string }
 }
 
 // Load lists patterns in dir (module-aware, workspace off, cgo off so
@@ -84,7 +103,7 @@ func Load(dir string, patterns []string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-e", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Imports,ImportMap,Standard,DepOnly,Incomplete,Error"}, patterns...)
+	args := append([]string{"list", "-e", "-deps", "-json=ImportPath,Dir,Name,GoFiles,TestGoFiles,XTestGoFiles,Imports,ImportMap,Standard,DepOnly,Incomplete,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -110,6 +129,7 @@ func Load(dir string, patterns []string) (*Program, error) {
 		Fset:   token.NewFileSet(),
 		byPath: make(map[string]*Package, len(listed)),
 		marked: make(map[string]map[types.Object]bool),
+		memo:   make(map[string]any),
 	}
 	imp := &progImporter{prog: prog}
 	for _, lp := range listed {
@@ -129,6 +149,13 @@ func Load(dir string, patterns []string) (*Program, error) {
 			pkg.Files = append(pkg.Files, f)
 		}
 		if pkg.Target {
+			for _, name := range append(lp.TestGoFiles, lp.XTestGoFiles...) {
+				f, err := parser.ParseFile(prog.Fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					return nil, fmt.Errorf("parsing %s: %v", filepath.Join(lp.Dir, name), err)
+				}
+				pkg.TestFiles = append(pkg.TestFiles, f)
+			}
 			pkg.Info = &types.Info{
 				Types:      make(map[ast.Expr]types.TypeAndValue),
 				Defs:       make(map[*ast.Ident]types.Object),
