@@ -69,12 +69,12 @@ func queryBench(b *testing.B) *queryBenchState {
 			Sources: []string{fmt.Sprintf("indep-%d", i%48)},
 		})
 	}
-	srv, err := serve.New(st, serve.Config{Options: opts, PenalizeSilence: true})
+	srv, err := serve.New(st, serve.Config{Options: opts})
 	if err != nil {
 		b.Fatal(err)
 	}
 	srvAdmission, err := serve.New(st, serve.Config{
-		Options: opts, PenalizeSilence: true,
+		Options: opts,
 		// Generous enough that no benchmark request is ever refused: the
 		// measurement is the chain's bookkeeping, not its rejections.
 		RequestTimeout: time.Hour,

@@ -120,8 +120,9 @@ func readRecords(t *testing.T, path string) map[string]store.Record {
 	}
 	defer f.Close()
 	out := make(map[string]store.Record)
-	err = store.ReadRecords(f, func(rec *store.Record) {
+	err = store.ReadRecords(f, func(_ int, rec *store.Record) error {
 		out[rec.Subject+"\x00"+rec.Predicate+"\x00"+rec.Object] = *rec
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)

@@ -305,7 +305,6 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	}
 	switch o.scope {
 	case "global", "":
-		cfg.PenalizeSilence = true
 	case "subject":
 		cfg.SubjectScope = true
 	default:

@@ -21,9 +21,8 @@ type Model interface {
 	FrozenScores() (probs []float64, provided, accepted []bool)
 	Dataset() *Dataset
 	Options() Options
-	// Online derives an incremental scorer from the trained quality
-	// model; it fails for methods without one (the unsupervised
-	// baselines).
+	// Online derives the live scorer from the trained model; it fails
+	// for methods without one (the unsupervised baselines).
 	Online(penalizeSilence bool) (OnlineScorer, error)
 }
 

@@ -377,45 +377,6 @@ func TestElasticLevelOption(t *testing.T) {
 	}
 }
 
-func TestIncrementalPublicAPI(t *testing.T) {
-	d := obama()
-	f, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.PrecRec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := f.Incremental(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stream the Obama observations; final state must match batch PrecRec.
-	for s := 0; s < d.NumSources(); s++ {
-		for _, id := range d.Output(corrfuse.SourceID(s)) {
-			if _, err := inc.Observe(corrfuse.SourceID(s), d.Triple(id)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < d.NumTriples(); i++ {
-		tr := d.Triple(corrfuse.TripleID(i))
-		batch, _ := f.Probability(tr)
-		online, ok := inc.Probability(tr)
-		if !ok {
-			t.Fatalf("%v unobserved", tr)
-		}
-		if diff := batch - online; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%v: online %v vs batch %v", tr, online, batch)
-		}
-	}
-	// Unsupervised methods have no quality model.
-	u, err := corrfuse.New(d, corrfuse.Options{Method: corrfuse.UnionK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u.Incremental(true); err == nil {
-		t.Error("UnionK should not offer an incremental fuser")
-	}
-}
-
 // TestTwentySourcesOneCluster is the regression test for the oldest open
 // finding (ROADMAP item 2): 20 uniform sources are one correlation cluster
 // under the defaults, which used to mean 2²⁰ string-keyed map entries per

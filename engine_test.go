@@ -7,6 +7,7 @@ package corrfuse_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -160,10 +161,10 @@ func assertSameModel(t *testing.T, d *corrfuse.Dataset, want *corrfuse.Fuser, go
 	if !slices.Equal(gr.All, wr.All) || !slices.Equal(gr.Accepted, wr.Accepted) {
 		t.Fatal("Fuse ranking differs from the Fuser's")
 	}
-	winc, werr := want.Incremental(true)
+	winc, werr := want.Online(true)
 	ginc, gerr := got.Online(true)
 	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("Online error %v, Fuser.Incremental error %v", gerr, werr)
+		t.Fatalf("Online error %v, want %v", gerr, werr)
 	}
 	if werr != nil {
 		return
@@ -395,7 +396,9 @@ func TestShardedDivergenceBoundCrossShard(t *testing.T) {
 }
 
 // TestShardedOnlineRoutingParity: an nShards-way engine's online scorer
-// answers fresh claims as New's Incremental does.
+// answers fresh claims as New's does, and as a Rebuild over the same claims
+// does: under subject scope a claim on a subject no source covered moves no
+// parameter.
 func TestShardedOnlineRoutingParity(t *testing.T) {
 	d := subjectPartitionedDataset(t)
 	opts := corrfuse.Options{Method: corrfuse.PrecRec, Scope: corrfuse.NewScopeSubject(d), Smoothing: 0.1}
@@ -408,31 +411,44 @@ func TestShardedOnlineRoutingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monoInc, err := mono.Incremental(false)
+	monoOn, err := mono.Online(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardInc, err := sharded.Online(false)
+	shardOn, err := sharded.Online(false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d2 := d.Clone()
+	live := map[corrfuse.Triple]float64{}
 	for i := 0; i < 40; i++ {
 		tt := corrfuse.Triple{Subject: fmt.Sprintf("fresh-%03d", i), Predicate: "p", Object: "v"}
 		sid := corrfuse.SourceID(i % d.NumSources())
-		pm, err := monoInc.Observe(sid, tt)
+		pm, err := monoOn.Observe(sid, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := shardInc.Observe(sid, tt)
+		ps, err := shardOn.Observe(sid, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pm != ps {
 			t.Errorf("claim %d: New's live %v, engine's live %v", i, pm, ps)
 		}
+		d2.Observe(sid, tt)
+		live[tt] = pm
 	}
-	if monoInc.Len() != shardInc.Len() {
-		t.Errorf("Len: New's %d, engine's %d", monoInc.Len(), shardInc.Len())
+	if monoOn.Len() != shardOn.Len() {
+		t.Errorf("Len: New's %d, engine's %d", monoOn.Len(), shardOn.Len())
+	}
+	rebuilt, err := sharded.Rebuild(d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt, p := range live {
+		if q, _ := rebuilt.Probability(tt); math.Abs(p-q) > 1e-12 {
+			t.Errorf("%v: live %v, rebuilt %v", tt, p, q)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Serve example: a client for the corrfused fusion service (cmd/fused).
 // It writes a small training store, tells you how to start the server, then
 // drives the API end to end: ingest claims from two copying extractors and
-// an unreliable one, read the instantly-fresh incremental probabilities,
-// force a batch re-fusion, and observe the correlation-corrected values.
+// an unreliable one, read the instantly-fresh live probabilities (the
+// snapshot's model over each claimed pattern), force a batch re-fusion,
+// and observe that it serves the same values from the new snapshot.
 //
 // Run in one terminal:
 //
@@ -83,7 +84,7 @@ func drive(base string) error {
 		fmt.Printf("after %s: %s\n", src, out)
 	}
 
-	// 2. Query: answered from the incremental model (live=true).
+	// 2. Query: answered from the live scorer (live=true).
 	fmt.Println("\n== query the triple (served live between refreshes) ==")
 	out, err := call("GET", base+"/v1/triple?subject=Elbonia&predicate=capital&object=Bugtown", nil)
 	if err != nil {
@@ -104,7 +105,8 @@ func drive(base string) error {
 	}
 	fmt.Println(out)
 
-	// 4. Re-fuse: the correlation-aware batch model discounts the copy.
+	// 4. Re-fuse: the snapshot now records the claims; the live answer
+	// already discounted the copy.
 	fmt.Println("\n== force a batch re-fusion ==")
 	out, err = call("POST", base+"/v1/refuse", map[string]string{})
 	if err != nil {
@@ -112,7 +114,7 @@ func drive(base string) error {
 	}
 	fmt.Println(out)
 
-	fmt.Println("\n== query again (batch-corrected, live=false) ==")
+	fmt.Println("\n== query again (same probability from the snapshot, live=false) ==")
 	out, err = call("GET", base+"/v1/triple?subject=Elbonia&predicate=capital&object=Bugtown", nil)
 	if err != nil {
 		return err

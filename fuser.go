@@ -2,6 +2,7 @@ package corrfuse
 
 import (
 	"fmt"
+	"slices"
 
 	"corrfuse/internal/baseline"
 	"corrfuse/internal/cluster"
@@ -145,41 +146,104 @@ func (f *Fuser) resolveClusters(est *quality.Estimator) ([][]SourceID, error) {
 	}
 }
 
-// Incremental maintains PrecRec probabilities under a stream of
-// observations with O(1) updates; see Fuser.Incremental.
-type Incremental = core.Incremental
-
-// Incremental derives an online fuser from this Fuser's trained quality
-// model. Only the supervised methods carry a quality model; penalizeSilence
-// selects global-scope semantics (every silent source counts against a
-// triple). The returned Incremental is independent of the Fuser's dataset:
-// feed it any observation stream.
-func (f *Fuser) Incremental(penalizeSilence bool) (*Incremental, error) {
-	if f.est == nil {
-		return nil, fmt.Errorf("corrfuse: method %s has no trained quality model; use PrecRec or a PrecRecCorr variant", f.MethodName())
-	}
-	return core.NewIncremental(f.est, f.d.NumSources(), penalizeSilence)
-}
-
-// OnlineScorer is the surface of the O(1)-update online scorer the serving
-// layer drives (and its tests fake); *Incremental implements it.
-// Implementations are NOT internally synchronized; callers serialize access
-// (internal/serve guards its scorer with the live lock).
+// OnlineScorer is the surface of the online scorer the serving layer drives
+// (and its tests fake); Online returns one. Implementations are NOT
+// internally synchronized; callers serialize access (internal/serve guards
+// its scorer with the live lock).
 type OnlineScorer interface {
+	// Observe records that source s provides t and returns t's probability.
 	Observe(s SourceID, t Triple) (float64, error)
+	// Probability returns t's probability; ok is false for a triple never
+	// observed.
 	Probability(t Triple) (p float64, ok bool)
+	// Providers returns how many sources provide t, 0 for a triple never
+	// observed.
 	Providers(t Triple) int
+	// Len returns the number of triples observed.
 	Len() int
 }
 
-// Online is Incremental behind the OnlineScorer interface.
-func (f *Fuser) Online(penalizeSilence bool) (OnlineScorer, error) {
-	inc, err := f.Incremental(penalizeSilence)
-	if err != nil {
-		return nil, err
-	}
-	return inc, nil
+// patternScorer is the supervised kernels' entry point: the probability of
+// one observation pattern (see core's PatternProbability).
+type patternScorer interface {
+	PatternProbability(providers []SourceID, inScope func(SourceID) bool) float64
 }
+
+// Online returns a scorer that answers claims with this Fuser's trained
+// model. A triple's first claim starts it from its providers in the Fuser's
+// dataset, every claim adds its source, and the triple's probability is the
+// model's for the resulting provider pattern. So under global scope, where
+// an unlabelled claim from a known source moves no parameter, the answer is
+// the one a Rebuild over the same claims gives. Under a subject scope
+// (NewScopeSubject) the sources in scope for t are those covering t's subject
+// in the Fuser's dataset, plus t's providers; other custom scopes are
+// refused, and so are the unsupervised methods, which have no trained model.
+// penalizeSilence is ignored: the scope the model was trained under decides.
+func (f *Fuser) Online(penalizeSilence bool) (OnlineScorer, error) {
+	model, ok := f.alg.(patternScorer)
+	if !ok {
+		return nil, fmt.Errorf("corrfuse: method %s has no trained quality model; use PrecRec or a PrecRecCorr variant", f.MethodName())
+	}
+	o := &online{d: f.d, model: model, triples: make(map[Triple]liveTriple)}
+	switch sc := f.opts.Scope.(type) {
+	case ScopeGlobal:
+	case *triple.ScopeSubject:
+		o.subjects = sc
+	default:
+		return nil, fmt.Errorf("corrfuse: online scoring needs ScopeGlobal or NewScopeSubject, not scope %T", sc)
+	}
+	return o, nil
+}
+
+// online is the scorer Online returns. triples holds every triple observed:
+// its providers, ascending, and the model's probability for them.
+type online struct {
+	d        *Dataset
+	model    patternScorer
+	subjects *triple.ScopeSubject // nil under ScopeGlobal
+	triples  map[Triple]liveTriple
+}
+
+type liveTriple struct {
+	providers []SourceID
+	p         float64
+}
+
+func (o *online) Observe(s SourceID, t Triple) (float64, error) {
+	if int(s) < 0 || int(s) >= o.d.NumSources() {
+		return 0, fmt.Errorf("corrfuse: source %d out of range", s)
+	}
+	lt, seen := o.triples[t]
+	if !seen {
+		if id, ok := o.d.TripleID(t); ok {
+			// Clipped, so the insert below copies before it writes.
+			lt.providers = slices.Clip(o.d.Providers(id))
+		}
+	}
+	i, present := slices.BinarySearch(lt.providers, s)
+	if seen && present {
+		return lt.p, nil
+	}
+	if !present {
+		lt.providers = slices.Insert(lt.providers, i, s)
+	}
+	var inScope func(SourceID) bool
+	if o.subjects != nil {
+		inScope = func(s SourceID) bool { return o.subjects.Covers(o.d, s, t.Subject) }
+	}
+	lt.p = o.model.PatternProbability(lt.providers, inScope)
+	o.triples[t] = lt
+	return lt.p, nil
+}
+
+func (o *online) Probability(t Triple) (float64, bool) {
+	lt, ok := o.triples[t]
+	return lt.p, ok
+}
+
+func (o *online) Providers(t Triple) int { return len(o.triples[t].providers) }
+
+func (o *online) Len() int { return len(o.triples) }
 
 // Rebuild trains a new Fuser over d with this Fuser's options. A Fuser is
 // immutable once built; rebuilding is the path by which a long-running

@@ -31,8 +31,9 @@ type ObserveRequest struct {
 type ObserveResult struct {
 	Triple      triple.Triple `json:"triple"`
 	Probability float64       `json:"probability"`
-	// Live reports that the probability came from the incremental model
-	// (false: stored batch value, e.g. for unsupervised methods).
+	// Live reports that the probability came from the live scorer, the
+	// snapshot's model over the claimed pattern (false: the snapshot's
+	// batch value, e.g. for unsupervised methods).
 	Live bool `json:"live"`
 	// PendingSource reports that the claiming source is not yet in the
 	// quality model; its evidence joins at the next re-fusion.
@@ -49,8 +50,9 @@ type ScoreRequest struct {
 type ScoreResult struct {
 	Triple      triple.Triple `json:"triple"`
 	Probability float64       `json:"probability"`
-	// Basis is "snapshot" (frozen batch index), "live" (incremental
-	// model) or "unknown" (never observed; probability is 0).
+	// Basis is "snapshot" (frozen batch index), "live" (the snapshot's
+	// model over the claimed pattern) or "unknown" (never observed;
+	// probability is 0).
 	Basis string `json:"basis"`
 	// Accepted reports the snapshot's acceptance decision. It is present
 	// exactly when Basis is "snapshot" (a rejected triple serializes as

@@ -91,6 +91,11 @@ func (c *Config) normalize() error {
 	return nil
 }
 
+// inScopeOf is the scope's test of a source against triple id.
+func (c *Config) inScopeOf(id triple.TripleID) func(triple.SourceID) bool {
+	return func(s triple.SourceID) bool { return c.Scope.InScope(c.Dataset, s, id) }
+}
+
 // maxClusterWidth bounds the clusters Elastic walks: a pattern holds a
 // cluster's providers and in-scope members as stat.Set64 bitmasks over member
 // positions, and a Set64 has 64 of them.
@@ -187,23 +192,6 @@ func tabledViews(cfg Config) []*clusterView {
 	return views
 }
 
-// patternFor computes the observation pattern of triple id within the
-// cluster under the given scope: one Provides search and one scope check per
-// member. Under ScopeGlobal clusterModel.providerMasks finds every cluster's
-// providers in one walk instead.
-func (cv *clusterView) patternFor(d *triple.Dataset, sc triple.Scope, id triple.TripleID) pattern {
-	var p pattern
-	for i, s := range cv.members {
-		if d.Provides(s, id) {
-			p.providers = p.providers.Add(i)
-			p.inScope = p.inScope.Add(i)
-		} else if sc.InScope(d, s, id) {
-			p.inScope = p.inScope.Add(i)
-		}
-	}
-	return p
-}
-
 // clusterModel is the cluster walk Exact and Elastic share: µ is the product
 // over the clusters, in cluster order, of µ_c for the triple's pattern in
 // each. A cluster with a µ table (Exact's, under ScopeGlobal) answers with
@@ -214,9 +202,9 @@ type clusterModel struct {
 	views     []*clusterView
 	patternMu func(ci int, p pattern) float64
 
-	// Under ScopeGlobal clusterOf maps a source to its cluster and mu has
-	// one entry per cluster: its µ indexed by provider mask, or nil where
-	// the method built none. Both are nil under other scopes.
+	// clusterOf maps a source to its cluster. Under ScopeGlobal mu has one
+	// entry per cluster: its µ indexed by provider mask, or nil where the
+	// method built none. Under other scopes mu is nil.
 	clusterOf []int32
 	mu        [][]float64
 }
@@ -224,15 +212,14 @@ type clusterModel struct {
 // newClusterModel builds the walk over a normalized config; the caller sets
 // patternMu.
 func newClusterModel(cfg Config) clusterModel {
-	m := clusterModel{cfg: cfg, views: tabledViews(cfg)}
+	m := clusterModel{cfg: cfg, views: tabledViews(cfg), clusterOf: make([]int32, cfg.Dataset.NumSources())}
+	for ci, cl := range cfg.Clusters {
+		for _, s := range cl {
+			m.clusterOf[s] = int32(ci)
+		}
+	}
 	if _, global := cfg.Scope.(triple.ScopeGlobal); global {
 		m.mu = make([][]float64, len(m.views))
-		m.clusterOf = make([]int32, cfg.Dataset.NumSources())
-		for ci, cl := range cfg.Clusters {
-			for _, s := range cl {
-				m.clusterOf[s] = int32(ci)
-			}
-		}
 	}
 	return m
 }
@@ -243,12 +230,11 @@ type clusterMask struct {
 	mask stat.Set64
 }
 
-// providerMasks appends to touched, sorted by cluster, the clusters triple
-// id's providers touch with their provider masks, in one walk over the
-// provider list: the ScopeGlobal patterns, every cluster missing from the
-// result being all-absent.
-func (m *clusterModel) providerMasks(id triple.TripleID, touched []clusterMask) []clusterMask {
-	for _, s := range m.cfg.Dataset.Providers(id) {
+// providerMasks appends to touched, sorted by cluster, the clusters the
+// providers touch with their provider masks, in one walk over the list:
+// every cluster missing from the result has no provider.
+func (m *clusterModel) providerMasks(providers []triple.SourceID, touched []clusterMask) []clusterMask {
+	for _, s := range providers {
 		c := m.clusterOf[s]
 		bit := stat.Set64(1) << m.views[c].pos[s]
 		i := len(touched)
@@ -266,29 +252,36 @@ func (m *clusterModel) providerMasks(id triple.TripleID, touched []clusterMask) 
 	return touched
 }
 
-// Mu returns µ for a triple: the product of per-cluster ratios, in cluster
-// order.
+// Mu returns µ for a triple.
 func (m *clusterModel) Mu(id triple.TripleID) float64 {
-	mu := 1.0
-	if m.clusterOf == nil {
-		for ci, cv := range m.views {
-			mu *= m.muCached(ci, cv.patternFor(m.cfg.Dataset, m.cfg.Scope, id))
-		}
-		return mu
-	}
+	return m.muOf(m.cfg.Dataset.Providers(id), m.cfg.inScopeOf(id))
+}
+
+// muOf is µ of one observation pattern (see PatternProbability): the
+// product of per-cluster ratios, in cluster order. Under ScopeGlobal every
+// cluster's pattern is its provider mask with every member in scope.
+func (m *clusterModel) muOf(providers []triple.SourceID, inScope func(triple.SourceID) bool) float64 {
 	var buf [16]clusterMask
-	touched := m.providerMasks(id, buf[:0])
+	touched := m.providerMasks(providers, buf[:0])
+	mu := 1.0
 	for ci, cv := range m.views {
-		var mask stat.Set64
+		p := pattern{inScope: cv.full}
 		if len(touched) > 0 && touched[0].c == int32(ci) {
-			mask = touched[0].mask
+			p.providers = touched[0].mask
 			touched = touched[1:]
 		}
-		if t := m.mu[ci]; t != nil {
-			mu *= t[mask]
+		if m.mu == nil {
+			p.inScope = p.providers
+			for i, s := range cv.members {
+				if !p.providers.Contains(i) && inScope(s) {
+					p.inScope = p.inScope.Add(i)
+				}
+			}
+		} else if t := m.mu[ci]; t != nil {
+			mu *= t[p.providers]
 			continue
 		}
-		mu *= m.muCached(ci, pattern{providers: mask, inScope: cv.full})
+		mu *= m.muCached(ci, p)
 	}
 	return mu
 }
@@ -317,7 +310,16 @@ func (m *clusterModel) muCached(ci int, p pattern) float64 {
 
 // Probability implements Algorithm.
 func (m *clusterModel) Probability(id triple.TripleID) float64 {
-	return muToProb(m.cfg.Params.Alpha(), m.Mu(id))
+	return m.PatternProbability(m.cfg.Dataset.Providers(id), m.cfg.inScopeOf(id))
+}
+
+// PatternProbability returns Pr(t | Ot) for the observation pattern in which
+// providers (ascending) provide t and, of the other sources, those inScope
+// reports are in scope; under ScopeGlobal every source is, and inScope is
+// not called. Probability is this over the dataset's pattern of a triple, so
+// a triple the dataset does not hold scores as it would once it did.
+func (m *clusterModel) PatternProbability(providers []triple.SourceID, inScope func(triple.SourceID) bool) float64 {
+	return muToProb(m.cfg.Params.Alpha(), m.muOf(providers, inScope))
 }
 
 // Score implements Algorithm.

@@ -8,6 +8,23 @@ import (
 	"corrfuse/internal/triple"
 )
 
+// patternFor is the member scan: the observation pattern of triple id
+// within the cluster under the given scope, from one Provides search and one
+// scope check per member. It is the reference the provider walk is checked
+// against.
+func (cv *clusterView) patternFor(d *triple.Dataset, sc triple.Scope, id triple.TripleID) pattern {
+	var p pattern
+	for i, s := range cv.members {
+		if d.Provides(s, id) {
+			p.providers = p.providers.Add(i)
+			p.inScope = p.inScope.Add(i)
+		} else if sc.InScope(d, s, id) {
+			p.inScope = p.inScope.Add(i)
+		}
+	}
+	return p
+}
+
 // refMu is Mu as it was before the provider walk and the all-absent µ: the
 // member-scan pattern and a plain per-cluster memo in front of clusterMu.
 type refMu struct {
@@ -87,10 +104,10 @@ func TestPatternWalkEqualsMemberScan(t *testing.T) {
 
 		d, sc := ex.cfg.Dataset, ex.cfg.Scope
 		ids := allIDs(d)
-		if ex.clusterOf != nil {
+		if ex.mu != nil {
 			for _, id := range ids {
 				got := make([]stat.Set64, len(ex.views))
-				for _, cm := range ex.providerMasks(id, nil) {
+				for _, cm := range ex.providerMasks(d.Providers(id), nil) {
 					got[cm.c] = cm.mask
 				}
 				for ci, cv := range ex.views {

@@ -63,10 +63,15 @@ func logRatios(n int, rate func(triple.SourceID) (r, q float64)) (lp, ls []float
 
 // LogMu returns log µ for a triple.
 func (f *factorised) LogMu(id triple.TripleID) float64 {
-	d := f.cfg.Dataset
+	return f.logMuOf(f.cfg.Dataset.Providers(id), f.cfg.inScopeOf(id))
+}
+
+// logMuOf is log µ of one observation pattern (see
+// clusterModel.PatternProbability).
+func (f *factorised) logMuOf(providers []triple.SourceID, inScope func(triple.SourceID) bool) float64 {
 	if f.global {
 		logMu := f.silent
-		for _, s := range d.Providers(id) {
+		for _, s := range providers {
 			logMu += f.lp[s] - f.ls[s]
 		}
 		return logMu
@@ -75,9 +80,10 @@ func (f *factorised) LogMu(id triple.TripleID) float64 {
 	for s := range f.lp {
 		sid := triple.SourceID(s)
 		switch {
-		case d.Provides(sid, id):
+		case len(providers) > 0 && providers[0] == sid:
 			logMu += f.lp[s]
-		case f.cfg.Scope.InScope(d, sid, id):
+			providers = providers[1:]
+		case inScope(sid):
 			logMu += f.ls[s]
 		}
 	}
@@ -89,7 +95,13 @@ func (f *factorised) Mu(id triple.TripleID) float64 { return math.Exp(f.LogMu(id
 
 // Probability implements Algorithm, adding log µ to the prior log-odds.
 func (f *factorised) Probability(id triple.TripleID) float64 {
-	return stat.Sigmoid(f.prior + f.LogMu(id))
+	return f.PatternProbability(f.cfg.Dataset.Providers(id), f.cfg.inScopeOf(id))
+}
+
+// PatternProbability is clusterModel.PatternProbability for the factorised
+// model.
+func (f *factorised) PatternProbability(providers []triple.SourceID, inScope func(triple.SourceID) bool) float64 {
+	return stat.Sigmoid(f.prior + f.logMuOf(providers, inScope))
 }
 
 // Score implements Algorithm.

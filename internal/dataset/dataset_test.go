@@ -405,7 +405,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 func refRead(t *testing.T, raw []byte) *triple.Dataset {
 	t.Helper()
 	d := triple.NewDataset()
-	err := store.ReadRecords(bytes.NewReader(raw), func(rec *store.Record) {
+	err := store.ReadRecords(bytes.NewReader(raw), func(_ int, rec *store.Record) error {
 		tr := triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object}
 		for _, name := range rec.Sources {
 			d.Observe(d.AddSource(name), tr)
@@ -413,6 +413,7 @@ func refRead(t *testing.T, raw []byte) *triple.Dataset {
 		if l, _ := triple.ParseGold(rec.Label); l != triple.Unknown || len(rec.Sources) == 0 {
 			d.SetLabel(tr, l)
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -479,6 +480,45 @@ func TestReadEqualsObserveLoop(t *testing.T) {
 	}
 }
 
+// TestReadRefusesConflictingLabels: a row whose gold label contradicts the
+// one an earlier row gave its triple fails Read and ReadFile with the row's
+// line, the triple and both labels — in the first batch and past it — and
+// leaves no decoder goroutine behind; a repeated label is not a conflict.
+func TestReadRefusesConflictingLabels(t *testing.T) {
+	lines := []string{
+		`{"subject":"s","predicate":"p","object":"o","sources":["a"],"label":"true"}`,
+		`{"subject":"s","predicate":"p","object":"o","sources":["b"],"label":"true"}`,
+		`{"subject":"s","predicate":"p","object":"o","sources":["c"]}`,
+	}
+	if _, err := Read(strings.NewReader(strings.Join(lines, "\n"))); err != nil {
+		t.Fatalf("a repeated label: %v", err)
+	}
+	before := runtime.NumGoroutine()
+	for _, at := range []int{3, readBatch + 7} {
+		for len(lines) < at-1 {
+			lines = append(lines, fmt.Sprintf(`{"subject":"f%d","predicate":"p","object":"o","sources":["a"],"label":"false"}`, len(lines)))
+		}
+		raw := strings.Join(append(slices.Clone(lines[:at-1]), `{"subject":"s","predicate":"p","object":"o","sources":["d"],"label":"false"}`), "\n")
+		want := fmt.Sprintf(`dataset: line %d: conflicting gold labels for {s, p, o}: "true" then "false"`, at)
+		path := filepath.Join(t.TempDir(), "in.jsonl")
+		if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil || err.Error() != want {
+			t.Errorf("ReadFile, conflict on line %d: %v, want %s", at, err, want)
+		}
+		if _, err := Read(strings.NewReader(raw)); err == nil || err.Error() != want {
+			t.Errorf("Read, conflict on line %d: %v, want %s", at, err, want)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed reads, %d before", n, before)
+	}
+}
+
 // TestReadPipelineErrors: a malformed line at the first row, at the last row
 // of the first batch, at the first row of the second and at the last row of
 // the file, and an over-long line, each make ReadFile and Read return the
@@ -506,7 +546,7 @@ func TestReadPipelineErrors(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	for name, raw := range broken {
-		refErr := store.ReadRecords(strings.NewReader(raw), func(*store.Record) {})
+		refErr := store.ReadRecords(strings.NewReader(raw), func(int, *store.Record) error { return nil })
 		if refErr == nil {
 			t.Fatalf("%s: the reader accepts the stream", name)
 		}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -54,11 +55,12 @@ const (
 	readSlots = 3
 )
 
-// row is one decoded record as the dataset takes it.
+// row is one decoded record as the dataset takes it, with its line number.
 type row struct {
 	t       triple.Triple
 	sources []string
 	label   triple.Label
+	line    int
 }
 
 // readInto decodes on one goroutine while it inserts on the caller's: the
@@ -66,7 +68,9 @@ type row struct {
 // and errors are exactly its own — and fills batches of readBatch rows,
 // which the caller inserts in stream order. The batches cycle through a
 // free list of readSlots, so memory stays bounded whatever the stream's
-// length; the decoder has returned by the time readInto does.
+// length; the decoder has returned by the time readInto does. A row whose
+// gold label contradicts the one an earlier row gave its triple fails the
+// read, as store.Read fails it.
 func readInto(d *triple.Dataset, r io.Reader) (*triple.Dataset, error) {
 	free := make(chan []row, readSlots)
 	for i := 0; i < readSlots; i++ {
@@ -77,31 +81,38 @@ func readInto(d *triple.Dataset, r io.Reader) (*triple.Dataset, error) {
 	go func() {
 		defer close(full)
 		batch := <-free
-		err := store.ReadRecords(r, func(rec *store.Record) {
+		err := store.ReadRecords(r, func(line int, rec *store.Record) error {
 			// The label rule is this file format's: an unlabeled row keeps
 			// whatever label an earlier row set (InsertNamedRow), and a row
 			// with no sources is interned all the same, so unprovided rows
 			// round-trip. Sources is the record's own slice, not reused.
 			l, _ := triple.ParseGold(rec.Label)
-			batch = append(batch, row{triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object}, rec.Sources, l})
+			batch = append(batch, row{triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object}, rec.Sources, l, line})
 			if len(batch) == readBatch {
 				full <- batch
 				batch = (<-free)[:0]
 			}
+			return nil
 		})
 		if err == nil && len(batch) > 0 {
 			full <- batch
 		}
 		done <- err
 	}()
+	var conflict error
 	for batch := range full {
-		for i := range batch {
-			d.InsertNamedRow(batch[i].t, batch[i].sources, batch[i].label)
+		for i := 0; i < len(batch) && conflict == nil; i++ {
+			rec := &batch[i]
+			if _, prev := d.InsertNamedRow(rec.t, rec.sources, rec.label); prev != triple.Unknown && rec.label != triple.Unknown && prev != rec.label {
+				conflict = fmt.Errorf("line %d: conflicting gold labels for %v: %q then %q", rec.line, rec.t, prev.Gold(), rec.label.Gold())
+			}
 		}
 		free <- batch
 	}
-	if err := <-done; err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
+	// Every row inserted precedes the line the decoder failed on, if any,
+	// so a conflict is the stream's first error.
+	if err := <-done; conflict != nil || err != nil {
+		return nil, fmt.Errorf("dataset: %w", cmp.Or(conflict, err))
 	}
 	return d, nil
 }

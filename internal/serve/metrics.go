@@ -131,14 +131,14 @@ func (s *Server) initObs() {
 			return f()
 		}
 	}
-	r.GaugeFunc("corrfused_live_triples", "Triples claimed since the live snapshot's capture (what the incremental scorer holds on top of it).",
+	r.GaugeFunc("corrfused_live_triples", "Triples claimed since the live snapshot's capture (what the live scorer holds on top of it).",
 		live(func() float64 {
 			if s.live.inc == nil {
 				return 0
 			}
 			return float64(s.live.inc.Len())
 		}))
-	r.GaugeFunc("corrfused_online_disabled", "1 while the service runs batch-only (no incremental scorer: an unsupervised method, a failed scorer or a follower re-bootstrap — the log says which), 0 when live scoring is up.",
+	r.GaugeFunc("corrfused_online_disabled", "1 while the service runs batch-only (no live scorer: an unsupervised method, a failed scorer or a follower re-bootstrap — the log says which), 0 when live scoring is up.",
 		live(func() float64 {
 			if s.live.inc == nil {
 				return 1

@@ -50,8 +50,8 @@ func (s *Server) refresher() {
 // time the journal suffix — claims ingested during the build, which the
 // capture may have missed — is replayed onto the new, empty overlay through
 // applyLive; replaying a claim the capture did include is harmless because
-// Observe is idempotent on top of the capture-time providers applyLive reads
-// from the new dataset.
+// Observe is idempotent on top of the capture-time providers the scorer
+// reads from the new dataset.
 //
 // Online-scorer failures never abort a rebuild: the scorer is derived after
 // the write-back, past the last cancellation checkpoint (below). The
@@ -179,14 +179,14 @@ func (s *Server) rebuild(ctx context.Context, force, persist bool) (*snapshot, b
 	idx := index.Build(d, probs, provided, accepted, version)
 	endIndex()
 
-	// Derive the next overlay's scorer from the new quality model. It
-	// starts empty — the snapshot is the record of the capture — so this
-	// stage times the derivation alone. The unsupervised
-	// baselines carry no quality model; the service then serves batch
-	// results only and inc stays nil — the log line and the online_disabled
-	// gauge tell that state apart from a healthy supervised deployment.
+	// Derive the next overlay's scorer from the new model. It starts empty
+	// — the snapshot is the record of the capture — so this stage times the
+	// derivation alone. The unsupervised baselines carry no trained model;
+	// the service then serves batch results only and inc stays nil — the
+	// log line and the online_disabled gauge tell that state apart from a
+	// healthy supervised deployment.
 	endSeed := stage("online_seed")
-	inc, incErr := fuser.Online(s.cfg.PenalizeSilence)
+	inc, incErr := fuser.Online(true)
 	if s.testOnlineHook != nil {
 		inc, incErr = s.testOnlineHook(inc, incErr)
 	}
@@ -249,12 +249,11 @@ func (s *Server) rebuild(ctx context.Context, force, persist bool) (*snapshot, b
 // batch-only service, or a source the quality model does not know yet
 // (recorded in live.unknown).
 //
-// The overlay holds only what was claimed since the capture, so a triple's
-// first claim starts from the snapshot's record of it: its capture-time
-// providers, observed in ascending SourceID order — the same log-odds sum,
-// term for term, as a scorer seeded from the whole dataset.
+// The overlay holds only what was claimed since the capture; the scorer
+// starts a triple's first claim from the snapshot's record of it, its
+// capture-time providers, and answers with the snapshot's model.
 //
-// A failing Observe leaves the scorer half-updated, so it is dropped: the
+// A scorer whose Observe fails is not trusted again, so it is dropped: the
 // cause is logged once and the service runs batch-only until the next
 // rebuild derives a fresh scorer. The claim itself is safe in the store.
 func (s *Server) applyLive(source string, t triple.Triple) (p float64, ok bool) {
@@ -268,19 +267,7 @@ func (s *Server) applyLive(source string, t triple.Triple) (p float64, ok bool) 
 		s.live.unknown[source] = true
 		return 0, false
 	}
-	var base []triple.SourceID
-	if inc.Providers(t) == 0 {
-		if id, inSnap := d.TripleID(t); inSnap {
-			base = d.Providers(id)
-		}
-	}
-	var err error
-	for i := 0; i < len(base) && err == nil; i++ {
-		_, err = inc.Observe(base[i], t)
-	}
-	if err == nil {
-		p, err = inc.Observe(sid, t)
-	}
+	p, err := inc.Observe(sid, t)
 	if err != nil {
 		s.live.inc = nil
 		s.logger.Warn("serve: live scorer failed, serving batch results only until the next rebuild",

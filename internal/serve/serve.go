@@ -12,15 +12,16 @@
 //     provided what at the capture and of every batch answer: no read
 //     consults the store's write-back copy.
 //
-//   - The overlay: an online scorer (corrfuse.Incremental) derived from
-//     the same quality model, empty at each swap and holding only the
-//     triples claimed since the snapshot's capture. A triple's first such
-//     claim copies its capture-time providers in from the snapshot, then
-//     every claim updates it in O(1), so queries between batch refreshes
-//     reflect the newest observations instantly (under the independence
-//     model, the best an O(1) update can do). applyLive is the one path
-//     that feeds it; freshestLocked is the one place that decides which
-//     side answers.
+//   - The overlay: the snapshot model's online scorer (Fuser.Online),
+//     empty at each swap and holding only the triples claimed since the
+//     snapshot's capture. A triple's first such claim starts from its
+//     capture-time providers, and every claim re-scores the triple's
+//     provider pattern with the snapshot's own model, so queries between
+//     batch refreshes reflect the newest observations at once. Under global
+//     scope an unlabelled claim from a known source moves no parameter, so
+//     the live answer is the one the next rebuild gives. applyLive is the
+//     one path that feeds the overlay; freshestLocked is the one place that
+//     decides which side answers.
 //
 // A background refresher (and POST /v1/refuse) rebuilds the batch model
 // from the accumulated store, writes its results back for the next persist
@@ -75,9 +76,9 @@ type Config struct {
 	// instead). It remains because the frozen bench/ package sets it.
 	PartialRebuild bool
 
-	// PenalizeSilence selects global-scope semantics for the incremental
-	// scorer: every source that does not provide a triple counts against
-	// it. Match it to the batch scope (true for global scope).
+	// PenalizeSilence is accepted and ignored: the overlay scores with the
+	// snapshot's model under the scope it was trained with. It remains
+	// because the frozen bench/ package sets it.
 	PenalizeSilence bool
 
 	// RefreshInterval is the period of the background batch re-fusion.
@@ -249,9 +250,9 @@ type Server struct {
 	// holding either sees a matching snapshot/overlay pair.
 	live struct {
 		sync.RWMutex
-		// inc scores the triples claimed since the capture; it starts empty
-		// at every swap. nil means batch-only: the method has no quality
-		// model, or a scorer failed — corrfused_online_disabled reads this
+		// inc scores the triples claimed since the capture with the
+		// snapshot's model; it starts empty at every swap. nil means
+		// batch-only: the method has no trained model, or a scorer failed — corrfused_online_disabled reads this
 		// field, and the next rebuild derives a fresh one.
 		inc corrfuse.OnlineScorer
 		// data is the current snapshot's dataset: inc's source IDs refer

@@ -77,8 +77,7 @@ func newServer(t *testing.T, st *store.Store, cfg Config) *Server {
 
 func corrConfig() Config {
 	return Config{
-		Options:         corrfuse.Options{Method: corrfuse.PrecRecCorr, Smoothing: 0.1},
-		PenalizeSilence: true,
+		Options: corrfuse.Options{Method: corrfuse.PrecRecCorr, Smoothing: 0.1},
 	}
 }
 
@@ -123,9 +122,9 @@ func tripleURL(base string, tt triple.Triple) string {
 }
 
 // TestEndToEnd drives the full loop over HTTP: the initial fusion demotes a
-// stale acceptance, ingested claims are instantly visible through the
-// incremental model, and a forced re-fusion swaps in the batch
-// (correlation-corrected) probability and persists it to the store.
+// stale acceptance, ingested claims are instantly visible through the live
+// model, and a forced re-fusion serves the same probability from the new
+// snapshot and persists it to the store.
 func TestEndToEnd(t *testing.T) {
 	st := seedStore(t)
 	srv := newServer(t, st, corrConfig())
@@ -176,9 +175,9 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("query after ingest = %+v, want live probability %v", q, p2)
 	}
 
-	// Batch re-fusion: the copying sources are perfectly correlated, so
-	// the correlation-aware batch model must correct the independence
-	// estimate downward — and the corrected value must reach the store.
+	// Batch re-fusion: the live value already was the snapshot model's
+	// answer for u2's provider pattern, so the refuse serves it unchanged,
+	// now from the snapshot, and writes it to the store.
 	ref := postJSON(t, ts.URL+"/v1/refuse", struct{}{})
 	if ref["skipped"].(bool) {
 		t.Fatal("refuse skipped despite new observations")
@@ -192,8 +191,8 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal("query after refuse still served from the live model")
 	}
 	batch := q["probability"].(float64)
-	if batch >= p2 {
-		t.Fatalf("batch correlation-corrected probability %v not below independence estimate %v", batch, p2)
+	if math.Abs(batch-p2) > 1e-12 {
+		t.Fatalf("batch probability %v after the refuse, live %v before it", batch, p2)
 	}
 	if e, _ := st.Get(u2); math.Abs(e.Probability-batch) > 1e-12 {
 		t.Fatalf("store not updated by re-fusion: %v != %v", e.Probability, batch)

@@ -176,14 +176,14 @@ var appendFloat = codec.AppendFloat
 // maxLineBytes is the longest line ReadRecords accepts.
 const maxLineBytes = 4 << 20
 
-// ReadRecords parses a JSONL stream, handing each record to fn (the record
-// is reused between calls; its Sources slice is not). Blank lines are
-// skipped; any other line that is not exactly one well-formed Record — or
-// is longer than maxLineBytes — fails with a "line N:" error. Repeated
-// predicate, object, source and label values share one string per stream
-// through a codec.Interner, whose size is bounded whatever the file holds;
-// subjects are not interned.
-func ReadRecords(r io.Reader, fn func(rec *Record)) error {
+// ReadRecords parses a JSONL stream, handing each record to fn with its
+// line number (the record is reused between calls; its Sources slice is
+// not). Blank lines are skipped; any other line that is not exactly one
+// well-formed Record — or is longer than maxLineBytes, or that fn fails —
+// fails with a "line N:" error. Repeated predicate, object, source and label
+// values share one string per stream through a codec.Interner, whose size is
+// bounded whatever the file holds; subjects are not interned.
+func ReadRecords(r io.Reader, fn func(line int, rec *Record) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), maxLineBytes+1) // +1: the newline
 	var (
@@ -198,7 +198,9 @@ func ReadRecords(r io.Reader, fn func(rec *Record)) error {
 		if err := decodeRecord(sc.Bytes(), &rec, &in); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
-		fn(&rec)
+		if err := fn(line, &rec); err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
 	}
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
 		return fmt.Errorf("line %d: longer than %d bytes", line, maxLineBytes)

@@ -377,12 +377,21 @@ func (s *Store) Write(w io.Writer) error {
 }
 
 // Read loads JSONL records into the store (merging with existing entries).
+// Two lines of the stream that give one triple different gold labels are
+// refused: a file states each label once. A label in the stream does replace
+// the one an existing entry holds, as Put does.
 func (s *Store) Read(r io.Reader) error {
-	return ReadRecords(r, func(rec *Record) {
-		s.Put(Entry{
-			Triple:  triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object},
-			Sources: rec.Sources, Label: rec.Label, Probability: rec.Probability, Accepted: rec.Accepted,
-		})
+	labels := make(map[triple.Triple]string)
+	return ReadRecords(r, func(_ int, rec *Record) error {
+		t := triple.Triple{Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object}
+		if rec.Label != "" {
+			if prev, ok := labels[t]; ok && prev != rec.Label {
+				return fmt.Errorf("conflicting gold labels for %v: %q then %q", t, prev, rec.Label)
+			}
+			labels[t] = rec.Label
+		}
+		s.Put(Entry{Triple: t, Sources: rec.Sources, Label: rec.Label, Probability: rec.Probability, Accepted: rec.Accepted})
+		return nil
 	})
 }
 

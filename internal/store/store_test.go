@@ -103,6 +103,40 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadRefusesConflictingLabels: two lines of one stream that give a
+// triple different gold labels are refused, naming the second line, the
+// triple and both labels; a label repeated, or one that replaces the label
+// of an entry already in the store (a relabel, as Put and WAL replay apply
+// it), is not a conflict.
+func TestReadRefusesConflictingLabels(t *testing.T) {
+	const conflicting = `{"subject":"s","predicate":"p","object":"o","sources":["a"],"label":"true"}
+{"subject":"x","predicate":"p","object":"o","sources":["a"]}
+
+{"subject":"s","predicate":"p","object":"o","sources":["b"],"label":"false"}
+`
+	err := New().Read(strings.NewReader(conflicting))
+	if err == nil || err.Error() != `line 4: conflicting gold labels for {s, p, o}: "true" then "false"` {
+		t.Fatalf("conflicting labels: Read error %v", err)
+	}
+
+	s := New()
+	s.Put(Entry{Triple: mk("s", "p", "o"), Sources: []string{"a"}, Label: "true"})
+	const relabel = `{"subject":"s","predicate":"p","object":"o","sources":["b"],"label":"false"}
+{"subject":"s","predicate":"p","object":"o","label":"false"}
+{"subject":"s","predicate":"p","object":"o","sources":["c"]}
+`
+	if err := s.Read(strings.NewReader(relabel)); err != nil {
+		t.Fatalf("relabel of a stored entry: %v", err)
+	}
+	if e, _ := s.Get(mk("s", "p", "o")); e.Label != "false" || !slices.Equal(e.Sources, []string{"a", "b", "c"}) {
+		t.Fatalf("after the relabel: %+v", e)
+	}
+	s.Put(Entry{Triple: mk("s", "p", "o"), Label: "true"})
+	if e, _ := s.Get(mk("s", "p", "o")); e.Label != "true" {
+		t.Fatalf("Put relabel: %+v", e)
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	s := New()
 	var wg sync.WaitGroup

@@ -18,7 +18,8 @@ func (d *Dataset) InsertRow(t Triple, provs []SourceID, l Label) TripleID {
 		}
 	}
 	d.row = append(d.row[:0], provs...)
-	return d.insertRow(t, l)
+	id, _ := d.insertRow(t, l)
+	return id
 }
 
 // FalseTriples returns the IDs of all triples labeled False.

@@ -48,9 +48,16 @@ func NewScopeSubject(d *Dataset) *ScopeSubject {
 
 // InScope implements Scope.
 func (sc *ScopeSubject) InScope(d *Dataset, s SourceID, id TripleID) bool {
+	return sc.Covers(d, s, d.Triple(id).Subject)
+}
+
+// Covers reports whether source s is in scope for a triple of the subject in
+// d, which need not hold that triple: whether s provides a triple of the
+// subject in the indexed dataset.
+func (sc *ScopeSubject) Covers(d *Dataset, s SourceID, subject string) bool {
 	if d != sc.d {
 		// The index was built for a different dataset; be conservative.
 		return true
 	}
-	return sc.covers[s][d.Triple(id).Subject]
+	return sc.covers[s][subject]
 }

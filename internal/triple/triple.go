@@ -425,8 +425,8 @@ func (d *Dataset) observeID(s SourceID, id TripleID) {
 // case in a file with one row per triple — cuts the provider list at its
 // exact size and appends to each source's output list, the new ID being the
 // largest. names may repeat a source and need not be sorted; it is not
-// retained.
-func (d *Dataset) InsertNamedRow(t Triple, names []string, l Label) TripleID {
+// retained. prev is t's label before the row (Unknown for a new triple).
+func (d *Dataset) InsertNamedRow(t Triple, names []string, l Label) (id TripleID, prev Label) {
 	d.row = d.row[:0]
 	for _, name := range names {
 		d.row = append(d.row, d.AddSource(name))
@@ -434,10 +434,12 @@ func (d *Dataset) InsertNamedRow(t Triple, names []string, l Label) TripleID {
 	return d.insertRow(t, l)
 }
 
-// insertRow inserts the row whose providers are in d.row.
-func (d *Dataset) insertRow(t Triple, l Label) TripleID {
+// insertRow inserts the row whose providers are in d.row and returns t's ID
+// and its label before the row.
+func (d *Dataset) insertRow(t Triple, l Label) (id TripleID, prev Label) {
 	known := len(d.triples)
-	id := d.internTriple(t)
+	id = d.internTriple(t)
+	prev = d.labels[id]
 	switch {
 	case int(id) < known:
 		for _, s := range d.row {
@@ -454,7 +456,7 @@ func (d *Dataset) insertRow(t Triple, l Label) TripleID {
 	if l != Unknown || len(d.row) == 0 {
 		d.labels[id] = l
 	}
-	return id
+	return id, prev
 }
 
 // SetLabel assigns a gold-standard label to triple t. The triple is interned

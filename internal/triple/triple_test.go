@@ -306,7 +306,7 @@ func TestInsertRowEqualsObserveLoop(t *testing.T) {
 			}
 			l := Label(rng.Intn(3))
 			wantID := refInsertRow(want, tt, names, l)
-			if id := named.InsertNamedRow(tt, names, l); id != wantID {
+			if id, _ := named.InsertNamedRow(tt, names, l); id != wantID {
 				t.Fatalf("seed %d row %d: InsertNamedRow returned %d, the loop %d", seed, row, id, wantID)
 			}
 			provs := make([]SourceID, len(names))
