@@ -235,8 +235,8 @@ func baselineScore(b *testing.B, qs *queryBenchState, body []byte) {
 }
 
 // BenchmarkQuerySubjectIndexed: wide-subject listings through the full
-// serving stack — pre-ranked slices straight out of the frozen index, no
-// store scan, no per-request sort.
+// serving stack — after each listing's first read, its ranked slice
+// straight out of the snapshot's index, no store scan, no per-request sort.
 func BenchmarkQuerySubjectIndexed(b *testing.B) {
 	qs := queryBench(b)
 	b.ResetTimer()

@@ -24,8 +24,8 @@
 //
 //	POST /v1/observe      ingest claims; instantly fresh probabilities
 //	GET  /v1/triple       query one triple (?subject=&predicate=&object=)
-//	GET  /v1/subject/{s}  fused results about a subject, pre-ranked
-//	GET  /v1/source/{s}   fused results a source contributed to, pre-ranked
+//	GET  /v1/subject/{s}  fused results about a subject, ranked
+//	GET  /v1/source/{s}   fused results a source contributed to, ranked
 //	POST /v1/score        bulk-score up to -max-score-triples triples
 //	POST /v1/refuse       force a batch re-fusion now
 //	GET  /healthz         liveness + snapshot sequence + build info
@@ -49,8 +49,8 @@
 // so profiling and introspection never ride the public address.
 //
 // Reads are served from an immutable per-snapshot index frozen at every
-// re-fusion: point lookups and pre-ranked subject/source listings are O(1)
-// and lock-free, and every response reports the matching snapshot and index
+// re-fusion: point lookups are O(1), subject/source listings are ranked on
+// their first read and shared after it, both lock-free, and every response reports the matching snapshot and index
 // versions (see the README's "Query path" section). /v1/score requests
 // beyond -max-score-triples triples, and /v1/score or /v1/observe bodies
 // beyond -max-body-bytes, are rejected with 413 and a structured error;

@@ -122,7 +122,7 @@ func drive(base string) error {
 	fmt.Println(out)
 
 	// 5. Subject listing: served from the immutable per-snapshot index —
-	// pre-ranked by probability at re-fusion time, with matching snapshot
+	// ranked by probability once per snapshot, with matching snapshot
 	// and index versions proving the response came from one generation.
 	fmt.Println("\n== fused results about Elbonia (pre-ranked, snapshot-consistent) ==")
 	out, err = call("GET", base+"/v1/subject/Elbonia", nil)

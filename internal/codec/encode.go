@@ -217,7 +217,7 @@ func AppendObserveResponse(dst []byte, results []ObserveResult, snapshotSeq, wal
 }
 
 // AppendEntriesResponse appends the complete /v1/subject and /v1/source
-// 200 body: pre-ranked index entries plus the generation trailer proving
+// 200 body: ranked index entries plus the generation trailer proving
 // snapshot and index belong together.
 //
 //corrfuse:hotpath

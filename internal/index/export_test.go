@@ -1,8 +1,8 @@
 package index
 
-// Ranked returns every fused result in global rank order, for the tests that
-// compare whole rankings. The slice is shared: callers must not mutate it.
-func (idx *Index) Ranked() []Entry { return idx.entries }
+// Made returns the number of entries the index has materialised, for the
+// tests that count the work a read does.
+func (idx *Index) Made() int64 { return idx.made.Load() }
 
 // SetHashPrime lets a test make every provider set hash alike.
 var SetHashPrime = &setHashPrime

@@ -7,22 +7,27 @@
 // scored triples of one rebuild into three read structures:
 //
 //   - a dense triple-ID → {probability, decision} table (O(1) point reads),
-//   - a subject → ranked result slice map (pre-sorted once; serving a
-//     subject never re-sorts),
-//   - a source → ranked contribution slice map.
+//   - the triple IDs of each subject, grouped at build time,
+//   - the triple IDs of each source, grouped likewise.
 //
-// An Index is immutable after Build. Readers reach it through the serving
-// layer's atomic snapshot pointer, so no lock is ever taken on the read
-// path and no reader can observe a half-built index. The version the index
-// was built at is carried alongside, letting responses prove that index and
-// snapshot belong to the same generation.
+// Build ranks nothing. A subject or source listing is ranked and its entries
+// are built on its first read, and published for every later reader of the
+// same index, so a rebuild pays only for the grouping and a listing is paid
+// for once per snapshot, by the first request that reads it.
+//
+// An Index is immutable after Build, but for those once-published listings.
+// Readers reach it through the serving layer's atomic snapshot pointer, so
+// no lock is ever taken on the read path and no reader can observe a
+// half-built index. The version the index was built at is carried
+// alongside, letting responses prove that index and snapshot belong to the
+// same generation.
 package index
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"corrfuse/internal/triple"
 )
@@ -43,6 +48,7 @@ type Entry struct {
 // Subject and Source are shared and must not be mutated.
 type Index struct {
 	version uint64
+	d       *triple.Dataset
 
 	// Dense tables by TripleID over the snapshot dataset; provided marks
 	// the IDs the fused result set covers (triples with at least one
@@ -52,102 +58,81 @@ type Index struct {
 	accepted []bool
 	provided []bool
 
-	// entries holds every fused result in global rank order (descending
-	// probability, ties broken by triple key so identical data always
-	// ranks identically). The per-subject and per-source slices point into
-	// it, inheriting the order.
-	entries []Entry
-	// bySubject maps a subject to its slot in subjLists.
-	bySubject map[string]int32
-	subjLists [][]*Entry
-	bySource  map[string][]*Entry
+	// set is each triple's provider-set slot and sets each slot's sorted
+	// source names, shared by every entry with that set.
+	set  []int32
+	sets [][]string
+
+	// bySubject maps a subject to its slot. Subject slot s's provided
+	// triple IDs are subjIDs[subjAt[s]:subjAt[s+1]], and source s's are
+	// srcIDs[srcAt[s]:srcAt[s+1]], each group in ascending ID order.
+	bySubject       map[string]int32
+	subjIDs, subjAt []int32
+	srcIDs, srcAt   []int32
+	// A listing's ranked entries, published by its first reader.
+	subjLists, srcLists []atomic.Pointer[[]*Entry]
+	// made counts the entries materialised, for the tests.
+	made atomic.Int64
 }
 
 // Build freezes the fused results of one rebuild into an Index. d is the
 // snapshot dataset the IDs refer to; probs, provided and accepted are the
 // model's frozen score tables (Model.FrozenScores), dense by TripleID —
 // they are adopted by reference, not copied, so the index adds only the
-// ranked listing structures on top of the tables the model already holds.
+// grouped triple IDs on top of the tables the model already holds.
 // version is the store data version the snapshot was captured at.
-// Provenance, labels and the tables must not be mutated afterwards (the
-// serving layer's datasets and frozen models never are).
+// The dataset and the tables must not be mutated afterwards (the serving
+// layer's datasets and frozen models never are).
 func Build(d *triple.Dataset, probs []float64, provided, accepted []bool, version uint64) *Index {
 	n := d.NumTriples()
 	if n > len(provided) {
 		n = len(provided) // defensive: never read past the tables
 	}
-	c := newCatalog(d, provided[:n])
-	// One global ranking with a total, data-only tie-break — descending
-	// probability, then triple key, then ID — so identical data always
-	// produces identical order, independent of input order.
-	ids := Rank(probs[:n], provided[:n])
-	c.sortTies(d, probs, ids)
-
-	// The per-subject and per-source slices are cut from two backing
-	// arrays, each at its exact size, and append in global rank order, so
-	// every slice is born ranked — serving never sorts again.
-	idx := &Index{
-		version:   version,
-		probs:     probs,
-		accepted:  accepted,
-		provided:  provided,
-		entries:   make([]Entry, len(ids)),
-		bySubject: c.subjSlot,
-		subjLists: cutLists(c.subjCount, len(ids)),
-	}
-	srcLists := cutLists(c.srcCount, c.refs)
-	for i, id32 := range ids {
-		id := triple.TripleID(id32)
-		at := c.at[id]
-		e := &idx.entries[i]
-		*e = Entry{Triple: d.Triple(id), Sources: c.sets[at.set], Probability: probs[id], Accepted: accepted[id], Label: d.Label(id).Gold()}
-		for _, s := range d.Providers(id) {
-			srcLists[s] = append(srcLists[s], e)
+	idx := &Index{version: version, d: d, probs: probs, accepted: accepted, provided: provided}
+	subj := idx.catalog(provided[:n])
+	// The groups are cut from two arrays by the counts the catalog took
+	// (held in subjAt and srcAt), filled from the highest ID down so each
+	// group ends in ascending ID order and each count ends as its group's
+	// start.
+	idx.subjIDs = make([]int32, idx.subjAt[len(idx.subjAt)-1])
+	idx.srcIDs = make([]int32, idx.srcAt[len(idx.srcAt)-1])
+	for i := n - 1; i >= 0; i-- {
+		if !provided[i] {
+			continue
 		}
-		idx.subjLists[at.subj] = append(idx.subjLists[at.subj], e)
-	}
-	idx.bySource = make(map[string][]*Entry, len(srcLists))
-	for s, list := range srcLists {
-		if len(list) > 0 {
-			idx.bySource[d.SourceName(triple.SourceID(s))] = list
+		s := subj[i]
+		idx.subjAt[s]--
+		idx.subjIDs[idx.subjAt[s]] = int32(i)
+		for _, src := range d.Providers(triple.TripleID(i)) {
+			idx.srcAt[src]--
+			idx.srcIDs[idx.srcAt[src]] = int32(i)
 		}
 	}
+	idx.subjLists = make([]atomic.Pointer[[]*Entry], len(idx.bySubject))
+	idx.srcLists = make([]atomic.Pointer[[]*Entry], d.NumSources())
 	return idx
 }
 
-// catalog is what Build learns in one pass over the provided triple IDs:
-// each triple's subject slot and provider-set slot, the provided triples per
-// subject and per source, and each distinct provider set's source names,
-// sorted once and shared by every entry with that set. The subject map
-// becomes the index's own.
-type catalog struct {
-	at        []slots // by TripleID
-	subjSlot  map[string]int32
-	subjects  []string // by subject slot
-	subjCount []int
-	srcCount  []int // by SourceID
-	refs      int   // provider references over all provided triples
-	sets      [][]string
-}
-
-// setHashPrime is the FNV-1a prime newCatalog hashes provider sets with; a
+// setHashPrime is the FNV-1a prime catalog hashes provider sets with; a
 // variable only so that a test can make every set collide.
 var setHashPrime uint64 = 1099511628211
 
-// slots locates one triple in the catalog: its subject and its provider
-// set (0 is the empty set, whose names are nil).
-type slots struct{ subj, set int32 }
-
-func newCatalog(d *triple.Dataset, provided []bool) *catalog {
-	c := &catalog{
-		at:       make([]slots, len(provided)),
-		subjSlot: make(map[string]int32),
-		srcCount: make([]int, d.NumSources()),
-	}
+// catalog is one pass over the provided triple IDs. It assigns each
+// triple its subject slot, which it returns by TripleID, and its provider
+// set, whose source names it builds once per distinct set. It leaves in
+// subjAt and srcAt the end of each subject's and source's group, the
+// running sums of their counts, with the total last.
+func (idx *Index) catalog(provided []bool) []int32 {
+	d := idx.d
+	subj := make([]int32, len(provided))
+	idx.set = make([]int32, len(provided))
+	idx.bySubject = make(map[string]int32)
+	idx.srcAt = make([]int32, d.NumSources()+1)
+	var subjCount []int32
 	// Provider sets are keyed by a hash of their IDs; a collision moves on
 	// to the next key until the set or a free key is found.
 	setSlot := make(map[uint64]int32)
-	setProvs := [][]triple.SourceID{nil} // a representative provider list per set slot
+	setProvs := [][]triple.SourceID{nil} // a representative provider list per set slot; 0 is the empty set
 	names := 0
 	prevSubj, prevSlot := "", int32(-1)
 	for i, ok := range provided {
@@ -158,17 +143,16 @@ func newCatalog(d *triple.Dataset, provided []bool) *catalog {
 		// Triples of one subject usually sit side by side in ID order, so
 		// most of them skip the map.
 		if sub := d.Triple(id).Subject; prevSlot < 0 || sub != prevSubj {
-			slot, seen := c.subjSlot[sub]
+			slot, seen := idx.bySubject[sub]
 			if !seen {
-				slot = int32(len(c.subjects))
-				c.subjSlot[sub] = slot
-				c.subjects = append(c.subjects, sub)
-				c.subjCount = append(c.subjCount, 0)
+				slot = int32(len(subjCount))
+				idx.bySubject[sub] = slot
+				subjCount = append(subjCount, 0)
 			}
 			prevSubj, prevSlot = sub, slot
 		}
-		c.at[i].subj = prevSlot
-		c.subjCount[prevSlot]++
+		subj[i] = prevSlot
+		subjCount[prevSlot]++
 		provs := d.Providers(id)
 		if len(provs) == 0 {
 			continue
@@ -176,9 +160,8 @@ func newCatalog(d *triple.Dataset, provided []bool) *catalog {
 		key := uint64(14695981039346656037) // FNV-1a over the IDs
 		for _, s := range provs {
 			key = (key ^ uint64(s)) * setHashPrime
-			c.srcCount[s]++
+			idx.srcAt[s]++
 		}
-		c.refs += len(provs)
 		for {
 			set, seen := setSlot[key]
 			if !seen {
@@ -190,12 +173,21 @@ func newCatalog(d *triple.Dataset, provided []bool) *catalog {
 				key++
 				continue
 			}
-			c.at[i].set = set
+			idx.set[i] = set
 			break
 		}
 	}
+	idx.subjAt = append(subjCount, 0)
+	for _, at := range [][]int32{idx.subjAt, idx.srcAt} {
+		sum := int32(0)
+		for i, c := range at[:len(at)-1] {
+			sum += c
+			at[i] = sum
+		}
+		at[len(at)-1] = sum
+	}
 	back := make([]string, names)
-	c.sets = make([][]string, len(setProvs))
+	idx.sets = make([][]string, len(setProvs))
 	for i, provs := range setProvs[1:] {
 		list := back[:len(provs):len(provs)]
 		back = back[len(provs):]
@@ -203,126 +195,44 @@ func newCatalog(d *triple.Dataset, provided []bool) *catalog {
 			list[j] = d.SourceName(s)
 		}
 		slices.Sort(list)
-		c.sets[i+1] = list
+		idx.sets[i+1] = list
 	}
-	return c
+	return subj
 }
 
-// rankSubjects returns each subject slot's rank in the order of
-// subject+sep, which decides the joined-key order of two triples with
-// different subjects, or nil when ranking costs more comparisons than work,
-// the comparisons a plain key sort of the tie runs makes, or when some
-// subject holds sep (then subject+sep decides nothing).
-func (c *catalog) rankSubjects(work float64) []uint32 {
-	s := float64(len(c.subjects))
-	if s*math.Log2(s) >= work || slices.ContainsFunc(c.subjects, func(sub string) bool { return strings.Contains(sub, sep) }) {
-		return nil
+// listing returns the ranked entries of one group, ranking the group and
+// materialising its entries in one block on the first call and publishing
+// them through p. Readers racing on a first call may each rank the group,
+// but all of them return the one slice that won the publication.
+func (idx *Index) listing(p *atomic.Pointer[[]*Entry], group []int32) []*Entry {
+	if l := p.Load(); l != nil {
+		return *l
 	}
-	order := make([]int32, len(c.subjects))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		x, y := c.subjects[a], c.subjects[b]
-		n := min(len(x), len(y))
-		if c := strings.Compare(x[:n], y[:n]); c != 0 || len(x) == len(y) {
+	ids := slices.Clone(group)
+	// Descending probability, then triple key, then ID: a total order on
+	// data alone, so identical data always lists identically.
+	slices.SortFunc(ids, func(a, b int32) int {
+		if c := cmp.Compare(rankBits(idx.probs[a]), rankBits(idx.probs[b])); c != 0 {
 			return c
 		}
-		if len(x) < len(y) {
-			return cmp.Compare(sep[0], y[n])
-		}
-		return cmp.Compare(x[n], sep[0])
-	})
-	rank := make([]uint32, len(order))
-	for r, slot := range order {
-		rank[slot] = uint32(r)
-	}
-	return rank
-}
-
-// cutLists cuts one empty slice per count from one backing array of the
-// counts' total, each with capacity exactly its count.
-func cutLists(counts []int, total int) [][]*Entry {
-	back := make([]*Entry, total)
-	lists := make([][]*Entry, len(counts))
-	for i, c := range counts {
-		lists[i], back = back[:0:c], back[c:]
-	}
-	return lists
-}
-
-// sortTies sorts each run of equal probability in ids, which Rank left in
-// ascending ID order, by triple key, keeping ID order among equal keys, so
-// the result is a stable sort's. With a subject rank, a run is sorted by
-// rank and ID as integers, and only triples of one subject are then compared
-// by whole key; without one, the whole run is.
-func (c *catalog) sortTies(d *triple.Dataset, probs []float64, ids []int32) {
-	// runEnd returns the end of the run that starts at lo.
-	runEnd := func(lo int) int {
-		key, hi := rankBits(probs[ids[lo]]), lo+1
-		for hi < len(ids) && rankBits(probs[ids[hi]]) == key {
-			hi++
-		}
-		return hi
-	}
-	longest, work := 0, 0.0
-	for lo, hi := 0, 0; lo < len(ids); lo = hi {
-		hi = runEnd(lo)
-		longest = max(longest, hi-lo)
-		work += float64(hi-lo) * math.Log2(float64(hi-lo))
-	}
-	if longest < 2 {
-		return
-	}
-	rank := c.rankSubjects(work)
-	keys := make([]uint64, longest)
-	run, perm := make([]triple.Triple, longest), make([]int32, longest)
-	for lo, hi := 0, 0; lo < len(ids); lo = hi {
-		hi = runEnd(lo)
-		if rank == nil {
-			sortByKey(d, ids[lo:hi], run, perm)
-			continue
-		}
-		keys := keys[:hi-lo]
-		for i, id := range ids[lo:hi] {
-			keys[i] = uint64(rank[c.at[id].subj])<<32 | uint64(id)
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			ids[lo+i] = int32(uint32(k))
-		}
-		for a, b := lo, lo; a < hi; a = b {
-			for b = a + 1; b < hi && keys[b-lo]>>32 == keys[a-lo]>>32; b++ {
-			}
-			sortByKey(d, ids[a:b], run, perm)
-		}
-	}
-}
-
-// sortByKey sorts ids, which are in ascending order, by triple key, equal
-// keys (distinct triples whose fields join to the same string) keeping ID
-// order. The triples are copied once into run and a permutation of them is
-// sorted in perm (both scratch of at least len(ids)), so no comparison
-// copies a Triple.
-func sortByKey(d *triple.Dataset, ids []int32, run []triple.Triple, perm []int32) {
-	if len(ids) < 2 {
-		return
-	}
-	run, perm = run[:len(ids)], perm[:len(ids)]
-	for i, id := range ids {
-		run[i] = d.Triple(triple.TripleID(id))
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := compareKeys(&run[a], &run[b]); c != 0 {
+		ta, tb := idx.d.Triple(triple.TripleID(a)), idx.d.Triple(triple.TripleID(b))
+		if c := compareKeys(&ta, &tb); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	for i, j := range perm {
-		perm[i] = ids[j]
+	entries := make([]Entry, len(ids))
+	l := make([]*Entry, len(ids))
+	for i, id32 := range ids {
+		id := triple.TripleID(id32)
+		entries[i] = Entry{Triple: idx.d.Triple(id), Sources: idx.sets[idx.set[id]], Probability: idx.probs[id], Accepted: idx.accepted[id], Label: idx.d.Label(id).Gold()}
+		l[i] = &entries[i]
 	}
-	copy(ids, perm)
+	idx.made.Add(int64(len(l)))
+	if !p.CompareAndSwap(nil, &l) {
+		return *p.Load()
+	}
+	return l
 }
 
 // compareKeys compares a.Key() with b.Key() — the fields joined by 0x1f —
@@ -361,7 +271,7 @@ const sep = "\x1f"
 func (idx *Index) Version() uint64 { return idx.version }
 
 // Len returns the number of fused results in the index.
-func (idx *Index) Len() int { return len(idx.entries) }
+func (idx *Index) Len() int { return len(idx.subjIDs) }
 
 // Subjects returns the number of distinct subjects with fused results.
 func (idx *Index) Subjects() int { return len(idx.bySubject) }
@@ -378,18 +288,23 @@ func (idx *Index) Lookup(id triple.TripleID) (p float64, accepted, ok bool) {
 	return idx.probs[id], idx.accepted[id], true
 }
 
-// Subject returns the fused results about a subject, pre-ranked by
-// descending probability. The slice is shared: callers must not mutate it.
+// Subject returns the fused results about a subject, ranked by descending
+// probability on the index's first read of the subject. The slice is
+// shared: callers must not mutate it.
 func (idx *Index) Subject(subject string) []*Entry {
-	slot, ok := idx.bySubject[subject]
+	s, ok := idx.bySubject[subject]
 	if !ok {
 		return nil
 	}
-	return idx.subjLists[slot]
+	return idx.listing(&idx.subjLists[s], idx.subjIDs[idx.subjAt[s]:idx.subjAt[s+1]])
 }
 
-// Source returns the fused results a source contributed to, pre-ranked by
-// descending probability. The slice is shared: callers must not mutate it.
+// Source returns the fused results a source contributed to, ranked like
+// Subject's. The slice is shared: callers must not mutate it.
 func (idx *Index) Source(name string) []*Entry {
-	return idx.bySource[name]
+	s, ok := idx.d.SourceID(name)
+	if !ok || idx.srcAt[s] == idx.srcAt[s+1] {
+		return nil
+	}
+	return idx.listing(&idx.srcLists[s], idx.srcIDs[idx.srcAt[s]:idx.srcAt[s+1]])
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"corrfuse"
@@ -210,9 +211,9 @@ func checkRanked(t *testing.T, d *triple.Dataset, idx *index.Index) {
 }
 
 // TestIndexDeterministicAcrossRebuilds: rebuilding identical data must
-// produce bitwise-identical rankings — same subjects, same order, same
-// probabilities — so replicas fused from the same store serve the same
-// answers and a replayed rebuild is reproducible.
+// produce bitwise-identical listings — same subjects and sources, same
+// order, same probabilities — so replicas fused from the same store serve
+// the same answers and a replayed rebuild is reproducible.
 func TestIndexDeterministicAcrossRebuilds(t *testing.T) {
 	for _, cfg := range propertyConfigs() {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -221,21 +222,33 @@ func TestIndexDeterministicAcrossRebuilds(t *testing.T) {
 				d2 := randomDataset(seed)
 				idx1 := buildIndex(t, d1, buildModel(t, d1, cfg.method, cfg.shards), 1)
 				idx2 := buildIndex(t, d2, buildModel(t, d2, cfg.method, cfg.shards), 1)
-				r1, r2 := idx1.Ranked(), idx2.Ranked()
-				if len(r1) != len(r2) {
-					t.Fatalf("rebuild changed result count: %d vs %d", len(r1), len(r2))
+				if idx1.Len() != idx2.Len() || idx1.Subjects() != idx2.Subjects() {
+					t.Fatalf("rebuild changed result count: %d/%d vs %d/%d", idx1.Len(), idx1.Subjects(), idx2.Len(), idx2.Subjects())
 				}
-				for i := range r1 {
-					if r1[i].Triple != r2[i].Triple {
-						t.Fatalf("rank %d: %v vs %v", i, r1[i].Triple, r2[i].Triple)
+				same := func(kind, name string, l1, l2 []*index.Entry) {
+					t.Helper()
+					if len(l1) != len(l2) {
+						t.Fatalf("%s %q: %d vs %d entries", kind, name, len(l1), len(l2))
 					}
-					if r1[i].Probability != r2[i].Probability {
-						t.Fatalf("rank %d (%v): probability %v vs %v",
-							i, r1[i].Triple, r1[i].Probability, r2[i].Probability)
+					for i := range l1 {
+						if l1[i].Triple != l2[i].Triple {
+							t.Fatalf("%s %q rank %d: %v vs %v", kind, name, i, l1[i].Triple, l2[i].Triple)
+						}
+						if l1[i].Probability != l2[i].Probability {
+							t.Fatalf("%s %q rank %d (%v): probability %v vs %v",
+								kind, name, i, l1[i].Triple, l1[i].Probability, l2[i].Probability)
+						}
+						if l1[i].Accepted != l2[i].Accepted || l1[i].Label != l2[i].Label {
+							t.Fatalf("%s %q rank %d (%v): decision or label differs", kind, name, i, l1[i].Triple)
+						}
 					}
-					if r1[i].Accepted != r2[i].Accepted || r1[i].Label != r2[i].Label {
-						t.Fatalf("rank %d (%v): decision or label differs", i, r1[i].Triple)
-					}
+				}
+				for i := 0; i < d1.NumTriples(); i++ {
+					sub := d1.Triple(triple.TripleID(i)).Subject
+					same("subject", sub, idx1.Subject(sub), idx2.Subject(sub))
+				}
+				for _, src := range d1.Sources() {
+					same("source", src.Name, idx1.Source(src.Name), idx2.Source(src.Name))
 				}
 			})
 		}
@@ -299,39 +312,26 @@ func refBuildOrder(d *triple.Dataset, probs []float64, provided []bool) []triple
 	return out
 }
 
-// checkBuildOrder builds an Index over the tables and asserts that Ranked,
-// every Subject listing and every Source listing equal, entry by entry with
-// ==, the reference order refBuildOrder gives (filtered to the subject or
-// source), that every listed entry is the Ranked entry of its triple, and
-// that every entry carries its own triple's provenance, label and decision.
+// checkBuildOrder builds an Index over the tables and asserts that every
+// Subject listing and every Source listing equal, entry by entry with ==,
+// the reference order refBuildOrder gives filtered to the subject or
+// source, and that every listed entry carries its own triple's
+// provenance, label and decision.
 func checkBuildOrder(t *testing.T, d *triple.Dataset, probs []float64, provided, accepted []bool) {
 	t.Helper()
 	idx := index.Build(d, probs, provided, accepted, 1)
 	want := refBuildOrder(d, probs, provided)
-	got := idx.Ranked()
-	if len(got) != len(want) {
-		t.Fatalf("%d entries, reference %d", len(got), len(want))
+	if idx.Len() != len(want) {
+		t.Fatalf("%d entries, reference %d", idx.Len(), len(want))
 	}
-	rank := make(map[triple.Triple]*index.Entry, len(got))
 	wantSubject := make(map[string][]triple.Triple)
 	wantSource := make(map[string][]triple.Triple)
-	for i := range got {
-		e := &got[i]
-		if e.Triple != want[i] {
-			t.Fatalf("rank %d: %q, reference %q", i, e.Triple, want[i])
-		}
-		id, _ := d.TripleID(e.Triple)
-		sources := make([]string, 0, len(d.Providers(id)))
+	for _, tr := range want {
+		id, _ := d.TripleID(tr)
 		for _, s := range d.Providers(id) {
-			sources = append(sources, d.SourceName(s))
-			wantSource[d.SourceName(s)] = append(wantSource[d.SourceName(s)], e.Triple)
+			wantSource[d.SourceName(s)] = append(wantSource[d.SourceName(s)], tr)
 		}
-		sort.Strings(sources)
-		if e.Probability != probs[id] || e.Accepted != accepted[id] || e.Label != d.Label(id).Gold() || !slices.Equal(e.Sources, sources) {
-			t.Fatalf("rank %d (%q): entry %+v does not describe triple %d", i, e.Triple, e, id)
-		}
-		rank[e.Triple] = e
-		wantSubject[e.Triple.Subject] = append(wantSubject[e.Triple.Subject], e.Triple)
+		wantSubject[tr.Subject] = append(wantSubject[tr.Subject], tr)
 	}
 	checkListing := func(kind, name string, got []*index.Entry, want []triple.Triple) {
 		t.Helper()
@@ -339,8 +339,17 @@ func checkBuildOrder(t *testing.T, d *triple.Dataset, probs []float64, provided,
 			t.Fatalf("%s %q: %d entries, reference %d", kind, name, len(got), len(want))
 		}
 		for i, e := range got {
-			if e.Triple != want[i] || e != rank[want[i]] {
+			if e.Triple != want[i] {
 				t.Fatalf("%s %q rank %d: %q, reference %q", kind, name, i, e.Triple, want[i])
+			}
+			id, _ := d.TripleID(e.Triple)
+			sources := make([]string, 0, len(d.Providers(id)))
+			for _, s := range d.Providers(id) {
+				sources = append(sources, d.SourceName(s))
+			}
+			sort.Strings(sources)
+			if e.Probability != probs[id] || e.Accepted != accepted[id] || e.Label != d.Label(id).Gold() || !slices.Equal(e.Sources, sources) {
+				t.Fatalf("%s %q rank %d (%q): entry %+v does not describe triple %d", kind, name, i, e.Triple, e, id)
 			}
 		}
 	}
@@ -355,14 +364,14 @@ func checkBuildOrder(t *testing.T, d *triple.Dataset, probs []float64, provided,
 	}
 }
 
-// TestBuildRankingEqualsStableSort: Build's ranking and every subject and
-// source listing == the stable sort on built keys, where almost every
-// probability is tied — 0 and −0 (which rank as one value), and a run of
-// more than 1 000 triples at 0.5 — and the fields hold what makes a joined
-// key compare unlike its parts: bytes below and at the 0x1f separator, empty
-// fields, subjects that are prefixes of other subjects, and distinct triples
-// whose keys are one string. NaN stays out: the reference comparator gives
-// it no place in the order.
+// TestBuildRankingEqualsStableSort: every subject and source listing ==
+// the stable sort on built keys, where almost every probability is tied —
+// 0 and −0 (which rank as one value), and a run of more than 1 000 triples
+// at 0.5 — and the fields hold what makes a joined key compare unlike its
+// parts: bytes below and at the 0x1f separator, empty fields, subjects
+// that are prefixes of other subjects, and distinct triples whose keys are
+// one string. NaN stays out: the reference comparator gives it no place in
+// the order.
 func TestBuildRankingEqualsStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parts := []string{"", "a", "ab", "a\x1f", "a\x1fb", "\x00", "a\x00", "b", "\x1e", "\x1f", "a\x1e", "ab\x1f", "é"}
@@ -416,14 +425,14 @@ func TestBuildRankingEqualsStableSort(t *testing.T) {
 	checkBuildOrder(t, d, probs, provided, accepted)
 }
 
-// TestBuildRankingBySubjectRank: with no separator inside any subject,
-// Build orders the ties of different subjects by a rank of the subjects and
-// compares whole keys only within one subject. Both shapes hold subjects
-// that are prefixes of others and bytes below, at and above 0x1f after a
-// prefix; separators stay in predicates and objects. The first shape is
-// many ties over few subjects, which ranks them; the second is one triple
-// per subject and short runs, where ranking would cost more than the
-// plain key sort of each run, which Build falls back to.
+// TestBuildRankingBySubjectRank: a source listing ties triples of
+// different subjects, whose keys may be decided inside the subject or at
+// the separator after it. Both shapes hold subjects that are prefixes of
+// others and bytes below, at and above 0x1f after a prefix; separators stay
+// in predicates and objects. The first shape is many ties over few
+// subjects, so subject listings hold long tie runs; the second is one
+// triple per subject, so each subject lists one entry and the source
+// listings hold every tie.
 func TestBuildRankingBySubjectRank(t *testing.T) {
 	parts := []string{"", "a", "ab", "\x00", "a\x00", "b", "\x1e", "a\x1e", "a\x20", "é"}
 	fields := []string{"", "a", "a\x1f", "\x1f", "b", "a\x1fb"}
@@ -544,5 +553,134 @@ func TestBuildAllocationsIndependentOfEntries(t *testing.T) {
 	small, large := allocs(25), allocs(100)
 	if small != large {
 		t.Fatalf("Build made %v allocations on 1 000 triples and %v on 4 000 over the same subjects and sources: something is allocated per entry", small, large)
+	}
+}
+
+// sizedSubjects is a dataset whose subject "s<i>" has sizes[i] provided
+// triples, each from one or two of four sources, with a few probability
+// levels so the listings hold ties.
+func sizedSubjects(sizes ...int) (d *triple.Dataset, probs []float64, provided, accepted []bool) {
+	rng := rand.New(rand.NewSource(9))
+	d = triple.NewDataset()
+	src := []triple.SourceID{d.AddSource("x"), d.AddSource("y"), d.AddSource("z"), d.AddSource("w")}
+	for i, n := range sizes {
+		for k := 0; k < n; k++ {
+			tr := triple.Triple{Subject: fmt.Sprintf("s%d", i), Predicate: "p", Object: fmt.Sprintf("o%d", k)}
+			d.Observe(src[k%len(src)], tr)
+			d.Observe(src[rng.Intn(len(src))], tr)
+		}
+	}
+	n := d.NumTriples()
+	probs, provided, accepted = make([]float64, n), make([]bool, n), make([]bool, n)
+	for i := range probs {
+		probs[i] = float64(rng.Intn(4)) / 4
+		provided[i] = true
+		accepted[i] = probs[i] > 0.5
+	}
+	return d, probs, provided, accepted
+}
+
+// TestListingMaterialisedOnFirstRead: Build materialises no entry, a
+// listing's first read materialises exactly its entries, and a second read
+// of it materialises none.
+func TestListingMaterialisedOnFirstRead(t *testing.T) {
+	d, probs, provided, accepted := sizedSubjects(25, 100)
+	idx := index.Build(d, probs, provided, accepted, 1)
+	if m := idx.Made(); m != 0 {
+		t.Fatalf("Build materialised %d entries", m)
+	}
+	made := int64(0)
+	for _, read := range []struct {
+		kind, name string
+		list       func(string) []*index.Entry
+	}{{"subject", "s1", idx.Subject}, {"source", "x", idx.Source}, {"subject", "s0", idx.Subject}} {
+		first := read.list(read.name)
+		if made += int64(len(first)); idx.Made() != made {
+			t.Fatalf("first read of %s %q (%d entries): %d materialised in all, want %d", read.kind, read.name, len(first), idx.Made(), made)
+		}
+		if again := read.list(read.name); &again[0] != &first[0] || idx.Made() != made {
+			t.Fatalf("second read of %s %q: %d materialised in all, want %d, same slice %v", read.kind, read.name, idx.Made(), made, &again[0] == &first[0])
+		}
+	}
+}
+
+// TestListingFirstReadAllocationsIndependentOfLength: a listing's first
+// read allocates per listing, never per entry: the 25-entry and the
+// 100-entry listing cost the same number of allocations.
+func TestListingFirstReadAllocationsIndependentOfLength(t *testing.T) {
+	d, probs, provided, accepted := sizedSubjects(25, 100)
+	allocs := func(subject string) float64 {
+		const runs = 5
+		fresh := make([]*index.Index, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range fresh {
+			fresh[i] = index.Build(d, probs, provided, accepted, 1)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if len(fresh[next].Subject(subject)) == 0 {
+				t.Fatalf("subject %q lists nothing", subject)
+			}
+			next++
+		})
+	}
+	small, large := allocs("s0"), allocs("s1")
+	if small != large {
+		t.Fatalf("a first read made %v allocations for 25 entries and %v for 100: something is allocated per entry", small, large)
+	}
+}
+
+// TestListingFirstReadConcurrent: readers racing on the first read of one
+// subject and one source of a fresh index all get the one published slice,
+// and it equals the reference order. The listings are long enough that
+// ranking them takes longer than starting the readers.
+func TestListingFirstReadConcurrent(t *testing.T) {
+	d, probs, provided, accepted := sizedSubjects(3000)
+	const sub, src = "s0", "x"
+	var wantSub, wantSrc []triple.Triple
+	for _, tr := range refBuildOrder(d, probs, provided) {
+		id, _ := d.TripleID(tr)
+		if tr.Subject == sub {
+			wantSub = append(wantSub, tr)
+		}
+		if d.Provides(0, id) {
+			wantSrc = append(wantSrc, tr)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		idx := index.Build(d, probs, provided, accepted, 1)
+		const readers = 8
+		var subs, srcs [readers][]*index.Entry
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if r%2 == 0 {
+					subs[r], srcs[r] = idx.Subject(sub), idx.Source(src)
+				} else {
+					srcs[r], subs[r] = idx.Source(src), idx.Subject(sub)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, got := range []struct {
+			name  string
+			lists [readers][]*index.Entry
+			want  []triple.Triple
+		}{{sub, subs, wantSub}, {src, srcs, wantSrc}} {
+			for r, l := range got.lists {
+				if len(l) != len(got.want) || &l[0] != &got.lists[0][0] {
+					t.Fatalf("round %d: reader %d got %d entries of %q at %p, reader 0 %p", round, r, len(l), got.name, &l[0], &got.lists[0][0])
+				}
+			}
+			for i, e := range got.lists[0] {
+				if e.Triple != got.want[i] {
+					t.Fatalf("round %d: %q rank %d: %q, reference %q", round, got.name, i, e.Triple, got.want[i])
+				}
+			}
+		}
 	}
 }

@@ -7,8 +7,8 @@ import "math"
 // ranks above +Inf. It is a stable LSD radix sort over the bits of the
 // probability, one pass per byte of the key, skipping every byte all keys
 // share: far fewer distinct probabilities than triples leave most of the
-// eight bytes shared. Both rankings of a snapshot — the model's Fuse result
-// and Build's listings — start from it.
+// eight bytes shared. It ranks the model's Fuse result; an Index listing
+// sorts its own triples by the same key on its first read.
 func Rank(probs []float64, provided []bool) []int32 {
 	type rankKey struct {
 		key uint64

@@ -314,7 +314,7 @@ func (s *Server) handleTriple(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeIndexed answers a listing request with pre-ranked index entries from
+// writeIndexed answers a listing request with ranked index entries from
 // one snapshot. Every response carries both the snapshot's store version and
 // the index's own version: they are always equal (the index is built from
 // exactly the snapshot's capture), so a client — or the soak test — can
@@ -330,8 +330,8 @@ func (s *Server) writeIndexed(w http.ResponseWriter, sn *snapshot, entries []*in
 }
 
 // handleSubject serves the snapshot's fused results about a subject,
-// pre-ranked by descending probability at index build time — no store scan,
-// no per-request sort, no lock. The view is snapshot-consistent: claims
+// ranked by descending probability on the snapshot's first read of the
+// subject and shared by every later one — no store scan, no lock. The view is snapshot-consistent: claims
 // ingested after the snapshot's capture appear at the next rebuild (query
 // /v1/triple or /v1/score for live-overlay freshness).
 //
@@ -345,7 +345,7 @@ func (s *Server) handleSubject(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSource serves the snapshot's fused results a source contributed to,
-// pre-ranked like handleSubject and equally snapshot-consistent.
+// ranked like handleSubject and equally snapshot-consistent.
 //
 //corrfuse:hotpath
 func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
